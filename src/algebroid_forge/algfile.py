@@ -18,6 +18,7 @@ from .calculus import (
     AlgebroidPresentation,
     BundleMorphism,
     GradedSection,
+    _pair_index,
 )
 from .errors import ParseError, SemanticError
 from .paired import PairedOperator
@@ -208,7 +209,7 @@ class _Parser:
                         f"bracket[{i},{j}] set twice", itok.line, itok.column
                     )
                 seen_bracket.add(key)
-                row = structure[_pair_pos(i - 1, j - 1, rank)]
+                row = structure[_pair_index(i - 1, j - 1, rank)]
                 for k, c in combo.items():
                     row[k] = c if sign == 1 else -c
             self.expect(";")
@@ -494,10 +495,6 @@ class _Parser:
         self.file.tasks.append(TaskItem(name, args, head.line))
 
 
-def _pair_pos(i: int, j: int, rank: int) -> int:
-    return i * rank - i * (i + 1) // 2 + (j - i - 1)
-
-
 def parse(text: str) -> StructureFile:
     """Parse a structure file; ParseError/SemanticError carry positions."""
     return _Parser(text).parse()
@@ -518,7 +515,7 @@ def serialize(file: StructureFile) -> str:
                         lines.append(f"  anchor[{i+1},{c}] = {A.anchor[i][a]};")
             for i in range(A.rank):
                 for j in range(i + 1, A.rank):
-                    row = A.structure[_pair_pos(i, j, A.rank)]
+                    row = A.structure[_pair_index(i, j, A.rank)]
                     terms = [
                         f"({c})*e{k+1}" for k, c in enumerate(row) if not c.is_zero()
                     ]

@@ -6,7 +6,8 @@ and forms) are sparse maps from strictly increasing frame-index tuples to
 rational functions.  On top of that this module implements the wedge product,
 the duality pairing (determinant convention), contractions, the algebroid
 differential, the Schouten bracket, Lie derivatives, bundle morphisms with
-pullbacks, and the axiom checkers.
+pullbacks, the axiom checkers, the one builder of derived presentations and
+the one seeded polynomial sampler.
 
 Sign conventions, fixed once for the whole package:
   * pairing(eps^I, e_J) = delta_{I,J} on increasing tuples;
@@ -19,10 +20,11 @@ Sign conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import (
     DegreeMismatch,
@@ -135,9 +137,6 @@ class AlgebroidPresentation:
 
     def function(self, value, variance: str = MULTIVECTOR) -> "GradedSection":
         return self.section(variance, 0, {(): self.scalar(value)})
-
-    def basis_indices(self, degree: int) -> Iterable[Idx]:
-        return combinations(range(self.rank), degree)
 
 
 class GradedSection:
@@ -307,13 +306,6 @@ def wedge(a: GradedSection, b: GradedSection) -> GradedSection:
     return GradedSection(a.parent, a.variance, degree, coeffs)
 
 
-def wedge_all(sections: Iterable[GradedSection], base: GradedSection) -> GradedSection:
-    out = base
-    for s in sections:
-        out = wedge(out, s)
-    return out
-
-
 def pairing(mu: GradedSection, w: GradedSection) -> RationalFunction:
     """Full duality contraction <mu, w> with the determinant convention."""
     if mu.parent != w.parent:
@@ -376,15 +368,7 @@ def insert(target: GradedSection, arg: GradedSection) -> GradedSection:
                 result.pop(idx, None)
             else:
                 result[idx] = s
-    if arg.degree == 0:
-        # i_f is multiplication by the function
-        pass
     return GradedSection(target.parent, target.variance, target.degree - arg.degree, result)
-
-
-# canonical operation name; ``insert`` reads better at call sites that
-# contract one argument at a time
-contract = insert
 
 
 def evaluate(mu: GradedSection, args: Iterable[GradedSection]) -> RationalFunction:
@@ -705,13 +689,13 @@ def compose(outer: BundleMorphism, inner: BundleMorphism) -> BundleMorphism:
 # ---------------------------------------------------------------------------
 
 
-def check_axioms(A: AlgebroidPresentation, task: str = "check-axioms") -> Report:
+def check_axioms(A: AlgebroidPresentation) -> Report:
     """Anchor compatibility and the Jacobi identity, exactly on frames.
 
     Both residues are tensorial (anchor compatibility unconditionally, the
     Jacobiator given anchor compatibility), so frame checks are complete.
     """
-    report = Report(task)
+    report = Report("check-axioms")
     anchor_clause = report.clause("anchor-compatibility", PROOF_TENSORIAL)
     if A.n == 0:
         anchor_clause.record_flag("vacuous (point base)", True)
@@ -739,9 +723,9 @@ def check_axioms(A: AlgebroidPresentation, task: str = "check-axioms") -> Report
     return report
 
 
-def check_d_squared(A: AlgebroidPresentation, task: str = "d-squared") -> Report:
+def check_d_squared(A: AlgebroidPresentation) -> Report:
     """d^2 = 0 on the generators (coordinates and coframe 1-forms)."""
-    report = Report(task)
+    report = Report("d-squared")
     clause = report.clause("d-squared", PROOF_GENERATORS)
     for name in A.coords:
         clause.record(f"d2({name})", differential(d_function(A, A.coord_rf(name))))
@@ -750,9 +734,9 @@ def check_d_squared(A: AlgebroidPresentation, task: str = "d-squared") -> Report
     return report
 
 
-def is_lie_algebroid_morphism(phi: BundleMorphism, task: str = "lie-algebroid-morphism") -> Report:
+def is_lie_algebroid_morphism(phi: BundleMorphism) -> Report:
     """Chain-map residues Phi* d_B - d_A Phi* on the target generators."""
-    report = Report(task)
+    report = Report("lie-algebroid-morphism")
     coord_clause = report.clause("chain-map-coordinates", PROOF_GENERATORS)
     for b, name in enumerate(phi.target.coords):
         lhs = pullback(phi, d_function(phi.target, phi.target.coord_rf(name)))
@@ -806,3 +790,52 @@ def null_presentation(A: AlgebroidPresentation, name: str = "") -> AlgebroidPres
     npairs = A.rank * (A.rank - 1) // 2
     structure = tuple(tuple(zero for _ in range(A.rank)) for _ in range(npairs))
     return AlgebroidPresentation(A.coords, A.rank, anchor, structure, name=name or f"null({A.name})")
+
+
+def derived_presentation(
+    A: AlgebroidPresentation,
+    matrix: tuple[tuple[RationalFunction, ...], ...],
+    bracket: Callable[[int, int], GradedSection],
+    name: str,
+) -> AlgebroidPresentation:
+    """Presentation data on A's chart and rank built from a frame-pair bracket.
+
+    The new anchor is rho o M: column i of ``matrix`` lists the A-frame
+    components that the i-th new frame element is sent to.  ``bracket(i, j)``
+    returns [e_i, e_j] for i < j as a degree-1 section of either variance,
+    whose coefficients become the structure row.  Dual, deformed and prime
+    structures are all built this way; the axioms are not implied.
+    """
+    anchor = []
+    for i in range(A.rank):
+        row = [A.zero_rf() for _ in range(A.n)]
+        for k in range(A.rank):
+            c = matrix[k][i]
+            if not c.is_zero():
+                for a in range(A.n):
+                    if not A.anchor[k][a].is_zero():
+                        row[a] = row[a] + c * A.anchor[k][a]
+        anchor.append(tuple(row))
+    rows = []
+    for i in range(A.rank):
+        for j in range(i + 1, A.rank):
+            br = bracket(i, j)
+            rows.append(tuple(br.coefficient((k,)) for k in range(A.rank)))
+    return AlgebroidPresentation(A.coords, A.rank, tuple(anchor), tuple(rows), name=name)
+
+
+# ---------------------------------------------------------------------------
+# seeded sampling
+# ---------------------------------------------------------------------------
+
+
+def random_poly(A: AlgebroidPresentation, rng: random.Random, max_degree: int) -> RationalFunction:
+    """A seeded random polynomial: a constant in [-2, 2] plus, per coordinate,
+    a power of degree 1..max_degree times a constant in [-2, 2] with
+    probability 1/2.  Every sampled section family draws from this."""
+    out = A.scalar(rng.randrange(-2, 3))
+    for name in A.coords:
+        d = rng.randrange(0, max_degree + 1)
+        if d and rng.random() < 0.5:
+            out = out + A.coord_rf(name) ** d * rng.randrange(-2, 3)
+    return out

@@ -66,13 +66,32 @@ class _TaskRunner:
         self.file = file
         self.config = config
         self.qlbs = {}
+        self.task: algfile.TaskItem | None = None  # the task being run
 
     # -- argument helpers -----------------------------------------------------
 
+    def _error(self, message):
+        return SemanticError(f"task {self.task.name}: {message}", self.task.line, 1)
+
+    def _arg(self, args, i, allowed, usage):
+        """Task argument i: a [..] list when ``allowed`` is ``list``, else a
+        name in ``allowed``.  A missing or different argument is a
+        SemanticError at the task's line."""
+        arg = args[i] if i < len(args) else None
+        ok = isinstance(arg, list) if allowed is list else isinstance(arg, str) and arg in allowed
+        if not ok:
+            raise self._error(f"argument {i+1} must be {usage}")
+        return arg
+
     def _named(self, table, kind, args, i):
-        if i >= len(args) or not isinstance(args[i], str) or args[i] not in table:
-            raise SemanticError(f"task argument {i+1} must name a declared {kind}")
-        return table[args[i]]
+        return table[self._arg(args, i, table, f"a declared {kind}")]
+
+    def _vanishing(self, args, i, coords):
+        names = self._arg(args, i, list, "a [list] of vanishing coordinates")
+        for name in names:
+            if name not in coords:
+                raise self._error(f"unknown coordinate {name!r} in submanifold argument")
+        return tuple(names)
 
     def algebroid(self, args, i):
         return self._named(self.file.algebroids, "algebroid", args, i)
@@ -91,18 +110,17 @@ class _TaskRunner:
         if len(rest) == 2 and rest[0] == "as" and isinstance(rest[1], str):
             self.qlbs[rest[1]] = value
         elif rest:
-            raise SemanticError(f"unexpected trailing task arguments {rest}")
+            raise self._error(f"unexpected trailing task arguments {rest}")
 
     def _double(self, args, i):
-        if args[i] == "standard":
+        kind = self._arg(args, i, ("standard", "twisted", "qlb"), "standard, twisted or qlb")
+        if kind == "standard":
             return standard_double(self.algebroid(args, i + 1)), i + 2
-        if args[i] == "twisted":
+        if kind == "twisted":
             A = self.algebroid(args, i + 1)
             phi = self.tensor(args, i + 2)
             return twisted_double(A, phi), i + 3
-        if args[i] == "qlb":
-            return qlb_double(self.qlb(args, i + 1)), i + 2
-        raise SemanticError("expected standard/twisted/qlb double specifier")
+        return qlb_double(self.qlb(args, i + 1)), i + 2
 
     # -- dispatch ---------------------------------------------------------------
 
@@ -110,12 +128,12 @@ class _TaskRunner:
         method = getattr(self, "task_" + task.name.replace("-", "_"), None)
         if method is None:
             raise SemanticError(f"unknown task {task.name!r}", task.line, 1)
+        self.task = task
         return method(task.args)
 
     def task_check_axioms(self, args):
         A = self.algebroid(args, 0)
         report = check_axioms(A)
-        report.task = "check-axioms"
         report.clauses.extend(check_d_squared(A).clauses)
         return report
 
@@ -187,38 +205,28 @@ class _TaskRunner:
 
     def task_check_generalized_dirac(self, args):
         E, i = self._double(args, 0)
-        if args[i] != "tp_conormal" or not isinstance(args[i + 1], list):
-            raise SemanticError("expected: tp_conormal [vanishing coordinates]")
-        for name in args[i + 1]:
-            if name not in E.base.coords:
-                raise SemanticError(f"unknown coordinate {name!r} in submanifold argument")
-        F = tangent_conormal_dirac(E, args[i + 1])
+        self._arg(args, i, ("tp_conormal",), "tp_conormal")
+        F = tangent_conormal_dirac(E, self._vanishing(args, i + 1, E.base.coords))
         return check_generalized_dirac(F)
 
     def task_check_split_dirac(self, args):
         Q = self.qlb(args, 0)
-        if args[1] != "span" or not isinstance(args[2], list):
-            raise SemanticError("expected: Q span [e1, e2] at [x3]")
+        self._arg(args, 1, ("span",), "span")
         vectors = []
-        for entry in args[2]:
+        for entry in self._arg(args, 2, list, "a [list] of frame symbols"):
             m = algfile._FRAME_RE.match(str(entry))
             if not m or not 1 <= int(m.group(1)) <= Q.base.rank:
-                raise SemanticError(f"span entries must be frame symbols, got {entry!r}")
+                raise self._error(f"span entries must be frame symbols, got {entry!r}")
             k = int(m.group(1)) - 1
             vectors.append([Fraction(1 if j == k else 0) for j in range(Q.base.rank)])
-        if args[3] != "at" or not isinstance(args[4], list):
-            raise SemanticError("expected: at [vanishing coordinates]")
-        for name in args[4]:
-            if name not in Q.base.coords:
-                raise SemanticError(f"unknown coordinate {name!r} in submanifold argument")
-        P = Submanifold.coordinate_subspace(Q.base.coords, tuple(args[4]))
+        self._arg(args, 3, ("at",), "at")
+        P = Submanifold.coordinate_subspace(Q.base.coords, self._vanishing(args, 4, Q.base.coords))
         return check_split_dirac(Q, SplitSubbundle(vectors), P)
 
     def task_build_morphism_graph(self, args):
         phi = self._named(self.file.morphisms, "morphism", args, 0)
         F = build_morphism_graph(phi, self.qlb(args, 1), self.qlb(args, 2))
-        report = check_generalized_dirac(F, task="build-morphism-graph")
-        return report
+        return check_generalized_dirac(F)
 
     def task_check_paired(self, args):
         op = self._named(self.file.paired, "paired operator", args, 0)
@@ -276,14 +284,25 @@ def run(file: algfile.StructureFile, config: RunConfig) -> list[Report]:
     return reports
 
 
+def _non_negative(text: str) -> int:
+    """argparse type of the sampling sizes."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="forge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     check = sub.add_parser("check", help="run the tasks of a structure file")
     check.add_argument("file")
     check.add_argument("--seed", type=int, default=0)
-    check.add_argument("--samples", type=int, default=10)
-    check.add_argument("--max-degree", type=int, default=2)
+    check.add_argument("--samples", type=_non_negative, default=10)
+    check.add_argument("--max-degree", type=_non_negative, default=2)
     check.add_argument("--kappa", choices=["1", "1/2"], default="1/2")
     check.add_argument("--format", choices=["text", "records"], default="text")
     args = parser.parse_args(argv)
@@ -291,8 +310,8 @@ def main(argv=None) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as err:
+        print(f"{args.file}: {err}", file=sys.stderr)
         return 2
     try:
         structure = algfile.parse(text)

@@ -21,6 +21,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from itertools import product as cartesian_product
 
 from .calculus import (
     FORM,
@@ -36,6 +37,7 @@ from .calculus import (
     null_presentation,
     pairing,
     pullback,
+    random_poly,
     retag,
     schouten,
     vector_field,
@@ -43,7 +45,7 @@ from .calculus import (
     wedge,
 )
 from .errors import MalformedMorphism, ParentMismatch
-from .pn import QuasiLieBialgebroid
+from .pn import QuasiLieBialgebroid, d_star, dual_anchor, dual_bracket
 from .rational import RationalFunction
 from .reporting import EVIDENCE_SAMPLED, PROOF_TENSORIAL, Report
 
@@ -63,7 +65,6 @@ class CourantDouble:
     x3: GradedSection
     psi: GradedSection
     conjugated: bool = False
-    label: str = field(default="", compare=False)
 
     @property
     def rank(self) -> int:
@@ -126,36 +127,16 @@ class CourantSection:
 # ---------------------------------------------------------------------------
 
 
-def standard_double(A: AlgebroidPresentation) -> CourantDouble:
-    null = null_presentation(A)
-    return CourantDouble(
-        A,
-        null,
-        A.zero_section(MULTIVECTOR, 3),
-        A.zero_section(FORM, 3),
-        label=f"standard({A.name})",
-    )
-
-
 def twisted_double(A: AlgebroidPresentation, phi: GradedSection) -> CourantDouble:
-    null = null_presentation(A)
-    return CourantDouble(
-        A,
-        null,
-        A.zero_section(MULTIVECTOR, 3),
-        phi,
-        label=f"twisted({A.name})",
-    )
+    return CourantDouble(A, null_presentation(A), A.zero_section(MULTIVECTOR, 3), phi)
+
+
+def standard_double(A: AlgebroidPresentation) -> CourantDouble:
+    return twisted_double(A, A.zero_section(FORM, 3))
 
 
 def qlb_double(Q: QuasiLieBialgebroid) -> CourantDouble:
-    return CourantDouble(
-        Q.base,
-        Q.dual,
-        Q.x3,
-        Q.base.zero_section(FORM, 3),
-        label=f"double({Q.name or Q.base.name})",
-    )
+    return CourantDouble(Q.base, Q.dual, Q.x3, Q.base.zero_section(FORM, 3))
 
 
 def negate_presentation(P: AlgebroidPresentation) -> AlgebroidPresentation:
@@ -170,14 +151,7 @@ def conjugate(E: CourantDouble) -> CourantDouble:
     Bracket and anchor are untouched; every pairing-derived quantity (the
     pairing itself and the adjoint derivative D) consults the flag.
     """
-    return CourantDouble(
-        E.base,
-        E.dual,
-        E.x3,
-        E.psi,
-        not E.conjugated,
-        label=f"conj({E.label})",
-    )
+    return CourantDouble(E.base, E.dual, E.x3, E.psi, not E.conjugated)
 
 
 def transport_plus(E: CourantDouble) -> CourantDouble:
@@ -188,14 +162,7 @@ def transport_plus(E: CourantDouble) -> CourantDouble:
     """
     if not E.conjugated:
         return E
-    return CourantDouble(
-        E.base,
-        negate_presentation(E.dual),
-        E.x3,
-        -E.psi,
-        False,
-        label=f"T({E.label})",
-    )
+    return CourantDouble(E.base, negate_presentation(E.dual), E.x3, -E.psi, False)
 
 
 def flip(E: CourantDouble) -> CourantDouble:
@@ -203,11 +170,7 @@ def flip(E: CourantDouble) -> CourantDouble:
     if E.conjugated:
         raise ParentMismatch("flip is only used on plain doubles")
     return CourantDouble(
-        E.dual,
-        E.base,
-        retag(E.psi, E.dual, MULTIVECTOR),
-        retag(E.x3, E.dual, FORM),
-        label=f"flip({E.label})",
+        E.dual, E.base, retag(E.psi, E.dual, MULTIVECTOR), retag(E.x3, E.dual, FORM)
     )
 
 
@@ -292,14 +255,7 @@ def product_with_renaming(
     psi = embed_graded(E1.psi, 0, renames1, base, FORM) + embed_graded(
         E2.psi, E1.rank, renames2, base, FORM
     )
-    E = CourantDouble(
-        base,
-        dual,
-        x3,
-        psi,
-        label=f"{E1.label}x{E2.label}",
-    )
-    return E, renames2
+    return CourantDouble(base, dual, x3, psi), renames2
 
 
 def embed_section(
@@ -332,24 +288,8 @@ def pairing_sections(E: CourantDouble, e1: CourantSection, e2: CourantSection) -
 
 def anchor_field(E: CourantDouble, e: CourantSection) -> tuple[RationalFunction, ...]:
     v = vector_field(e.vec)
-    w = vector_field(retag(e.cov, E.dual, MULTIVECTOR))
+    w = dual_anchor(E, e.cov)
     return tuple(a + b for a, b in zip(v, w))
-
-
-def _d_star(E: CourantDouble, s: GradedSection) -> GradedSection:
-    return retag(differential(retag(s, E.dual, FORM)), E.base, MULTIVECTOR)
-
-
-def _d_star_fn(E: CourantDouble, f: RationalFunction) -> GradedSection:
-    return retag(d_function(E.dual, f), E.base, MULTIVECTOR)
-
-
-def _dual_bracket(E: CourantDouble, a: GradedSection, b: GradedSection) -> GradedSection:
-    return retag(
-        schouten(retag(a, E.dual, MULTIVECTOR), retag(b, E.dual, MULTIVECTOR)),
-        E.base,
-        FORM,
-    )
 
 
 def dorfman(E: CourantDouble, e1: CourantSection, e2: CourantSection) -> CourantSection:
@@ -360,13 +300,13 @@ def dorfman(E: CourantDouble, e1: CourantSection, e2: CourantSection) -> Courant
     Y, b = e2.vec, e2.cov
     vec = schouten(X, Y)
     if not a.is_zero():
-        dsY = _d_star(E, Y)
-        vec = vec + insert(dsY, a) + _d_star_fn(E, pairing(a, Y))
+        dsY = d_star(E, Y)
+        vec = vec + insert(dsY, a) + d_star(E, pairing(a, Y))
     if not b.is_zero():
-        vec = vec - insert(_d_star(E, X), b)
+        vec = vec - insert(d_star(E, X), b)
     if not E.x3.is_zero() and not a.is_zero() and not b.is_zero():
         vec = vec + insert(E.x3, wedge(a, b))
-    cov = _dual_bracket(E, a, b)
+    cov = dual_bracket(E, a, b)
     if not X.is_zero():
         cov = cov + lie_derivative(X, b)
     if not Y.is_zero():
@@ -385,7 +325,7 @@ def skew_bracket(E: CourantDouble, e1: CourantSection, e2: CourantSection) -> Co
 
 def d_operator(E: CourantDouble, f: RationalFunction) -> CourantSection:
     """The pairing-adjoint derivative D f = rho^* d f."""
-    out = CourantSection(_d_star_fn(E, f), d_function(E.base, f))
+    out = CourantSection(d_star(E, f), d_function(E.base, f))
     return -out if E.conjugated else out
 
 
@@ -432,19 +372,10 @@ class SectionFamily:
         for k in range(self.samples):
             self.members.append((f"rnd{k}", self._random_section(rng)))
 
-    def _random_poly(self, rng: random.Random) -> RationalFunction:
-        E = self.E
-        out = E.base.scalar(rng.randrange(-2, 3))
-        for name in E.base.coords:
-            d = rng.randrange(0, self.max_degree + 1)
-            if d and rng.random() < 0.5:
-                out = out + E.base.coord_rf(name) ** d * rng.randrange(-2, 3)
-        return out
-
     def _random_section(self, rng: random.Random) -> CourantSection:
         E = self.E
-        vec = {(i,): self._random_poly(rng) for i in range(E.rank)}
-        cov = {(i,): self._random_poly(rng) for i in range(E.rank)}
+        vec = {(i,): random_poly(E.base, rng, self.max_degree) for i in range(E.rank)}
+        cov = {(i,): random_poly(E.base, rng, self.max_degree) for i in range(E.rank)}
         return CourantSection(
             E.base.section(MULTIVECTOR, 1, vec), E.base.section(FORM, 1, cov)
         )
@@ -459,9 +390,8 @@ class SectionFamily:
         return out
 
     def tuples(self, arity: int):
-        frames = range(self.frame_count)
         seen = []
-        for combo in _product_range(self.frame_count, arity):
+        for combo in cartesian_product(range(self.frame_count), repeat=arity):
             seen.append(tuple(self.members[i] for i in combo))
         rng = random.Random(self.seed + arity)
         for combo in self._sampled_tuples(arity, rng):
@@ -472,41 +402,22 @@ class SectionFamily:
         E = self.E
         out = [(name, E.base.coord_rf(name)) for name in E.base.coords]
         rng = random.Random(self.seed + 101)
-        out.append(("rndf", self._random_poly(rng)))
+        out.append(("rndf", random_poly(E.base, rng, self.max_degree)))
         return out
-
-
-def _product_range(n: int, arity: int):
-    if arity == 1:
-        for i in range(n):
-            yield (i,)
-    elif arity == 2:
-        for i in range(n):
-            for j in range(n):
-                yield (i, j)
-    else:
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    yield (i, j, k)
 
 
 def verify_courant_axioms(
     E: CourantDouble,
-    family: SectionFamily | None = None,
     kappa: Fraction = Fraction(1, 2),
     seed: int = 0,
     samples: int = 10,
     max_degree: int = 2,
-    task: str = "verify-courant",
 ) -> Report:
     """Evaluate the five Courant axiom residues on the documented family."""
-    if family is None:
-        family = SectionFamily(E, seed, samples, max_degree)
+    family = SectionFamily(E, seed, samples, max_degree)
     report = Report(
-        task,
-        params={"seed": family.seed, "samples": family.samples, "max_degree": family.max_degree,
-                "kappa": str(kappa)},
+        "verify-courant",
+        params={"seed": seed, "samples": samples, "max_degree": max_degree, "kappa": str(kappa)},
     )
 
     c1 = report.clause("C1-leibniz-jacobi", EVIDENCE_SAMPLED)
@@ -699,10 +610,10 @@ def tangent_conormal_dirac(E: CourantDouble, vanishing) -> GeneralizedDirac:
     return GeneralizedDirac(E, P, gens)
 
 
-def check_generalized_dirac(F: GeneralizedDirac, task: str = "check-generalized-dirac") -> Report:
+def check_generalized_dirac(F: GeneralizedDirac) -> Report:
     """D1 maximal isotropy, D2 anchor tangency, D3 bracket closure, exactly."""
     E, P = F.E, F.P
-    report = Report(task)
+    report = Report("check-generalized-dirac")
     restricted = [(label, restrict_section(P, s)) for label, s in F.generators]
 
     d1 = report.clause("D1-maximal-isotropy", PROOF_TENSORIAL)
@@ -778,12 +689,11 @@ def check_split_dirac(
     Q: QuasiLieBialgebroid,
     L: SplitSubbundle,
     P: Submanifold,
-    task: str = "check-split-dirac",
 ) -> Report:
     """The four subalgebroid conditions, the direct D1-D3 verdict on
     F = L + L^perp, and the asserted biconditional between them."""
     E = qlb_double(Q)
-    report = Report(task)
+    report = Report("check-split-dirac")
     perp = L.annihilator(E.rank)
     l_secs = [(f"L{k+1}", _const_section(E, vec=v)) for k, v in enumerate(L.vectors)]
     p_secs = [(f"Lp{k+1}", _const_section(E, cov=w)) for k, w in enumerate(perp)]
@@ -804,7 +714,7 @@ def check_split_dirac(
     cond2 = report.clause("2-Lperp-closed", PROOF_TENSORIAL)
     for l1, s1 in p_secs:
         for l2, s2 in p_secs:
-            br = _dual_bracket(E, s1.cov, s2.cov)
+            br = dual_bracket(E, s1.cov, s2.cov)
             v = [E.base.zero_rf()] * E.rank + [
                 P.restrict(br.coefficient((i,))) for i in range(E.rank)
             ]
@@ -812,8 +722,7 @@ def check_split_dirac(
 
     cond3 = report.clause("3-Lperp-anchor-tangency", PROOF_TENSORIAL)
     for label, s in p_secs:
-        comps = vector_field(retag(s.cov, E.dual, MULTIVECTOR))
-        for name, residue in P.tangency_residues(comps):
+        for name, residue in P.tangency_residues(dual_anchor(E, s.cov)):
             cond3.record(f"rho*({label}).{name}", residue)
 
     cond4 = report.clause("4-X-vanishes-on-Lperp", PROOF_TENSORIAL)
@@ -823,10 +732,7 @@ def check_split_dirac(
         cond4.record(f"X({l1},{l2},{l3})", P.restrict(value))
 
     direct = check_generalized_dirac(split_dirac(E, L, P))
-    d_clause = report.clause("direct-D1-D3", PROOF_TENSORIAL)
-    for c in direct.clauses:
-        d_clause.checked += c.checked
-        d_clause.failures.extend((f"{c.name}:{lab}", res) for lab, res in c.failures)
+    report.clause("direct-D1-D3", PROOF_TENSORIAL).absorb(direct, prefixed=True)
 
     four = all(c.passed for c in (cond1, cond2, cond3, cond4))
     biconditional = report.clause(

@@ -12,11 +12,13 @@ from .calculus import (
     MULTIVECTOR,
     AlgebroidPresentation,
     GradedSection,
+    derived_presentation,
     differential,
     evaluate,
     insert,
     mat_apply,
     retag,
+    schouten,
     vector_field,
     wedge,
 )
@@ -28,6 +30,7 @@ from .courant import (
     pairing_sections,
     qlb_double,
     skew_bracket,
+    standard_double,
 )
 from .errors import HypothesisNotSatisfied, ParentMismatch
 from .pn import (
@@ -35,15 +38,14 @@ from .pn import (
     QuasiLieBialgebroid,
     bivector_from_sharp,
     check_pqn,
+    contraction_matrix,
     deformed_bracket,
-    deformed_presentation,
     dual_presentation,
     insert_endomorphism,
     matrix_compose,
     nijenhuis_torsion,
     nstar_matrix,
     pi_sharp,
-    pi_sharp_matrix,
     poisson_bracket,
     sharp_is_antisymmetric,
 )
@@ -61,23 +63,14 @@ class PairedOperator:
     sigma: GradedSection
     name: str = field(default="", compare=False)
 
-    def sigma_flat_matrix(self) -> Matrix:
-        A = self.A
-        rows = [[A.zero_rf() for _ in range(A.rank)] for _ in range(A.rank)]
-        for i in range(A.rank):
-            image = insert(self.sigma, A.frame(i))
-            for (k,), c in image.coeffs.items():
-                rows[k][i] = c
-        return tuple(tuple(r) for r in rows)
-
     def blocks(self) -> tuple[Matrix, Matrix, Matrix, Matrix]:
         A = self.A
         nstar = nstar_matrix(A, self.n_matrix)
         neg_nstar = tuple(tuple(-c for c in row) for row in nstar)
         return (
             self.n_matrix,
-            pi_sharp_matrix(self.pi),
-            self.sigma_flat_matrix(),
+            contraction_matrix(self.pi),
+            contraction_matrix(self.sigma),
             neg_nstar,
         )
 
@@ -96,7 +89,7 @@ def apply_operator(op, e: CourantSection) -> CourantSection:
 
 
 def check_paired(
-    A: AlgebroidPresentation, blocks: tuple[Matrix, Matrix, Matrix, Matrix], task: str = "check-paired"
+    A: AlgebroidPresentation, blocks: tuple[Matrix, Matrix, Matrix, Matrix]
 ) -> Report:
     """Pairing antisymmetry <e1, N e2> + <N e1, e2> = 0 on the double frame.
 
@@ -105,7 +98,7 @@ def check_paired(
     left; each residue is reported blockwise.
     """
     n, p, s, m = blocks
-    report = Report(task)
+    report = Report("check-paired")
     clause = report.clause("pairing-antisymmetry", PROOF_TENSORIAL)
     for i in range(A.rank):
         for j in range(A.rank):
@@ -164,16 +157,14 @@ def _phi_two_slot(phi: GradedSection, X: GradedSection, Y: GradedSection) -> Gra
     return insert(phi, wedge(X, Y))
 
 
-def check_torsion_blocks(
-    E: CourantDouble, op: PairedOperator, task: str = "check-torsion-blocks"
-) -> Report:
+def check_torsion_blocks(E: CourantDouble, op: PairedOperator) -> Report:
     """Torsion residues on both frame blocks plus the displayed block systems
     they are equivalent to; the equivalence itself is asserted per instance."""
     _check_double(E, op)
     A = op.A
     phi = E.psi
     twisted = not phi.is_zero()
-    report = Report(task)
+    report = Report("check-torsion-blocks")
 
     cov_torsion = report.clause("torsion-on-covectors", PROOF_TENSORIAL)
     for i in range(A.rank):
@@ -190,12 +181,10 @@ def check_torsion_blocks(
             vec_torsion.record(f"T(e{i+1},e{j+1})", t)
 
     poisson = report.clause("pi-poisson", PROOF_TENSORIAL)
-    from .calculus import schouten
-
     poisson.record("[pi,pi]", schouten(op.pi, op.pi))
 
     dual_system = report.clause("dual-block-system", PROOF_TENSORIAL)
-    sharp = pi_sharp_matrix(op.pi)
+    sharp = contraction_matrix(op.pi)
     nsharp = matrix_compose(A, op.n_matrix, sharp)
     if sharp_is_antisymmetric(A, nsharp):
         npi = bivector_from_sharp(A, nsharp)
@@ -282,20 +271,14 @@ def check_torsion_blocks(
     return report
 
 
-def check_theorem_pqn_from_paired(
-    A: AlgebroidPresentation, op: PairedOperator, task: str = "check-theorem-pqn"
-) -> Report:
+def check_theorem_pqn_from_paired(A: AlgebroidPresentation, op: PairedOperator) -> Report:
     """Hypotheses of the paired-operator theorem, and on success the PqN
     conclusion for (A, pi, N, d sigma); a hypotheses-pass/conclusion-fail
     combination is flagged as a library bug."""
-    report = Report(task)
-    paired = check_paired(A, op.blocks())
-    pairedness = report.clause("pairedness", PROOF_TENSORIAL)
-    for c in paired.clauses:
-        pairedness.checked += c.checked
-        pairedness.failures.extend(c.failures)
+    report = Report("check-theorem-pqn")
+    report.clause("pairedness", PROOF_TENSORIAL).absorb(check_paired(A, op.blocks()))
 
-    sharp = pi_sharp_matrix(op.pi)
+    sharp = contraction_matrix(op.pi)
     nsharp = matrix_compose(A, op.n_matrix, sharp)
     other = matrix_compose(A, sharp, nstar_matrix(A, op.n_matrix))
     intertwine = report.clause("sharp-intertwines", PROOF_TENSORIAL)
@@ -309,8 +292,6 @@ def check_theorem_pqn_from_paired(
             lhs = evaluate(op.sigma, [mat_apply(op.n_matrix, A.frame(i)), A.frame(j)])
             rhs = evaluate(op.sigma, [A.frame(i), mat_apply(op.n_matrix, A.frame(j))])
             symmetry.record(f"sigma(Ne{i+1},e{j+1})-sigma(e{i+1},Ne{j+1})", lhs - rhs)
-
-    from .courant import standard_double
 
     E = standard_double(A)
     torsion = report.clause("torsion-blocks-vanish", PROOF_TENSORIAL)
@@ -333,10 +314,7 @@ def check_theorem_pqn_from_paired(
         return report
 
     conclusion = check_pqn(A, op.pi, op.n_matrix, differential(op.sigma))
-    concl_clause = report.clause("conclusion-pqn", PROOF_TENSORIAL)
-    for c in conclusion.clauses:
-        concl_clause.checked += c.checked
-        concl_clause.failures.extend((f"{c.name}:{lab}", res) for lab, res in c.failures)
+    report.clause("conclusion-pqn", PROOF_TENSORIAL).absorb(conclusion, prefixed=True)
     report.clause(
         "theorem-consistency",
         PROOF_TENSORIAL,
@@ -349,10 +327,10 @@ def check_theorem_pqn_from_paired(
     return report
 
 
-def check_generalized_complex(op: PairedOperator, task: str = "check-gc") -> Report:
+def check_generalized_complex(op: PairedOperator) -> Report:
     """N^2 = -Id blockwise plus pairing preservation on frame pairs."""
     A = op.A
-    report = Report(task)
+    report = Report("check-gc")
     n, p, s, m = op.blocks()
     one, zero = A.one_rf(), A.zero_rf()
 
@@ -387,8 +365,6 @@ def check_generalized_complex(op: PairedOperator, task: str = "check-gc") -> Rep
             want = -one if i == j else zero
             br.record(f"[{i+1},{j+1}]", lhs[i][j] + rhs[i][j] - want)
 
-    from .courant import standard_double
-
     E = standard_double(A)
     preserved = report.clause("pairing-preserved", PROOF_TENSORIAL)
     frames = [E.frame_section(i) for i in range(A.rank)] + [
@@ -406,7 +382,6 @@ def check_generalized_complex(op: PairedOperator, task: str = "check-gc") -> Rep
 def build_deformed_double(
     E: CourantDouble,
     op: PairedOperator,
-    task: str = "build-deformed-double",
     seed: int = 0,
     samples: int = 6,
     max_degree: int = 1,
@@ -438,20 +413,17 @@ def build_deformed_double(
         )
 
     base = dual_presentation(A, op.pi)
-    if twisted:
-        # d' corresponds to [X,Y]' = [X,Y]_N - pi#(phi(X,Y,-)) with anchor rho o N
-        rows = []
-        for i in range(A.rank):
-            for j in range(i + 1, A.rank):
-                br = deformed_bracket(A, op.n_matrix, A.frame(i), A.frame(j))
-                br = br - pi_sharp(op.pi, _phi_two_slot(phi, A.frame(i), A.frame(j)))
-                rows.append(tuple(br.coefficient((k,)) for k in range(A.rank)))
-        dn = deformed_presentation(A, op.n_matrix)
-        dual = AlgebroidPresentation(
-            A.coords, A.rank, dn.anchor, tuple(rows), name=f"{A.name}'"
-        )
-    else:
-        dual = deformed_presentation(A, op.n_matrix)
+
+    def bracket(i: int, j: int) -> GradedSection:
+        # d_N, or when twisted d' with [X,Y]' = [X,Y]_N - pi#(phi(X,Y,-)); anchor rho o N
+        br = deformed_bracket(A, op.n_matrix, A.frame(i), A.frame(j))
+        if twisted:
+            br = br - pi_sharp(op.pi, _phi_two_slot(phi, A.frame(i), A.frame(j)))
+        return br
+
+    dual = derived_presentation(
+        A, op.n_matrix, bracket, f"{A.name}'" if twisted else f"{A.name}_N"
+    )
     x = differential(op.sigma)
     if twisted:
         x = x + insert_endomorphism(A, op.n_matrix, phi)
@@ -461,7 +433,9 @@ def build_deformed_double(
     def flipped(e: CourantSection) -> CourantSection:
         return CourantSection(retag(e.cov, base, MULTIVECTOR), retag(e.vec, base, FORM))
 
-    report = Report(task, params={"seed": seed, "samples": samples, "max_degree": max_degree})
+    report = Report(
+        "build-deformed-double", params={"seed": seed, "samples": samples, "max_degree": max_degree}
+    )
     family = SectionFamily(E, seed, samples, max_degree)
 
     bracket_clause = report.clause("bracket-agrees", EVIDENCE_SAMPLED)

@@ -6,7 +6,8 @@ Derived presentations do the heavy lifting: the dual algebroid A*_{pi,phi}
 (coframe as frame, anchor rho o pi#), the N-deformed structure (A, [.,.]_N,
 rho o N) and the prime structure (A, [.,.]', rho) are ordinary
 presentations, so the generic differential and Schouten machinery applies to
-both sides of every duality.
+both sides of every duality; ``d_star``, ``dual_bracket`` and ``dual_anchor``
+read it on the dual side of a quasi-Lie bialgebroid or a split double.
 """
 
 from __future__ import annotations
@@ -23,8 +24,10 @@ from .calculus import (
     GradedSection,
     check_axioms,
     d_function,
+    derived_presentation,
     differential,
     evaluate,
+    identity_morphism,
     insert,
     is_lie_algebroid_morphism,
     lie_derivative,
@@ -32,12 +35,13 @@ from .calculus import (
     null_presentation,
     pairing,
     pullback,
+    random_poly,
     retag,
     schouten,
     vector_field,
     wedge,
 )
-from .errors import DegreeMismatch, HypothesisNotSatisfied, VarianceMismatch
+from .errors import DegreeMismatch, HypothesisNotSatisfied, MalformedMorphism, VarianceMismatch
 from .rational import RationalFunction
 from .reporting import (
     EVIDENCE_SAMPLED,
@@ -55,13 +59,16 @@ Matrix = tuple[tuple[RationalFunction, ...], ...]
 # ---------------------------------------------------------------------------
 
 
-def pi_sharp_matrix(pi: GradedSection) -> Matrix:
-    """Matrix of pi#: A* -> A; column i lists the frame components of pi#(eps^i)."""
-    A = pi.parent
+def contraction_matrix(t: GradedSection) -> Matrix:
+    """Matrix of u -> i_u t for a degree-2 section t: column i lists the
+    components of the contraction with the i-th coframe element when t is a
+    bivector (the matrix of pi#) or the i-th frame element when t is a 2-form
+    (the matrix of sigma_flat)."""
+    A = t.parent
+    unit = A.coframe if t.variance == MULTIVECTOR else A.frame
     rows = [[A.zero_rf() for _ in range(A.rank)] for _ in range(A.rank)]
     for i in range(A.rank):
-        image = insert(pi, A.coframe(i))
-        for (k,), c in image.coeffs.items():
+        for (k,), c in insert(t, unit(i)).coeffs.items():
             rows[k][i] = c
     return tuple(tuple(r) for r in rows)
 
@@ -151,23 +158,11 @@ def deformed_presentation(
     A: AlgebroidPresentation, n_matrix: Matrix, name: str = ""
 ) -> AlgebroidPresentation:
     """A_N = (A, [.,.]_N, rho o N) as presentation data (axioms not implied)."""
-    anchor = []
-    for i in range(A.rank):
-        row = [A.zero_rf() for _ in range(A.n)]
-        for k in range(A.rank):
-            c = n_matrix[k][i]
-            if not c.is_zero():
-                for a in range(A.n):
-                    if not A.anchor[k][a].is_zero():
-                        row[a] = row[a] + c * A.anchor[k][a]
-        anchor.append(tuple(row))
-    rows = []
-    for i in range(A.rank):
-        for j in range(i + 1, A.rank):
-            br = deformed_bracket(A, n_matrix, A.frame(i), A.frame(j))
-            rows.append(tuple(br.coefficient((k,)) for k in range(A.rank)))
-    return AlgebroidPresentation(
-        A.coords, A.rank, tuple(anchor), tuple(rows), name=name or f"{A.name}_N"
+    return derived_presentation(
+        A,
+        n_matrix,
+        lambda i, j: deformed_bracket(A, n_matrix, A.frame(i), A.frame(j)),
+        name or f"{A.name}_N",
     )
 
 
@@ -263,24 +258,11 @@ def dual_presentation(
     name: str = "",
 ) -> AlgebroidPresentation:
     """A*_{pi,phi}: coframe as frame, bracket [.,.]^phi_pi, anchor rho o pi#."""
-    sharp = pi_sharp_matrix(pi)
-    anchor = []
-    for i in range(A.rank):
-        row = [A.zero_rf() for _ in range(A.n)]
-        for k in range(A.rank):
-            c = sharp[k][i]
-            if not c.is_zero():
-                for a in range(A.n):
-                    if not A.anchor[k][a].is_zero():
-                        row[a] = row[a] + c * A.anchor[k][a]
-        anchor.append(tuple(row))
-    rows = []
-    for i in range(A.rank):
-        for j in range(i + 1, A.rank):
-            br = twisted_bracket(pi, phi, A.coframe(i), A.coframe(j))
-            rows.append(tuple(br.coefficient((k,)) for k in range(A.rank)))
-    return AlgebroidPresentation(
-        A.coords, A.rank, tuple(anchor), tuple(rows), name=name or f"{A.name}*_pi"
+    return derived_presentation(
+        A,
+        contraction_matrix(pi),
+        lambda i, j: twisted_bracket(pi, phi, A.coframe(i), A.coframe(j)),
+        name or f"{A.name}*_pi",
     )
 
 
@@ -288,17 +270,14 @@ def prime_presentation(
     A: AlgebroidPresentation, pi: GradedSection, phi: GradedSection, name: str = ""
 ) -> AlgebroidPresentation:
     """(A, [.,.]', rho) with [X,Y]' = [X,Y] - pi#(phi(X,Y,-)); its differential is d'."""
-    rows = []
-    for i in range(A.rank):
-        for j in range(i + 1, A.rank):
-            br = schouten(A.frame(i), A.frame(j))
-            if phi is not None and not phi.is_zero():
-                gamma = insert(phi, wedge(A.frame(i), A.frame(j)))
-                br = br - pi_sharp(pi, gamma)
-            rows.append(tuple(br.coefficient((k,)) for k in range(A.rank)))
-    return AlgebroidPresentation(
-        A.coords, A.rank, A.anchor, tuple(rows), name=name or f"{A.name}'"
-    )
+
+    def bracket(i: int, j: int) -> GradedSection:
+        br = schouten(A.frame(i), A.frame(j))
+        if phi is not None and not phi.is_zero():
+            br = br - pi_sharp(pi, insert(phi, wedge(A.frame(i), A.frame(j))))
+        return br
+
+    return derived_presentation(A, identity_morphism(A).matrix, bracket, name or f"{A.name}'")
 
 
 def dprime(
@@ -322,7 +301,7 @@ def magri_morosi(
     beta: GradedSection,
 ) -> GradedSection:
     """C(pi, N)(a, b) = [a, b]_{N pi} - [a, b]^{N*}_pi; requires N pi antisymmetric."""
-    sharp = pi_sharp_matrix(pi)
+    sharp = contraction_matrix(pi)
     nsharp = matrix_compose(A, n_matrix, sharp)
     if not sharp_is_antisymmetric(A, nsharp):
         raise HypothesisNotSatisfied("N pi is not a bivector (N o pi# not antisymmetric)")
@@ -339,12 +318,10 @@ def magri_morosi(
     return first - retag(second, A, FORM)
 
 
-def check_compatible(
-    A: AlgebroidPresentation, pi: GradedSection, n_matrix: Matrix, task: str = "check-compatible"
-) -> Report:
+def check_compatible(A: AlgebroidPresentation, pi: GradedSection, n_matrix: Matrix) -> Report:
     """N pi# = pi# N* and vanishing Magri-Morosi concomitant, on frames."""
-    report = Report(task)
-    sharp = pi_sharp_matrix(pi)
+    report = Report("check-compatible")
+    sharp = contraction_matrix(pi)
     nsharp = matrix_compose(A, n_matrix, sharp)
     anti = report.clause("np-bivector", PROOF_TENSORIAL, note="precondition: N pi antisymmetric")
     for j in range(A.rank):
@@ -367,13 +344,10 @@ def check_compatible(
 
 
 def check_twisted_poisson(
-    A: AlgebroidPresentation,
-    pi: GradedSection,
-    phi: GradedSection,
-    task: str = "check-twisted-poisson",
+    A: AlgebroidPresentation, pi: GradedSection, phi: GradedSection
 ) -> Report:
     """d phi = 0 and [pi, pi] = 2 pi#(phi), exactly."""
-    report = Report(task)
+    report = Report("check-twisted-poisson")
     closed = report.clause("closed-3form", PROOF_TENSORIAL)
     closed.record("dphi", differential(phi))
     identity = report.clause("twisted-poisson-identity", PROOF_TENSORIAL)
@@ -395,10 +369,9 @@ def check_pqn(
     pi: GradedSection,
     n_matrix: Matrix,
     phi: GradedSection,
-    task: str = "check-pqn",
 ) -> Report:
     """All Poisson quasi-Nijenhuis clauses, each an exact residue."""
-    report = Report(task)
+    report = Report("check-pqn")
     poisson = report.clause("pi-poisson", PROOF_TENSORIAL)
     poisson.record("[pi,pi]", schouten(pi, pi))
     compat = check_compatible(A, pi, n_matrix)
@@ -432,12 +405,31 @@ class QuasiLieBialgebroid:
     x3: GradedSection
     name: str = field(default="", compare=False)
 
-    def d_star(self, s) -> GradedSection:
-        if isinstance(s, RationalFunction):
-            return retag(d_function(self.dual, s), self.base, MULTIVECTOR)
-        if s.variance != MULTIVECTOR:
-            raise VarianceMismatch("d_star acts on multivectors of the base algebroid")
-        return retag(differential(retag(s, self.dual, FORM)), self.base, MULTIVECTOR)
+
+# The dual side of a quasi-Lie bialgebroid or of a split double: D is anything
+# with ``.base`` and ``.dual``; forms on D.base are sections of D.dual.
+
+
+def d_star(D, s) -> GradedSection:
+    """d_* on a function or a multivector of D.base: the Cartan differential
+    of D.dual read back on D.base."""
+    if isinstance(s, RationalFunction):
+        return retag(d_function(D.dual, s), D.base, MULTIVECTOR)
+    if s.variance != MULTIVECTOR:
+        raise VarianceMismatch("d_star acts on multivectors of the base algebroid")
+    return retag(differential(retag(s, D.dual, FORM)), D.base, MULTIVECTOR)
+
+
+def dual_bracket(D, a: GradedSection, b: GradedSection) -> GradedSection:
+    """[a, b]_* on forms of D.base: the Schouten bracket of D.dual."""
+    return retag(
+        schouten(retag(a, D.dual, MULTIVECTOR), retag(b, D.dual, MULTIVECTOR)), D.base, FORM
+    )
+
+
+def dual_anchor(D, a: GradedSection) -> tuple[RationalFunction, ...]:
+    """rho_*(a): base components of the anchor of D.dual on a 1-form of D.base."""
+    return vector_field(retag(a, D.dual, MULTIVECTOR))
 
 
 def qlb_from_closed3form(A: AlgebroidPresentation, phi: GradedSection, name: str = "") -> QuasiLieBialgebroid:
@@ -464,45 +456,32 @@ def qlb_from_twisted_poisson(
     )
 
 
-def build_qlb_from_pqn(S: PqnStructure, name: str = "") -> QuasiLieBialgebroid:
-    """The section-2 theorem: (A*_pi, d_N, phi) from a PqN structure."""
+def _require_pqn(S: PqnStructure) -> None:
     pre = check_pqn(S.A, S.pi, S.n_matrix, S.phi)
     if not pre.passed:
         failing = ", ".join(c.name for c in pre.failing_clauses())
         raise HypothesisNotSatisfied(f"not a PqN structure (failing: {failing})", pre)
+
+
+def build_qlb_from_pqn(S: PqnStructure, name: str = "") -> QuasiLieBialgebroid:
+    """The section-2 theorem: (A*_pi, d_N, phi) from a PqN structure."""
+    _require_pqn(S)
     base = dual_presentation(S.A, S.pi)
     dual = deformed_presentation(S.A, S.n_matrix)
     return QuasiLieBialgebroid(base, dual, retag(S.phi, base, MULTIVECTOR), name=name)
 
 
-def _random_one_multivector(A: AlgebroidPresentation, rng: random.Random, max_degree: int) -> GradedSection:
-    coeffs = {}
-    for i in range(A.rank):
-        poly = A.scalar(rng.randrange(-2, 3))
-        for name in A.coords:
-            d = rng.randrange(0, max_degree + 1)
-            if d and rng.random() < 0.5:
-                poly = poly + A.coord_rf(name) ** d * rng.randrange(-2, 3)
-        coeffs[(i,)] = poly
-    return A.section(MULTIVECTOR, 1, coeffs)
-
-
 def check_qlb(
     Q: QuasiLieBialgebroid,
-    task: str = "check-qlb",
     seed: int = 0,
     samples: int = 10,
     max_degree: int = 2,
 ) -> Report:
     """d_* X = 0, d_*^2 = [X, -] on generators, and the bracket-derivation property."""
-    report = Report(task, params={"seed": seed, "samples": samples, "max_degree": max_degree})
-    axioms = check_axioms(Q.base)
-    base_clause = report.clause("base-axioms", PROOF_TENSORIAL)
-    for c in axioms.clauses:
-        base_clause.checked += c.checked
-        base_clause.failures.extend(c.failures)
+    report = Report("check-qlb", params={"seed": seed, "samples": samples, "max_degree": max_degree})
+    report.clause("base-axioms", PROOF_TENSORIAL).absorb(check_axioms(Q.base))
     closes = report.clause("dstar-closes-X", PROOF_TENSORIAL, note="coefficient identity")
-    closes.record("dstar(X)", Q.d_star(Q.x3))
+    closes.record("dstar(X)", d_star(Q, Q.x3))
     squared = report.clause(
         "dstar-squared-is-bracket-with-X",
         PROOF_GENERATORS,
@@ -510,11 +489,11 @@ def check_qlb(
     )
     for name in Q.base.coords:
         f = Q.base.coord_rf(name)
-        residue = Q.d_star(Q.d_star(f)) - schouten(Q.x3, Q.base.function(f))
+        residue = d_star(Q, d_star(Q, f)) - schouten(Q.x3, Q.base.function(f))
         squared.record(f"generator {name}", residue)
     for i in range(Q.base.rank):
         u = Q.base.frame(i)
-        residue = Q.d_star(Q.d_star(u)) - schouten(Q.x3, u)
+        residue = d_star(Q, d_star(Q, u)) - schouten(Q.x3, u)
         squared.record(f"generator e{i+1}", residue)
     derivation = report.clause("dstar-derives-bracket", EVIDENCE_SAMPLED)
 
@@ -522,9 +501,9 @@ def check_qlb(
         # d_*[u, v] = [d_*u, v] + (-1)^{p-1} [u, d_*v], p = deg u
         sign = -1 if (u.degree - 1) % 2 else 1
         return (
-            Q.d_star(schouten(u, v))
-            - schouten(Q.d_star(u), v)
-            - schouten(u, Q.d_star(v)).scale(sign)
+            d_star(Q, schouten(u, v))
+            - schouten(d_star(Q, u), v)
+            - schouten(u, d_star(Q, v)).scale(sign)
         )
 
     for i in range(Q.base.rank):
@@ -538,23 +517,25 @@ def check_qlb(
                 derivation_residue(Q.base.frame(i), Q.base.function(Q.base.coord_rf(name))),
             )
     rng = random.Random(seed)
+
+    def random_vector() -> GradedSection:
+        coeffs = {(i,): random_poly(Q.base, rng, max_degree) for i in range(Q.base.rank)}
+        return Q.base.section(MULTIVECTOR, 1, coeffs)
+
     for s in range(samples):
-        u = _random_one_multivector(Q.base, rng, max_degree)
-        v = _random_one_multivector(Q.base, rng, max_degree)
+        u = random_vector()
+        v = random_vector()
         derivation.record(f"sample {s}", derivation_residue(u, v))
     return report
 
 
-def verify_lemma_tnstar(S: PqnStructure, task: str = "verify-lemma-tnstar") -> Report:
+def verify_lemma_tnstar(S: PqnStructure) -> Report:
     """<T_{N*}(a, b), X> = phi(pi# a, pi# b, X) on all frame triples."""
-    pre = check_pqn(S.A, S.pi, S.n_matrix, S.phi)
-    if not pre.passed:
-        failing = ", ".join(c.name for c in pre.failing_clauses())
-        raise HypothesisNotSatisfied(f"not a PqN structure (failing: {failing})", pre)
+    _require_pqn(S)
     A = S.A
     dual = dual_presentation(A, S.pi)
     nstar = nstar_matrix(A, S.n_matrix)
-    report = Report(task)
+    report = Report("verify-lemma-tnstar")
     clause = report.clause("tnstar-identity", PROOF_TENSORIAL)
     for i in range(A.rank):
         for j in range(i + 1, A.rank):
@@ -611,42 +592,24 @@ def check_qlb_morphism(
     phi: BundleMorphism,
     QA: QuasiLieBialgebroid,
     QB: QuasiLieBialgebroid,
-    task: str = "check-qlb-morphism",
 ) -> Report:
     """The four clauses of a quasi-Lie bialgebroid morphism, exactly."""
-    from .errors import MalformedMorphism
-
     if phi.source != QA.base or phi.target != QB.base:
         raise MalformedMorphism("morphism must map between the underlying algebroids")
-    report = Report(task)
-    chain = is_lie_algebroid_morphism(phi)
-    algebroid_clause = report.clause("lie-algebroid-morphism", PROOF_GENERATORS)
-    for c in chain.clauses:
-        algebroid_clause.checked += c.checked
-        algebroid_clause.failures.extend(c.failures)
+    report = Report("check-qlb-morphism")
+    report.clause("lie-algebroid-morphism", PROOF_GENERATORS).absorb(is_lie_algebroid_morphism(phi))
 
     brackets = report.clause("dual-brackets-compatible", PROOF_TENSORIAL)
     for i in range(QB.base.rank):
         for j in range(i + 1, QB.base.rank):
             a, b = QB.base.coframe(i), QB.base.coframe(j)
-            pa, pb = pullback(phi, a), pullback(phi, b)
-            lhs = retag(
-                schouten(retag(pa, QA.dual, MULTIVECTOR), retag(pb, QA.dual, MULTIVECTOR)),
-                QA.base,
-                FORM,
-            )
-            rhs_target = retag(
-                schouten(retag(a, QB.dual, MULTIVECTOR), retag(b, QB.dual, MULTIVECTOR)),
-                QB.base,
-                FORM,
-            )
-            brackets.record(f"eps{i+1},eps{j+1}", lhs - pullback(phi, rhs_target))
+            lhs = dual_bracket(QA, pullback(phi, a), pullback(phi, b))
+            brackets.record(f"eps{i+1},eps{j+1}", lhs - pullback(phi, dual_bracket(QB, a, b)))
 
     anchors = report.clause("dual-anchors-related", PROOF_TENSORIAL)
     for j in range(QB.base.rank):
-        pulled = pullback(phi, QB.base.coframe(j))
-        v = vector_field(retag(pulled, QA.dual, MULTIVECTOR))
-        w = vector_field(retag(QB.base.coframe(j), QB.dual, MULTIVECTOR))
+        v = dual_anchor(QA, pullback(phi, QB.base.coframe(j)))
+        w = dual_anchor(QB, QB.base.coframe(j))
         for b, name in enumerate(phi.target.coords):
             push = RationalFunction.zero(phi.source.coords)
             for a, src in enumerate(phi.source.coords):

@@ -221,14 +221,6 @@ def _coeffs_in(p: Polynomial, index: int) -> dict[int, Polynomial]:
     return {e: Polynomial(p.vars, t) for e, t in out.items()}
 
 
-def _from_coeffs(vars: tuple[str, ...], index: int, coeffs: Mapping[int, Polynomial]) -> Polynomial:
-    terms: dict[Monomial, Fraction] = {}
-    for e, poly in coeffs.items():
-        for m, c in poly.terms.items():
-            terms[m[:index] + (e,) + m[index + 1 :]] = c
-    return Polynomial(vars, terms)
-
-
 def _deg_in(p: Polynomial, index: int) -> int:
     return max((m[index] for m in p.terms), default=-1)
 
@@ -424,9 +416,6 @@ class RationalFunction:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def is_one(self) -> bool:
-        return self.num == self.den
 
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.den.is_constant()
@@ -765,7 +754,10 @@ class ExpressionParser:
             if tok.kind != "int":
                 raise ParseError(tok.line, tok.column, "an integer exponent", tok.value)
             self.pos += 1
-            return base ** (sign * int(tok.value))
+            exponent = sign * int(tok.value)
+            if exponent < 0 and base.is_zero():
+                raise ParseError(tok.line, tok.column, "a nonzero base for a negative exponent", "0")
+            return base**exponent
         return base
 
     def _atom(self) -> RationalFunction:

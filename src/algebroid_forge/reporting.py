@@ -39,6 +39,17 @@ class Clause:
         if not ok:
             self.failures.append((label, detail))
 
+    def absorb(self, report: "Report", prefixed: bool = False) -> None:
+        """Merge every clause of a sub-report into this one: its instances
+        count here and its failures become ours, labelled ``clause:label``
+        when ``prefixed``."""
+        for c in report.clauses:
+            self.checked += c.checked
+            self.failures.extend(
+                (f"{c.name}:{label}", residue) if prefixed else (label, residue)
+                for label, residue in c.failures
+            )
+
     @property
     def passed(self) -> bool:
         return not self.failures

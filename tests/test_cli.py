@@ -1,8 +1,20 @@
+import hashlib
+import json
 import pathlib
 import subprocess
 import sys
 
-CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+import pytest
+
+from algebroid_forge.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
+FINGERPRINTS = ROOT / "perfbench" / "fingerprints.json"
+# (fingerprint key, forge arguments): every corpus file, and courant_tr2 at kappa 1
+FINGERPRINT_RUNS = [(path.stem, (str(path),)) for path in sorted(CORPUS.glob("*.alg"))] + [
+    ("courant_tr2-kappa1", (str(CORPUS / "courant_tr2.alg"), "--kappa", "1"))
+]
 
 
 def forge(*args):
@@ -75,6 +87,16 @@ class TestRecords:
             )
         assert verdicts[0] == verdicts[1]
 
+    @pytest.mark.parametrize(
+        "key, args", FINGERPRINT_RUNS, ids=[key for key, _ in FINGERPRINT_RUNS]
+    )
+    def test_matches_benchmark_fingerprints(self, capsys, key, args):
+        # seed-0 records stay byte-identical to those the benchmark verifies
+        table = json.loads(FINGERPRINTS.read_text(encoding="utf-8"))["records_sha256"]
+        main(["check", *args, "--format", "records", "--seed", "0"])
+        records = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(records).hexdigest() == table[f"{key}@0"]
+
 
 class TestKappa:
     def test_default_half_passes(self):
@@ -85,3 +107,61 @@ class TestKappa:
         result = forge("check", str(CORPUS / "courant_tr2.alg"), "--kappa", "1")
         assert result.returncode == 1
         assert "C2" in result.stdout
+
+
+TR3_HEADER = """algebroid TR3 {
+  base = [x1, x2, x3];
+  rank = 3;
+  anchor[1,x1] = 1;
+  anchor[2,x2] = 1;
+  anchor[3,x3] = 1;
+}
+tensor chi on TR3 form degree 3 { (1,2,3) = 1; }
+task build-qlb from_3form TR3 chi as Q;
+"""
+
+
+def assert_input_error(result, path):
+    # exit 2 with a message naming the file, never a traceback
+    assert result.returncode == 2, result.stdout + result.stderr
+    assert str(path) in result.stderr
+    assert not any(line.startswith("Traceback") for line in result.stderr.splitlines())
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "task, argument",
+        [
+            ("task verify-courant;", "argument 1 must be standard, twisted or qlb"),
+            ("task check-generalized-dirac standard TR3;", "argument 3 must be tp_conormal"),
+            ("task check-split-dirac Q span [e3];", "argument 4 must be at"),
+        ],
+    )
+    def test_missing_task_arguments(self, tmp_path, task, argument):
+        bad = tmp_path / "bad.alg"
+        bad.write_text(TR3_HEADER + task + "\n")
+        result = forge("check", str(bad))
+        assert_input_error(result, bad)
+        # the task line follows the nine header lines
+        assert f"10:1: task {task.split()[1].rstrip(';')}: {argument}" in result.stderr
+
+    def test_zero_to_negative_power(self, tmp_path):
+        bad = tmp_path / "bad.alg"
+        bad.write_text("algebroid A { base = [x1]; rank = 1; anchor[1,x1] = (x1-x1)^-1; }\n")
+        result = forge("check", str(bad))
+        assert_input_error(result, bad)
+        assert "1:62: expected a nonzero base for a negative exponent" in result.stderr
+
+    def test_invalid_utf8(self, tmp_path):
+        bad = tmp_path / "bad.alg"
+        bad.write_bytes(b"algebroid A { base = []; rank = 1; }\n# \xff\xfe\n")
+        result = forge("check", str(bad))
+        assert_input_error(result, bad)
+        assert "utf-8" in result.stderr
+
+    @pytest.mark.parametrize("flag", ["--samples", "--max-degree"])
+    def test_negative_sampling_sizes(self, flag):
+        result = forge("check", str(CORPUS / "so3.alg"), flag, "-3")
+        assert result.returncode == 2
+        assert "expected a non-negative integer, got '-3'" in result.stderr
+        assert "Traceback" not in result.stderr

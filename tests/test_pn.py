@@ -30,6 +30,7 @@ from algebroid_forge.pn import (
     check_qlb,
     check_qlb_morphism,
     check_twisted_poisson,
+    contraction_matrix,
     d_n,
     deformed_bracket,
     deformed_presentation,
@@ -42,7 +43,6 @@ from algebroid_forge.pn import (
     nstar_matrix,
     nstar_pullback,
     pi_sharp,
-    pi_sharp_matrix,
     poisson_bracket,
     qlb_from_closed3form,
     qlb_from_twisted_poisson,
@@ -368,7 +368,7 @@ class TestCompatibility:
         # N pi# dx1 = x2 d2 while pi# N* dx1 = x1 d2: the [2,1] residue is x2 - x1
         failures = dict(clause.failures)
         assert failures["(Npi# - pi#N*)[2,1]"] == "-x1 + x2"
-        sharp = pi_sharp_matrix(std_pi(TR2))
+        sharp = contraction_matrix(std_pi(TR2))
         nsharp = matrix_compose(TR2, n, sharp)
         assert nsharp[1][0] == TR2.coord_rf("x2")
         other = matrix_compose(TR2, sharp, nstar_matrix(TR2, n))
