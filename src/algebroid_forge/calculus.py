@@ -63,6 +63,7 @@ class AlgebroidPresentation:
     structure: tuple[tuple[RationalFunction, ...], ...]
     name: str = field(default="", compare=False)
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _hash: int | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = len(self.coords)
@@ -77,7 +78,26 @@ class AlgebroidPresentation:
             raise MalformedPresentation("structure table must list rank coefficients per frame pair")
 
     def __hash__(self):
-        return hash((self.coords, self.rank, self.anchor, self.structure))
+        if self._hash is None:
+            object.__setattr__(
+                self, "_hash", hash((self.coords, self.rank, self.anchor, self.structure))
+            )
+        return self._hash
+
+    def memo(self, key, compute, *args):
+        """``compute(*args)``, evaluated once per ``key`` and kept in ``_cache``.
+
+        The one cache of the calculus: every memoized operation stores its
+        results on the presentation (or Courant double) it belongs to, so
+        they live as long as that object.  A key starts with the operation's
+        name and records sections by ``GradedSection.key``.
+        """
+        cache = self._cache
+        try:
+            return cache[key]
+        except KeyError:
+            value = cache[key] = compute(*args)
+            return value
 
     # -- scalar helpers ------------------------------------------------------
 
@@ -103,6 +123,9 @@ class AlgebroidPresentation:
 
     def rho_apply(self, i: int, f: RationalFunction) -> RationalFunction:
         """The base vector field rho(e_i) acting on a function."""
+        return self.memo(("rho_apply", i, f), self._compute_rho_apply, i, f)
+
+    def _compute_rho_apply(self, i: int, f: RationalFunction) -> RationalFunction:
         out = self.zero_rf()
         for a, name in enumerate(self.coords):
             coeff = self.anchor[i][a]
@@ -142,7 +165,7 @@ class AlgebroidPresentation:
 class GradedSection:
     """Degree-p multivector on A or p-form, sparse over increasing tuples."""
 
-    __slots__ = ("parent", "variance", "degree", "coeffs", "_hash")
+    __slots__ = ("parent", "variance", "degree", "coeffs", "_key", "_hash")
 
     def __init__(
         self,
@@ -170,6 +193,7 @@ class GradedSection:
         self.variance = variance
         self.degree = degree
         self.coeffs = clean
+        self._key = None
         self._hash = None
 
     # -- structure ---------------------------------------------------------------
@@ -200,11 +224,20 @@ class GradedSection:
             and self.coeffs == other.coeffs
         )
 
+    @property
+    def key(self) -> tuple:
+        """(variance, degree, coefficients): all a memo key records of a section.
+
+        Unlike ``==``, it tells zero sections of different degrees apart.
+        """
+        if self._key is None:
+            self._key = (self.variance, self.degree, frozenset(self.coeffs.items()))
+        return self._key
+
     def __hash__(self):
+        # zero sections of every degree are equal, so their hash omits it
         if self._hash is None:
-            self._hash = hash(
-                (self.variance, self.degree, frozenset(self.coeffs.items()))
-            )
+            self._hash = hash(self.key if self.coeffs else self.variance)
         return self._hash
 
     def __str__(self):
@@ -260,9 +293,14 @@ def retag(section: GradedSection, parent: AlgebroidPresentation, variance: str) 
 
     Used to move between multivectors on A and forms on a dual presentation.
     """
+    _require_retaggable(section, parent)
+    return GradedSection(parent, variance, section.degree, section.coeffs)
+
+
+def _require_retaggable(section: GradedSection, parent: AlgebroidPresentation) -> None:
+    """The check of ``retag``: ``parent`` has the section's chart and rank."""
     if parent.rank != section.parent.rank or parent.coords != section.parent.coords:
         raise ParentMismatch("retag requires equal rank and chart")
-    return GradedSection(parent, variance, section.degree, section.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -389,45 +427,45 @@ def evaluate(mu: GradedSection, args: Iterable[GradedSection]) -> RationalFuncti
 
 def d_function(A: AlgebroidPresentation, f: RationalFunction) -> GradedSection:
     """df as a 1-form: df(e_i) = rho(e_i) f."""
+    return A.memo(("d_function", f), _compute_d_function, A, f)
+
+
+def _compute_d_function(A: AlgebroidPresentation, f: RationalFunction) -> GradedSection:
     return A.section(FORM, 1, {(i,): A.rho_apply(i, f) for i in range(A.rank)})
 
 
-def _d_coframe(A: AlgebroidPresentation, k: int) -> GradedSection:
-    key = ("dcof", k)
-    cached = A._cache.get(key)
-    if cached is None:
-        coeffs = {}
-        for i in range(A.rank):
-            for j in range(i + 1, A.rank):
-                c = A.structure[_pair_index(i, j, A.rank)][k]
-                if not c.is_zero():
-                    coeffs[(i, j)] = -c
-        cached = A.section(FORM, 2, coeffs)
-        A._cache[key] = cached
-    return cached
-
-
 def _d_basis_form(A: AlgebroidPresentation, idx: Idx) -> GradedSection:
+    """d eps^idx for a pure coframe wedge."""
     if not idx:
         return A.zero_section(FORM, 1)
-    key = ("dbasis", idx)
-    cached = A._cache.get(key)
-    if cached is None:
-        head, tail = idx[0], idx[1:]
-        # d(eps^h ^ rest) = d eps^h ^ rest - eps^h ^ d rest
-        tail_section = A.section(FORM, len(tail), {tail: A.one_rf()})
-        out = wedge(_d_coframe(A, head), tail_section)
-        if tail:
-            out = out - wedge(A.coframe(head), _d_basis_form(A, tail))
-        cached = out
-        A._cache[key] = cached
-    return cached
+    return A.memo(("d_basis_form", idx), _compute_d_basis_form, A, idx)
+
+
+def _compute_d_basis_form(A: AlgebroidPresentation, idx: Idx) -> GradedSection:
+    head, tail = idx[0], idx[1:]
+    # d eps^k = -sum_{i<j} c_{ij}^k eps^i ^ eps^j
+    d_head = {}
+    for i in range(A.rank):
+        for j in range(i + 1, A.rank):
+            c = A.structure[_pair_index(i, j, A.rank)][head]
+            if not c.is_zero():
+                d_head[(i, j)] = -c
+    # d(eps^h ^ rest) = d eps^h ^ rest - eps^h ^ d rest
+    tail_section = A.section(FORM, len(tail), {tail: A.one_rf()})
+    out = wedge(A.section(FORM, 2, d_head), tail_section)
+    if tail:
+        out = out - wedge(A.coframe(head), _d_basis_form(A, tail))
+    return out
 
 
 def differential(mu: GradedSection) -> GradedSection:
     """Algebroid de Rham differential via the Cartan formula on generators."""
     if mu.variance != FORM:
         raise VarianceMismatch("differential acts on forms")
+    return mu.parent.memo(("differential", mu.key), _compute_differential, mu)
+
+
+def _compute_differential(mu: GradedSection) -> GradedSection:
     A = mu.parent
     out = A.zero_section(FORM, mu.degree + 1)
     for idx, f in mu.coeffs.items():
@@ -441,10 +479,10 @@ def differential(mu: GradedSection) -> GradedSection:
 
 def _schouten_frames(A: AlgebroidPresentation, I: Idx, J: Idx) -> GradedSection:
     """[e_I, e_J] for pure frame wedges, recursively via the Leibniz rules."""
-    key = ("sch", I, J)
-    cached = A._cache.get(key)
-    if cached is not None:
-        return cached
+    return A.memo(("schouten_frames", I, J), _compute_schouten_frames, A, I, J)
+
+
+def _compute_schouten_frames(A: AlgebroidPresentation, I: Idx, J: Idx) -> GradedSection:
     p, q = len(I), len(J)
     if p == 0 or q == 0:
         out = A.zero_section(MULTIVECTOR, max(p + q - 1, 0))
@@ -469,7 +507,6 @@ def _schouten_frames(A: AlgebroidPresentation, I: Idx, J: Idx) -> GradedSection:
             if ((q - 1) * (p - 1)) % 2:
                 term = -term
             out = out + term
-    A._cache[key] = out
     return out
 
 

@@ -65,6 +65,9 @@ class CourantDouble:
     x3: GradedSection
     psi: GradedSection
     conjugated: bool = False
+    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+
+    memo = AlgebroidPresentation.memo  # the Dorfman bracket's cache
 
     @property
     def rank(self) -> int:
@@ -294,8 +297,14 @@ def anchor_field(E: CourantDouble, e: CourantSection) -> tuple[RationalFunction,
 
 def dorfman(E: CourantDouble, e1: CourantSection, e2: CourantSection) -> CourantSection:
     """The non-skew bracket; see the module docstring for the formula."""
-    if e1.vec.parent != E.base or e2.vec.parent != E.base:
+    halves = (e1.vec, e1.cov, e2.vec, e2.cov)
+    if any(h.parent is not E.base and h.parent != E.base for h in halves):
         raise ParentMismatch("sections do not live on this double")
+    key = ("dorfman",) + tuple(h.key for h in halves)
+    return E.memo(key, _compute_dorfman, E, e1, e2)
+
+
+def _compute_dorfman(E: CourantDouble, e1: CourantSection, e2: CourantSection) -> CourantSection:
     X, a = e1.vec, e1.cov
     Y, b = e2.vec, e2.cov
     vec = schouten(X, Y)

@@ -22,6 +22,7 @@ from .calculus import (
     AlgebroidPresentation,
     BundleMorphism,
     GradedSection,
+    _require_retaggable,
     check_axioms,
     d_function,
     derived_presentation,
@@ -301,19 +302,26 @@ def magri_morosi(
     beta: GradedSection,
 ) -> GradedSection:
     """C(pi, N)(a, b) = [a, b]_{N pi} - [a, b]^{N*}_pi; requires N pi antisymmetric."""
-    sharp = contraction_matrix(pi)
-    nsharp = matrix_compose(A, n_matrix, sharp)
+    nsharp = matrix_compose(A, n_matrix, contraction_matrix(pi))
     if not sharp_is_antisymmetric(A, nsharp):
         raise HypothesisNotSatisfied("N pi is not a bivector (N o pi# not antisymmetric)")
     npi = bivector_from_sharp(A, nsharp)
+    return _concomitant(A, npi, nstar_matrix(A, n_matrix), dual_presentation(A, pi), alpha, beta)
+
+
+def _concomitant(
+    A: AlgebroidPresentation,
+    npi: GradedSection,
+    nstar: Matrix,
+    dual: AlgebroidPresentation,
+    alpha: GradedSection,
+    beta: GradedSection,
+) -> GradedSection:
+    """magri_morosi from the bivector N pi, N* and A*_pi, which a caller
+    evaluating every frame pair builds once."""
     first = poisson_bracket(npi, alpha, beta)
-    dual = dual_presentation(A, pi)
-    nstar = nstar_matrix(A, n_matrix)
     second = deformed_bracket(
-        dual,
-        tuple(tuple(row) for row in nstar),
-        retag(alpha, dual, MULTIVECTOR),
-        retag(beta, dual, MULTIVECTOR),
+        dual, nstar, retag(alpha, dual, MULTIVECTOR), retag(beta, dual, MULTIVECTOR)
     )
     return first - retag(second, A, FORM)
 
@@ -334,9 +342,12 @@ def check_compatible(A: AlgebroidPresentation, pi: GradedSection, n_matrix: Matr
             intertwine.record(f"(Npi# - pi#N*)[{k+1},{i+1}]", nsharp[k][i] - other[k][i])
     concomitant = report.clause("magri-morosi", PROOF_TENSORIAL)
     if anti.passed:
+        npi = bivector_from_sharp(A, nsharp)
+        nstar = nstar_matrix(A, n_matrix)
+        dual = dual_presentation(A, pi)
         for i in range(A.rank):
             for j in range(i + 1, A.rank):
-                c = magri_morosi(A, pi, n_matrix, A.coframe(i), A.coframe(j))
+                c = _concomitant(A, npi, nstar, dual, A.coframe(i), A.coframe(j))
                 concomitant.record(f"C(eps{i+1},eps{j+1})", c)
     else:
         concomitant.record_flag("precondition", False, "Npi-not-a-bivector")
@@ -412,16 +423,32 @@ class QuasiLieBialgebroid:
 
 def d_star(D, s) -> GradedSection:
     """d_* on a function or a multivector of D.base: the Cartan differential
-    of D.dual read back on D.base."""
+    of D.dual read back on D.base (memoized on D.dual)."""
     if isinstance(s, RationalFunction):
-        return retag(d_function(D.dual, s), D.base, MULTIVECTOR)
+        return D.dual.memo(("d_star_function", D.base, s), _compute_d_star_function, D, s)
     if s.variance != MULTIVECTOR:
         raise VarianceMismatch("d_star acts on multivectors of the base algebroid")
+    _require_retaggable(s, D.dual)
+    return D.dual.memo(("d_star", D.base, s.key), _compute_d_star, D, s)
+
+
+def _compute_d_star_function(D, f: RationalFunction) -> GradedSection:
+    return retag(d_function(D.dual, f), D.base, MULTIVECTOR)
+
+
+def _compute_d_star(D, s: GradedSection) -> GradedSection:
     return retag(differential(retag(s, D.dual, FORM)), D.base, MULTIVECTOR)
 
 
 def dual_bracket(D, a: GradedSection, b: GradedSection) -> GradedSection:
-    """[a, b]_* on forms of D.base: the Schouten bracket of D.dual."""
+    """[a, b]_* on forms of D.base: the Schouten bracket of D.dual (memoized
+    on D.dual)."""
+    _require_retaggable(a, D.dual)
+    _require_retaggable(b, D.dual)
+    return D.dual.memo(("dual_bracket", D.base, a.key, b.key), _compute_dual_bracket, D, a, b)
+
+
+def _compute_dual_bracket(D, a: GradedSection, b: GradedSection) -> GradedSection:
     return retag(
         schouten(retag(a, D.dual, MULTIVECTOR), retag(b, D.dual, MULTIVECTOR)), D.base, FORM
     )

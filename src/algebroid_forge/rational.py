@@ -393,20 +393,28 @@ class RationalFunction:
 
     @classmethod
     def zero(cls, vars: tuple[str, ...]) -> "RationalFunction":
-        return cls(Polynomial.zero(vars), Polynomial.const(vars, 1), _normalized=True)
+        try:
+            return _ZEROS[vars]
+        except KeyError:
+            zero = _ZEROS[vars] = cls(Polynomial.zero(vars), _unit(vars), _normalized=True)
+            return zero
 
     @classmethod
     def one(cls, vars: tuple[str, ...]) -> "RationalFunction":
-        one = Polynomial.const(vars, 1)
-        return cls(one, one, _normalized=True)
+        try:
+            return _ONES[vars]
+        except KeyError:
+            unit = Polynomial.const(vars, 1)
+            one = _ONES[vars] = cls(unit, unit, _normalized=True)
+            return one
 
     @classmethod
     def const(cls, vars: tuple[str, ...], value) -> "RationalFunction":
-        return cls(Polynomial.const(vars, value), Polynomial.const(vars, 1), _normalized=True)
+        return cls(Polynomial.const(vars, value), _unit(vars), _normalized=True)
 
     @classmethod
     def coord(cls, vars: tuple[str, ...], name: str) -> "RationalFunction":
-        return cls(Polynomial.coord(vars, name), Polynomial.const(vars, 1), _normalized=True)
+        return cls(Polynomial.coord(vars, name), _unit(vars), _normalized=True)
 
     # -- predicates -----------------------------------------------------------
 
@@ -568,11 +576,23 @@ class RationalFunction:
     __repr__ = __str__
 
 
+# One zero and one unit per coordinate tuple, shared by every chart with
+# those coordinates: values are immutable.  The package's only module-level
+# cache; it grows with the number of distinct charts, not with the work.
+_ZEROS: dict[tuple[str, ...], RationalFunction] = {}
+_ONES: dict[tuple[str, ...], RationalFunction] = {}
+
+
+def _unit(vars: tuple[str, ...]) -> Polynomial:
+    """The constant polynomial 1, the denominator of every polynomial value."""
+    return RationalFunction.one(vars).num
+
+
 def _normalize(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
     if den.is_zero():
         raise DivisionByZero("zero denominator")
     if num.is_zero():
-        return num, Polynomial.const(num.vars, 1)
+        return num, _unit(num.vars)
     if not den.is_constant():
         g = poly_gcd(num, den)
         if g.total_degree() > 0 or g.constant_value() != 1:
@@ -695,13 +715,25 @@ class ExpressionParser:
     """Recursive-descent parser for scalar expressions over a chart.
 
     Grammar: `+ - * / ^` with integer exponents, integer literals and
-    coordinate names; standard precedence, `^` binds tightest.
+    coordinate names; standard precedence, `^` binds tightest.  Parentheses
+    and prefix signs nest at most MAX_DEPTH deep in total; deeper input is a
+    ParseError at the first token past the limit (the recursion would
+    otherwise exhaust the interpreter's stack).
     """
+
+    MAX_DEPTH = 100
 
     def __init__(self, tokens: Sequence[Token], pos: int, vars: tuple[str, ...]):
         self.tokens = tokens
         self.pos = pos
         self.vars = vars
+        self.depth = 0
+
+    def _enter(self, tok: Token) -> None:
+        self.depth += 1
+        if self.depth > self.MAX_DEPTH:
+            expected = f"at most {self.MAX_DEPTH} nested parentheses or signs"
+            raise ParseError(tok.line, tok.column, expected, tok.value)
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -736,8 +768,10 @@ class ExpressionParser:
     def _factor(self) -> RationalFunction:
         tok = self.peek()
         if tok.kind in ("+", "-"):
+            self._enter(tok)
             self.pos += 1
             value = self._factor()
+            self.depth -= 1
             return -value if tok.kind == "-" else value
         return self._power()
 
@@ -771,12 +805,14 @@ class ExpressionParser:
             self.pos += 1
             return RationalFunction.coord(self.vars, tok.value)
         if tok.kind == "(":
+            self._enter(tok)
             self.pos += 1
             value = self._sum()
             closing = self.peek()
             if closing.kind != ")":
                 raise ParseError(closing.line, closing.column, "')'", closing.value)
             self.pos += 1
+            self.depth -= 1
             return value
         raise ParseError(tok.line, tok.column, "an expression", tok.value or "end of input")
 

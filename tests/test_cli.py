@@ -15,6 +15,21 @@ FINGERPRINTS = ROOT / "perfbench" / "fingerprints.json"
 FINGERPRINT_RUNS = [(path.stem, (str(path),)) for path in sorted(CORPUS.glob("*.alg"))] + [
     ("courant_tr2-kappa1", (str(CORPUS / "courant_tr2.alg"), "--kappa", "1"))
 ]
+# the sampled Courant checks, where a wrong memo key would show, also at seeds 3 and 7
+SAMPLED_RUNS = (
+    "twisted_poisson_r4",
+    "twisted_dirac_r4",
+    "twisted_nonclosed_r4",
+    "courant_tr2",
+    "courant_tr2-kappa1",
+)
+# (test id, fingerprint key, forge arguments, seed)
+SEEDED_RUNS = [(key, key, args, 0) for key, args in FINGERPRINT_RUNS] + [
+    (f"{key}@{seed}", key, args, seed)
+    for seed in (3, 7)
+    for key, args in FINGERPRINT_RUNS
+    if key in SAMPLED_RUNS
+]
 
 
 def forge(*args):
@@ -88,14 +103,16 @@ class TestRecords:
         assert verdicts[0] == verdicts[1]
 
     @pytest.mark.parametrize(
-        "key, args", FINGERPRINT_RUNS, ids=[key for key, _ in FINGERPRINT_RUNS]
+        "key, args, seed",
+        [run[1:] for run in SEEDED_RUNS],
+        ids=[run[0] for run in SEEDED_RUNS],
     )
-    def test_matches_benchmark_fingerprints(self, capsys, key, args):
-        # seed-0 records stay byte-identical to those the benchmark verifies
+    def test_matches_benchmark_fingerprints(self, capsys, key, args, seed):
+        # records stay byte-identical to those the benchmark verifies
         table = json.loads(FINGERPRINTS.read_text(encoding="utf-8"))["records_sha256"]
-        main(["check", *args, "--format", "records", "--seed", "0"])
+        main(["check", *args, "--format", "records", "--seed", str(seed)])
         records = capsys.readouterr().out.encode("utf-8")
-        assert hashlib.sha256(records).hexdigest() == table[f"{key}@0"]
+        assert hashlib.sha256(records).hexdigest() == table[f"{key}@{seed}"]
 
 
 class TestKappa:
@@ -158,6 +175,17 @@ class TestBadInput:
         result = forge("check", str(bad))
         assert_input_error(result, bad)
         assert "utf-8" in result.stderr
+
+    def test_deeply_nested_expression(self, tmp_path):
+        # 3,000 parentheses would exhaust the parser's recursion: the depth
+        # cap turns them into a parse error at the 101st
+        bad = tmp_path / "bad.alg"
+        prefix = "algebroid A { base = [x1]; rank = 1; anchor[1,x1] = "
+        bad.write_text(prefix + "(" * 3000 + "x1" + ")" * 3000 + "; }\n")
+        result = forge("check", str(bad))
+        assert_input_error(result, bad)
+        column = len(prefix) + 101
+        assert f"1:{column}: expected at most 100 nested parentheses or signs" in result.stderr
 
     @pytest.mark.parametrize("flag", ["--samples", "--max-degree"])
     def test_negative_sampling_sizes(self, flag):

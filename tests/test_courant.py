@@ -1,16 +1,23 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from algebroid_forge.algfile import parse
 from algebroid_forge.calculus import (
     FORM,
     MULTIVECTOR,
     BundleMorphism,
+    differential,
     identity_morphism,
     null_presentation,
+    random_poly,
     retag,
     tangent_algebroid,
+    wedge,
 )
 from algebroid_forge.courant import (
     CourantSection,
@@ -35,10 +42,13 @@ from algebroid_forge.courant import (
     twisted_double,
     verify_courant_axioms,
 )
+from algebroid_forge.errors import ParentMismatch
 from algebroid_forge.pn import (
     QuasiLieBialgebroid,
     build_qlb_from_pqn,
+    d_star,
     deformed_presentation,
+    dual_bracket,
     nstar_pullback,
     qlb_from_closed3form,
     qlb_from_twisted_poisson,
@@ -361,3 +371,126 @@ class TestMorphismGraph:
         report = check_generalized_dirac(F)
         assert not report.passed
         assert "D3-bracket-closure" in [c.name for c in report.failing_clauses()]
+
+
+# -- the calculus memo is transparent -----------------------------------------
+
+MEMO_SOURCE = """
+algebroid TR2 { base = [x1, x2]; rank = 2; anchor[1,x1] = 1; anchor[2,x2] = 1; }
+algebroid TR3 {
+  base = [x1, x2, x3]; rank = 3;
+  anchor[1,x1] = 1; anchor[2,x2] = 1; anchor[3,x3] = 1;
+}
+tensor psi on TR3 form degree 3 { (1,2,3) = x1 + 1; }
+tensor pi on TR2 multivector degree 2 { (1,2) = x1; }
+tensor phi on TR2 form degree 3 { }
+"""
+
+
+MEMO_CASES = ("standard-TR2", "standard-TR3", "twisted-TR3", "qlb-TR2")
+
+
+def memo_double(structure, case):
+    """A double whose caches are all empty when ``structure`` is a fresh
+    parse; the qlb double has a nonzero d_* (its dual side is TR2 itself)."""
+    A2, A3 = structure.algebroids["TR2"], structure.algebroids["TR3"]
+    t = structure.tensors
+    if case == "standard-TR2":
+        return standard_double(A2)
+    if case == "standard-TR3":
+        return standard_double(A3)
+    if case == "twisted-TR3":
+        return twisted_double(A3, t["psi"])
+    return qlb_double(qlb_from_twisted_poisson(A2, t["pi"], t["phi"]))
+
+
+WARM_SOURCE = parse(MEMO_SOURCE)  # shared by every example, so its caches fill
+WARM = {case: memo_double(WARM_SOURCE, case) for case in MEMO_CASES}
+
+
+def seeded_inputs(A, seed, halves):
+    """Coefficients of two vector and two covector halves (zero unless their
+    variance is in ``halves``) and a function, seeded."""
+    rng = random.Random(seed)
+
+    def coeffs(variance):
+        if variance not in halves:
+            return {}
+        return {(i,): random_poly(A, rng, 2) for i in range(A.rank)}
+
+    return coeffs(MULTIVECTOR), coeffs(FORM), coeffs(MULTIVECTOR), coeffs(FORM), random_poly(A, rng, 2)
+
+
+def memoized_calls(E, inputs):
+    """Calls of every memoized operation on sections of E built from
+    ``inputs``.  Halves are shared and swapped between calls, so a key that
+    left out any part of an input would serve one call another's result."""
+    A = E.base
+    X, a, Y, b, f = (
+        A.section(MULTIVECTOR, 1, inputs[0]),
+        A.section(FORM, 1, inputs[1]),
+        A.section(MULTIVECTOR, 1, inputs[2]),
+        A.section(FORM, 1, inputs[3]),
+        inputs[4],
+    )
+    sections = [CourantSection(X, a), CourantSection(X, b), CourantSection(Y, a)]
+    calls = [partial(dorfman, E, e1, e2) for e1 in sections for e2 in sections]
+    calls += [partial(A.rho_apply, i, g) for i in range(A.rank) for g in (f, f * f)]
+    calls += [partial(d_star, E, s) for s in (f, X, Y, wedge(X, Y), A.zero_section(MULTIVECTOR, 2))]
+    calls += [partial(dual_bracket, E, a, b), partial(dual_bracket, E, b, a)]
+    calls += [partial(differential, s) for s in (a, b, wedge(a, b), A.zero_section(FORM, 2))]
+    return calls
+
+
+def exact(result):
+    """A result as exact data: sections by their (variance, degree, coefficients) key."""
+    if isinstance(result, CourantSection):
+        return result.vec.key, result.cov.key
+    return getattr(result, "key", result)
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    case=st.sampled_from(MEMO_CASES),
+    seed=st.integers(0, 2**16),
+    halves=st.sampled_from([(MULTIVECTOR, FORM), (MULTIVECTOR,), (FORM,)]),
+)
+def test_memo_is_transparent(case, seed, halves):
+    # each call on its own cold double (fresh parse, empty caches) against
+    # all calls in turn on the warm double shared by every example
+    inputs = seeded_inputs(WARM[case].base, seed, halves)
+    expected = []
+    for k in range(len(memoized_calls(WARM[case], inputs))):
+        cold = memo_double(parse(MEMO_SOURCE), case)
+        assert not (cold._cache or cold.base._cache or cold.dual._cache)
+        expected.append(exact(memoized_calls(cold, inputs)[k]()))
+    first = [call() for call in memoized_calls(WARM[case], inputs)]
+    assert [exact(r) for r in first] == expected
+    again = [call() for call in memoized_calls(WARM[case], inputs)]
+    assert all(x is y for x, y in zip(again, first))  # every repeat is a cache hit
+
+
+class TestMemoKeys:
+    def test_zero_sections_of_different_degrees(self):
+        a, b = TR2.zero_section(MULTIVECTOR, 1), TR2.zero_section(MULTIVECTOR, 2)
+        assert a == b and hash(a) == hash(b)
+        assert a.key != b.key
+
+    def test_differential_of_zero_keeps_its_degree(self):
+        A = tangent_algebroid(3)
+        for degree in (0, 1, 2, 3, 1, 0, 2):  # the repeats are cache hits
+            got = differential(A.zero_section(FORM, degree))
+            assert got.is_zero() and got.degree == degree + 1
+
+    def test_d_star_of_zero_keeps_its_degree(self):
+        E = WARM["qlb-TR2"]
+        for degree in (0, 1, 2, 1, 0):
+            got = d_star(E, E.base.zero_section(MULTIVECTOR, degree))
+            assert got.is_zero() and got.degree == degree + 1
+
+    def test_dorfman_rejects_a_half_from_another_presentation(self):
+        E = standard_double(tangent_algebroid(2))
+        stranger = tangent_algebroid(2, prefix="y")
+        e = CourantSection(E.base.frame(0), stranger.coframe(0))
+        with pytest.raises(ParentMismatch):
+            dorfman(E, E.frame_section(0), e)

@@ -88,6 +88,23 @@ def test_schouten_antisymmetry(p, q):
 
 
 @settings(max_examples=40, deadline=None)
+@given(sections(FORM), sections(FORM), sections(MULTIVECTOR), st.integers(0, 3))
+def test_equal_sections_hash_equal(s, t, u, degree):
+    # zero sections of every degree are equal, so they must hash equal; the
+    # memo key tells them apart, and is otherwise equality itself
+    same_value = [-(-s), s + TR3.zero_section(FORM, degree), TR3.section(FORM, s.degree, s.coeffs)]
+    zeros = [TR3.zero_section(variance, degree) for variance in (FORM, MULTIVECTOR)]
+    candidates = [s, t, u, *same_value, *zeros]
+    for a in candidates:
+        for b in candidates:
+            if a == b:
+                assert hash(a) == hash(b)
+            assert (a.key == b.key) == (a == b and a.degree == b.degree)
+    for other in same_value:
+        assert other == s and hash(other) == hash(s)
+
+
+@settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6), st.integers(1, 10**6))
 def test_equal_values_identical_representation(seed, scale_seed):
     rng = random.Random(seed)
