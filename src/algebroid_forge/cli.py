@@ -5,8 +5,10 @@
 
 Exit codes: 0 when every task passes, 1 when some task fails (including
 hypothesis-not-satisfied and task-level errors), 2 on parse or semantic
-errors.  The ``records`` format prints one machine-readable line per clause
-and is byte-identical across runs with identical inputs and configuration.
+errors and on an option out of range (``--max-degree`` is at most
+``rational.MAX_DEGREE``).  The ``records`` format prints one
+machine-readable line per clause and is byte-identical across runs with
+identical inputs and configuration.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .pn import (
     qlb_from_twisted_poisson,
     verify_lemma_tnstar,
 )
+from .rational import MAX_DEGREE
 from .reporting import ERROR, HYPOTHESIS, Report
 
 
@@ -295,6 +298,14 @@ def _non_negative(text: str) -> int:
     return value
 
 
+def _sample_degree(text: str) -> int:
+    """argparse type of --max-degree: sampled powers must stay packable."""
+    value = _non_negative(text)
+    if value > MAX_DEGREE:
+        raise argparse.ArgumentTypeError(f"expected at most {MAX_DEGREE}, got {text!r}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="forge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -302,7 +313,7 @@ def main(argv=None) -> int:
     check.add_argument("file")
     check.add_argument("--seed", type=int, default=0)
     check.add_argument("--samples", type=_non_negative, default=10)
-    check.add_argument("--max-degree", type=_non_negative, default=2)
+    check.add_argument("--max-degree", type=_sample_degree, default=2)
     check.add_argument("--kappa", choices=["1", "1/2"], default="1/2")
     check.add_argument("--format", choices=["text", "records"], default="text")
     args = parser.parse_args(argv)

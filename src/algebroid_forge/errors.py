@@ -9,6 +9,14 @@ class DivisionByZero(ForgeError):
     """Division by a zero rational function."""
 
 
+class DegreeOverflow(ForgeError):
+    """A polynomial degree beyond rational.MAX_DEGREE, the packed-monomial bound."""
+
+    def __init__(self, degree, bound):
+        super().__init__(f"polynomial degree {degree} exceeds {bound}")
+        self.degree = degree
+
+
 class UnknownCoordinate(ForgeError):
     """A coordinate name outside the chart's coordinate list."""
 

@@ -1,83 +1,174 @@
 """Exact multivariate rational-function arithmetic over the rationals.
 
 Every tensor coefficient in the package is a quotient of multivariate
-polynomials with Fraction coefficients over a fixed ordered coordinate
-tuple.  Values are immutable and normalized on construction: numerator and
-denominator are reduced by their polynomial gcd and the denominator is made
-monic under graded-lexicographic order, so equal values have identical
-representations (and identical serializations).
+polynomials over a fixed ordered coordinate tuple.  A polynomial is held
+fraction-free: a Fraction content times a primitive part with integer
+coefficients of gcd 1 and a positive leading coefficient.  Each monomial of
+the primitive part is one int, packed in fields of FIELD_BITS bits: the
+total degree in the top field, then the exponents of x1, x2, ... going
+down.  Integer order is then graded-lexicographic (grlex) order, a monomial
+product is one integer add, and by Gauss's lemma a product of polynomials
+is the product of the contents times the product of the primitive parts.
+Total degrees are at most MAX_DEGREE, so a field never overflows into the
+next; a product beyond it raises DegreeOverflow.
+
+Values are immutable and normalized on construction: numerator and
+denominator are reduced by their polynomial gcd (GCDHEU, with the
+subresultant PRS as fallback) and the denominator is made monic under grlex
+order, so equal values have identical representations (and identical
+serializations).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .errors import DivisionByZero, ParseError, UnknownCoordinate
+from .errors import DegreeOverflow, DivisionByZero, ParseError, UnknownCoordinate
 
 Monomial = tuple[int, ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+# Bits per packed monomial field.  The top bit of each field stays clear in
+# every stored monomial: it is the guard bit of the divisibility test in
+# _divide, and it bounds every exponent and total degree by MAX_DEGREE.
+FIELD_BITS = 16
+MAX_DEGREE = (1 << (FIELD_BITS - 1)) - 1
+_FIELD_MASK = (1 << FIELD_BITS) - 1
 
-def _grlex_key(mono: Monomial) -> tuple:
-    return (sum(mono), mono)
+
+def _pack(mono: Monomial) -> int:
+    key = sum(mono)
+    for e in mono:
+        key = (key << FIELD_BITS) | e
+    return key
+
+
+def _unpack(key: int, n: int) -> Monomial:
+    return tuple((key >> (FIELD_BITS * (n - 1 - i))) & _FIELD_MASK for i in range(n))
+
+
+def _var_key(n: int, index: int) -> int:
+    """The packed monomial of the coordinate vars[index] in n variables."""
+    return (1 << (FIELD_BITS * (n - 1 - index))) | (1 << (FIELD_BITS * n))
+
+
+def _exponent_shift(n: int, index: int) -> int:
+    return FIELD_BITS * (n - 1 - index)
+
+
+def _guards(n: int) -> int:
+    """The guard bits of all n + 1 fields (a repunit in base 2**FIELD_BITS)."""
+    return ((1 << (FIELD_BITS * (n + 1))) - 1) // _FIELD_MASK << (FIELD_BITS - 1)
+
+
+def _canonical(num: int, den: int, coeffs: dict[int, int]) -> tuple[Fraction, dict[int, int]]:
+    """Write (num/den) * coeffs as content * primitive part (coeffs nonzero)."""
+    g = math.gcd(*coeffs.values())
+    if coeffs[max(coeffs)] < 0:
+        g = -g
+    if g != 1:
+        coeffs = {k: c // g for k, c in coeffs.items()}
+        num *= g
+    return (Fraction(num) if den == 1 else Fraction(num, den)), coeffs
 
 
 class Polynomial:
-    """Multivariate polynomial with Fraction coefficients.
+    """Multivariate polynomial over Q, stored as content * primitive part.
 
-    Stored sparsely as a map from exponent tuples to nonzero coefficients.
-    The variable tuple is fixed; cross-ring arithmetic is a programming
-    error and raises ValueError.
+    `content` is a Fraction carrying the sign (0 for the zero polynomial);
+    `prim` maps packed monomials to int coefficients of gcd 1 whose
+    grlex-leading one is positive (empty for zero).  Both are never mutated
+    after construction.  `terms` is the read-only {exponent tuple: Fraction}
+    view.  The variable tuple is fixed; cross-ring arithmetic is a
+    programming error and raises ValueError.
     """
 
-    __slots__ = ("vars", "terms", "_hash")
+    __slots__ = ("vars", "content", "prim", "_hash")
 
     def __init__(self, vars: tuple[str, ...], terms: Mapping[Monomial, Fraction]):
+        n = len(vars)
+        fracs = {}
+        for mono, c in terms.items():
+            if not c:
+                continue
+            if len(mono) != n or min(mono, default=0) < 0:
+                raise ValueError(f"bad exponent tuple {mono} for coordinates {vars}")
+            if sum(mono) > MAX_DEGREE:
+                raise DegreeOverflow(sum(mono), MAX_DEGREE)
+            fracs[_pack(mono)] = Fraction(c)
         self.vars = vars
-        self.terms = {m: c for m, c in terms.items() if c}
         self._hash = None
+        if not fracs:
+            self.content, self.prim = _ZERO, {}
+            return
+        den = math.lcm(*(c.denominator for c in fracs.values()))
+        ints = {k: c.numerator * (den // c.denominator) for k, c in fracs.items()}
+        self.content, self.prim = _canonical(1, den, ints)
+
+    @classmethod
+    def _make(cls, vars: tuple[str, ...], content: Fraction, prim: dict[int, int]) -> "Polynomial":
+        """Wrap parts already in canonical form."""
+        p = object.__new__(cls)
+        p.vars = vars
+        p.content = content
+        p.prim = prim
+        p._hash = None
+        return p
+
+    @classmethod
+    def _from_ints(cls, vars, num: int, den: int, coeffs: dict[int, int]) -> "Polynomial":
+        """The polynomial (num/den) * coeffs, for nonzero int coefficients."""
+        if not coeffs:
+            return cls.zero(vars)
+        return cls._make(vars, *_canonical(num, den, coeffs))
 
     @classmethod
     def zero(cls, vars: tuple[str, ...]) -> "Polynomial":
-        return cls(vars, {})
+        return cls._make(vars, _ZERO, {})
 
     @classmethod
     def const(cls, vars: tuple[str, ...], value) -> "Polynomial":
         q = Fraction(value)
         if not q:
-            return cls(vars, {})
-        return cls(vars, {(0,) * len(vars): q})
+            return cls.zero(vars)
+        return cls._make(vars, q, {0: 1})
 
     @classmethod
     def coord(cls, vars: tuple[str, ...], name: str) -> "Polynomial":
         if name not in vars:
             raise UnknownCoordinate(f"unknown coordinate {name!r} (chart has {list(vars)})")
-        mono = tuple(1 if v == name else 0 for v in vars)
-        return cls(vars, {mono: _ONE})
+        return cls._make(vars, _ONE, {_var_key(len(vars), vars.index(name)): 1})
+
+    @property
+    def terms(self) -> Mapping[Monomial, Fraction]:
+        n, content = len(self.vars), self.content
+        return MappingProxyType({_unpack(k, n): content * c for k, c in self.prim.items()})
 
     # -- basic predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.prim
 
     def is_constant(self) -> bool:
-        return all(sum(m) == 0 for m in self.terms)
+        prim = self.prim
+        return not prim or (len(prim) == 1 and 0 in prim)
 
     def constant_value(self) -> Fraction:
-        if not self.terms:
+        """The constant term (the value, for a constant polynomial)."""
+        c = self.prim.get(0)
+        if c is None:
             return _ZERO
-        return next(iter(self.terms.values()))
+        return self.content if c == 1 else self.content * c
 
     def total_degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
-
-    def leading(self) -> tuple[Monomial, Fraction]:
-        mono = max(self.terms, key=_grlex_key)
-        return mono, self.terms[mono]
+        if not self.prim:
+            return 0
+        return max(self.prim) >> (FIELD_BITS * len(self.vars))
 
     # -- ring operations ----------------------------------------------------
 
@@ -87,40 +178,69 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m, _ZERO) + c
+        if not other.prim:
+            return self
+        if not self.prim:
+            return other
+        # c1*P1 + c2*P2 = (g/l) * (a1*P1 + a2*P2) with integer a1, a2
+        n1, d1 = self.content.numerator, self.content.denominator
+        n2, d2 = other.content.numerator, other.content.denominator
+        g = math.gcd(n1, n2)
+        l = d1 // math.gcd(d1, d2) * d2
+        a1 = n1 // g * (l // d1)
+        a2 = n2 // g * (l // d2)
+        terms = dict(self.prim) if a1 == 1 else {k: a1 * c for k, c in self.prim.items()}
+        get = terms.get
+        for k, c in other.prim.items():
+            s = get(k, 0) + a2 * c
             if s:
-                terms[m] = s
+                terms[k] = s
             else:
-                terms.pop(m, None)
-        return Polynomial(self.vars, terms)
+                del terms[k]
+        return Polynomial._from_ints(self.vars, g, l, terms)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.vars, {m: -c for m, c in self.terms.items()})
+        return Polynomial._make(self.vars, -self.content, self.prim)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        if not self.terms or not other.terms:
-            return Polynomial.zero(self.vars)
-        terms: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                s = terms.get(m, _ZERO) + c1 * c2
-                if s:
-                    terms[m] = s
-                else:
-                    terms.pop(m, None)
-        return Polynomial(self.vars, terms)
+        p, q = self.prim, other.prim
+        if not p:
+            return self
+        if not q:
+            return other
+        top = FIELD_BITS * len(self.vars)
+        degree = (max(p) >> top) + (max(q) >> top)
+        if degree > MAX_DEGREE:
+            raise DegreeOverflow(degree, MAX_DEGREE)
+        if len(p) < len(q):
+            p, q = q, p
+        if len(q) == 1:
+            # a primitive single term is a monomial with coefficient 1
+            (shift,) = q
+            terms = {k + shift: c for k, c in p.items()} if shift else p
+        else:
+            terms = {}
+            get = terms.get
+            for k2, c2 in q.items():
+                for k1, c1 in p.items():
+                    k = k1 + k2
+                    terms[k] = get(k, 0) + c1 * c2
+            if not all(terms.values()):
+                terms = {k: c for k, c in terms.items() if c}
+        c1, c2 = self.content, other.content
+        content = c2 if c1 == 1 else c1 if c2 == 1 else c1 * c2
+        return Polynomial._make(self.vars, content, terms)
 
     def scale(self, q: Fraction) -> "Polynomial":
         if not q:
             return Polynomial.zero(self.vars)
-        return Polynomial(self.vars, {m: c * q for m, c in self.terms.items()})
+        if not self.prim:
+            return self
+        return Polynomial._make(self.vars, self.content * q, self.prim)
 
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
@@ -130,44 +250,46 @@ class Polynomial:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def derivative(self, index: int) -> "Polynomial":
-        terms: dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
-            e = m[index]
+        n = len(self.vars)
+        shift = _exponent_shift(n, index)
+        step = _var_key(n, index)
+        # k -> k - step is injective, so no two terms meet
+        terms = {}
+        for k, c in self.prim.items():
+            e = (k >> shift) & _FIELD_MASK
             if e:
-                dm = m[:index] + (e - 1,) + m[index + 1 :]
-                s = terms.get(dm, _ZERO) + c * e
-                if s:
-                    terms[dm] = s
-                else:
-                    terms.pop(dm, None)
-        return Polynomial(self.vars, terms)
+                terms[k - step] = c * e
+        content = self.content
+        return Polynomial._from_ints(self.vars, content.numerator, content.denominator, terms)
 
     # -- equality / hashing / rendering --------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return self.vars == other.vars and self.content == other.content and self.prim == other.prim
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.vars, frozenset(self.terms.items())))
+            self._hash = hash((self.vars, self.content, frozenset(self.prim.items())))
         return self._hash
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.prim:
             return "0"
+        n, content = len(self.vars), self.content
         parts = []
-        for mono in sorted(self.terms, key=_grlex_key, reverse=True):
-            coeff = self.terms[mono]
+        for key in sorted(self.prim, reverse=True):
+            coeff = content * self.prim[key]
             factors = [
                 f"{v}^{e}" if e > 1 else v
-                for v, e in zip(self.vars, mono)
+                for v, e in zip(self.vars, _unpack(key, n))
                 if e
             ]
             if not factors:
@@ -184,51 +306,255 @@ class Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# polynomial gcd (primitive PRS over Z, recursing on the variable set)
+# division and gcd on primitive parts (packed int-coefficient dicts)
+# ---------------------------------------------------------------------------
+
+
+def _divide(f: dict[int, int], h: dict[int, int], n: int) -> dict[int, int] | None:
+    """The quotient f / h in Z[x] if h divides f there, else None.
+
+    A leading monomial rk is divisible by hk iff every field of rk is at
+    least that of hk, that is iff subtracting hk from rk with all guard bits
+    set clears none of them.
+    """
+    hk = max(h)
+    if hk > max(f):
+        return None
+    hc = h[hk]
+    guards = _guards(n)
+    if len(h) == 1:
+        quotient = {}
+        for k, c in f.items():
+            c, rem = divmod(c, hc)
+            if rem or ((k | guards) - hk) & guards != guards:
+                return None
+            quotient[k - hk] = c
+        return quotient
+    rest = [(k, c) for k, c in h.items() if k != hk]
+    r = dict(f)
+    quotient = {}
+    while r:
+        rk = max(r)
+        if ((rk | guards) - hk) & guards != guards:
+            return None
+        c, rem = divmod(r.pop(rk), hc)
+        if rem:
+            return None
+        mk = rk - hk
+        quotient[mk] = c
+        get = r.get
+        for k, ck in rest:
+            k += mk
+            v = get(k, 0) - c * ck
+            if v:
+                r[k] = v
+            else:
+                del r[k]
+    return quotient
+
+
+def _evaluate(f: dict[int, int], shift: int, step: int, x: int) -> dict[int, int]:
+    """f with the variable at `shift` (monomial `step`) set to the integer x."""
+    out: dict[int, int] = {}
+    powers = [1]
+    for k, c in f.items():
+        e = (k >> shift) & _FIELD_MASK
+        if e:
+            while len(powers) <= e:
+                powers.append(powers[-1] * x)
+            k -= e * step
+            c *= powers[e]
+        out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def _interpolate(h: dict[int, int], x: int, step: int, limit: int) -> dict[int, int] | None:
+    """Read h's coefficients as base-x numbers with symmetric digits, the
+    i-th digit being the coefficient of (monomial `step`)^i.
+
+    None when the degree in that variable would exceed `limit`: such a
+    candidate cannot divide the inputs.
+    """
+    out: dict[int, int] = {}
+    half = x // 2
+    i = 0
+    while h:
+        if i > limit:
+            return None
+        high = {}
+        for k, c in h.items():
+            digit = c % x
+            if digit > half:
+                digit -= x
+            if digit:
+                out[k + i * step] = digit
+            c = (c - digit) // x
+            if c:
+                high[k] = c
+        h = high
+        i += 1
+    return out
+
+
+def _primitive_ints(f: dict[int, int]) -> dict[int, int]:
+    """f divided by its integer content, with a positive leading coefficient."""
+    return _canonical(1, 1, f)[1]
+
+
+def _heu_gcd(f: dict[int, int], g: dict[int, int], active: Sequence[int], n: int):
+    """GCDHEU of nonzero integer polynomials in the variables `active`.
+
+    Char, Geddes and Gonnet, "GCDHEU: Heuristic polynomial GCD algorithm
+    based on integer GCD computation", J. Symbolic Comput. 7 (1989).
+    Evaluate the first variable of `active` that occurs at an integer x,
+    recurse on the rest (down to an integer gcd), interpolate the gcd and
+    the cofactors back with symmetric residues, and keep a candidate only
+    if trial division proves it.  Returns (h, f / h, g / h) with h the gcd
+    in Z[x], or None when six evaluation points all fail.
+    """
+    for at, index in enumerate(active):
+        shift = _exponent_shift(n, index)
+        df = max((k >> shift) & _FIELD_MASK for k in f)
+        dg = max((k >> shift) & _FIELD_MASK for k in g)
+        if df or dg:
+            break
+    else:  # both are integers
+        a, b = f[0], g[0]
+        h = math.gcd(a, b)
+        return {0: h}, {0: a // h}, {0: b // h}
+    rest = active[at + 1 :]
+    step = _var_key(n, index)
+    ground = math.gcd(*f.values(), *g.values())
+    if ground != 1:
+        f = {k: c // ground for k, c in f.items()}
+        g = {k: c // ground for k, c in g.items()}
+    f_norm = max(map(abs, f.values()))
+    g_norm = max(map(abs, g.values()))
+    bound = 2 * min(f_norm, g_norm) + 29
+    x = max(
+        min(bound, 99 * math.isqrt(bound)),
+        2 * min(f_norm // abs(f[max(f)]), g_norm // abs(g[max(g)])) + 4,
+    )
+    for _ in range(6):
+        ff = _evaluate(f, shift, step, x)
+        gg = _evaluate(g, shift, step, x)
+        if ff and gg:
+            inner = _heu_gcd(ff, gg, rest, n)
+            if inner is None:
+                return None
+            h, cff, cfg = inner
+            h = _interpolate(h, x, step, min(df, dg))
+            if h is not None:
+                h = _primitive_ints(h)
+                cff_ = _divide(f, h, n)
+                cfg_ = _divide(g, h, n) if cff_ is not None else None
+                if cfg_ is not None:
+                    return _times(h, ground), cff_, cfg_
+            cff = _interpolate(cff, x, step, df)
+            h = _divide(f, cff, n) if cff is not None else None
+            cfg_ = _divide(g, h, n) if h is not None else None
+            if cfg_ is not None:
+                return _times(h, ground), cff, cfg_
+            cfg = _interpolate(cfg, x, step, dg)
+            h = _divide(g, cfg, n) if cfg is not None else None
+            cff_ = _divide(f, h, n) if h is not None else None
+            if cff_ is not None:
+                return _times(h, ground), cff_, cfg
+        x = 73794 * x * math.isqrt(math.isqrt(x)) // 27011
+    return None
+
+
+def _times(f: dict[int, int], c: int) -> dict[int, int]:
+    return f if c == 1 else {k: c * v for k, v in f.items()}
+
+
+def _monomial_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
+    """Gcd when at least one argument is a single term: exponent minima."""
+    n = len(p.vars)
+    if 0 in p.prim or 0 in q.prim:
+        return Polynomial._make(p.vars, _ONE, {0: 1})
+    mono = [min(es) for es in zip(*(_unpack(k, n) for k in (*p.prim, *q.prim)))]
+    return Polynomial._make(p.vars, _ONE, {_pack(mono): 1})
+
+
+def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
+    """Gcd in Q[x], normalized primitive over Z with positive leading coeff.
+
+    GCDHEU on the primitive parts; the subresultant PRS (_prs_gcd) is the
+    fallback when the heuristic gives up.  A single-term argument
+    short-circuits to exponent minima.
+    """
+    p._check(q)
+    if not p.prim:
+        return _int_content_and_primitive(q)[1]
+    if not q.prim:
+        return _int_content_and_primitive(p)[1]
+    if p.prim == q.prim:
+        return _int_content_and_primitive(p)[1]
+    if len(p.prim) == 1 or len(q.prim) == 1:
+        return _monomial_gcd(p, q)
+    n = len(p.vars)
+    found = _heu_gcd(p.prim, q.prim, range(n), n)
+    if found is None:
+        return _prs_gcd(p, q)
+    return Polynomial._make(p.vars, _ONE, _primitive_ints(found[0]))
+
+
+def exact_div(p: Polynomial, q: Polynomial) -> Polynomial:
+    """Exact polynomial division; q must divide p (else ValueError).
+
+    By Gauss's lemma the quotient of the primitive parts is a primitive
+    integer polynomial, so the division runs over Z and the contents divide.
+    """
+    if not q.prim:
+        raise DivisionByZero("polynomial division by zero")
+    if not p.prim:
+        return p
+    p._check(q)
+    if q.is_constant():
+        return Polynomial._make(p.vars, p.content / q.content, p.prim)
+    quotient = _divide(p.prim, q.prim, len(p.vars))
+    if quotient is None:
+        raise ValueError("inexact polynomial division")
+    return Polynomial._make(p.vars, p.content / q.content, quotient)
+
+
+def _is_unit(p: Polynomial) -> bool:
+    return p.is_constant() and abs(p.content) == 1
+
+
+# ---------------------------------------------------------------------------
+# subresultant PRS over Z, recursing on the variable set (GCDHEU's fallback)
 # ---------------------------------------------------------------------------
 
 
 def _int_content_and_primitive(p: Polynomial) -> tuple[Fraction, Polynomial]:
-    """Write p = content * P with P an integer polynomial of content 1.
-
-    The sign convention puts the sign in the content so that P's grlex
-    leading coefficient is positive.
-    """
-    if p.is_zero():
-        return _ZERO, p
-    denom_lcm = 1
-    for c in p.terms.values():
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-    numer_gcd = 0
-    for c in p.terms.values():
-        numer_gcd = math.gcd(numer_gcd, c.numerator * (denom_lcm // c.denominator))
-    content = Fraction(numer_gcd, denom_lcm)
-    prim = p.scale(1 / content)
-    _, lc = prim.leading()
-    if lc < 0:
-        content = -content
-        prim = prim.scale(Fraction(-1))
-    return content, prim
+    """Write p = content * P with P an integer polynomial of content 1 and a
+    positive grlex leading coefficient (the sign goes to the content)."""
+    return p.content, Polynomial._make(p.vars, _ONE if p.prim else _ZERO, p.prim)
 
 
 def _coeffs_in(p: Polynomial, index: int) -> dict[int, Polynomial]:
     """View p as univariate in vars[index] with Polynomial coefficients."""
-    out: dict[int, dict[Monomial, Fraction]] = {}
-    for m, c in p.terms.items():
-        e = m[index]
-        rest = m[:index] + (0,) + m[index + 1 :]
-        out.setdefault(e, {})[rest] = c
-    return {e: Polynomial(p.vars, t) for e, t in out.items()}
+    n = len(p.vars)
+    shift = _exponent_shift(n, index)
+    step = _var_key(n, index)
+    out: dict[int, dict[int, int]] = {}
+    for k, c in p.prim.items():
+        e = (k >> shift) & _FIELD_MASK
+        out.setdefault(e, {})[k - e * step] = c
+    num, den = p.content.numerator, p.content.denominator
+    return {e: Polynomial._from_ints(p.vars, num, den, t) for e, t in out.items()}
 
 
 def _deg_in(p: Polynomial, index: int) -> int:
-    return max((m[index] for m in p.terms), default=-1)
+    shift = _exponent_shift(len(p.vars), index)
+    return max(((k >> shift) & _FIELD_MASK for k in p.prim), default=-1)
 
 
-def _shift(p: Polynomial, index: int, k: int) -> Polynomial:
-    return Polynomial(
-        p.vars, {m[:index] + (m[index] + k,) + m[index + 1 :]: c for m, c in p.terms.items()}
-    )
+def _var_power(p: Polynomial, index: int, k: int) -> Polynomial:
+    """The monomial vars[index]^k in p's ring."""
+    return Polynomial._make(p.vars, _ONE, {k * _var_key(len(p.vars), index): 1})
 
 
 def _pseudo_rem(a: Polynomial, b: Polynomial, index: int) -> Polynomial:
@@ -241,7 +567,7 @@ def _pseudo_rem(a: Polynomial, b: Polynomial, index: int) -> Polynomial:
     dr = da
     while not r.is_zero() and dr >= db:
         lr = _coeffs_in(r, index)[dr]
-        r = r * lb - _shift(b * lr, index, dr - db)
+        r = r * lb - b * lr * _var_power(r, index, dr - db)
         steps += 1
         dr = _deg_in(r, index)
     # pad to the full lc(b)^(da-db+1) factor so subresultant divisions stay exact
@@ -262,60 +588,43 @@ def _content_in(p: Polynomial, index: int) -> Polynomial:
     for c in coeffs[1:]:
         if g.total_degree() == 0:
             return Polynomial.const(p.vars, 1)
-        g = poly_gcd(g, c)
+        g = _prs_gcd(g, c)
     if g.total_degree() == 0:
         return Polynomial.const(p.vars, 1)
     return g
 
 
-def _monomial_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Gcd when at least one argument is a single term."""
-    mono = tuple(
-        min(min(m[i] for m in p.terms), min(m[i] for m in q.terms))
-        for i in range(len(p.vars))
-    )
-    return Polynomial(p.vars, {mono: _ONE})
-
-
-def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Gcd in Q[x], normalized primitive over Z with positive leading coeff.
-
-    Subresultant PRS recursing on the set of active variables; a single-term
-    argument short-circuits to exponent minima.
-    """
+def _prs_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
+    """poly_gcd by the primitive subresultant PRS, recursing on the set of
+    active variables; a single-term argument short-circuits to exponent
+    minima.  Slower than GCDHEU but never gives up."""
     if p.is_zero():
-        return _int_content_and_primitive(q)[1] if not q.is_zero() else q
+        return _int_content_and_primitive(q)[1]
     if q.is_zero():
         return _int_content_and_primitive(p)[1]
     p = _int_content_and_primitive(p)[1]
     q = _int_content_and_primitive(q)[1]
     if p == q:
         return p
-    if len(p.terms) == 1 or len(q.terms) == 1:
+    if len(p.prim) == 1 or len(q.prim) == 1:
         return _monomial_gcd(p, q)
-    used = [
-        i
-        for i in range(len(p.vars))
-        if _deg_in(p, i) > 0 or _deg_in(q, i) > 0
-    ]
+    used = [i for i in range(len(p.vars)) if _deg_in(p, i) > 0 or _deg_in(q, i) > 0]
+    one = Polynomial.const(p.vars, 1)
     if not used:
-        a = int(p.constant_value())
-        b = int(q.constant_value())
-        return Polynomial.const(p.vars, math.gcd(a, b))
+        return one
     index = used[-1]
     if _deg_in(p, index) == 0 or _deg_in(q, index) == 0:
         # one argument is free of the main variable: gcd divides its content
         if _deg_in(p, index) > 0:
             p, q = q, p
-        return poly_gcd(p, _content_in(q, index))
+        return _prs_gcd(p, _content_in(q, index))
     cp = _content_in(p, index)
     cq = _content_in(q, index)
-    d = poly_gcd(cp, cq)
+    d = _prs_gcd(cp, cq)
     a = exact_div(p, cp) if not _is_unit(cp) else p
     b = exact_div(q, cq) if not _is_unit(cq) else q
     if _deg_in(a, index) < _deg_in(b, index):
         a, b = b, a
-    one = Polynomial.const(p.vars, 1)
     g_prev, h_prev = one, one
     while True:
         delta = _deg_in(a, index) - _deg_in(b, index)
@@ -343,28 +652,6 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     return _int_content_and_primitive(d * g)[1]
 
 
-def _is_unit(p: Polynomial) -> bool:
-    return p.is_constant() and abs(p.constant_value()) == 1
-
-
-def exact_div(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Exact polynomial division; q must divide p."""
-    if q.is_zero():
-        raise DivisionByZero("polynomial division by zero")
-    if p.is_zero():
-        return p
-    qm, qc = q.leading()
-    terms: dict[Monomial, Fraction] = {}
-    r = p
-    while not r.is_zero():
-        rm, rc = r.leading()
-        m = tuple(a - b for a, b in zip(rm, qm))
-        if any(e < 0 for e in m):
-            raise ValueError("inexact polynomial division")
-        c = rc / qc
-        terms[m] = c
-        r = r - Polynomial(p.vars, {m: c}) * q
-    return Polynomial(p.vars, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -563,13 +850,13 @@ class RationalFunction:
         return self._hash
 
     def __str__(self) -> str:
-        if self.den == Polynomial.const(self.vars, 1):
+        if self.den.is_constant():
             return str(self.num)
         num = str(self.num)
-        if len(self.num.terms) > 1:
+        if len(self.num.prim) > 1:
             num = f"({num})"
         den = str(self.den)
-        if len(self.den.terms) > 1 or "*" in den:
+        if len(self.den.prim) > 1 or "*" in den:
             den = f"({den})"
         return f"{num}/{den}"
 
@@ -595,14 +882,19 @@ def _normalize(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial
         return num, _unit(num.vars)
     if not den.is_constant():
         g = poly_gcd(num, den)
-        if g.total_degree() > 0 or g.constant_value() != 1:
+        if not g.is_constant():
             num = exact_div(num, g)
             den = exact_div(den, g)
-    _, lc = den.leading()
-    if lc != 1:
-        inv = 1 / lc
-        num = num.scale(inv)
-        den = den.scale(inv)
+    return _monic(num, den)
+
+
+def _monic(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """Scale num/den so that den's grlex leading coefficient is 1."""
+    lc = den.prim[max(den.prim)]
+    if lc != 1 or den.content != 1:
+        lc *= den.content
+        num = num.scale(1 / lc)
+        den = Polynomial._make(den.vars, den.content / lc, den.prim)
     return num, den
 
 
@@ -612,12 +904,7 @@ def _reduced(num: Polynomial, den: Polynomial) -> RationalFunction:
         raise DivisionByZero("zero denominator")
     if num.is_zero():
         return RationalFunction.zero(num.vars)
-    _, lc = den.leading()
-    if lc != 1:
-        inv = 1 / lc
-        num = num.scale(inv)
-        den = den.scale(inv)
-    return RationalFunction(num, den, _normalized=True)
+    return RationalFunction(*_monic(num, den), _normalized=True)
 
 
 def _poly_subs(
@@ -718,10 +1005,14 @@ class ExpressionParser:
     coordinate names; standard precedence, `^` binds tightest.  Parentheses
     and prefix signs nest at most MAX_DEPTH deep in total; deeper input is a
     ParseError at the first token past the limit (the recursion would
-    otherwise exhaust the interpreter's stack).
+    otherwise exhaust the interpreter's stack).  An exponent is at most
+    MAX_EXPONENT in absolute value, and no power, product or quotient may
+    reach a polynomial degree above MAX_DEGREE; either is a ParseError at
+    the `^`, `*` or `/` token, so a packed monomial can never alias.
     """
 
     MAX_DEPTH = 100
+    MAX_EXPONENT = MAX_DEGREE
 
     def __init__(self, tokens: Sequence[Token], pos: int, vars: tuple[str, ...]):
         self.tokens = tokens
@@ -757,12 +1048,12 @@ class ExpressionParser:
             op = self.tokens[self.pos]
             self.pos += 1
             rhs = self._factor()
-            if op.kind == "*":
-                value = value * rhs
-            else:
-                if rhs.is_zero():
-                    raise ParseError(op.line, op.column, "a nonzero divisor", "0")
-                value = value / rhs
+            if op.kind == "/" and rhs.is_zero():
+                raise ParseError(op.line, op.column, "a nonzero divisor", "0")
+            try:
+                value = value * rhs if op.kind == "*" else value / rhs
+            except DegreeOverflow as err:
+                raise _degree_error(op, err.degree) from None
         return value
 
     def _factor(self) -> RationalFunction:
@@ -778,6 +1069,7 @@ class ExpressionParser:
     def _power(self) -> RationalFunction:
         base = self._atom()
         if self.peek().kind == "^":
+            caret = self.tokens[self.pos]
             self.pos += 1
             sign = 1
             while self.peek().kind in ("+", "-"):
@@ -788,9 +1080,17 @@ class ExpressionParser:
             if tok.kind != "int":
                 raise ParseError(tok.line, tok.column, "an integer exponent", tok.value)
             self.pos += 1
-            exponent = sign * int(tok.value)
+            digits = tok.value.lstrip("0")
+            # compare lengths first: int() of a huge literal is slow or refused
+            if len(digits) > len(str(self.MAX_EXPONENT)) or int(digits or "0") > self.MAX_EXPONENT:
+                found = tok.value if len(tok.value) <= 12 else tok.value[:12] + "..."
+                raise ParseError(caret.line, caret.column, f"an exponent of at most {self.MAX_EXPONENT}", found)
+            exponent = sign * int(digits or "0")
             if exponent < 0 and base.is_zero():
                 raise ParseError(tok.line, tok.column, "a nonzero base for a negative exponent", "0")
+            degree = max(base.num.total_degree(), base.den.total_degree()) * abs(exponent)
+            if degree > MAX_DEGREE:
+                raise _degree_error(caret, degree)
             return base**exponent
         return base
 
@@ -815,6 +1115,10 @@ class ExpressionParser:
             self.depth -= 1
             return value
         raise ParseError(tok.line, tok.column, "an expression", tok.value or "end of input")
+
+
+def _degree_error(tok: Token, degree: int) -> ParseError:
+    return ParseError(tok.line, tok.column, f"a polynomial degree of at most {MAX_DEGREE}", f"degree {degree}")
 
 
 def parse_scalar(text: str, vars: tuple[str, ...]) -> RationalFunction:

@@ -4,11 +4,16 @@ These deliberately avoid the production code paths: the pairing oracle is a
 permutation-expansion determinant, the differential oracle evaluates the
 Cartan formula argument by argument on frame tuples, and the intertwining
 oracle applies N, N* and pi# to plain ``Fraction`` vectors one definition
-at a time, with nothing from ``pn``.
+at a time, with nothing from ``pn``.  The polynomial oracles hand exponent
+dictionaries to sympy and read its results back into the canonical form by
+plain integer arithmetic.
 """
 
+import math
 from fractions import Fraction
 from itertools import permutations
+
+import sympy
 
 from algebroid_forge.calculus import evaluate, pairing, vector_field
 
@@ -114,3 +119,28 @@ def sharp_intertwining_oracle(pi, n):
             if lhs[k] != rhs[k]:
                 residues[f"(Npi# - pi#N*)[{k+1},{i+1}]"] = lhs[k] - rhs[k]
     return residues
+
+
+def sympy_poly(terms, nvars):
+    """sympy Poly over QQ in x1..x<nvars> from {exponent tuple: Fraction}."""
+    symbols = sympy.symbols(f"x1:{nvars + 1}")
+    coeffs = {m: sympy.Rational(c.numerator, c.denominator) for m, c in terms.items()}
+    return sympy.Poly.from_dict(coeffs, *symbols, domain=sympy.QQ)
+
+
+def sympy_terms(poly):
+    """{exponent tuple: Fraction} of a sympy Poly."""
+    return {m: Fraction(int(c.p), int(c.q)) for m, c in poly.terms() if c}
+
+
+def primitive_form(terms):
+    """The terms scaled to integer coefficients of gcd 1 whose leading one in
+    graded-lexicographic order is positive (the form of ``poly_gcd``)."""
+    if not terms:
+        return {}
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    ints = {m: int(c * den) for m, c in terms.items()}
+    g = math.gcd(*ints.values())
+    if ints[max(ints, key=lambda m: (sum(m), m))] < 0:
+        g = -g
+    return {m: Fraction(c, g) for m, c in ints.items()}

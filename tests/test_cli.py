@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import pathlib
 import subprocess
@@ -7,6 +8,7 @@ import sys
 import pytest
 
 from algebroid_forge.cli import main
+from algebroid_forge.rational import MAX_DEGREE
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -23,13 +25,22 @@ SAMPLED_RUNS = (
     "courant_tr2",
     "courant_tr2-kappa1",
 )
-# (test id, fingerprint key, forge arguments, seed)
-SEEDED_RUNS = [(key, key, args, 0) for key, args in FINGERPRINT_RUNS] + [
-    (f"{key}@{seed}", key, args, seed)
-    for seed in (3, 7)
-    for key, args in FINGERPRINT_RUNS
-    if key in SAMPLED_RUNS
-]
+# the benchmark's generator of rational-chart inputs, loaded from its file
+_spec = importlib.util.spec_from_file_location("ratchart", ROOT / "perfbench" / "ratchart.py")
+ratchart = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ratchart)
+# (test id, fingerprint key, forge arguments, seed); arguments None stand for
+# the rational-chart input of that key and seed, generated as the benchmark does
+SEEDED_RUNS = (
+    [(key, key, args, 0) for key, args in FINGERPRINT_RUNS]
+    + [
+        (f"{key}@{seed}", key, args, seed)
+        for seed in (3, 7)
+        for key, args in FINGERPRINT_RUNS
+        if key in SAMPLED_RUNS
+    ]
+    + [(f"{label}@{seed}", label, None, seed) for seed in (0, 3, 7) for label, *_ in ratchart.SPECS]
+)
 
 
 def forge(*args):
@@ -107,9 +118,11 @@ class TestRecords:
         [run[1:] for run in SEEDED_RUNS],
         ids=[run[0] for run in SEEDED_RUNS],
     )
-    def test_matches_benchmark_fingerprints(self, capsys, key, args, seed):
+    def test_matches_benchmark_fingerprints(self, capsys, tmp_path, key, args, seed):
         # records stay byte-identical to those the benchmark verifies
         table = json.loads(FINGERPRINTS.read_text(encoding="utf-8"))["records_sha256"]
+        if args is None:
+            args = (str(dict(ratchart.write_inputs(tmp_path, seed))[key]),)
         main(["check", *args, "--format", "records", "--seed", str(seed)])
         records = capsys.readouterr().out.encode("utf-8")
         assert hashlib.sha256(records).hexdigest() == table[f"{key}@{seed}"]
@@ -186,6 +199,32 @@ class TestBadInput:
         assert_input_error(result, bad)
         column = len(prefix) + 101
         assert f"1:{column}: expected at most 100 nested parentheses or signs" in result.stderr
+
+    def test_exponent_over_cap(self, tmp_path):
+        # an exponent that packed monomials cannot hold is a parse error at
+        # the '^', not a silently different monomial
+        bad = tmp_path / "bad.alg"
+        bad.write_text("algebroid A { base = [x1]; rank = 1; anchor[1,x1] = x1^5000000000; }\n")
+        result = forge("check", str(bad))
+        assert_input_error(result, bad)
+        assert f"1:55: expected an exponent of at most {MAX_DEGREE}, found '5000000000'" in result.stderr
+
+    def test_degree_overflow_in_a_task_is_an_error(self, tmp_path, capsys):
+        # x1^MAX_DEGREE parses; the first product of the check overflows
+        path = tmp_path / "top.alg"
+        path.write_text(
+            f"algebroid A {{ base = [x1]; rank = 1; anchor[1,x1] = x1^{MAX_DEGREE}; }}\n"
+            "task check-axioms A;\n"
+        )
+        assert main(["check", str(path), "--format", "records"]) == 1
+        out = capsys.readouterr().out
+        assert f"exceeds{MAX_DEGREE} verdict=error" in out
+
+    def test_max_degree_over_cap(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["check", str(CORPUS / "so3.alg"), "--max-degree", str(MAX_DEGREE + 1)])
+        assert exit_.value.code == 2
+        assert f"expected at most {MAX_DEGREE}, got '{MAX_DEGREE + 1}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--samples", "--max-degree"])
     def test_negative_sampling_sizes(self, flag):

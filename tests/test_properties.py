@@ -1,7 +1,9 @@
 """Hypothesis property checks layered on top of the seeded random tests:
-the graded-algebra laws on generated sections, and the canonical-form law
-for the scalar field."""
+the graded-algebra laws on generated sections, the canonical-form law for
+the scalar field, and the content-times-primitive-part representation of
+polynomials."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -20,6 +22,7 @@ from algebroid_forge.calculus import (
     wedge,
 )
 from algebroid_forge.rational import Polynomial, RationalFunction
+from oracles import sympy_poly, sympy_terms
 
 TR3 = tangent_algebroid(3)
 
@@ -126,3 +129,39 @@ def test_equal_values_identical_representation(seed, scale_seed):
     plain = RationalFunction(num, den)
     blown = RationalFunction(num * scale, den * scale)
     assert plain.num == blown.num and plain.den == blown.den
+
+
+polynomials = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 3),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+    max_size=5,
+).map(lambda terms: Polynomial(TR3.coords, terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(polynomials, polynomials)
+def test_polynomial_representation_is_canonical(p, q):
+    # the terms view round-trips, and equal values share one representation
+    assert Polynomial(TR3.coords, p.terms) == p
+    for value, again in ((p + q - q, p), (p * q, Polynomial(TR3.coords, dict((p * q).terms)))):
+        assert (value.content, value.prim) == (again.content, again.prim)
+        assert value == again and hash(value) == hash(again)
+    if p.is_zero():
+        assert p.content == 0 and not p.prim
+        return
+    # an integer primitive part with a positive leading coefficient; the
+    # content carries the sign of the grlex-leading coefficient
+    assert all(type(c) is int for c in p.prim.values())
+    assert math.gcd(*p.prim.values()) == 1 and p.prim[max(p.prim)] > 0
+    lead = p.terms[max(p.terms, key=lambda m: (sum(m), m))]
+    assert (p.content > 0) == (lead > 0)
+    assert (-p).content == -p.content and (-p).prim == p.prim
+
+
+@settings(max_examples=60, deadline=None)
+@given(polynomials, polynomials, st.integers(0, 2))
+def test_polynomial_ops_match_sympy(p, q, index):
+    sp, sq = sympy_poly(p.terms, 3), sympy_poly(q.terms, 3)
+    assert dict((p + q).terms) == sympy_terms(sp + sq)
+    assert dict((p * q).terms) == sympy_terms(sp * sq)
+    assert dict(p.derivative(index).terms) == sympy_terms(sp.diff(sp.gens[index]))

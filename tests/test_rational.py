@@ -6,13 +6,19 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algebroid_forge.errors import DivisionByZero, ParseError, UnknownCoordinate
+from algebroid_forge.errors import DegreeOverflow, DivisionByZero, ParseError, UnknownCoordinate
 from algebroid_forge.rational import (
+    MAX_DEGREE,
+    ExpressionParser,
     Polynomial,
     RationalFunction,
+    _heu_gcd,
+    _prs_gcd,
+    exact_div,
     parse_scalar,
     poly_gcd,
 )
+from oracles import primitive_form, sympy_poly, sympy_terms
 
 VARS = ("x1", "x2", "x3")
 
@@ -142,6 +148,98 @@ def test_gcd_matches_sympy():
         sours = sympy.Poly(sympy.sympify(str(ours).replace("^", "**")), *symbols)
         ratio = sympy.simplify(sours.as_expr() / theirs.as_expr())
         assert ratio.is_number and ratio != 0
+
+
+rationals = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 5))
+
+
+@st.composite
+def factor_triples(draw):
+    """(g, a, b) with up to 4 terms each in the first 1-3 coordinates."""
+    nvars = draw(st.integers(1, 3))
+    monomials = st.tuples(*[st.integers(0, 2)] * nvars, *[st.just(0)] * (3 - nvars))
+    polys = st.dictionaries(monomials, rationals, min_size=1, max_size=4)
+    return tuple(Polynomial(VARS, draw(polys)) for _ in range(3))
+
+
+def sympy_gcd_form(p, q):
+    return primitive_form(sympy_terms(sympy.gcd(sympy_poly(p.terms, 3), sympy_poly(q.terms, 3))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(factor_triples(), st.dictionaries(st.tuples(*[st.integers(0, 1)] * 3), rationals, min_size=1, max_size=3))
+def test_planted_gcd_matches_sympy(triple, divisor_terms):
+    # g*a and g*b share g, so the gcd is g times gcd(a, b), rarely 1
+    g, a, b = triple
+    p, q = g * a, g * b
+    ours = poly_gcd(p, q)
+    assert dict(ours.terms) == sympy_gcd_form(p, q)
+    assert exact_div(p, g) == a and exact_div(q, g) == b
+    assert exact_div(p, ours) * ours == p and exact_div(q, ours) * ours == q
+    divisor = Polynomial(VARS, divisor_terms)
+    quotient, remainder = sympy.div(sympy_poly(p.terms, 3), sympy_poly(divisor_terms, 3))
+    if remainder.is_zero:
+        assert dict(exact_div(p, divisor).terms) == sympy_terms(quotient)
+    else:
+        with pytest.raises(ValueError):
+            exact_div(p, divisor)
+
+
+@settings(max_examples=40, deadline=None)
+@given(factor_triples())
+def test_prs_fallback_agrees_with_gcdheu(triple):
+    # no shipped input reaches the PRS: run it and GCDHEU on their own
+    g, a, b = triple
+    p, q = g * a, g * b
+    expected = sympy_gcd_form(p, q)
+    assert dict(_prs_gcd(p, q).terms) == expected
+    found = _heu_gcd(p.prim, q.prim, range(3), 3)
+    assert found is not None
+    h, cff, cfg = found
+    assert dict(Polynomial._from_ints(VARS, 1, 1, h).terms) == expected
+    assert Polynomial._from_ints(VARS, 1, 1, h) * Polynomial._from_ints(VARS, 1, 1, cff) == (
+        Polynomial._from_ints(VARS, 1, 1, p.prim)
+    )
+
+
+class TestDegreeBound:
+    # monomials only: nothing here allocates more than a few terms
+
+    def test_boundary_monomials_pack_without_aliasing(self):
+        top = Polynomial(VARS, {(MAX_DEGREE, 0, 0): Fraction(1)})
+        mixed = Polynomial(VARS, {(MAX_DEGREE - 1, 1, 0): Fraction(2)})
+        assert dict(top.terms) == {(MAX_DEGREE, 0, 0): 1}
+        assert dict(mixed.terms) == {(MAX_DEGREE - 1, 1, 0): 2}
+        x1, x2 = Polynomial.coord(VARS, "x1"), Polynomial.coord(VARS, "x2")
+        assert x1**MAX_DEGREE == top
+        assert (x1 ** (MAX_DEGREE - 1) * x2).scale(Fraction(2)) == mixed
+        assert x1 ** (MAX_DEGREE - 1) * x2 != x1**MAX_DEGREE
+
+    def test_overflowing_product_raises(self):
+        x1, x2 = Polynomial.coord(VARS, "x1"), Polynomial.coord(VARS, "x2")
+        with pytest.raises(DegreeOverflow):
+            x1**MAX_DEGREE * x2
+        with pytest.raises(DegreeOverflow):
+            x2 ** (MAX_DEGREE + 1)
+        with pytest.raises(DegreeOverflow):
+            Polynomial(VARS, {(MAX_DEGREE, 1, 0): Fraction(1)})
+
+    def test_parser_caps(self):
+        assert ExpressionParser.MAX_EXPONENT == MAX_DEGREE
+        assert rf(f"x1^{MAX_DEGREE}") == rf("x1") ** MAX_DEGREE
+        cases = [
+            # (text, column of the offending token, expected)
+            (f"x1^{MAX_DEGREE + 1}", 3, f"an exponent of at most {MAX_DEGREE}"),
+            ("x1^-" + "9" * 5000, 3, f"an exponent of at most {MAX_DEGREE}"),
+            ("(x2^200)^200", 9, f"a polynomial degree of at most {MAX_DEGREE}"),
+            ("(1/x2^200)^200", 11, f"a polynomial degree of at most {MAX_DEGREE}"),
+            ("x1^20000 * x1^20000", 10, f"a polynomial degree of at most {MAX_DEGREE}"),
+            ("1/x1^20000 / x1^20000", 12, f"a polynomial degree of at most {MAX_DEGREE}"),
+        ]
+        for text, column, expected in cases:
+            with pytest.raises(ParseError) as err:
+                parse_scalar(text, VARS)
+            assert (err.value.column, err.value.expected) == (column, expected), text
 
 
 def test_arith_matches_sympy():
