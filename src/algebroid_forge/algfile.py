@@ -24,7 +24,15 @@ from .errors import ParseError, SemanticError
 from .paired import PairedOperator
 from .rational import ExpressionParser, RationalFunction, Token, tokenize
 
-_FRAME_RE = re.compile(r"^e([0-9]+)$")
+# a frame symbol; at most 9 digits keep int() of its index cheap and allowed
+_FRAME_RE = re.compile(r"^e([0-9]{1,9})$")
+
+# Bounds on an algebroid declaration, each a ParseError at the offending
+# token: parsing allocates rank^2 (rank - 1) / 2 structure entries, and the
+# checks enumerate frame pairs and triples.  The shipped corpus stays at rank
+# 4 with 4 coordinates.
+MAX_RANK = 32
+MAX_COORDS = 32
 
 
 @dataclass
@@ -148,15 +156,21 @@ class _Parser:
             coords.append(self.next().value)
             while self.peek().kind == ",":
                 self.next()
-                coords.append(self.expect("name", "a coordinate name").value)
+                tok = self.expect("name", "a coordinate name")
+                if len(coords) == MAX_COORDS:
+                    raise ParseError(tok.line, tok.column, f"at most {MAX_COORDS} coordinates", tok.value)
+                coords.append(tok.value)
         self.expect("]")
         self.expect(";")
         self.expect_name("rank")
         self.expect("=")
+        tok = self.peek()
         rank = self.expect_int()
         if rank < 1:
-            tok = self.tokens[self.pos - 1]
             raise SemanticError("rank must be positive", tok.line, tok.column)
+        if rank > MAX_RANK:
+            found = tok.value if len(tok.value) <= 12 else tok.value[:12] + "..."
+            raise ParseError(tok.line, tok.column, f"a rank of at most {MAX_RANK}", found)
         self.expect(";")
         coords = tuple(coords)
         zero = RationalFunction.zero(coords)

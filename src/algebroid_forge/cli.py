@@ -3,12 +3,13 @@
 ``forge check <file> [--seed S] [--samples K] [--max-degree D]
                      [--kappa {1,1/2}] [--format {text,records}]``
 
+Every task is fitted to one of the usages in TASKS before the first runs.
 Exit codes: 0 when every task passes, 1 when some task fails (including
 hypothesis-not-satisfied and task-level errors), 2 on parse or semantic
-errors and on an option out of range (``--max-degree`` is at most
-``rational.MAX_DEGREE``).  The ``records`` format prints one
-machine-readable line per clause and is byte-identical across runs with
-identical inputs and configuration.
+errors (a task that fits no usage included) and on an option out of range
+(``--max-degree`` is at most ``rational.MAX_DEGREE``).  The ``records``
+format prints one machine-readable line per clause and is byte-identical
+across runs with identical inputs and configuration.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import algfile
-from .calculus import check_axioms, check_d_squared
+from .calculus import FORM, MULTIVECTOR, check_axioms, check_d_squared
 from .courant import (
     SplitSubbundle,
     Submanifold,
@@ -64,225 +65,235 @@ class RunConfig:
     kappa: Fraction = Fraction(1, 2)
 
 
-class _TaskRunner:
-    def __init__(self, file: algfile.StructureFile, config: RunConfig):
-        self.file = file
-        self.config = config
-        self.qlbs = {}
-        self.task: algfile.TaskItem | None = None  # the task being run
+def _sampling(c: RunConfig) -> dict:
+    return {"seed": c.seed, "samples": c.samples, "max_degree": c.max_degree}
 
-    # -- argument helpers -----------------------------------------------------
 
-    def _error(self, message):
-        return SemanticError(f"task {self.task.name}: {message}", self.task.line, 1)
+def _axioms(A):
+    report = check_axioms(A)
+    report.clauses.extend(check_d_squared(A).clauses)
+    return report
 
-    def _arg(self, args, i, allowed, usage):
-        """Task argument i: a [..] list when ``allowed`` is ``list``, else a
-        name in ``allowed``.  A missing or different argument is a
-        SemanticError at the task's line."""
-        arg = args[i] if i < len(args) else None
-        ok = isinstance(arg, list) if allowed is list else isinstance(arg, str) and arg in allowed
-        if not ok:
-            raise self._error(f"argument {i+1} must be {usage}")
-        return arg
 
-    def _named(self, table, kind, args, i):
-        return table[self._arg(args, i, table, f"a declared {kind}")]
+def _courant(c: RunConfig, E):
+    return verify_courant_axioms(E, kappa=c.kappa, **_sampling(c))
 
-    def _vanishing(self, args, i, coords):
-        names = self._arg(args, i, list, "a [list] of vanishing coordinates")
-        for name in names:
-            if name not in coords:
-                raise self._error(f"unknown coordinate {name!r} in submanifold argument")
-        return tuple(names)
 
-    def algebroid(self, args, i):
-        return self._named(self.file.algebroids, "algebroid", args, i)
+def _conormal(E, vanishing):
+    return check_generalized_dirac(tangent_conormal_dirac(E, vanishing))
 
-    def tensor(self, args, i):
-        return self._named(self.file.tensors, "tensor", args, i)
 
-    def endo(self, args, i):
-        return self._named(self.file.endos, "endo", args, i)
+def _deformed(c: RunConfig, P, E):
+    return build_deformed_double(E, P, **_sampling(c))[1]
 
-    def qlb(self, args, i):
-        return self._named(self.qlbs, "built qlb", args, i)
 
-    def _bind_result(self, args, tail_from, value):
-        rest = args[tail_from:]
-        if len(rest) == 2 and rest[0] == "as" and isinstance(rest[1], str):
-            self.qlbs[rest[1]] = value
-        elif rest:
-            raise self._error(f"unexpected trailing task arguments {rest}")
+# slot word -> (the StructureFile table its argument is a name in, what the
+# argument must be).  A qLB slot (table None) names a qLB that an earlier
+# build task binds with ``as NAME``.  The chart of a task is the algebroid of
+# its last algebroid, qLB or paired-operator slot: a tensor or endo slot
+# needs one declared on it, and a list slot is checked against it.
+SLOTS = {
+    "A": ("algebroids", "a declared algebroid"),
+    "pi": ("tensors", "a declared degree-2 multivector"),
+    "phi": ("tensors", "a declared degree-3 form"),
+    "N": ("endos", "a declared endo"),
+    "Phi": ("morphisms", "a declared morphism"),
+    "P": ("paired", "a declared paired operator"),
+    **dict.fromkeys(("Q", "Qsrc", "Qtgt"), (None, "a declared built qlb")),
+    "[x3]": (list, "a [list] of vanishing coordinates"),
+    "[e3]": (list, "a [list] of frame symbols"),
+}
+TENSOR_KINDS = {"pi": (MULTIVECTOR, 2), "phi": (FORM, 3)}  # what a tensor slot needs
 
-    def _double(self, args, i):
-        kind = self._arg(args, i, ("standard", "twisted", "qlb"), "standard, twisted or qlb")
-        if kind == "standard":
-            return standard_double(self.algebroid(args, i + 1)), i + 2
-        if kind == "twisted":
-            A = self.algebroid(args, i + 1)
-            phi = self.tensor(args, i + 2)
-            return twisted_double(A, phi), i + 3
-        return qlb_double(self.qlb(args, i + 1)), i + 2
+# README usage line -> the library call it runs, given the run's
+# configuration and the slot arguments in order.  Any other word is a literal
+# keyword.  A usage ending in ``as Q`` builds a qLB; its ``as NAME`` is
+# optional and binds the qLB for later tasks.
+TASKS = {
+    "check-axioms A": lambda c, A: _axioms(A),
+    "check-twisted-poisson A pi phi": lambda c, A, pi, phi: check_twisted_poisson(A, pi, phi),
+    "check-compatible A pi N": lambda c, A, pi, N: check_compatible(A, pi, N),
+    "check-pqn A pi N phi": lambda c, A, pi, N, phi: check_pqn(A, pi, N, phi),
+    "build-qlb from_pqn A pi N phi as Q": lambda c, *s: build_qlb_from_pqn(PqnStructure(*s)),
+    "build-qlb A pi N phi as Q": lambda c, *s: build_qlb_from_pqn(PqnStructure(*s)),
+    "build-qlb from_3form A phi as Q": lambda c, A, phi: qlb_from_closed3form(A, phi),
+    "build-qlb from_twisted A pi phi as Q": lambda c, *s: qlb_from_twisted_poisson(*s),
+    "check-qlb Q": lambda c, Q: check_qlb(Q, **_sampling(c)),
+    "check-qlb-morphism Phi Qsrc Qtgt": lambda c, *s: check_qlb_morphism(*s),
+    "verify-lemma-tnstar A pi N phi": lambda c, *s: verify_lemma_tnstar(PqnStructure(*s)),
+    "verify-courant standard A": lambda c, A: _courant(c, standard_double(A)),
+    "verify-courant twisted A phi": lambda c, A, phi: _courant(c, twisted_double(A, phi)),
+    "verify-courant qlb Q": lambda c, Q: _courant(c, qlb_double(Q)),
+    "check-generalized-dirac standard A tp_conormal [x3]": lambda c, A, x: _conormal(
+        standard_double(A), x
+    ),
+    "check-generalized-dirac twisted A phi tp_conormal [x3]": lambda c, A, phi, x: _conormal(
+        twisted_double(A, phi), x
+    ),
+    "check-generalized-dirac qlb Q tp_conormal [x3]": lambda c, Q, x: _conormal(qlb_double(Q), x),
+    "check-split-dirac Q span [e3] at [x3]": lambda c, Q, span, x: check_split_dirac(
+        Q, SplitSubbundle(span), Submanifold.coordinate_subspace(Q.base.coords, x)
+    ),
+    "build-morphism-graph Phi Qsrc Qtgt": lambda c, *s: check_generalized_dirac(
+        build_morphism_graph(*s)
+    ),
+    "check-paired P": lambda c, P: check_paired(P.A, P.blocks()),
+    "check-torsion-blocks P": lambda c, P: check_torsion_blocks(standard_double(P.A), P),
+    "check-torsion-blocks P twist phi": lambda c, P, phi: check_torsion_blocks(
+        twisted_double(P.A, phi), P
+    ),
+    "check-gc P": lambda c, P: check_generalized_complex(P),
+    "check-theorem-pqn P": lambda c, P: check_theorem_pqn_from_paired(P.A, P),
+    "build-deformed-double P": lambda c, P: _deformed(c, P, standard_double(P.A)),
+    "build-deformed-double P twist phi": lambda c, P, phi: _deformed(c, P, twisted_double(P.A, phi)),
+}
 
-    # -- dispatch ---------------------------------------------------------------
 
-    def run_task(self, task: algfile.TaskItem) -> Report:
-        method = getattr(self, "task_" + task.name.replace("-", "_"), None)
-        if method is None:
+@dataclass
+class BoundTask:
+    """A task fitted to its usage.  A qLB in ``values`` stays a name until the
+    task runs; ``binds`` is None, or for a build its ``as NAME`` (or "")."""
+
+    name: str
+    call: object
+    values: list
+    binds: str | None
+
+
+class _Misfit(Exception):
+    """(k, want): argument k must be ``want``; want None: it is one too many."""
+
+
+def _error(task, message) -> SemanticError:
+    return SemanticError(f"task {task.name}: {message}", task.line, 1)
+
+
+def _list_value(task, word, entries, chart):
+    if word == "[x3]":
+        for name in entries:
+            if name not in chart.coords:
+                raise _error(task, f"unknown coordinate {name!r} in submanifold argument")
+        return tuple(entries)
+    vectors = []
+    for entry in entries:
+        m = algfile._FRAME_RE.match(str(entry))
+        if not m or not 1 <= int(m.group(1)) <= chart.rank:
+            raise _error(task, f"span entries must be frame symbols, got {entry!r}")
+        k = int(m.group(1)) - 1
+        vectors.append([Fraction(1 if j == k else 0) for j in range(chart.rank)])
+    return vectors
+
+
+def _on_chart(file, word, name, chart) -> bool:
+    if word == "N":
+        return file.algebroids[file.endo_parent[name]] is chart
+    if word in TENSOR_KINDS:
+        t = file.tensors[name]
+        return t.parent is chart and (t.variance, t.degree) == TENSOR_KINDS[word]
+    return True
+
+
+def _fit(task, words, args, file, built):
+    """Fit ``args`` to one usage's words: (slot values, the task's chart)."""
+    values, chart = [], None
+    for k, word in enumerate(words):
+        arg = args[k] if k < len(args) else None
+        if word not in SLOTS:
+            if arg != word:
+                raise _Misfit(k, word)
+            continue
+        table, want = SLOTS[word]
+        if table in ("tensors", "endos"):
+            want = f"{want} on {chart.name}"
+        if table is list:
+            if not isinstance(arg, list):
+                raise _Misfit(k, want)
+            values.append(_list_value(task, word, arg, chart))
+            continue
+        scope = built if table is None else getattr(file, table)
+        if not isinstance(arg, str) or arg not in scope or not _on_chart(file, word, arg, chart):
+            raise _Misfit(k, want)
+        values.append(arg if table is None else scope[arg])
+        if table is None or word == "A":
+            chart = scope[arg]
+        elif word == "P":
+            chart = scope[arg].A
+    if len(args) > len(words):
+        raise _Misfit(len(words), None)
+    return values, chart
+
+
+def bind(file: algfile.StructureFile) -> list[BoundTask]:
+    """Resolve every task of the file against TASKS before any task runs:
+    arity (trailing arguments included), keywords, name kinds and the qLB
+    names that builds bind.  A task that fits no usage is a SemanticError at
+    its line, naming what its first misfitting argument must be."""
+    built = {}  # qLB name -> the algebroid whose chart and rank its base has
+    bound = []
+    for task in file.tasks:
+        usages = [(u.split()[1:], call) for u, call in TASKS.items() if u.split()[0] == task.name]
+        if not usages:
             raise SemanticError(f"unknown task {task.name!r}", task.line, 1)
-        self.task = task
-        return method(task.args)
+        args, binds = task.args, ""
+        if args[-2:-1] == ["as"] and isinstance(args[-1], str):
+            args, binds = args[:-2], args[-1]
+        misfits = []
+        for words, call in usages:
+            builds = words[-2:] == ["as", "Q"]
+            fit_words, fit_args = (words[:-2], args) if builds else (words, task.args)
+            try:
+                values, chart = _fit(task, fit_words, fit_args, file, built)
+            except _Misfit as misfit:
+                misfits.append(misfit.args)
+                continue
+            if builds and binds:
+                built[binds] = chart
+            bound.append(BoundTask(task.name, call, values, binds if builds else None))
+            break
+        else:
+            k = max(k for k, _ in misfits)
+            wants = list(dict.fromkeys(want for j, want in misfits if j == k and want))
+            if not wants:
+                raise _error(task, f"unexpected trailing task arguments {task.args[k:]}")
+            wants = ", ".join(wants[:-1]) + " or " + wants[-1] if len(wants) > 1 else wants[0]
+            raise _error(task, f"argument {k+1} must be {wants}")
+    return bound
 
-    def task_check_axioms(self, args):
-        A = self.algebroid(args, 0)
-        report = check_axioms(A)
-        report.clauses.extend(check_d_squared(A).clauses)
-        return report
 
-    def task_check_twisted_poisson(self, args):
-        return check_twisted_poisson(
-            self.algebroid(args, 0), self.tensor(args, 1), self.tensor(args, 2)
-        )
+class _TaskRunner:
+    def __init__(self, config: RunConfig):
+        self.config = config
+        self.qlbs = {}  # name -> qLB, for the builds that succeeded
 
-    def task_check_compatible(self, args):
-        return check_compatible(self.algebroid(args, 0), self.tensor(args, 1), self.endo(args, 2))
-
-    def task_check_pqn(self, args):
-        return check_pqn(
-            self.algebroid(args, 0),
-            self.tensor(args, 1),
-            self.endo(args, 2),
-            self.tensor(args, 3),
-        )
-
-    def task_build_qlb(self, args):
-        mode = args[0] if args and args[0] in ("from_pqn", "from_3form", "from_twisted") else "from_pqn"
-        i = 1 if args and args[0] == mode else 0
+    def run_task(self, task: BoundTask) -> Report:
+        missing = [v for v in task.values if isinstance(v, str) and v not in self.qlbs]
+        if missing:
+            raise ForgeError(f"qlb {missing[0]} was not built: its build task failed")
+        values = [self.qlbs[v] if isinstance(v, str) else v for v in task.values]
+        if task.binds is None:
+            return task.call(self.config, *values)
+        self.qlbs.pop(task.binds, None)  # a failed build leaves its name unbuilt
+        self.qlbs[task.binds] = task.call(self.config, *values)
         report = Report("build-qlb")
-        if mode == "from_pqn":
-            S = PqnStructure(
-                self.algebroid(args, i),
-                self.tensor(args, i + 1),
-                self.endo(args, i + 2),
-                self.tensor(args, i + 3),
-            )
-            Q = build_qlb_from_pqn(S)
-            self._bind_result(args, i + 4, Q)
-        elif mode == "from_3form":
-            Q = qlb_from_closed3form(self.algebroid(args, i), self.tensor(args, i + 1))
-            self._bind_result(args, i + 2, Q)
-        else:
-            Q = qlb_from_twisted_poisson(
-                self.algebroid(args, i), self.tensor(args, i + 1), self.tensor(args, i + 2)
-            )
-            self._bind_result(args, i + 3, Q)
         report.clause("construction", "PROOF_TENSORIAL").record_flag("hypotheses", True)
-        return report
-
-    def task_check_qlb(self, args):
-        c = self.config
-        return check_qlb(
-            self.qlb(args, 0), seed=c.seed, samples=c.samples, max_degree=c.max_degree
-        )
-
-    def task_check_qlb_morphism(self, args):
-        phi = self._named(self.file.morphisms, "morphism", args, 0)
-        return check_qlb_morphism(phi, self.qlb(args, 1), self.qlb(args, 2))
-
-    def task_verify_lemma_tnstar(self, args):
-        S = PqnStructure(
-            self.algebroid(args, 0),
-            self.tensor(args, 1),
-            self.endo(args, 2),
-            self.tensor(args, 3),
-        )
-        return verify_lemma_tnstar(S)
-
-    def task_verify_courant(self, args):
-        E, _ = self._double(args, 0)
-        c = self.config
-        return verify_courant_axioms(
-            E, kappa=c.kappa, seed=c.seed, samples=c.samples, max_degree=c.max_degree
-        )
-
-    def task_check_generalized_dirac(self, args):
-        E, i = self._double(args, 0)
-        self._arg(args, i, ("tp_conormal",), "tp_conormal")
-        F = tangent_conormal_dirac(E, self._vanishing(args, i + 1, E.base.coords))
-        return check_generalized_dirac(F)
-
-    def task_check_split_dirac(self, args):
-        Q = self.qlb(args, 0)
-        self._arg(args, 1, ("span",), "span")
-        vectors = []
-        for entry in self._arg(args, 2, list, "a [list] of frame symbols"):
-            m = algfile._FRAME_RE.match(str(entry))
-            if not m or not 1 <= int(m.group(1)) <= Q.base.rank:
-                raise self._error(f"span entries must be frame symbols, got {entry!r}")
-            k = int(m.group(1)) - 1
-            vectors.append([Fraction(1 if j == k else 0) for j in range(Q.base.rank)])
-        self._arg(args, 3, ("at",), "at")
-        P = Submanifold.coordinate_subspace(Q.base.coords, self._vanishing(args, 4, Q.base.coords))
-        return check_split_dirac(Q, SplitSubbundle(vectors), P)
-
-    def task_build_morphism_graph(self, args):
-        phi = self._named(self.file.morphisms, "morphism", args, 0)
-        F = build_morphism_graph(phi, self.qlb(args, 1), self.qlb(args, 2))
-        return check_generalized_dirac(F)
-
-    def task_check_paired(self, args):
-        op = self._named(self.file.paired, "paired operator", args, 0)
-        return check_paired(op.A, op.blocks())
-
-    def _paired_with_twist(self, args):
-        op = self._named(self.file.paired, "paired operator", args, 0)
-        if len(args) >= 3 and args[1] == "twist":
-            E = twisted_double(op.A, self.tensor(args, 2))
-        else:
-            E = standard_double(op.A)
-        return op, E
-
-    def task_check_torsion_blocks(self, args):
-        op, E = self._paired_with_twist(args)
-        return check_torsion_blocks(E, op)
-
-    def task_check_gc(self, args):
-        op = self._named(self.file.paired, "paired operator", args, 0)
-        return check_generalized_complex(op)
-
-    def task_check_theorem_pqn(self, args):
-        op = self._named(self.file.paired, "paired operator", args, 0)
-        return check_theorem_pqn_from_paired(op.A, op)
-
-    def task_build_deformed_double(self, args):
-        op, E = self._paired_with_twist(args)
-        c = self.config
-        Q, report = build_deformed_double(
-            E, op, seed=c.seed, samples=c.samples, max_degree=c.max_degree
-        )
         return report
 
 
 def run(file: algfile.StructureFile, config: RunConfig) -> list[Report]:
-    """Execute the file's tasks in order; task errors never abort the run."""
-    runner = _TaskRunner(file, config)
+    """Bind every task, then run them in order; a failing task never aborts the run."""
+    runner = _TaskRunner(config)
     reports = []
-    for index, task in enumerate(file.tasks):
+    for index, task in enumerate(bind(file)):
         task_id = f"{task.name}#{index+1}"
         try:
             report = runner.run_task(task)
             report.task = task_id
         except HypothesisNotSatisfied as err:
             report = Report(task_id, verdict_override=HYPOTHESIS, detail=str(err))
-        except (ParseError, SemanticError):
-            # bad references in the file itself: a whole-file error, exit 2
-            raise
         except ForgeError as err:
             report = Report(task_id, verdict_override=ERROR, detail=str(err))
-        report.params.setdefault("seed", config.seed)
-        report.params.setdefault("samples", config.samples)
-        report.params.setdefault("max_degree", config.max_degree)
+        for key, value in _sampling(config).items():
+            report.params.setdefault(key, value)
         reports.append(report)
     return reports
 
@@ -318,37 +329,20 @@ def main(argv=None) -> int:
     check.add_argument("--format", choices=["text", "records"], default="text")
     args = parser.parse_args(argv)
 
+    kappa = Fraction(1, 2) if args.kappa == "1/2" else Fraction(1)
+    config = RunConfig(args.seed, args.samples, args.max_degree, kappa)
     try:
         with open(args.file, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except (OSError, UnicodeDecodeError) as err:
-        print(f"{args.file}: {err}", file=sys.stderr)
-        return 2
-    try:
-        structure = algfile.parse(text)
-    except (ParseError, SemanticError) as err:
+        reports = run(algfile.parse(text), config)
+    except (OSError, UnicodeDecodeError, ParseError, SemanticError) as err:
         print(f"{args.file}: {err}", file=sys.stderr)
         return 2
 
-    config = RunConfig(
-        seed=args.seed,
-        samples=args.samples,
-        max_degree=args.max_degree,
-        kappa=Fraction(1, 2) if args.kappa == "1/2" else Fraction(1),
-    )
-    try:
-        reports = run(structure, config)
-    except (ParseError, SemanticError) as err:
-        print(f"{args.file}: {err}", file=sys.stderr)
-        return 2
-
-    lines = []
     if args.format == "records":
-        for report in reports:
-            lines.extend(report.to_records())
+        lines = [line for report in reports for line in report.to_records()]
     else:
-        for report in reports:
-            lines.append(report.to_text())
+        lines = [report.to_text() for report in reports]
     print("\n".join(lines))
     return 0 if all(r.passed for r in reports) else 1
 

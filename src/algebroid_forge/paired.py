@@ -36,8 +36,8 @@ from .errors import HypothesisNotSatisfied, ParentMismatch
 from .pn import (
     Matrix,
     QuasiLieBialgebroid,
-    bivector_from_sharp,
     check_pqn,
+    concomitant,
     contraction_matrix,
     deformed_bracket,
     dual_presentation,
@@ -46,8 +46,6 @@ from .pn import (
     nijenhuis_torsion,
     nstar_matrix,
     pi_sharp,
-    poisson_bracket,
-    sharp_is_antisymmetric,
 )
 from .reporting import PROOF_TENSORIAL, EVIDENCE_SAMPLED, Report
 
@@ -184,30 +182,17 @@ def check_torsion_blocks(E: CourantDouble, op: PairedOperator) -> Report:
     poisson.record("[pi,pi]", schouten(op.pi, op.pi))
 
     dual_system = report.clause("dual-block-system", PROOF_TENSORIAL)
-    sharp = contraction_matrix(op.pi)
-    nsharp = matrix_compose(A, op.n_matrix, sharp)
-    if sharp_is_antisymmetric(A, nsharp):
-        npi = bivector_from_sharp(A, nsharp)
-        dual = dual_presentation(A, op.pi)
-        nstar = nstar_matrix(A, op.n_matrix)
+    C = concomitant(A, op.pi, op.n_matrix)
+    if C is None:
+        dual_system.record_flag("Npi-bivector", False, "Npi-not-antisymmetric")
+    else:
         for i in range(A.rank):
             for j in range(i + 1, A.rank):
                 a, b = A.coframe(i), A.coframe(j)
-                lhs = poisson_bracket(npi, a, b) - retag(
-                    deformed_bracket(
-                        dual,
-                        nstar,
-                        retag(a, dual, MULTIVECTOR),
-                        retag(b, dual, MULTIVECTOR),
-                    ),
-                    A,
-                    FORM,
-                )
+                lhs = C(a, b)
                 if twisted:
                     lhs = lhs - _phi_two_slot(phi, pi_sharp(op.pi, a), pi_sharp(op.pi, b))
                 dual_system.record(f"eps{i+1},eps{j+1}", lhs)
-    else:
-        dual_system.record_flag("Npi-bivector", False, "Npi-not-antisymmetric")
 
     nsigma, symmetric = _n_sigma(op)
     dsigma = differential(op.sigma)

@@ -188,14 +188,8 @@ def insert_endomorphism(A: AlgebroidPresentation, n_matrix: Matrix, mu: GradedSe
     return out
 
 
-def nstar_pullback(
-    A: AlgebroidPresentation, n_matrix: Matrix, psi: GradedSection, mode: str = "multiplicative"
-) -> GradedSection:
-    """N* on forms: all slots through N (multiplicative) or the i_N derivation."""
-    if mode == "derivation":
-        return insert_endomorphism(A, n_matrix, psi)
-    if mode != "multiplicative":
-        raise ValueError("mode must be multiplicative or derivation")
+def nstar_pullback(A: AlgebroidPresentation, n_matrix: Matrix, psi: GradedSection) -> GradedSection:
+    """N* on forms, every slot through N: (N* psi)(X_1..X_k) = psi(N X_1, .., N X_k)."""
     nstar = nstar_matrix(A, n_matrix)
     out = A.zero_section(FORM, psi.degree)
     for idx, f in psi.coeffs.items():
@@ -281,17 +275,30 @@ def prime_presentation(
     return derived_presentation(A, identity_morphism(A).matrix, bracket, name or f"{A.name}'")
 
 
-def dprime(
-    A: AlgebroidPresentation, pi: GradedSection, phi: GradedSection, mu: GradedSection
-) -> GradedSection:
-    """d' on forms of A (the Cartan differential of the prime structure)."""
-    prime = prime_presentation(A, pi, phi)
-    return retag(differential(retag(mu, prime, FORM)), A, FORM)
-
-
 # ---------------------------------------------------------------------------
 # compatibility checks
 # ---------------------------------------------------------------------------
+
+
+def concomitant(A: AlgebroidPresentation, pi: GradedSection, n_matrix: Matrix):
+    """The Magri-Morosi concomitant C(pi, N) as a function of two 1-forms,
+    or None when N o pi# is not antisymmetric, so that N pi is no bivector.
+    N pi, N* and A*_pi are built once, for every pair the caller evaluates."""
+    nsharp = matrix_compose(A, n_matrix, contraction_matrix(pi))
+    if not sharp_is_antisymmetric(A, nsharp):
+        return None
+    npi = bivector_from_sharp(A, nsharp)
+    nstar = nstar_matrix(A, n_matrix)
+    dual = dual_presentation(A, pi)
+
+    def C(alpha: GradedSection, beta: GradedSection) -> GradedSection:
+        first = poisson_bracket(npi, alpha, beta)
+        second = deformed_bracket(
+            dual, nstar, retag(alpha, dual, MULTIVECTOR), retag(beta, dual, MULTIVECTOR)
+        )
+        return first - retag(second, A, FORM)
+
+    return C
 
 
 def magri_morosi(
@@ -302,28 +309,10 @@ def magri_morosi(
     beta: GradedSection,
 ) -> GradedSection:
     """C(pi, N)(a, b) = [a, b]_{N pi} - [a, b]^{N*}_pi; requires N pi antisymmetric."""
-    nsharp = matrix_compose(A, n_matrix, contraction_matrix(pi))
-    if not sharp_is_antisymmetric(A, nsharp):
+    C = concomitant(A, pi, n_matrix)
+    if C is None:
         raise HypothesisNotSatisfied("N pi is not a bivector (N o pi# not antisymmetric)")
-    npi = bivector_from_sharp(A, nsharp)
-    return _concomitant(A, npi, nstar_matrix(A, n_matrix), dual_presentation(A, pi), alpha, beta)
-
-
-def _concomitant(
-    A: AlgebroidPresentation,
-    npi: GradedSection,
-    nstar: Matrix,
-    dual: AlgebroidPresentation,
-    alpha: GradedSection,
-    beta: GradedSection,
-) -> GradedSection:
-    """magri_morosi from the bivector N pi, N* and A*_pi, which a caller
-    evaluating every frame pair builds once."""
-    first = poisson_bracket(npi, alpha, beta)
-    second = deformed_bracket(
-        dual, nstar, retag(alpha, dual, MULTIVECTOR), retag(beta, dual, MULTIVECTOR)
-    )
-    return first - retag(second, A, FORM)
+    return C(alpha, beta)
 
 
 def check_compatible(A: AlgebroidPresentation, pi: GradedSection, n_matrix: Matrix) -> Report:
@@ -340,17 +329,14 @@ def check_compatible(A: AlgebroidPresentation, pi: GradedSection, n_matrix: Matr
     for k in range(A.rank):
         for i in range(A.rank):
             intertwine.record(f"(Npi# - pi#N*)[{k+1},{i+1}]", nsharp[k][i] - other[k][i])
-    concomitant = report.clause("magri-morosi", PROOF_TENSORIAL)
-    if anti.passed:
-        npi = bivector_from_sharp(A, nsharp)
-        nstar = nstar_matrix(A, n_matrix)
-        dual = dual_presentation(A, pi)
+    mm = report.clause("magri-morosi", PROOF_TENSORIAL)
+    C = concomitant(A, pi, n_matrix)
+    if C is None:
+        mm.record_flag("precondition", False, "Npi-not-a-bivector")
+    else:
         for i in range(A.rank):
             for j in range(i + 1, A.rank):
-                c = _concomitant(A, npi, nstar, dual, A.coframe(i), A.coframe(j))
-                concomitant.record(f"C(eps{i+1},eps{j+1})", c)
-    else:
-        concomitant.record_flag("precondition", False, "Npi-not-a-bivector")
+                mm.record(f"C(eps{i+1},eps{j+1})", C(A.coframe(i), A.coframe(j)))
     return report
 
 

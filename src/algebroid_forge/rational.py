@@ -942,11 +942,26 @@ _PUNCT = {
     "{", "}", "[", "]", "(", ")", ",", ";", "=", ":", "+", "-", "*", "/", "^",
 }
 
+# the most digits an integer literal may have, well below the interpreter's
+# limit on int() of a decimal string; an exponent is exempt, as
+# ExpressionParser bounds its value and reports it at its '^'
+MAX_DIGITS = 1000
+
+
+def _is_exponent(tokens: list[Token]) -> bool:
+    """Whether the next token is an exponent: it follows '^' and any signs."""
+    k = len(tokens)
+    while k and tokens[k - 1].kind in ("+", "-"):
+        k -= 1
+    return k > 0 and tokens[k - 1].kind == "^"
+
 
 def tokenize(text: str) -> list[Token]:
     """Tokenize text into names, integers and punctuation.
 
-    `->` is one token; `#` comments run to end of line.
+    `->` is one token; `#` comments run to end of line.  An integer literal
+    of more than MAX_DIGITS digits, other than an exponent, is a ParseError
+    at its first digit.
     """
     tokens: list[Token] = []
     line, col = 1, 1
@@ -976,6 +991,9 @@ def tokenize(text: str) -> list[Token]:
             j = i
             while j < n and text[j].isdigit():
                 j += 1
+            if j - i > MAX_DIGITS and not _is_exponent(tokens):
+                found = text[i : i + 12] + "..."
+                raise ParseError(line, start_col, f"an integer of at most {MAX_DIGITS} digits", found)
             tokens.append(Token("int", text[i:j], line, start_col))
             col += j - i
             i = j

@@ -1,14 +1,20 @@
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import pathlib
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from algebroid_forge.cli import main
-from algebroid_forge.rational import MAX_DEGREE
+from algebroid_forge import algfile, cli
+from algebroid_forge.algfile import MAX_COORDS, MAX_RANK
+from algebroid_forge.cli import SLOTS, TASKS, main
+from algebroid_forge.rational import MAX_DEGREE, MAX_DIGITS
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -232,3 +238,233 @@ class TestBadInput:
         assert result.returncode == 2
         assert "expected a non-negative integer, got '-3'" in result.stderr
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize(
+        "text, column",
+        [
+            ("algebroid A { base = []; rank = " + "7" * 4400 + "; }\n", 33),
+            ("algebroid A { base = [x1]; rank = 1; anchor[1,x1] = x1 + " + "7" * 4400 + "; }\n", 58),
+        ],
+        ids=["rank", "coefficient"],
+    )
+    def test_integer_literal_over_cap(self, tmp_path, capsys, text, column):
+        # int() of a literal this long is refused by the interpreter; the
+        # tokenizer's cap makes it a parse error at the literal
+        path = tmp_path / "big.alg"
+        path.write_text(text + "task check-axioms A;\n")
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"1:{column}: expected an integer of at most {MAX_DIGITS} digits" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                f"algebroid A {{ base = []; rank = 2; bracket[1,2] = e{'7' * 5000}; }}\n",
+                "1:51: expected a frame term",
+            ),
+            (
+                TR3_HEADER + f"task check-split-dirac Q span [e{'7' * 5000}] at [x3];\n",
+                "10:1: task check-split-dirac: span entries must be frame symbols",
+            ),
+        ],
+        ids=["bracket", "span"],
+    )
+    def test_frame_symbol_over_cap(self, tmp_path, capsys, text, message):
+        # e followed by 5,000 digits is no frame symbol, not an int() refused
+        path = tmp_path / "frame.alg"
+        path.write_text(text)
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("rank", [MAX_RANK + 1, 100000])
+    def test_rank_over_cap(self, tmp_path, capsys, rank):
+        # a parse error at the rank, before any structure entry is allocated
+        path = tmp_path / "rank.alg"
+        path.write_text(f"algebroid A {{ base = []; rank = {rank}; }}\ntask check-axioms A;\n")
+        assert main(["check", str(path)]) == 2
+        assert f"1:33: expected a rank of at most {MAX_RANK}, found '{rank}'" in capsys.readouterr().err
+
+    def test_coordinates_over_cap(self, tmp_path, capsys):
+        coords = [f"y{i}" for i in range(MAX_COORDS + 1)]
+        path = tmp_path / "coords.alg"
+        path.write_text(f"algebroid A {{ base = [{', '.join(coords)}]; rank = 1; }}\n")
+        assert main(["check", str(path)]) == 2
+        column = len("algebroid A { base = [") + len(", ".join(coords[:-1])) + 3
+        expected = f"1:{column}: expected at most {MAX_COORDS} coordinates, found '{coords[-1]}'"
+        assert expected in capsys.readouterr().err
+
+
+def corpus_with(name, *tasks):
+    """A corpus file's declarations and tasks, then the given task lines."""
+    return (CORPUS / name).read_text(encoding="utf-8") + "".join(t + "\n" for t in tasks)
+
+
+def check_text(tmp_path, text, *flags):
+    path = tmp_path / "tasks.alg"
+    path.write_text(text, encoding="utf-8")
+    return main(["check", str(path), *flags])
+
+
+class TestTaskBinding:
+    @pytest.mark.parametrize(
+        "name, task, message",
+        [
+            ("so3.alg", "task check-axioms so3 extra;", "unexpected trailing task arguments ['extra']"),
+            (
+                "e5_gc.alg",
+                "task check-gc P foo bar baz;",
+                "unexpected trailing task arguments ['foo', 'bar', 'baz']",
+            ),
+            (
+                "e5_gc.alg",
+                "task check-torsion-blocks P twist;",
+                "argument 3 must be a declared degree-3 form on TR2",
+            ),
+            ("e5_gc.alg", "task check-torsion-blocks P phi0;", "argument 2 must be twist"),
+            ("e3_pqn.alg", "task build-qlb AN pi0 N phi as;", "unexpected trailing task arguments ['as']"),
+            # a 3-form where the bivector goes was a ValueError traceback
+            (
+                "e3_pqn.alg",
+                "task check-compatible AN phi N;",
+                "argument 2 must be a declared degree-2 multivector on AN",
+            ),
+            ("e3_pqn.alg", "task check-qlb Q;", "argument 1 must be a declared built qlb"),
+        ],
+    )
+    def test_misfit_is_an_error_at_the_task_line(self, tmp_path, capsys, name, task, message):
+        text = corpus_with(name, task)
+        assert check_text(tmp_path, text) == 2
+        line = text.count("\n")
+        captured = capsys.readouterr()
+        assert f"{line}:1: task {task.split()[1]}: {message}" in captured.err
+        assert captured.out == ""
+
+    def test_bad_last_task_runs_no_task(self, tmp_path, capsys, monkeypatch):
+        # every task is bound before the first runs, so a misspelled last
+        # task costs no check
+        def run_task(runner, task):
+            raise AssertionError(f"ran {task.name}")
+
+        monkeypatch.setattr(cli._TaskRunner, "run_task", run_task)
+        text = corpus_with("twisted_poisson_r4.alg", "task check-axiom TR4;")
+        assert check_text(tmp_path, text) == 2
+        captured = capsys.readouterr()
+        assert f"{text.count(chr(10))}:1: unknown task 'check-axiom'" in captured.err
+        assert captured.out == ""
+
+    def test_task_naming_a_failed_build_is_an_error(self, tmp_path, capsys):
+        # phibad is not closed: the build fails its hypothesis, and the
+        # task that names its qLB reports an error; exit 1, not 2
+        text = corpus_with(
+            "twisted_nonclosed_r4.alg",
+            "task build-qlb from_3form TR4 phibad as Q;",
+            "task check-qlb Q;",
+        ).replace("task verify-courant twisted TR4 phibad;\n", "")
+        assert check_text(tmp_path, text, "--format", "records") == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "task=build-qlb#1 clause=- class=- residue=phiisnotclosed verdict=hypothesis-not-satisfied",
+            "task=check-qlb#2 clause=- class=- residue=qlbQwasnotbuilt:itsbuildtaskfailed verdict=error",
+        ]
+
+    def test_failed_rebuild_unbinds_the_name(self, tmp_path, capsys):
+        text = corpus_with(
+            "twisted_nonclosed_r4.alg",
+            "tensor zero on TR4 form degree 3 { }",
+            "task build-qlb from_3form TR4 zero as Q;",
+            "task build-qlb from_3form TR4 phibad as Q;",
+            "task check-qlb Q;",
+        ).replace("task verify-courant twisted TR4 phibad;\n", "")
+        assert check_text(tmp_path, text, "--format", "records", "--samples", "0") == 1
+        verdicts = [line.rsplit("=", 1)[1] for line in capsys.readouterr().out.splitlines()]
+        assert verdicts[0] == "pass"
+        assert verdicts[-2:] == ["hypothesis-not-satisfied", "error"]
+
+
+# the README's task block, bound against these declarations; Qsrc and Qtgt
+# are the qLBs the morphism usages name
+README_DECLARATIONS = """
+algebroid A { base = [x1, x2, x3]; rank = 3; anchor[1,x1] = 1; anchor[2,x2] = 1; anchor[3,x3] = 1; }
+tensor pi on A multivector degree 2 { (1,2) = 1; }
+tensor phi on A form degree 3 { }
+tensor sigma on A form degree 2 { }
+endo N on A { }
+morphism Phi : A -> A { }
+paired P on A { N = N; pi = pi; sigma = sigma; }
+task build-qlb from_3form A phi as Qsrc;
+task build-qlb from_3form A phi as Qtgt;
+"""
+
+
+def test_readme_tasks_match_the_table():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Tasks", 1)[1].split("```")[1]
+    lines = [line.split("#")[0].strip() for line in block.strip().splitlines()]
+    assert all(line.startswith("task ") and line.endswith(";") for line in lines)
+    # every usage of the table appears once, and nothing else
+    assert sorted(line[len("task ") : -1] for line in lines) == sorted(TASKS)
+    # and every line binds against the table
+    bound = cli.bind(algfile.parse(README_DECLARATIONS + "\n".join(lines)))
+    assert [task.name for task in bound[2:]] == [line.split()[1] for line in lines]
+
+
+# corpus files whose tasks each run in well under 0.1 s at --samples 0
+FUZZ_FILES = (
+    "so3",
+    "aff1",
+    "tr2_conformal",
+    "tr2_triangular",
+    "corrupted_so3",
+    "split_dirac_tr3",
+    "heisenberg_pn",
+    "e3_pqn",
+    "courant_tr2",
+    "e5_gc",
+)
+KEYWORDS = sorted({word for usage in TASKS for word in usage.split() if word not in SLOTS})
+
+
+@st.composite
+def mutated_tasks(draw):
+    """A cheap corpus file whose task lines get 1-3 token edits: a drop, a
+    duplicate, a swap of neighbours or an insert drawn from the file's own
+    names and the task vocabulary."""
+    lines = (CORPUS / (draw(st.sampled_from(FUZZ_FILES)) + ".alg")).read_text().splitlines()
+    head = [line for line in lines if not line.startswith("task ")]
+    tasks = [
+        line[len("task ") :].split("#")[0].strip(" ;").split()
+        for line in lines
+        if line.startswith("task ")
+    ]
+    f = algfile.parse("\n".join(head))
+    names = [*f.algebroids, *f.tensors, *f.endos, *f.morphisms, *f.paired]
+    vocabulary = sorted(set(names + [word for task in tasks for word in task] + KEYWORDS))
+    for _ in range(draw(st.integers(1, 3))):
+        words = draw(st.sampled_from(tasks))
+        k = draw(st.integers(0, len(words)))
+        edit = draw(st.sampled_from(("drop", "duplicate", "swap", "insert")))
+        if edit == "insert":
+            words.insert(k, draw(st.sampled_from(vocabulary)))
+        elif edit == "drop" and k < len(words):
+            del words[k]
+        elif edit == "duplicate" and k < len(words):
+            words.insert(k, words[k])
+        elif edit == "swap" and k + 1 < len(words):
+            words[k], words[k + 1] = words[k + 1], words[k]
+    return "\n".join(head + [f"task {' '.join(words)};" for words in tasks]) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=mutated_tasks())
+def test_mutated_tasks_exit_cleanly(tmp_path_factory, text):
+    # main never raises: it exits 0, 1 or 2, with a message exactly on 2
+    path = tmp_path_factory.getbasetemp() / "mutated.alg"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["check", str(path), "--samples", "0"])
+    assert code in (0, 1, 2)
+    assert (code == 2) == bool(err.getvalue()), err.getvalue()

@@ -349,7 +349,7 @@ class TestMorphismGraph:
         psi = AN.section(FORM, 3, {(0, 1, 2): AN.one_rf()})
         source = qlb_from_closed3form(AN, psi)
         base = null_presentation(AN)
-        target_x = psi if corrupt else nstar_pullback(AN, n, psi, "multiplicative")
+        target_x = psi if corrupt else nstar_pullback(AN, n, psi)
         target = QuasiLieBialgebroid(
             base, deformed_presentation(AN, n), retag(target_x, base, MULTIVECTOR)
         )

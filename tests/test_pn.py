@@ -34,9 +34,9 @@ from algebroid_forge.pn import (
     check_twisted_poisson,
     contraction_matrix,
     d_n,
+    d_star,
     deformed_bracket,
     deformed_presentation,
-    dprime,
     dual_presentation,
     insert_endomorphism,
     magri_morosi,
@@ -239,7 +239,10 @@ class TestTwistedOps:
         z2 = TR3.zero_section(MULTIVECTOR, 2)
         phi = TR3.section(FORM, 3, {(0, 1, 2): TR3.one_rf()})
         mu = TR3.coframe(0).scale(TR3.coord_rf("x3"))
-        assert dprime(TR3, z2, phi, mu) == differential(mu)
+        # d' is d_* of the qLB (A*_{pi,phi}, d', phi), read back on forms of A
+        Q = qlb_from_twisted_poisson(TR3, z2, phi)
+        dprime = retag(d_star(Q, retag(mu, Q.base, MULTIVECTOR)), TR3, FORM)
+        assert dprime == differential(mu)
 
     def test_twisted_differential_on_function(self):
         pi = std_pi(TR2)
@@ -339,19 +342,19 @@ class TestNStar:
     def test_diag_multiplicative_and_derivation(self):
         n = diag(TR3, ["x1", "x2", "x3"])
         psi = TR3.section(FORM, 3, {(0, 1, 2): TR3.one_rf()})
-        mult = nstar_pullback(TR3, n, psi, "multiplicative")
+        mult = nstar_pullback(TR3, n, psi)
         assert mult == psi.scale(TR3.scalar("x1*x2*x3"))
-        deriv = nstar_pullback(TR3, n, psi, "derivation")
+        deriv = insert_endomorphism(TR3, n, psi)
         assert deriv == psi.scale(TR3.scalar("x1+x2+x3"))
 
     def test_identity(self):
         psi = wedge(TR3.coframe(0), TR3.coframe(1))
-        assert nstar_pullback(TR3, eye(TR3), psi, "multiplicative") == psi
-        assert nstar_pullback(TR3, eye(TR3), psi, "derivation") == psi.scale(2)
+        assert nstar_pullback(TR3, eye(TR3), psi) == psi
+        assert insert_endomorphism(TR3, eye(TR3), psi) == psi.scale(2)
 
     def test_zero(self):
         psi = wedge(TR3.coframe(0), TR3.coframe(1))
-        assert nstar_pullback(TR3, zeros(TR3), psi, "multiplicative").is_zero()
+        assert nstar_pullback(TR3, zeros(TR3), psi).is_zero()
 
 
 class TestCompatibility:
@@ -546,7 +549,7 @@ class TestQlbMorphism:
         psi = TR3.section(FORM, 3, {(0, 1, 2): TR3.one_rf()})
         source = qlb_from_closed3form(TR3, psi)
         base = null_presentation(TR3)
-        target_x = psi if corrupt else nstar_pullback(TR3, n, psi, "multiplicative")
+        target_x = psi if corrupt else nstar_pullback(TR3, n, psi)
         target = QuasiLieBialgebroid(
             base, deformed_presentation(TR3, n), retag(target_x, base, MULTIVECTOR)
         )
