@@ -10,7 +10,6 @@ task vocabulary.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .calculus import (
     FORM,
@@ -20,7 +19,7 @@ from .calculus import (
     GradedSection,
     _pair_index,
 )
-from .errors import ParseError, SemanticError
+from .errors import ParseError, SemanticError, clip
 from .paired import PairedOperator
 from .rational import ExpressionParser, RationalFunction, Token, tokenize
 
@@ -35,34 +34,42 @@ MAX_RANK = 32
 MAX_COORDS = 32
 
 
-@dataclass
 class TaskItem:
-    name: str
-    args: list
-    line: int = field(compare=False, default=0)
+    """A task line as parsed; equality ignores the line number."""
+
+    __slots__ = ("name", "args", "line")
+
+    def __init__(self, name: str, args: list, line: int = 0):
+        self.name, self.args, self.line = name, args, line
+
+    def __eq__(self, other):
+        if not isinstance(other, TaskItem):
+            return NotImplemented
+        return self.name == other.name and self.args == other.args
 
 
-@dataclass
 class StructureFile:
-    algebroids: dict[str, AlgebroidPresentation] = field(default_factory=dict)
-    tensors: dict[str, GradedSection] = field(default_factory=dict)
-    endos: dict[str, tuple] = field(default_factory=dict)
-    morphisms: dict[str, BundleMorphism] = field(default_factory=dict)
-    paired: dict[str, PairedOperator] = field(default_factory=dict)
-    tensor_parent: dict[str, str] = field(default_factory=dict)
-    endo_parent: dict[str, str] = field(default_factory=dict)
-    paired_parent: dict[str, str] = field(default_factory=dict)
-    tasks: list[TaskItem] = field(default_factory=list)
-    order: list[tuple[str, str]] = field(default_factory=list)
+    """The declarations of a file by kind, the parent algebroid of each
+    tensor, endo and paired operator, the tasks, and the declaration order."""
+
+    __slots__ = ("algebroids", "tensors", "endos", "morphisms", "paired", "tensor_parent",
+                 "endo_parent", "paired_parent", "tasks", "order")
+
+    def __init__(self):
+        self.algebroids: dict[str, AlgebroidPresentation] = {}
+        self.tensors: dict[str, GradedSection] = {}
+        self.endos: dict[str, tuple] = {}
+        self.morphisms: dict[str, BundleMorphism] = {}
+        self.paired: dict[str, PairedOperator] = {}
+        self.tensor_parent: dict[str, str] = {}
+        self.endo_parent: dict[str, str] = {}
+        self.paired_parent: dict[str, str] = {}
+        self.tasks: list[TaskItem] = []
+        self.order: list[tuple[str, str]] = []
 
     def declared(self, name: str) -> bool:
-        return (
-            name in self.algebroids
-            or name in self.tensors
-            or name in self.endos
-            or name in self.morphisms
-            or name in self.paired
-        )
+        tables = (self.algebroids, self.tensors, self.endos, self.morphisms, self.paired)
+        return any(name in table for table in tables)
 
 
 class _Parser:
@@ -93,9 +100,6 @@ class _Parser:
             raise ParseError(tok.line, tok.column, f"'{value}'", tok.value)
         return tok
 
-    def expect_int(self) -> int:
-        return int(self.expect("int", "an integer").value)
-
     def parse_expr(self, coords) -> RationalFunction:
         parser = ExpressionParser(self.tokens, self.pos, coords)
         value = parser.parse()
@@ -125,20 +129,20 @@ class _Parser:
     def _fresh_name(self) -> str:
         tok = self.expect("name", "a name")
         if self.file.declared(tok.value):
-            raise SemanticError(f"duplicate name {tok.value!r}", tok.line, tok.column)
+            raise SemanticError(f"duplicate name {clip(tok.value)!r}", tok.line, tok.column)
         return tok.value
 
     def _lookup_algebroid(self, tok: Token) -> AlgebroidPresentation:
         A = self.file.algebroids.get(tok.value)
         if A is None:
-            raise SemanticError(f"unknown algebroid {tok.value!r}", tok.line, tok.column)
+            raise SemanticError(f"unknown algebroid {clip(tok.value)!r}", tok.line, tok.column)
         return A
 
     def _frame_index(self, rank: int) -> int:
         tok = self.expect_int_token()
         i = int(tok.value)
         if not 1 <= i <= rank:
-            raise SemanticError(f"frame index {i} outside 1..{rank}", tok.line, tok.column)
+            raise SemanticError(f"frame index {clip(str(i))} outside 1..{rank}", tok.line, tok.column)
         return i - 1
 
     def expect_int_token(self) -> Token:
@@ -165,12 +169,11 @@ class _Parser:
         self.expect_name("rank")
         self.expect("=")
         tok = self.peek()
-        rank = self.expect_int()
+        rank = int(self.expect_int_token().value)
         if rank < 1:
             raise SemanticError("rank must be positive", tok.line, tok.column)
         if rank > MAX_RANK:
-            found = tok.value if len(tok.value) <= 12 else tok.value[:12] + "..."
-            raise ParseError(tok.line, tok.column, f"a rank of at most {MAX_RANK}", found)
+            raise ParseError(tok.line, tok.column, f"a rank of at most {MAX_RANK}", tok.value)
         self.expect(";")
         coords = tuple(coords)
         zero = RationalFunction.zero(coords)
@@ -188,7 +191,7 @@ class _Parser:
                 ctok = self.expect("name", "a coordinate name")
                 if ctok.value not in coords:
                     raise SemanticError(
-                        f"unknown coordinate {ctok.value!r}", ctok.line, ctok.column
+                        f"unknown coordinate {clip(ctok.value)!r}", ctok.line, ctok.column
                     )
                 a = coords.index(ctok.value)
                 self.expect("]")
@@ -196,7 +199,7 @@ class _Parser:
                 value = self.parse_expr(coords)
                 if (i, a) in seen_anchor:
                     raise SemanticError(
-                        f"anchor[{i+1},{ctok.value}] set twice", ctok.line, ctok.column
+                        f"anchor[{i+1},{clip(ctok.value)}] set twice", ctok.line, ctok.column
                     )
                 seen_anchor.add((i, a))
                 anchor[i][a] = value
@@ -323,7 +326,7 @@ class _Parser:
         self.expect("{")
         if degree > A.rank and self.peek().kind == "(":
             raise SemanticError(
-                f"degree {degree} exceeds rank {A.rank}: only the empty (zero) section is allowed",
+                f"degree {clip(str(degree))} exceeds rank {A.rank}: only the empty (zero) section is allowed",
                 dtok.line,
                 dtok.column,
             )
@@ -339,13 +342,13 @@ class _Parser:
             self.expect(")")
             if len(idx) != degree:
                 raise SemanticError(
-                    f"index tuple {tuple(idx)} has length {len(idx)}, degree is {degree}",
+                    f"index tuple {clip(str(tuple(idx)))} has length {len(idx)}, degree is {degree}",
                     open_tok.line,
                     open_tok.column,
                 )
             if any(not 1 <= k <= A.rank for k in idx):
                 raise SemanticError(
-                    f"index tuple {tuple(idx)} outside 1..{A.rank}", open_tok.line, open_tok.column
+                    f"index tuple {clip(str(tuple(idx)))} outside 1..{A.rank}", open_tok.line, open_tok.column
                 )
             if any(b <= a for a, b in zip(idx, idx[1:])):
                 raise SemanticError(
@@ -412,7 +415,7 @@ class _Parser:
                 ctok = self.expect("name", "a target coordinate")
                 if ctok.value not in dst.coords:
                     raise SemanticError(
-                        f"unknown target coordinate {ctok.value!r}", ctok.line, ctok.column
+                        f"unknown target coordinate {clip(ctok.value)!r}", ctok.line, ctok.column
                     )
                 self.expect("]")
                 self.expect("=")
@@ -455,7 +458,7 @@ class _Parser:
         n_matrix = self.file.endos.get(ntok.value)
         if n_matrix is None or self.file.endo_parent[ntok.value] != parent_tok.value:
             raise SemanticError(
-                f"N must be an endo on {parent_tok.value}", ntok.line, ntok.column
+                f"N must be an endo on {clip(parent_tok.value)}", ntok.line, ntok.column
             )
         pi = self._tensor_ref(parts["pi"], parent_tok.value, MULTIVECTOR, 2)
         sigma = self._tensor_ref(parts["sigma"], parent_tok.value, FORM, 2)
@@ -467,11 +470,11 @@ class _Parser:
         t = self.file.tensors.get(tok.value)
         if t is None or self.file.tensor_parent[tok.value] != parent:
             raise SemanticError(
-                f"{tok.value!r} must be a tensor on {parent}", tok.line, tok.column
+                f"{clip(tok.value)!r} must be a tensor on {clip(parent)}", tok.line, tok.column
             )
         if t.variance != variance or t.degree != degree:
             raise SemanticError(
-                f"{tok.value!r} must be a degree-{degree} {variance}", tok.line, tok.column
+                f"{clip(tok.value)!r} must be a degree-{degree} {variance}", tok.line, tok.column
             )
         return t
 

@@ -21,10 +21,9 @@ Sign conventions, fixed once for the whole package:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Mapping
 
 from .errors import (
     DegreeMismatch,
@@ -47,7 +46,6 @@ def _pair_index(i: int, j: int, rank: int) -> int:
     return i * rank - i * (i + 1) // 2 + (j - i - 1)
 
 
-@dataclass(frozen=True)
 class AlgebroidPresentation:
     """Anchored bracket data on a chart.
 
@@ -55,33 +53,34 @@ class AlgebroidPresentation:
     holds, for each pair i < j in lex order, the frame coefficients of
     [e_i, e_j].  The data need not satisfy the Lie algebroid axioms (deformed
     and dual structures reuse this shape); ``check_axioms`` decides that.
+    Equality and hash read the data only, not ``name`` or the memo cache.
     """
 
-    coords: tuple[str, ...]
-    rank: int
-    anchor: tuple[tuple[RationalFunction, ...], ...]
-    structure: tuple[tuple[RationalFunction, ...], ...]
-    name: str = field(default="", compare=False)
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
-    _hash: int | None = field(default=None, init=False, compare=False, repr=False)
+    __slots__ = ("coords", "rank", "anchor", "structure", "name", "_cache", "_hash")
 
-    def __post_init__(self):
-        n = len(self.coords)
-        if self.rank < 1:
+    def __init__(self, coords: tuple[str, ...], rank: int, anchor, structure, name: str = ""):
+        n = len(coords)
+        if rank < 1:
             raise MalformedPresentation("rank must be at least 1")
-        if len(self.anchor) != self.rank or any(len(row) != n for row in self.anchor):
+        if len(anchor) != rank or any(len(row) != n for row in anchor):
             raise MalformedPresentation("anchor must be rank x dim(base)")
-        npairs = self.rank * (self.rank - 1) // 2
-        if len(self.structure) != npairs or any(
-            len(row) != self.rank for row in self.structure
-        ):
+        if len(structure) != rank * (rank - 1) // 2 or any(len(row) != rank for row in structure):
             raise MalformedPresentation("structure table must list rank coefficients per frame pair")
+        self.coords, self.rank, self.anchor, self.structure = coords, rank, anchor, structure
+        self.name = name
+        self._cache = {}
+        self._hash = None
+
+    def __eq__(self, other):
+        if not isinstance(other, AlgebroidPresentation):
+            return NotImplemented
+        return self is other or (self.coords, self.rank, self.anchor, self.structure) == (
+            other.coords, other.rank, other.anchor, other.structure
+        )
 
     def __hash__(self):
         if self._hash is None:
-            object.__setattr__(
-                self, "_hash", hash((self.coords, self.rank, self.anchor, self.structure))
-            )
+            self._hash = hash((self.coords, self.rank, self.anchor, self.structure))
         return self._hash
 
     def memo(self, key, compute, *args):
@@ -196,6 +195,16 @@ class GradedSection:
         self._key = None
         self._hash = None
 
+    @classmethod
+    def _make(cls, parent, variance: str, degree: int, coeffs: Mapping) -> "GradedSection":
+        """A section from index tuples already valid for ``degree`` on
+        ``parent``; zero coefficients are still dropped."""
+        s = object.__new__(cls)
+        s.parent, s.variance, s.degree = parent, variance, degree
+        s.coeffs = {idx: rf for idx, rf in coeffs.items() if not rf.is_zero()}
+        s._key = s._hash = None
+        return s
+
     # -- structure ---------------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -208,7 +217,7 @@ class GradedSection:
         return sorted(self.coeffs.items(), key=lambda kv: kv[0])
 
     def _like(self, coeffs: Mapping[Idx, RationalFunction], degree: int | None = None) -> "GradedSection":
-        return GradedSection(
+        return GradedSection._make(
             self.parent, self.variance, self.degree if degree is None else degree, coeffs
         )
 
@@ -294,7 +303,7 @@ def retag(section: GradedSection, parent: AlgebroidPresentation, variance: str) 
     Used to move between multivectors on A and forms on a dual presentation.
     """
     _require_retaggable(section, parent)
-    return GradedSection(parent, variance, section.degree, section.coeffs)
+    return GradedSection._make(parent, variance, section.degree, section.coeffs)
 
 
 def _require_retaggable(section: GradedSection, parent: AlgebroidPresentation) -> None:
@@ -341,7 +350,7 @@ def wedge(a: GradedSection, b: GradedSection) -> GradedSection:
                     coeffs.pop(idx, None)
                 else:
                     coeffs[idx] = s
-    return GradedSection(a.parent, a.variance, degree, coeffs)
+    return GradedSection._make(a.parent, a.variance, degree, coeffs)
 
 
 def pairing(mu: GradedSection, w: GradedSection) -> RationalFunction:
@@ -406,7 +415,7 @@ def insert(target: GradedSection, arg: GradedSection) -> GradedSection:
                 result.pop(idx, None)
             else:
                 result[idx] = s
-    return GradedSection(target.parent, target.variance, target.degree - arg.degree, result)
+    return GradedSection._make(target.parent, target.variance, target.degree - arg.degree, result)
 
 
 def evaluate(mu: GradedSection, args: Iterable[GradedSection]) -> RationalFunction:
@@ -469,7 +478,7 @@ def _compute_differential(mu: GradedSection) -> GradedSection:
     A = mu.parent
     out = A.zero_section(FORM, mu.degree + 1)
     for idx, f in mu.coeffs.items():
-        basis = A.section(FORM, len(idx), {idx: A.one_rf()})
+        basis = GradedSection._make(A, FORM, len(idx), {idx: A.one_rf()})
         out = out + wedge(d_function(A, f), basis)
         df_basis = _d_basis_form(A, idx)
         if not df_basis.is_zero():
@@ -521,7 +530,7 @@ def _schouten_frame_function(A: AlgebroidPresentation, I: Idx, g: RationalFuncti
         rest = I[:t] + I[t + 1 :]
         if (p - (t + 1)) % 2:
             coeff = -coeff
-        out = out + A.section(MULTIVECTOR, p - 1, {rest: coeff})
+        out = out + GradedSection._make(A, MULTIVECTOR, p - 1, {rest: coeff})
     return out
 
 
@@ -554,12 +563,12 @@ def schouten(P: GradedSection, Q: GradedSection) -> GradedSection:
                     out = out + core.scale(fg)
             lead = _schouten_frame_function(A, I, g)
             if not lead.is_zero():
-                term = wedge(lead.scale(f), A.section(MULTIVECTOR, q, {J: A.one_rf()}))
+                term = wedge(lead.scale(f), GradedSection._make(A, MULTIVECTOR, q, {J: A.one_rf()}))
                 out = out + term
             if q >= 1:
                 trail = _schouten_frame_function(A, J, f)
                 if not trail.is_zero():
-                    term = wedge(trail.scale(g), A.section(MULTIVECTOR, p, {I: A.one_rf()}))
+                    term = wedge(trail.scale(g), GradedSection._make(A, MULTIVECTOR, p, {I: A.one_rf()}))
                     out = out + term.scale(-sign_pq)
     return out
 
@@ -624,7 +633,7 @@ def mat_apply(matrix, X: GradedSection) -> GradedSection:
                 coeffs.pop((k,), None)
             else:
                 coeffs[(k,)] = s
-    return GradedSection(A, X.variance, 1, coeffs)
+    return GradedSection._make(A, X.variance, 1, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -632,28 +641,30 @@ def mat_apply(matrix, X: GradedSection) -> GradedSection:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class BundleMorphism:
     """Bundle map Phi: A -> B over a rational base map.
 
     ``base_map[b]`` expresses the b-th target coordinate in source
     coordinates; ``matrix[j][i]`` is the eps_B^j coefficient of Phi(e_i),
-    with entries over the source chart.
+    with entries over the source chart.  Equality ignores ``name``.
     """
 
-    source: AlgebroidPresentation
-    target: AlgebroidPresentation
-    base_map: tuple[RationalFunction, ...]
-    matrix: tuple[tuple[RationalFunction, ...], ...]
-    name: str = field(default="", compare=False)
+    __slots__ = ("source", "target", "base_map", "matrix", "name")
 
-    def __post_init__(self):
-        if len(self.base_map) != self.target.n:
+    def __init__(self, source, target, base_map, matrix, name=""):
+        if len(base_map) != target.n:
             raise MalformedMorphism("base map must list every target coordinate")
-        if len(self.matrix) != self.target.rank or any(
-            len(row) != self.source.rank for row in self.matrix
-        ):
+        if len(matrix) != target.rank or any(len(row) != source.rank for row in matrix):
             raise MalformedMorphism("matrix must be (target rank) x (source rank)")
+        self.source, self.target, self.base_map, self.matrix = source, target, base_map, matrix
+        self.name = name
+
+    def __eq__(self, other):
+        if not isinstance(other, BundleMorphism):
+            return NotImplemented
+        return (self.source, self.target, self.base_map, self.matrix) == (
+            other.source, other.target, other.base_map, other.matrix
+        )
 
     def base_subs(self, f: RationalFunction) -> RationalFunction:
         """f o phi for a function on the target base."""
@@ -663,18 +674,6 @@ class BundleMorphism:
     def pull_coframe(self, j: int) -> GradedSection:
         return self.source.section(
             FORM, 1, {(i,): self.matrix[j][i] for i in range(self.source.rank)}
-        )
-
-    def push_frame(self, i: int) -> GradedSection:
-        """Phi(e_i) as a target-frame section with source-chart coefficients.
-
-        Only meaningful for base-preserving morphisms; general pushes are
-        handled componentwise by the callers.
-        """
-        if self.source.coords != self.target.coords:
-            raise MalformedMorphism("push_frame requires a shared chart")
-        return self.target.section(
-            MULTIVECTOR, 1, {(j,): self.matrix[j][i] for j in range(self.target.rank)}
         )
 
 

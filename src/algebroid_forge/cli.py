@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import algfile
@@ -33,7 +32,7 @@ from .courant import (
     twisted_double,
     verify_courant_axioms,
 )
-from .errors import ForgeError, HypothesisNotSatisfied, ParseError, SemanticError
+from .errors import ForgeError, HypothesisNotSatisfied, ParseError, SemanticError, clip
 from .paired import (
     build_deformed_double,
     check_generalized_complex,
@@ -57,12 +56,11 @@ from .rational import MAX_DEGREE
 from .reporting import ERROR, HYPOTHESIS, Report
 
 
-@dataclass
 class RunConfig:
-    seed: int = 0
-    samples: int = 10
-    max_degree: int = 2
-    kappa: Fraction = Fraction(1, 2)
+    __slots__ = ("seed", "samples", "max_degree", "kappa")
+
+    def __init__(self, seed=0, samples=10, max_degree=2, kappa=Fraction(1, 2)):
+        self.seed, self.samples, self.max_degree, self.kappa = seed, samples, max_degree, kappa
 
 
 def _sampling(c: RunConfig) -> dict:
@@ -149,15 +147,14 @@ TASKS = {
 }
 
 
-@dataclass
 class BoundTask:
     """A task fitted to its usage.  A qLB in ``values`` stays a name until the
     task runs; ``binds`` is None, or for a build its ``as NAME`` (or "")."""
 
-    name: str
-    call: object
-    values: list
-    binds: str | None
+    __slots__ = ("name", "call", "values", "binds")
+
+    def __init__(self, name: str, call, values: list, binds: str | None):
+        self.name, self.call, self.values, self.binds = name, call, values, binds
 
 
 class _Misfit(Exception):
@@ -172,13 +169,14 @@ def _list_value(task, word, entries, chart):
     if word == "[x3]":
         for name in entries:
             if name not in chart.coords:
-                raise _error(task, f"unknown coordinate {name!r} in submanifold argument")
+                raise _error(task, f"unknown coordinate {clip(name)!r} in submanifold argument")
         return tuple(entries)
     vectors = []
     for entry in entries:
         m = algfile._FRAME_RE.match(str(entry))
         if not m or not 1 <= int(m.group(1)) <= chart.rank:
-            raise _error(task, f"span entries must be frame symbols, got {entry!r}")
+            shown = repr(clip(entry)) if isinstance(entry, str) else clip(str(entry))
+            raise _error(task, f"span entries must be frame symbols, got {shown}")
         k = int(m.group(1)) - 1
         vectors.append([Fraction(1 if j == k else 0) for j in range(chart.rank)])
     return vectors
@@ -233,7 +231,7 @@ def bind(file: algfile.StructureFile) -> list[BoundTask]:
     for task in file.tasks:
         usages = [(u.split()[1:], call) for u, call in TASKS.items() if u.split()[0] == task.name]
         if not usages:
-            raise SemanticError(f"unknown task {task.name!r}", task.line, 1)
+            raise SemanticError(f"unknown task {clip(task.name)!r}", task.line, 1)
         args, binds = task.args, ""
         if args[-2:-1] == ["as"] and isinstance(args[-1], str):
             args, binds = args[:-2], args[-1]
@@ -254,7 +252,7 @@ def bind(file: algfile.StructureFile) -> list[BoundTask]:
             k = max(k for k, _ in misfits)
             wants = list(dict.fromkeys(want for j, want in misfits if j == k and want))
             if not wants:
-                raise _error(task, f"unexpected trailing task arguments {task.args[k:]}")
+                raise _error(task, f"unexpected trailing task arguments {clip(str(task.args[k:]))}")
             wants = ", ".join(wants[:-1]) + " or " + wants[-1] if len(wants) > 1 else wants[0]
             raise _error(task, f"argument {k+1} must be {wants}")
     return bound
@@ -268,7 +266,7 @@ class _TaskRunner:
     def run_task(self, task: BoundTask) -> Report:
         missing = [v for v in task.values if isinstance(v, str) and v not in self.qlbs]
         if missing:
-            raise ForgeError(f"qlb {missing[0]} was not built: its build task failed")
+            raise ForgeError(f"qlb {clip(missing[0])} was not built: its build task failed")
         values = [self.qlbs[v] if isinstance(v, str) else v for v in task.values]
         if task.binds is None:
             return task.call(self.config, *values)
@@ -305,7 +303,7 @@ def _non_negative(text: str) -> int:
     except ValueError:
         value = -1
     if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {clip(text)!r}")
     return value
 
 
@@ -313,7 +311,7 @@ def _sample_degree(text: str) -> int:
     """argparse type of --max-degree: sampled powers must stay packable."""
     value = _non_negative(text)
     if value > MAX_DEGREE:
-        raise argparse.ArgumentTypeError(f"expected at most {MAX_DEGREE}, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected at most {MAX_DEGREE}, got {clip(text)!r}")
     return value
 
 

@@ -18,7 +18,6 @@ The Dorfman bracket in this normal form is flip-symmetric:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from itertools import product as cartesian_product
@@ -50,22 +49,28 @@ from .rational import RationalFunction
 from .reporting import EVIDENCE_SAMPLED, PROOF_TENSORIAL, Report
 
 
-@dataclass(frozen=True)
 class CourantDouble:
     """Normal form of a split double.
 
     A conjugated double (pairing negated) is stored through the transport
     automorphism b* -> -b*: the dual data and twist are negated, so the
     Dorfman formula below stays valid verbatim, and ``conjugated`` records
-    that the user-facing pairing carries the opposite sign.
+    that the user-facing pairing carries the opposite sign.  Equality reads
+    the data, not the memo cache.
     """
 
-    base: AlgebroidPresentation
-    dual: AlgebroidPresentation
-    x3: GradedSection
-    psi: GradedSection
-    conjugated: bool = False
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("base", "dual", "x3", "psi", "conjugated", "_cache")
+
+    def __init__(self, base: AlgebroidPresentation, dual: AlgebroidPresentation, x3, psi, conjugated=False):
+        self.base, self.dual, self.x3, self.psi, self.conjugated = base, dual, x3, psi, conjugated
+        self._cache = {}
+
+    def __eq__(self, other):
+        if not isinstance(other, CourantDouble):
+            return NotImplemented
+        return (self.base, self.dual, self.x3, self.psi, self.conjugated) == (
+            other.base, other.dual, other.x3, other.psi, other.conjugated
+        )
 
     memo = AlgebroidPresentation.memo  # the Dorfman bracket's cache
 
@@ -352,22 +357,17 @@ def rho_apply_section(E: CourantDouble, e: CourantSection, f: RationalFunction) 
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class SectionFamily:
     """The documented EVIDENCE_SAMPLED family: frame sections, coordinate-
     scaled frame sections, and seeded random sections of bounded coefficient
     degree.  Frame tuples are enumerated exhaustively; tuples involving the
     larger family are sampled (``samples`` per axiom)."""
 
-    E: CourantDouble
-    seed: int
-    samples: int
-    max_degree: int
-    members: list[tuple[str, CourantSection]] = field(default_factory=list)
-    frame_count: int = 0
+    __slots__ = ("E", "seed", "samples", "max_degree", "members", "frame_count")
 
-    def __post_init__(self):
-        E = self.E
+    def __init__(self, E: CourantDouble, seed: int, samples: int, max_degree: int):
+        self.E, self.seed, self.samples, self.max_degree = E, seed, samples, max_degree
+        self.members: list[tuple[str, CourantSection]] = []
         for i in range(E.rank):
             self.members.append((f"e{i+1}", E.frame_section(i)))
             self.members.append((f"eps{i+1}", E.coframe_section(i)))
@@ -392,18 +392,13 @@ class SectionFamily:
     def singles(self):
         return list(self.members)
 
-    def _sampled_tuples(self, arity: int, rng: random.Random):
-        out = []
-        for _ in range(self.samples):
-            out.append(tuple(rng.randrange(len(self.members)) for _ in range(arity)))
-        return out
-
     def tuples(self, arity: int):
         seen = []
         for combo in cartesian_product(range(self.frame_count), repeat=arity):
             seen.append(tuple(self.members[i] for i in combo))
         rng = random.Random(self.seed + arity)
-        for combo in self._sampled_tuples(arity, rng):
+        for _ in range(self.samples):
+            combo = [rng.randrange(len(self.members)) for _ in range(arity)]
             seen.append(tuple(self.members[i] for i in combo))
         return seen
 
@@ -473,13 +468,14 @@ def verify_courant_axioms(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Submanifold:
     """Substitution-presented submanifold: every determined coordinate is an
     expression in the kept coordinates (zero for coordinate subspaces)."""
 
-    coords: tuple[str, ...]
-    assignments: tuple[tuple[str, RationalFunction], ...]
+    __slots__ = ("coords", "assignments")
+
+    def __init__(self, coords: tuple[str, ...], assignments: tuple[tuple[str, RationalFunction], ...]):
+        self.coords, self.assignments = coords, assignments
 
     @classmethod
     def coordinate_subspace(cls, coords: tuple[str, ...], vanishing) -> "Submanifold":
@@ -588,15 +584,15 @@ def rational_nullspace(rows: list[list[Fraction]], width: int) -> list[list[Frac
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class GeneralizedDirac:
     """A candidate Dirac structure supported on P, by spanning sections whose
     coefficients only involve the kept coordinates (their constant extension
     off P is implicit)."""
 
-    E: CourantDouble
-    P: Submanifold
-    generators: list[tuple[str, CourantSection]]
+    __slots__ = ("E", "P", "generators")
+
+    def __init__(self, E: CourantDouble, P: Submanifold, generators: list[tuple[str, CourantSection]]):
+        self.E, self.P, self.generators = E, P, generators
 
 
 def tangent_conormal_dirac(E: CourantDouble, vanishing) -> GeneralizedDirac:
@@ -658,31 +654,24 @@ def check_generalized_dirac(F: GeneralizedDirac) -> Report:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class SplitSubbundle:
     """Constant-coefficient subbundle L of the vector side, with its exact
     annihilator complement in the covector side computed over Q."""
 
-    vectors: list[list[Fraction]]
+    __slots__ = ("vectors",)
+
+    def __init__(self, vectors: list[list[Fraction]]):
+        self.vectors = vectors
 
     def annihilator(self, rank: int) -> list[list[Fraction]]:
         return rational_nullspace(self.vectors, rank)
 
 
-def _const_section(E: CourantDouble, vec=None, cov=None) -> CourantSection:
-    vec_coeffs = {}
-    cov_coeffs = {}
-    if vec is not None:
-        for i, q in enumerate(vec):
-            if q:
-                vec_coeffs[(i,)] = E.base.scalar(q)
-    if cov is not None:
-        for i, q in enumerate(cov):
-            if q:
-                cov_coeffs[(i,)] = E.base.scalar(q)
-    return CourantSection(
-        E.base.section(MULTIVECTOR, 1, vec_coeffs), E.base.section(FORM, 1, cov_coeffs)
-    )
+def _const_section(E: CourantDouble, vec=(), cov=()) -> CourantSection:
+    def coeffs(values):
+        return {(i,): E.base.scalar(q) for i, q in enumerate(values) if q}
+
+    return CourantSection(E.base.section(MULTIVECTOR, 1, coeffs(vec)), E.base.section(FORM, 1, coeffs(cov)))
 
 
 def split_dirac(E: CourantDouble, L: SplitSubbundle, P: Submanifold) -> GeneralizedDirac:

@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the clip of echoed input."""
+
+CLIP = 40
+
+
+def clip(text: str) -> str:
+    """Input text as an error message echoes it: its first CLIP characters, then "..."."""
+    return text if len(text) <= CLIP else text[:CLIP] + "..."
 
 
 class ForgeError(Exception):
@@ -59,7 +66,7 @@ class ParseError(ForgeError):
         self.found = found
         msg = f"{line}:{column}: expected {expected}"
         if found:
-            msg += f", found {found!r}"
+            msg += f", found {clip(found)!r}"
         super().__init__(msg)
 
 

@@ -5,8 +5,6 @@ complex condition, and the deformed-double identification theorems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .calculus import (
     FORM,
     MULTIVECTOR,
@@ -50,16 +48,22 @@ from .pn import (
 from .reporting import PROOF_TENSORIAL, EVIDENCE_SAMPLED, Report
 
 
-@dataclass(frozen=True)
 class PairedOperator:
     """The block operator [[N, pi], [sigma, -N*]]; paired by construction
-    because pi and sigma enter as honest (anti-symmetric) graded sections."""
+    because pi and sigma enter as honest (anti-symmetric) graded sections.
+    Equality ignores ``name``."""
 
-    A: AlgebroidPresentation
-    n_matrix: Matrix
-    pi: GradedSection
-    sigma: GradedSection
-    name: str = field(default="", compare=False)
+    __slots__ = ("A", "n_matrix", "pi", "sigma", "name")
+
+    def __init__(self, A: AlgebroidPresentation, n_matrix: Matrix, pi: GradedSection, sigma, name=""):
+        self.A, self.n_matrix, self.pi, self.sigma, self.name = A, n_matrix, pi, sigma, name
+
+    def __eq__(self, other):
+        if not isinstance(other, PairedOperator):
+            return NotImplemented
+        return (self.A, self.n_matrix, self.pi, self.sigma) == (
+            other.A, other.n_matrix, other.pi, other.sigma
+        )
 
     def blocks(self) -> tuple[Matrix, Matrix, Matrix, Matrix]:
         A = self.A

@@ -13,7 +13,6 @@ read it on the dual side of a quasi-Lie bialgebroid or a split double.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from .calculus import (
@@ -353,12 +352,11 @@ def check_twisted_poisson(
     return report
 
 
-@dataclass(frozen=True)
 class PqnStructure:
-    A: AlgebroidPresentation
-    pi: GradedSection
-    n_matrix: Matrix
-    phi: GradedSection
+    __slots__ = ("A", "pi", "n_matrix", "phi")
+
+    def __init__(self, A: AlgebroidPresentation, pi: GradedSection, n_matrix: Matrix, phi):
+        self.A, self.pi, self.n_matrix, self.phi = A, pi, n_matrix, phi
 
 
 def check_pqn(
@@ -391,16 +389,15 @@ def check_pqn(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class QuasiLieBialgebroid:
     """(base, d_*, X): base carries the Lie algebroid; ``dual`` is the anchored
     bracket data on base^* whose Cartan formula defines d_* on multivectors of
     base; ``x3`` is the degree-3 multivector."""
 
-    base: AlgebroidPresentation
-    dual: AlgebroidPresentation
-    x3: GradedSection
-    name: str = field(default="", compare=False)
+    __slots__ = ("base", "dual", "x3", "name")
+
+    def __init__(self, base: AlgebroidPresentation, dual: AlgebroidPresentation, x3, name: str = ""):
+        self.base, self.dual, self.x3, self.name = base, dual, x3, name
 
 
 # The dual side of a quasi-Lie bialgebroid or of a split double: D is anything

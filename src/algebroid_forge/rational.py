@@ -22,11 +22,11 @@ serializations).
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping, Sequence
 
-from .errors import DegreeOverflow, DivisionByZero, ParseError, UnknownCoordinate
+from .errors import DegreeOverflow, DivisionByZero, ParseError, UnknownCoordinate, clip
 
 Monomial = tuple[int, ...]
 
@@ -141,7 +141,7 @@ class Polynomial:
     @classmethod
     def coord(cls, vars: tuple[str, ...], name: str) -> "Polynomial":
         if name not in vars:
-            raise UnknownCoordinate(f"unknown coordinate {name!r} (chart has {list(vars)})")
+            raise UnknownCoordinate(f"unknown coordinate {clip(name)!r} (chart has {list(vars)})")
         return cls._make(vars, _ONE, {_var_key(len(vars), vars.index(name)): 1})
 
     @property
@@ -454,18 +454,23 @@ def _heu_gcd(f: dict[int, int], g: dict[int, int], active: Sequence[int], n: int
             h = _divide(f, cff, n) if cff is not None else None
             cfg_ = _divide(g, h, n) if h is not None else None
             if cfg_ is not None:
-                return _times(h, ground), cff, cfg_
+                return _leading_positive(_times(h, ground), cff, cfg_)
             cfg = _interpolate(cfg, x, step, dg)
             h = _divide(g, cfg, n) if cfg is not None else None
             cff_ = _divide(f, h, n) if h is not None else None
             if cff_ is not None:
-                return _times(h, ground), cff_, cfg
+                return _leading_positive(_times(h, ground), cff_, cfg)
         x = 73794 * x * math.isqrt(math.isqrt(x)) // 27011
     return None
 
 
 def _times(f: dict[int, int], c: int) -> dict[int, int]:
     return f if c == 1 else {k: c * v for k, v in f.items()}
+
+
+def _leading_positive(h, cff, cfg):
+    """(h, cff, cfg), all negated when h found from a cofactor leads negatively."""
+    return (h, cff, cfg) if h[max(h)] > 0 else tuple(_times(f, -1) for f in (h, cff, cfg))
 
 
 def _monomial_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -805,7 +810,7 @@ class RationalFunction:
     def differentiate(self, coord: str) -> "RationalFunction":
         """Exact partial derivative by coordinate name (quotient rule)."""
         if coord not in self.vars:
-            raise UnknownCoordinate(f"unknown coordinate {coord!r}")
+            raise UnknownCoordinate(f"unknown coordinate {clip(coord)!r}")
         i = self.vars.index(coord)
         d = self.den
         if d.is_constant():
@@ -992,8 +997,7 @@ def tokenize(text: str) -> list[Token]:
             while j < n and text[j].isdigit():
                 j += 1
             if j - i > MAX_DIGITS and not _is_exponent(tokens):
-                found = text[i : i + 12] + "..."
-                raise ParseError(line, start_col, f"an integer of at most {MAX_DIGITS} digits", found)
+                raise ParseError(line, start_col, f"an integer of at most {MAX_DIGITS} digits", text[i:j])
             tokens.append(Token("int", text[i:j], line, start_col))
             col += j - i
             i = j
@@ -1101,8 +1105,8 @@ class ExpressionParser:
             digits = tok.value.lstrip("0")
             # compare lengths first: int() of a huge literal is slow or refused
             if len(digits) > len(str(self.MAX_EXPONENT)) or int(digits or "0") > self.MAX_EXPONENT:
-                found = tok.value if len(tok.value) <= 12 else tok.value[:12] + "..."
-                raise ParseError(caret.line, caret.column, f"an exponent of at most {self.MAX_EXPONENT}", found)
+                bound = f"an exponent of at most {self.MAX_EXPONENT}"
+                raise ParseError(caret.line, caret.column, bound, tok.value)
             exponent = sign * int(digits or "0")
             if exponent < 0 and base.is_zero():
                 raise ParseError(tok.line, tok.column, "a nonzero base for a negative exponent", "0")

@@ -8,8 +8,6 @@ human-readable and as one machine-readable line per clause.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 PROOF_TENSORIAL = "PROOF_TENSORIAL"
 PROOF_GENERATORS = "PROOF_GENERATORS"
 EVIDENCE_SAMPLED = "EVIDENCE_SAMPLED"
@@ -20,13 +18,13 @@ HYPOTHESIS = "hypothesis-not-satisfied"
 ERROR = "error"
 
 
-@dataclass
 class Clause:
-    name: str
-    completeness: str
-    checked: int = 0
-    failures: list[tuple[str, str]] = field(default_factory=list)
-    note: str = ""
+    __slots__ = ("name", "completeness", "checked", "failures", "note")
+
+    def __init__(self, name: str, completeness: str, note: str = ""):
+        self.name, self.completeness, self.note = name, completeness, note
+        self.checked = 0
+        self.failures: list[tuple[str, str]] = []
 
     def record(self, label: str, residue) -> None:
         self.checked += 1
@@ -58,13 +56,13 @@ class Clause:
         return "0" if self.passed else self.failures[0][1]
 
 
-@dataclass
 class Report:
-    task: str
-    clauses: list[Clause] = field(default_factory=list)
-    verdict_override: str | None = None
-    params: dict = field(default_factory=dict)
-    detail: str = ""
+    __slots__ = ("task", "clauses", "verdict_override", "params", "detail")
+
+    def __init__(self, task: str, verdict_override: str | None = None, params=None, detail: str = ""):
+        self.task, self.verdict_override, self.detail = task, verdict_override, detail
+        self.params = {} if params is None else params
+        self.clauses: list[Clause] = []
 
     def clause(self, name: str, completeness: str, note: str = "") -> Clause:
         c = Clause(name, completeness, note=note)

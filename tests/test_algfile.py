@@ -1,6 +1,6 @@
 import pytest
 
-from algebroid_forge.algfile import parse, serialize
+from algebroid_forge.algfile import TaskItem, parse, serialize
 from algebroid_forge.errors import ParseError, SemanticError
 
 MINIMAL = """
@@ -64,6 +64,12 @@ class TestParse:
         assert f.algebroids["A"].rank == 2
         assert f.tasks[0].name == "check-axioms"
         assert f.tasks[0].args == ["A"]
+
+    def test_task_equality_ignores_the_line(self):
+        task = parse(MINIMAL).tasks[0]
+        assert task.line > 1
+        assert task == TaskItem("check-axioms", ["A"])
+        assert task != TaskItem("check-axioms", ["B"], task.line)
 
     def test_so3_brackets_with_reversed_indices(self):
         f = parse(SO3)

@@ -9,6 +9,7 @@ from algebroid_forge.calculus import (
     MULTIVECTOR,
     AlgebroidPresentation,
     BundleMorphism,
+    GradedSection,
     check_axioms,
     check_d_squared,
     compose,
@@ -20,6 +21,7 @@ from algebroid_forge.calculus import (
     is_lie_algebroid_morphism,
     lie_algebra_presentation,
     lie_derivative,
+    null_presentation,
     pairing,
     pullback,
     schouten,
@@ -374,6 +376,34 @@ class TestLieDerivative:
             lhs = lie_derivative(X, wedge(a, b))
             rhs = wedge(lie_derivative(X, a), b) + wedge(a, lie_derivative(X, b))
             assert lhs == rhs
+
+
+class TestValueSemantics:
+    def test_presentation_equality_reads_the_data_only(self):
+        A = tangent_algebroid(2)
+        B = AlgebroidPresentation(A.coords, A.rank, A.anchor, A.structure, name="other")
+        assert A == B and hash(A) == hash(B)
+        before = hash(A)
+        d_function(A, A.coord_rf("x1"))  # fills A's memo cache, not B's
+        assert A._cache and not B._cache
+        assert A == B and hash(A) == before == hash(B)
+        assert A != null_presentation(A, name=A.name)
+
+    def test_morphism_equality_ignores_name(self):
+        phi = identity_morphism(TR2)
+        psi = BundleMorphism(TR2, TR2, phi.base_map, phi.matrix, name="other")
+        assert phi == psi
+        assert phi != BundleMorphism(TR2, TR2, phi.base_map, phi.matrix[::-1])
+
+    def test_trusted_constructor_matches_the_public_one(self):
+        # _make skips the index checks but still drops zero coefficients
+        one, zero = TR3.one_rf(), TR3.zero_rf()
+        made = GradedSection._make(TR3, FORM, 2, {(0, 1): one, (1, 2): zero})
+        public = TR3.section(FORM, 2, {(0, 1): one, (1, 2): zero})
+        assert made.coeffs == public.coeffs == {(0, 1): one}
+        assert made.key == public.key and made == public and hash(made) == hash(public)
+        empty = GradedSection._make(TR3, FORM, 2, {(1, 2): zero})
+        assert empty.is_zero() and empty.key == TR3.zero_section(FORM, 2).key
 
 
 class TestMorphisms:

@@ -3,9 +3,11 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +15,10 @@ from hypothesis import strategies as st
 
 from algebroid_forge import algfile, cli
 from algebroid_forge.algfile import MAX_COORDS, MAX_RANK
-from algebroid_forge.cli import SLOTS, TASKS, main
+from algebroid_forge.cli import SLOTS, TASKS, RunConfig, main
+from algebroid_forge.errors import CLIP
 from algebroid_forge.rational import MAX_DEGREE, MAX_DIGITS
+from algebroid_forge.reporting import PROOF_TENSORIAL, Report
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -132,6 +136,36 @@ class TestRecords:
         main(["check", *args, "--format", "records", "--seed", str(seed)])
         records = capsys.readouterr().out.encode("utf-8")
         assert hashlib.sha256(records).hexdigest() == table[f"{key}@{seed}"]
+
+
+def test_import_loads_no_introspection_modules():
+    # every check pays the package's import in a fresh interpreter; pytest and
+    # hypothesis load these modules here, so a -S child reports what the
+    # package itself pulls in
+    code = "import algebroid_forge.cli, sys; print(' '.join(sorted(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    loaded = set(result.stdout.split())
+    assert "algebroid_forge.cli" in loaded
+    assert not loaded & {"dataclasses", "typing", "inspect", "ast", "dis"}
+
+
+def test_run_config_defaults():
+    config = RunConfig()
+    assert (config.seed, config.samples, config.max_degree, config.kappa) == (0, 10, 2, Fraction(1, 2))
+
+
+def test_reports_and_clauses_start_empty_and_unshared():
+    first, second = Report("a"), Report("b")
+    assert first.clauses == [] and first.params == {} and first.verdict_override is None
+    first.params["seed"] = 1
+    one, two = first.clause("x", PROOF_TENSORIAL), second.clause("y", PROOF_TENSORIAL)
+    one.record_flag("bad", False)
+    assert (one.checked, one.failures, one.note) == (1, [("bad", "violated")], "")
+    assert second.params == {} and second.clauses == [two]
+    assert (two.checked, two.failures) == (0, [])
 
 
 class TestKappa:
@@ -296,6 +330,29 @@ class TestBadInput:
         column = len("algebroid A { base = [") + len(", ".join(coords[:-1])) + 3
         expected = f"1:{column}: expected at most {MAX_COORDS} coordinates, found '{coords[-1]}'"
         assert expected in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                f"algebroid {'A' * 5001} {{ base = []; rank = 1; }}\n" * 2,
+                f"2:11: duplicate name '{'A' * CLIP}...'",
+            ),
+            (
+                TR3_HEADER + f"task check-split-dirac Q span [{'x' * 5001}] at [x3];\n",
+                f"10:1: task check-split-dirac: span entries must be frame symbols, got '{'x' * CLIP}...'",
+            ),
+        ],
+        ids=["duplicate-name", "span-entry"],
+    )
+    def test_long_names_are_clipped(self, tmp_path, capsys, text, message):
+        # an echoed name shows its first CLIP characters, not all 5,001
+        path = tmp_path / "long.alg"
+        path.write_text(text)
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert all(len(line) < 200 for line in err.splitlines())
 
 
 def corpus_with(name, *tasks):

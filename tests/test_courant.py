@@ -208,6 +208,12 @@ class TestConjugateProduct:
         E = twisted_double(TR3, top_form(TR3))
         assert conjugate(conjugate(E)) == E
 
+    def test_equality_ignores_the_memo_cache(self):
+        E, F = standard_double(TR2), standard_double(TR2)
+        dorfman(E, E.frame_section(0), E.coframe_section(1))
+        assert E._cache and not F._cache
+        assert E == F and E != conjugate(F)
+
     def test_product_of_standards_is_standard_of_product(self):
         E1 = standard_double(TR2)
         E2 = standard_double(tangent_algebroid(2, prefix="y"))

@@ -78,6 +78,11 @@ class TestApply:
 
 
 class TestPairedness:
+    def test_equality_ignores_name(self):
+        op = e5_operator()
+        assert op == PairedOperator(op.A, op.n_matrix, op.pi, op.sigma, name="other")
+        assert op != PairedOperator(op.A, op.n_matrix, op.pi, op.sigma.scale(2), name=op.name)
+
     def test_constructed_operator_is_paired(self):
         op = e5_operator()
         assert check_paired(TR2, op.blocks()).passed

@@ -202,6 +202,15 @@ def test_prs_fallback_agrees_with_gcdheu(triple):
     )
 
 
+def test_heu_gcd_through_a_cofactor_leads_positively():
+    # with p == q the gcd comes back as p / (interpolated cofactor), which
+    # here once carried the cofactor's negative sign; hypothesis found it
+    p = rf("-1/5*x2^2 + 5*x2 + 1/3*x3 + 1").num * rf("1/3*x1*x3^2 + 5*x1*x3 + 1/5*x3^2").num
+    h, cff, cfg = _heu_gcd(p.prim, p.prim, range(3), 3)
+    assert Polynomial._from_ints(VARS, 1, 1, h) == _prs_gcd(p, p) == poly_gcd(p, p)
+    assert cff == cfg == {0: 1}
+
+
 class TestDegreeBound:
     # monomials only: nothing here allocates more than a few terms
 
