@@ -448,7 +448,7 @@ class _Parser:
         self.expect("{")
         parts = {}
         for key in ("N", "pi", "sigma"):
-            ktok = self.expect_name(key)
+            self.expect_name(key)
             self.expect("=")
             vtok = self.expect("name", "a declared name")
             parts[key] = vtok
@@ -517,6 +517,12 @@ def parse(text: str) -> StructureFile:
     return _Parser(text).parse()
 
 
+def _declared(table: dict, parents: dict[str, str], parent: str, value) -> str:
+    """The first declaration on ``parent`` with this value; an equal value
+    declared on another algebroid of the same chart would not reparse."""
+    return next(k for k, v in table.items() if parents[k] == parent and v == value)
+
+
 def serialize(file: StructureFile) -> str:
     """Deterministic canonical text whose parse equals the original parse."""
     lines: list[str] = []
@@ -570,9 +576,9 @@ def serialize(file: StructureFile) -> str:
         elif kind == "paired":
             op = file.paired[name]
             parent = file.paired_parent[name]
-            n_name = next(k for k, v in file.endos.items() if v == op.n_matrix)
-            pi_name = next(k for k, v in file.tensors.items() if v == op.pi)
-            sigma_name = next(k for k, v in file.tensors.items() if v == op.sigma)
+            n_name = _declared(file.endos, file.endo_parent, parent, op.n_matrix)
+            pi_name = _declared(file.tensors, file.tensor_parent, parent, op.pi)
+            sigma_name = _declared(file.tensors, file.tensor_parent, parent, op.sigma)
             lines.append(f"paired {name} on {parent} {{")
             lines.append(f"  N = {n_name};")
             lines.append(f"  pi = {pi_name};")

@@ -251,37 +251,20 @@ def product_with_renaming(
     base = combine(E1.base, E2.base, f"{E1.base.name}x{E2.base.name}")
     dual = combine(E1.dual, E2.dual, f"{E1.dual.name}x{E2.dual.name}")
 
-    def embed_graded(s: GradedSection, offset: int, renames, parent, variance):
-        coeffs = {}
-        for idx, c in s.coeffs.items():
-            coeffs[tuple(i + offset for i in idx)] = _transport(c, renames, coords)
-        return GradedSection(parent, variance, s.degree, coeffs)
-
-    x3 = embed_graded(E1.x3, 0, renames1, base, MULTIVECTOR) + embed_graded(
-        E2.x3, E1.rank, renames2, base, MULTIVECTOR
-    )
-    psi = embed_graded(E1.psi, 0, renames1, base, FORM) + embed_graded(
-        E2.psi, E1.rank, renames2, base, FORM
-    )
+    x3 = _embed(E1.x3, base, 0, renames1) + _embed(E2.x3, base, E1.rank, renames2)
+    psi = _embed(E1.psi, base, 0, renames1) + _embed(E2.psi, base, E1.rank, renames2)
     return CourantDouble(base, dual, x3, psi), renames2
 
 
-def embed_section(
-    E: CourantDouble, e: CourantSection, offset: int, renames: dict[str, str]
-) -> CourantSection:
-    """Transport a factor section into a product double at the given block."""
-    coords = E.base.coords
-    vec = {
-        tuple(i + offset for i in idx): _transport(c, renames, coords)
-        for idx, c in e.vec.coeffs.items()
+def _embed(
+    s: GradedSection, parent: AlgebroidPresentation, offset: int, renames: dict[str, str]
+) -> GradedSection:
+    """Transport a factor section into a product presentation at the given block."""
+    coeffs = {
+        tuple(i + offset for i in idx): _transport(c, renames, parent.coords)
+        for idx, c in s.coeffs.items()
     }
-    cov = {
-        tuple(i + offset for i in idx): _transport(c, renames, coords)
-        for idx, c in e.cov.coeffs.items()
-    }
-    return CourantSection(
-        E.base.section(MULTIVECTOR, 1, vec), E.base.section(FORM, 1, cov)
-    )
+    return parent.section(s.variance, s.degree, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -692,9 +675,8 @@ def check_split_dirac(
     F = L + L^perp, and the asserted biconditional between them."""
     E = qlb_double(Q)
     report = Report("check-split-dirac")
-    perp = L.annihilator(E.rank)
-    l_secs = [(f"L{k+1}", _const_section(E, vec=v)) for k, v in enumerate(L.vectors)]
-    p_secs = [(f"Lp{k+1}", _const_section(E, cov=w)) for k, w in enumerate(perp)]
+    F = split_dirac(E, L, P)
+    l_secs, p_secs = F.generators[: len(L.vectors)], F.generators[len(L.vectors) :]
     l_rows = _row_space([s.components(E.rank) for _, s in l_secs])
     p_rows = _row_space([s.components(E.rank) for _, s in p_secs])
 
@@ -729,7 +711,7 @@ def check_split_dirac(
         value = pairing(wedge(wedge(s1.cov, s2.cov), s3.cov), Q.x3)
         cond4.record(f"X({l1},{l2},{l3})", P.restrict(value))
 
-    direct = check_generalized_dirac(split_dirac(E, L, P))
+    direct = check_generalized_dirac(F)
     report.clause("direct-D1-D3", PROOF_TENSORIAL).absorb(direct, prefixed=True)
 
     four = all(c.passed for c in (cond1, cond2, cond3, cond4))
@@ -766,9 +748,8 @@ def build_morphism_graph(
 
     gens: list[tuple[str, CourantSection]] = []
     for i in range(QA.base.rank):
-        left = embed_section(E, CourantSection(QA.base.frame(i), QA.base.zero_section(FORM, 1)), 0, renames1)
-        pushed = QB.base.section(
-            MULTIVECTOR, 1, {(j,): phi.matrix[j][i] for j in range(QB.base.rank)}
+        left = CourantSection(
+            _embed(QA.base.frame(i), E.base, 0, renames1), E.base.zero_section(FORM, 1)
         )
         # the push-forward coefficients live over source coordinates, which
         # embed into the product chart unchanged
@@ -782,8 +763,8 @@ def build_morphism_graph(
         gens.append((f"graph-e{i+1}", left + right))
     for j in range(QB.base.rank):
         pulled = pullback(phi, QB.base.coframe(j))
-        left = embed_section(
-            E, CourantSection(QA.base.zero_section(MULTIVECTOR, 1), pulled), 0, renames1
+        left = CourantSection(
+            E.base.zero_section(MULTIVECTOR, 1), _embed(pulled, E.base, 0, renames1)
         )
         # -eps_B^j: the conjugated factor is stored through b* -> -b*
         right_cov = {(QA.base.rank + j,): -RationalFunction.one(coords)}

@@ -3,9 +3,10 @@ Nijenhuis torsion, twisted Poisson structures, quasi-Lie bialgebroids,
 Poisson quasi-Nijenhuis structures and their morphisms.
 
 Derived presentations do the heavy lifting: the dual algebroid A*_{pi,phi}
-(coframe as frame, anchor rho o pi#), the N-deformed structure (A, [.,.]_N,
-rho o N) and the prime structure (A, [.,.]', rho) are ordinary
-presentations, so the generic differential and Schouten machinery applies to
+(coframe as frame, anchor rho o pi#) and, from the one builder
+``deformed_presentation``, the N-deformed structure (A, [.,.]_N, rho o N),
+the prime structure (A, [.,.]', rho) and their twisted-deformed join are
+ordinary presentations, so the generic differential and Schouten machinery applies to
 both sides of every duality; ``d_star``, ``dual_bracket`` and ``dual_anchor``
 read it on the dual side of a quasi-Lie bialgebroid or a split double.
 """
@@ -155,14 +156,26 @@ def nijenhuis_torsion(
 
 
 def deformed_presentation(
-    A: AlgebroidPresentation, n_matrix: Matrix, name: str = ""
+    A: AlgebroidPresentation,
+    n_matrix: Matrix,
+    pi: GradedSection | None,
+    phi: GradedSection | None,
+    name: str = "",
 ) -> AlgebroidPresentation:
-    """A_N = (A, [.,.]_N, rho o N) as presentation data (axioms not implied)."""
+    """(A, [.,.]_N - pi#(phi(.,.,-)), rho o N) as presentation data (axioms not
+    implied): A_N when phi is None or zero, and with N = Id the prime
+    structure (A, [.,.]', rho) whose differential is d'."""
+    twisted = phi is not None and not phi.is_zero()
+
+    def bracket(i: int, j: int) -> GradedSection:
+        X, Y = A.frame(i), A.frame(j)
+        br = deformed_bracket(A, n_matrix, X, Y)
+        if twisted:
+            br = br - pi_sharp(pi, insert(phi, wedge(X, Y)))
+        return br
+
     return derived_presentation(
-        A,
-        n_matrix,
-        lambda i, j: deformed_bracket(A, n_matrix, A.frame(i), A.frame(j)),
-        name or f"{A.name}_N",
+        A, n_matrix, bracket, name or (f"{A.name}'" if twisted else f"{A.name}_N")
     )
 
 
@@ -180,8 +193,7 @@ def insert_endomorphism(A: AlgebroidPresentation, n_matrix: Matrix, mu: GradedSe
     for idx, f in mu.coeffs.items():
         for t in range(len(idx)):
             prefix = A.section(FORM, t, {idx[:t]: f})
-            slot = mat_apply(nstar, retag(A.coframe(idx[t]), A, MULTIVECTOR))
-            piece = wedge(prefix, retag(slot, A, FORM))
+            piece = wedge(prefix, mat_apply(nstar, A.coframe(idx[t])))
             suffix = A.section(FORM, len(idx) - t - 1, {idx[t + 1 :]: A.one_rf()})
             out = out + wedge(piece, suffix)
     return out
@@ -194,8 +206,7 @@ def nstar_pullback(A: AlgebroidPresentation, n_matrix: Matrix, psi: GradedSectio
     for idx, f in psi.coeffs.items():
         term = A.function(f, FORM)
         for t in idx:
-            slot = mat_apply(nstar, retag(A.coframe(t), A, MULTIVECTOR))
-            term = wedge(term, retag(slot, A, FORM))
+            term = wedge(term, mat_apply(nstar, A.coframe(t)))
         out = out + term
     return out
 
@@ -258,20 +269,6 @@ def dual_presentation(
         lambda i, j: twisted_bracket(pi, phi, A.coframe(i), A.coframe(j)),
         name or f"{A.name}*_pi",
     )
-
-
-def prime_presentation(
-    A: AlgebroidPresentation, pi: GradedSection, phi: GradedSection, name: str = ""
-) -> AlgebroidPresentation:
-    """(A, [.,.]', rho) with [X,Y]' = [X,Y] - pi#(phi(X,Y,-)); its differential is d'."""
-
-    def bracket(i: int, j: int) -> GradedSection:
-        br = schouten(A.frame(i), A.frame(j))
-        if phi is not None and not phi.is_zero():
-            br = br - pi_sharp(pi, insert(phi, wedge(A.frame(i), A.frame(j))))
-        return br
-
-    return derived_presentation(A, identity_morphism(A).matrix, bracket, name or f"{A.name}'")
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +458,8 @@ def qlb_from_twisted_poisson(
     if not pre.passed:
         raise HypothesisNotSatisfied("not a twisted Poisson structure", pre)
     base = dual_presentation(A, pi, phi)
-    return QuasiLieBialgebroid(
-        base, prime_presentation(A, pi, phi), retag(phi, base, MULTIVECTOR), name=name
-    )
+    prime = deformed_presentation(A, identity_morphism(A).matrix, pi, phi, f"{A.name}'")
+    return QuasiLieBialgebroid(base, prime, retag(phi, base, MULTIVECTOR), name=name)
 
 
 def _require_pqn(S: PqnStructure) -> None:
@@ -477,7 +473,7 @@ def build_qlb_from_pqn(S: PqnStructure, name: str = "") -> QuasiLieBialgebroid:
     """The section-2 theorem: (A*_pi, d_N, phi) from a PqN structure."""
     _require_pqn(S)
     base = dual_presentation(S.A, S.pi)
-    dual = deformed_presentation(S.A, S.n_matrix)
+    dual = deformed_presentation(S.A, S.n_matrix, None, None)
     return QuasiLieBialgebroid(base, dual, retag(S.phi, base, MULTIVECTOR), name=name)
 
 
@@ -549,12 +545,7 @@ def verify_lemma_tnstar(S: PqnStructure) -> Report:
     clause = report.clause("tnstar-identity", PROOF_TENSORIAL)
     for i in range(A.rank):
         for j in range(i + 1, A.rank):
-            torsion = nijenhuis_torsion(
-                dual,
-                nstar,
-                retag(A.coframe(i), dual, MULTIVECTOR),
-                retag(A.coframe(j), dual, MULTIVECTOR),
-            )
+            torsion = nijenhuis_torsion(dual, nstar, dual.frame(i), dual.frame(j))
             torsion_form = retag(torsion, A, FORM)
             si = pi_sharp(S.pi, A.coframe(i))
             sj = pi_sharp(S.pi, A.coframe(j))

@@ -1123,7 +1123,8 @@ class ExpressionParser:
             return RationalFunction.const(self.vars, int(tok.value))
         if tok.kind == "name":
             if tok.value not in self.vars:
-                raise ParseError(tok.line, tok.column, f"a coordinate in {list(self.vars)}", tok.value)
+                chart = clip(str(list(self.vars)))
+                raise ParseError(tok.line, tok.column, f"a coordinate in {chart}", tok.value)
             self.pos += 1
             return RationalFunction.coord(self.vars, tok.value)
         if tok.kind == "(":

@@ -167,6 +167,21 @@ class TestRoundTrip:
         assert first.paired == second.paired
         assert first.tasks == second.tasks
 
+    def test_paired_names_declarations_on_its_algebroid(self):
+        # A and B share a chart, so NA == NB and the tensors on A equal those
+        # on B; the operator on B must be written with B's names to reparse
+        text = "".join(
+            f"algebroid {X} {{ base = [x1, x2]; rank = 2; anchor[1,x1] = 1; }}\n"
+            f"endo N{X} on {X} {{ [1,1] = x1; }}\n"
+            f"tensor pi{X} on {X} multivector degree 2 {{ (1,2) = x2; }}\n"
+            f"tensor sigma{X} on {X} form degree 2 {{ (1,2) = 1; }}\n"
+            for X in "AB"
+        ) + "paired P on B { N = NB; pi = piB; sigma = sigmaB; }\n"
+        first = parse(text)
+        out = serialize(first)
+        assert "  N = NB;\n  pi = piB;\n  sigma = sigmaB;\n" in out
+        assert parse(out).paired == first.paired
+
     def test_corpus_round_trips(self):
         import pathlib
 

@@ -354,6 +354,24 @@ class TestBadInput:
         assert message in err
         assert all(len(line) < 200 for line in err.splitlines())
 
+    def test_short_chart_is_listed(self, tmp_path, capsys):
+        path = tmp_path / "chart.alg"
+        path.write_text("algebroid A { base = [x1, x2]; rank = 1; anchor[1,x1] = w; }\n")
+        assert main(["check", str(path)]) == 2
+        assert "1:57: expected a coordinate in ['x1', 'x2'], found 'w'" in capsys.readouterr().err
+
+    def test_long_chart_is_clipped(self, tmp_path, capsys):
+        # 32 coordinates of 3,000 characters: the chart shows its first CLIP characters
+        coords = [f"y{i:02d}" + "z" * 2997 for i in range(32)]
+        path = tmp_path / "chart.alg"
+        path.write_text(
+            f"algebroid A {{ base = [{', '.join(coords)}]; rank = 1; anchor[1,{coords[0]}] = w; }}\n"
+        )
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"expected a coordinate in {str(coords)[:CLIP]}..., found 'w'" in err
+        assert all(len(line) < 200 for line in err.splitlines())
+
 
 def corpus_with(name, *tasks):
     """A corpus file's declarations and tasks, then the given task lines."""

@@ -357,7 +357,7 @@ class TestMorphismGraph:
         base = null_presentation(AN)
         target_x = psi if corrupt else nstar_pullback(AN, n, psi)
         target = QuasiLieBialgebroid(
-            base, deformed_presentation(AN, n), retag(target_x, base, MULTIVECTOR)
+            base, deformed_presentation(AN, n, None, None), retag(target_x, base, MULTIVECTOR)
         )
         matrix = tuple(tuple(n[i][j] for i in range(3)) for j in range(3))
         phi = BundleMorphism(

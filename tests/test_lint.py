@@ -1,0 +1,85 @@
+"""A stdlib lint of the package source: every imported name is used by its
+module, and every local a function assigns is read.  ``__init__.py`` is
+exempt from the import rule, since its imports are the public API; names
+that start with an underscore are exempt from the local rule."""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "algebroid_forge"
+MODULES = sorted(SRC.glob("*.py"))
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def loaded_names(tree: ast.AST) -> set[str]:
+    """Names read anywhere under ``tree``, quoted annotations included."""
+    names = {
+        n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            annotation = node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotation = node.returns
+        elif isinstance(node, ast.AnnAssign):
+            annotation = node.annotation
+        else:
+            continue
+        for quoted in ast.walk(annotation) if annotation else ():
+            if isinstance(quoted, ast.Constant) and isinstance(quoted.value, str):
+                expr = ast.parse(quoted.value, mode="eval")
+                names |= {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
+    return names
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = loaded_names(tree)
+    return [f"line {line}: import {name}" for name, line in imported.items() if name not in used]
+
+
+def own_stores(function: ast.AST):
+    """Name targets a function assigns itself, not inside a nested function."""
+    stack = list(ast.iter_child_nodes(function))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, FUNCTIONS):
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def unread_locals(tree: ast.Module) -> list[str]:
+    out = []
+    for function in ast.walk(tree):
+        if not isinstance(function, FUNCTIONS):
+            continue
+        declared = {
+            name
+            for node in ast.walk(function)
+            if isinstance(node, (ast.Global, ast.Nonlocal))
+            for name in node.names
+        }
+        read = loaded_names(function)
+        for node in own_stores(function):
+            if node.id not in read | declared and not node.id.startswith("_"):
+                out.append(f"line {node.lineno}: {node.id} assigned, never read")
+    return sorted(set(out))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unused_imports_or_unread_locals(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    problems = unread_locals(tree)
+    if path.name != "__init__.py":
+        problems += unused_imports(tree)
+    assert not problems, f"{path.name}: " + "; ".join(problems)

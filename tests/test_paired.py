@@ -1,7 +1,18 @@
-import pytest
+from itertools import combinations
 
-from algebroid_forge.calculus import FORM, MULTIVECTOR, tangent_algebroid, wedge
-from algebroid_forge.courant import standard_double, twisted_double
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from algebroid_forge.calculus import (
+    FORM,
+    MULTIVECTOR,
+    mat_apply,
+    retag,
+    tangent_algebroid,
+    wedge,
+)
+from algebroid_forge.courant import CourantSection, standard_double, twisted_double
 from algebroid_forge.errors import HypothesisNotSatisfied
 from algebroid_forge.paired import (
     PairedOperator,
@@ -18,6 +29,7 @@ from algebroid_forge.pn import check_qlb, poisson_bracket
 from test_pn import diag, eye, std_pi, zeros
 
 TR2 = tangent_algebroid(2)
+TR3 = tangent_algebroid(3)
 
 
 def e5_operator():
@@ -75,6 +87,49 @@ class TestApply:
         got = apply_operator(op, e)
         assert got.vec == TR2.frame(0)
         assert got.cov == TR2.coframe(0).scale(-1)
+
+
+def block_formula(op, e):
+    """The operator as its block matrices [[N, pi#], [sigma_flat, -N*]],
+    each applied to a retagged half and retagged back."""
+    n, p, s, m = op.blocks()
+    A = e.vec.parent
+    vec = mat_apply(n, e.vec) + retag(mat_apply(p, retag(e.cov, A, MULTIVECTOR)), A, MULTIVECTOR)
+    cov = retag(mat_apply(s, retag(e.vec, A, FORM)), A, FORM) + retag(
+        mat_apply(m, retag(e.cov, A, MULTIVECTOR)), A, FORM
+    )
+    return CourantSection(vec, cov)
+
+
+@st.composite
+def operators_and_sections(draw):
+    """A paired operator with polynomial N, pi and sigma on TR2 or TR3, and a
+    section X + alpha with polynomial coefficients."""
+    A = draw(st.sampled_from((TR2, TR3)))
+
+    def poly():
+        out = A.scalar(draw(st.integers(-3, 3)))
+        for name in A.coords:
+            if draw(st.booleans()):
+                out = out + A.coord_rf(name) ** draw(st.integers(1, 2)) * draw(st.integers(-3, 3))
+        return out
+
+    def section(variance, degree):
+        return A.section(variance, degree, {idx: poly() for idx in combinations(range(A.rank), degree)})
+
+    n = tuple(tuple(poly() for _ in range(A.rank)) for _ in range(A.rank))
+    op = PairedOperator(A, n, section(MULTIVECTOR, 2), section(FORM, 2))
+    return op, CourantSection(section(MULTIVECTOR, 1), section(FORM, 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(operators_and_sections())
+def test_operator_matches_block_formula(case):
+    # a sign slip in either path, or a transposed block, shows on some section
+    op, e = case
+    got, want = apply_operator(op, e), block_formula(op, e)
+    assert got.vec == want.vec
+    assert got.cov == want.cov
 
 
 class TestPairedness:

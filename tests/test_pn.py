@@ -321,7 +321,7 @@ class TestDN:
     def test_matches_deformed_cartan(self):
         # d_N = i_N d - d i_N equals the Cartan differential of (A, [.,.]_N, rho N)
         n = diag(TR3, ["x1", "x2", "x3"])
-        AN = deformed_presentation(TR3, n)
+        AN = deformed_presentation(TR3, n, None, None)
         rng = random.Random(13)
         for k in (0, 1, 2):
             for _ in range(4):
@@ -551,7 +551,7 @@ class TestQlbMorphism:
         base = null_presentation(TR3)
         target_x = psi if corrupt else nstar_pullback(TR3, n, psi)
         target = QuasiLieBialgebroid(
-            base, deformed_presentation(TR3, n), retag(target_x, base, MULTIVECTOR)
+            base, deformed_presentation(TR3, n, None, None), retag(target_x, base, MULTIVECTOR)
         )
         matrix = tuple(tuple(n[i][j] for i in range(3)) for j in range(3))
         phi = BundleMorphism(
