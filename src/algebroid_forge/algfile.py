@@ -33,6 +33,8 @@ _FRAME_RE = re.compile(r"^e([0-9]{1,9})$")
 MAX_RANK = 32
 MAX_COORDS = 32
 
+_CLOSE = {"[": "]", "(": ")"}  # the opening tokens of entries, and their closing ones
+
 
 class TaskItem:
     """A task line as parsed; equality ignores the line number."""
@@ -52,8 +54,7 @@ class StructureFile:
     """The declarations of a file by kind, the parent algebroid of each
     tensor, endo and paired operator, the tasks, and the declaration order."""
 
-    __slots__ = ("algebroids", "tensors", "endos", "morphisms", "paired", "tensor_parent",
-                 "endo_parent", "paired_parent", "tasks", "order")
+    __slots__ = ("algebroids", "tensors", "endos", "morphisms", "paired", "parent", "tasks", "order")
 
     def __init__(self):
         self.algebroids: dict[str, AlgebroidPresentation] = {}
@@ -61,9 +62,7 @@ class StructureFile:
         self.endos: dict[str, tuple] = {}
         self.morphisms: dict[str, BundleMorphism] = {}
         self.paired: dict[str, PairedOperator] = {}
-        self.tensor_parent: dict[str, str] = {}
-        self.endo_parent: dict[str, str] = {}
-        self.paired_parent: dict[str, str] = {}
+        self.parent: dict[str, str] = {}  # tensor, endo or paired name -> algebroid name
         self.tasks: list[TaskItem] = []
         self.order: list[tuple[str, str]] = []
 
@@ -138,15 +137,59 @@ class _Parser:
             raise SemanticError(f"unknown algebroid {clip(tok.value)!r}", tok.line, tok.column)
         return A
 
-    def _frame_index(self, rank: int) -> int:
-        tok = self.expect_int_token()
-        i = int(tok.value)
-        if not 1 <= i <= rank:
-            raise SemanticError(f"frame index {clip(str(i))} outside 1..{rank}", tok.line, tok.column)
-        return i - 1
+    def _index(self, bound) -> int:
+        """One entry index, 0-based: a frame number in ``1..bound``, or one of
+        the coordinates when ``bound`` is a chart."""
+        if isinstance(bound, int):
+            tok = self.expect("int", "an integer")
+            if not 1 <= int(tok.value) <= bound:
+                raise SemanticError(f"index {clip(tok.value)} outside 1..{bound}", tok.line, tok.column)
+            return int(tok.value) - 1
+        tok = self.expect("name", "a coordinate name")
+        if tok.value not in bound:
+            raise SemanticError(f"unknown coordinate {clip(tok.value)!r}", tok.line, tok.column)
+        return bound.index(tok.value)
 
-    def expect_int_token(self) -> Token:
-        return self.expect("int", "an integer")
+    def _body(self, forms: dict) -> None:
+        """Entries ``KEY? OPEN index, ... CLOSE = VALUE ;`` up to the closing '}'.
+
+        ``forms`` maps an entry's key word, or its opening '(' or '[' when it
+        has none, to (bounds, store): one bound per index (see _index), and
+        ``store(idx, first)`` parses the value, keeps it and returns what
+        makes the entry unique.  An entry given twice is an error at its
+        first token."""
+        seen = set()
+        while (form := forms.get(self.peek().value)) is not None:
+            bounds, store = form
+            start = self.pos
+            first = self.next()
+            opener = first if first.kind in _CLOSE else self.expect("[")
+            idx = []
+            for bound in bounds:
+                if idx:
+                    self.expect(",")
+                idx.append(self._index(bound))
+            self.expect(_CLOSE[opener.kind])
+            entry = "".join(tok.value for tok in self.tokens[start : self.pos])
+            self.expect("=")
+            key = (first.value, store(tuple(idx), first))
+            if key in seen:
+                raise SemanticError(f"{clip(entry)} set twice", first.line, first.column)
+            seen.add(key)
+            self.expect(";")
+        self.expect("}")
+
+    def _into(self, table, coords):
+        """A store that parses an expression over ``coords`` into ``table[i][j]...``."""
+
+        def store(idx, first):
+            cells = table
+            for k in idx[:-1]:
+                cells = cells[k]
+            cells[idx[-1]] = self.parse_expr(coords)
+            return idx
+
+        return store
 
     def _algebroid(self):
         self.expect_name("algebroid")
@@ -163,13 +206,15 @@ class _Parser:
                 tok = self.expect("name", "a coordinate name")
                 if len(coords) == MAX_COORDS:
                     raise ParseError(tok.line, tok.column, f"at most {MAX_COORDS} coordinates", tok.value)
+                if tok.value in coords:
+                    raise SemanticError(f"duplicate coordinate {clip(tok.value)!r}", tok.line, tok.column)
                 coords.append(tok.value)
         self.expect("]")
         self.expect(";")
         self.expect_name("rank")
         self.expect("=")
-        tok = self.peek()
-        rank = int(self.expect_int_token().value)
+        tok = self.expect("int", "an integer")
+        rank = int(tok.value)
         if rank < 1:
             raise SemanticError("rank must be positive", tok.line, tok.column)
         if rank > MAX_RANK:
@@ -180,57 +225,19 @@ class _Parser:
         anchor = [[zero for _ in coords] for _ in range(rank)]
         npairs = rank * (rank - 1) // 2
         structure = [[zero for _ in range(rank)] for _ in range(npairs)]
-        seen_anchor = set()
-        seen_bracket = set()
-        while self.peek().kind == "name" and self.peek().value in ("anchor", "bracket"):
-            which = self.next().value
-            self.expect("[")
-            if which == "anchor":
-                i = self._frame_index(rank)
-                self.expect(",")
-                ctok = self.expect("name", "a coordinate name")
-                if ctok.value not in coords:
-                    raise SemanticError(
-                        f"unknown coordinate {clip(ctok.value)!r}", ctok.line, ctok.column
-                    )
-                a = coords.index(ctok.value)
-                self.expect("]")
-                self.expect("=")
-                value = self.parse_expr(coords)
-                if (i, a) in seen_anchor:
-                    raise SemanticError(
-                        f"anchor[{i+1},{clip(ctok.value)}] set twice", ctok.line, ctok.column
-                    )
-                seen_anchor.add((i, a))
-                anchor[i][a] = value
-            else:
-                itok = self.expect_int_token()
-                i = int(itok.value)
-                self.expect(",")
-                j = int(self.expect_int_token().value)
-                if not (1 <= i <= rank and 1 <= j <= rank) or i == j:
-                    raise SemanticError(
-                        f"bracket indices [{i},{j}] invalid for rank {rank}",
-                        itok.line,
-                        itok.column,
-                    )
-                self.expect("]")
-                self.expect("=")
-                combo = self._lincomb(coords, rank)
-                sign = 1
-                if i > j:
-                    i, j, sign = j, i, -1
-                key = (i, j)
-                if key in seen_bracket:
-                    raise SemanticError(
-                        f"bracket[{i},{j}] set twice", itok.line, itok.column
-                    )
-                seen_bracket.add(key)
-                row = structure[_pair_index(i - 1, j - 1, rank)]
-                for k, c in combo.items():
-                    row[k] = c if sign == 1 else -c
-            self.expect(";")
-        self.expect("}")
+
+        def bracket(idx, first):
+            i, j = sorted(idx)
+            if i == j:
+                message = f"bracket[{i + 1},{j + 1}] needs two different indices"
+                raise SemanticError(message, first.line, first.column)
+            row = structure[_pair_index(i, j, rank)]
+            for k, c in self._lincomb(coords, rank).items():
+                row[k] = c if idx == (i, j) else -c
+            return i, j
+
+        anchor_entry = self._into(anchor, coords)
+        self._body({"anchor": ((rank, coords), anchor_entry), "bracket": ((rank, rank), bracket)})
         self.file.algebroids[name] = AlgebroidPresentation(
             coords,
             rank,
@@ -318,12 +325,10 @@ class _Parser:
         if kind_tok.value not in (MULTIVECTOR, FORM):
             raise ParseError(kind_tok.line, kind_tok.column, "'multivector' or 'form'", kind_tok.value)
         self.expect_name("degree")
-        dtok = self.expect_int_token()
+        dtok = self.expect("int", "an integer")
         degree = int(dtok.value)
-        # degrees above the rank only admit the zero section (empty body)
-        if degree < 0:
-            raise SemanticError(f"negative degree {degree}", dtok.line, dtok.column)
         self.expect("{")
+        # degrees above the rank only admit the zero section (empty body)
         if degree > A.rank and self.peek().kind == "(":
             raise SemanticError(
                 f"degree {clip(str(degree))} exceeds rank {A.rank}: only the empty (zero) section is allowed",
@@ -331,42 +336,17 @@ class _Parser:
                 dtok.column,
             )
         coeffs = {}
-        while self.peek().kind == "(":
-            open_tok = self.next()
-            idx = []
-            if self.peek().kind == "int":
-                idx.append(int(self.next().value))
-                while self.peek().kind == ",":
-                    self.next()
-                    idx.append(int(self.expect_int_token().value))
-            self.expect(")")
-            if len(idx) != degree:
-                raise SemanticError(
-                    f"index tuple {clip(str(tuple(idx)))} has length {len(idx)}, degree is {degree}",
-                    open_tok.line,
-                    open_tok.column,
-                )
-            if any(not 1 <= k <= A.rank for k in idx):
-                raise SemanticError(
-                    f"index tuple {clip(str(tuple(idx)))} outside 1..{A.rank}", open_tok.line, open_tok.column
-                )
+
+        def entry(idx, first):
             if any(b <= a for a, b in zip(idx, idx[1:])):
-                raise SemanticError(
-                    f"index tuple {tuple(idx)} must be strictly increasing",
-                    open_tok.line,
-                    open_tok.column,
-                )
-            key = tuple(k - 1 for k in idx)
-            if key in coeffs:
-                raise SemanticError(
-                    f"entry {tuple(idx)} set twice", open_tok.line, open_tok.column
-                )
-            self.expect("=")
-            coeffs[key] = self.parse_expr(A.coords)
-            self.expect(";")
-        self.expect("}")
+                message = f"index tuple {clip(str(tuple(k + 1 for k in idx)))} must be strictly increasing"
+                raise SemanticError(message, first.line, first.column)
+            coeffs[idx] = self.parse_expr(A.coords)
+            return idx
+
+        self._body({"(": ((A.rank,) * degree, entry)} if degree <= A.rank else {})
         self.file.tensors[name] = A.section(kind_tok.value, degree, coeffs)
-        self.file.tensor_parent[name] = parent_tok.value
+        self.file.parent[name] = parent_tok.value
         self.file.order.append(("tensor", name))
 
     def _endo(self):
@@ -377,24 +357,10 @@ class _Parser:
         A = self._lookup_algebroid(parent_tok)
         zero = A.zero_rf()
         matrix = [[zero for _ in range(A.rank)] for _ in range(A.rank)]
-        seen = set()
         self.expect("{")
-        while self.peek().kind == "[":
-            self.next()
-            i = self._frame_index(A.rank)
-            self.expect(",")
-            j = self._frame_index(A.rank)
-            self.expect("]")
-            self.expect("=")
-            if (i, j) in seen:
-                tok = self.peek()
-                raise SemanticError(f"entry [{i+1},{j+1}] set twice", tok.line, tok.column)
-            seen.add((i, j))
-            matrix[i][j] = self.parse_expr(A.coords)
-            self.expect(";")
-        self.expect("}")
+        self._body({"[": ((A.rank, A.rank), self._into(matrix, A.coords))})
         self.file.endos[name] = tuple(tuple(r) for r in matrix)
-        self.file.endo_parent[name] = parent_tok.value
+        self.file.parent[name] = parent_tok.value
         self.file.order.append(("endo", name))
 
     def _morphism(self):
@@ -408,32 +374,12 @@ class _Parser:
         zero = RationalFunction.zero(src.coords)
         base = [zero for _ in dst.coords]
         matrix = [[zero for _ in range(src.rank)] for _ in range(dst.rank)]
-        while self.peek().kind == "name" and self.peek().value in ("base", "matrix"):
-            which = self.next().value
-            self.expect("[")
-            if which == "base":
-                ctok = self.expect("name", "a target coordinate")
-                if ctok.value not in dst.coords:
-                    raise SemanticError(
-                        f"unknown target coordinate {clip(ctok.value)!r}", ctok.line, ctok.column
-                    )
-                self.expect("]")
-                self.expect("=")
-                base[dst.coords.index(ctok.value)] = self.parse_expr(src.coords)
-            else:
-                jtok = self.expect_int_token()
-                j = int(jtok.value)
-                self.expect(",")
-                i = int(self.expect_int_token().value)
-                if not (1 <= j <= dst.rank and 1 <= i <= src.rank):
-                    raise SemanticError(
-                        f"matrix indices [{j},{i}] outside rank bounds", jtok.line, jtok.column
-                    )
-                self.expect("]")
-                self.expect("=")
-                matrix[j - 1][i - 1] = self.parse_expr(src.coords)
-            self.expect(";")
-        self.expect("}")
+        self._body(
+            {
+                "base": ((dst.coords,), self._into(base, src.coords)),
+                "matrix": ((dst.rank, src.rank), self._into(matrix, src.coords)),
+            }
+        )
         self.file.morphisms[name] = BundleMorphism(
             src, dst, tuple(base), tuple(tuple(r) for r in matrix), name=name
         )
@@ -445,38 +391,28 @@ class _Parser:
         self.expect_name("on")
         parent_tok = self.expect("name", "an algebroid name")
         A = self._lookup_algebroid(parent_tok)
+        parent = parent_tok.value
         self.expect("{")
-        parts = {}
-        for key in ("N", "pi", "sigma"):
+        parts = []
+        for key, table, kind, what in (
+            ("N", self.file.endos, None, "an endo"),
+            ("pi", self.file.tensors, (MULTIVECTOR, 2), "a degree-2 multivector"),
+            ("sigma", self.file.tensors, (FORM, 2), "a degree-2 form"),
+        ):
             self.expect_name(key)
             self.expect("=")
-            vtok = self.expect("name", "a declared name")
-            parts[key] = vtok
+            tok = self.expect("name", "a declared name")
+            value = table.get(tok.value)
+            on_parent = value is not None and self.file.parent[tok.value] == parent
+            if not on_parent or (kind is not None and (value.variance, value.degree) != kind):
+                message = f"{clip(tok.value)!r} must be {what} on {clip(parent)}"
+                raise SemanticError(message, tok.line, tok.column)
+            parts.append(value)
             self.expect(";")
         self.expect("}")
-        ntok = parts["N"]
-        n_matrix = self.file.endos.get(ntok.value)
-        if n_matrix is None or self.file.endo_parent[ntok.value] != parent_tok.value:
-            raise SemanticError(
-                f"N must be an endo on {clip(parent_tok.value)}", ntok.line, ntok.column
-            )
-        pi = self._tensor_ref(parts["pi"], parent_tok.value, MULTIVECTOR, 2)
-        sigma = self._tensor_ref(parts["sigma"], parent_tok.value, FORM, 2)
-        self.file.paired[name] = PairedOperator(A, n_matrix, pi, sigma, name=name)
-        self.file.paired_parent[name] = parent_tok.value
+        self.file.paired[name] = PairedOperator(A, *parts, name=name)
+        self.file.parent[name] = parent
         self.file.order.append(("paired", name))
-
-    def _tensor_ref(self, tok: Token, parent: str, variance: str, degree: int) -> GradedSection:
-        t = self.file.tensors.get(tok.value)
-        if t is None or self.file.tensor_parent[tok.value] != parent:
-            raise SemanticError(
-                f"{clip(tok.value)!r} must be a tensor on {clip(parent)}", tok.line, tok.column
-            )
-        if t.variance != variance or t.degree != degree:
-            raise SemanticError(
-                f"{clip(tok.value)!r} must be a degree-{degree} {variance}", tok.line, tok.column
-            )
-        return t
 
     def _task(self):
         head = self.expect_name("task")
@@ -517,10 +453,10 @@ def parse(text: str) -> StructureFile:
     return _Parser(text).parse()
 
 
-def _declared(table: dict, parents: dict[str, str], parent: str, value) -> str:
+def _declared(file: StructureFile, table: dict, parent: str, value) -> str:
     """The first declaration on ``parent`` with this value; an equal value
     declared on another algebroid of the same chart would not reparse."""
-    return next(k for k, v in table.items() if parents[k] == parent and v == value)
+    return next(k for k, v in table.items() if file.parent[k] == parent and v == value)
 
 
 def serialize(file: StructureFile) -> str:
@@ -547,7 +483,7 @@ def serialize(file: StructureFile) -> str:
             lines.append("}")
         elif kind == "tensor":
             t = file.tensors[name]
-            parent = file.tensor_parent[name]
+            parent = file.parent[name]
             lines.append(f"tensor {name} on {parent} {t.variance} degree {t.degree} {{")
             for idx, c in t.items():
                 inside = ",".join(str(k + 1) for k in idx)
@@ -555,7 +491,7 @@ def serialize(file: StructureFile) -> str:
             lines.append("}")
         elif kind == "endo":
             m = file.endos[name]
-            parent = file.endo_parent[name]
+            parent = file.parent[name]
             lines.append(f"endo {name} on {parent} {{")
             for i, row in enumerate(m):
                 for j, c in enumerate(row):
@@ -575,10 +511,10 @@ def serialize(file: StructureFile) -> str:
             lines.append("}")
         elif kind == "paired":
             op = file.paired[name]
-            parent = file.paired_parent[name]
-            n_name = _declared(file.endos, file.endo_parent, parent, op.n_matrix)
-            pi_name = _declared(file.tensors, file.tensor_parent, parent, op.pi)
-            sigma_name = _declared(file.tensors, file.tensor_parent, parent, op.sigma)
+            parent = file.parent[name]
+            n_name = _declared(file, file.endos, parent, op.n_matrix)
+            pi_name = _declared(file, file.tensors, parent, op.pi)
+            sigma_name = _declared(file, file.tensors, parent, op.sigma)
             lines.append(f"paired {name} on {parent} {{")
             lines.append(f"  N = {n_name};")
             lines.append(f"  pi = {pi_name};")

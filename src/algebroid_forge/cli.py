@@ -184,7 +184,7 @@ def _list_value(task, word, entries, chart):
 
 def _on_chart(file, word, name, chart) -> bool:
     if word == "N":
-        return file.algebroids[file.endo_parent[name]] is chart
+        return file.algebroids[file.parent[name]] is chart
     if word in TENSOR_KINDS:
         t = file.tensors[name]
         return t.parent is chart and (t.variance, t.degree) == TENSOR_KINDS[word]

@@ -17,7 +17,7 @@ from algebroid_forge import algfile, cli
 from algebroid_forge.algfile import MAX_COORDS, MAX_RANK
 from algebroid_forge.cli import SLOTS, TASKS, RunConfig, main
 from algebroid_forge.errors import CLIP
-from algebroid_forge.rational import MAX_DEGREE, MAX_DIGITS
+from algebroid_forge.rational import MAX_DEGREE, MAX_DIGITS, tokenize
 from algebroid_forge.reporting import PROOF_TENSORIAL, Report
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -342,8 +342,17 @@ class TestBadInput:
                 TR3_HEADER + f"task check-split-dirac Q span [{'x' * 5001}] at [x3];\n",
                 f"10:1: task check-split-dirac: span entries must be frame symbols, got '{'x' * CLIP}...'",
             ),
+            (
+                f"algebroid A {{ base = []; rank = 2; bracket[{'7' * 1000},1] = e1; }}\n",
+                f"1:44: index {'7' * CLIP}... outside 1..2",
+            ),
+            (
+                "algebroid A { base = []; rank = 2; }\n"
+                f"morphism Phi : A -> A {{ matrix[{'7' * 1000},1] = 1; }}\n",
+                f"2:32: index {'7' * CLIP}... outside 1..2",
+            ),
         ],
-        ids=["duplicate-name", "span-entry"],
+        ids=["duplicate-name", "span-entry", "bracket-index", "matrix-index"],
     )
     def test_long_names_are_clipped(self, tmp_path, capsys, text, message):
         # an echoed name shows its first CLIP characters, not all 5,001
@@ -353,6 +362,15 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert message in err
         assert all(len(line) < 200 for line in err.splitlines())
+
+    def test_repeated_chart_coordinate(self, tmp_path, capsys):
+        # a second x1 would be a coordinate that no expression can name
+        path = tmp_path / "chart.alg"
+        path.write_text("algebroid A { base = [x1, x1]; rank = 1; }\ntask check-axioms A;\n")
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "1:27: duplicate coordinate 'x1'" in captured.err
+        assert captured.out == ""
 
     def test_short_chart_is_listed(self, tmp_path, capsys):
         path = tmp_path / "chart.alg"
@@ -543,3 +561,60 @@ def test_mutated_tasks_exit_cleanly(tmp_path_factory, text):
         code = main(["check", str(path), "--samples", "0"])
     assert code in (0, 1, 2)
     assert (code == 2) == bool(err.getvalue()), err.getvalue()
+
+
+# what an edit of a declaration line may insert, besides the file's own
+# coordinates, frame symbols and names
+DECLARATION_TOKENS = [
+    *"{}[](),;=:",
+    "->",
+    *"algebroid tensor endo morphism paired on base rank anchor bracket".split(),
+    *"multivector form degree matrix N pi sigma".split(),
+    *"0 1 2 3 33".split(),
+    "7" * MAX_DIGITS,
+]
+
+
+@st.composite
+def mutated_declarations(draw):
+    """A cheap corpus file whose declaration lines get 1-3 token edits: a
+    drop, a duplicate, a swap of neighbours or an insert drawn from the
+    declaration vocabulary and the file's own coordinates, frames and names."""
+    lines = (CORPUS / (draw(st.sampled_from(FUZZ_FILES)) + ".alg")).read_text().splitlines()
+    f = algfile.parse("\n".join(lines))
+    rank = max(A.rank for A in f.algebroids.values())
+    coords = {c for A in f.algebroids.values() for c in A.coords}
+    names = [*f.algebroids, *f.tensors, *f.endos, *f.morphisms, *f.paired]
+    vocabulary = sorted({*DECLARATION_TOKENS, *coords, *names, *(f"e{k}" for k in range(1, rank + 2))})
+    words = [
+        [tok.value for tok in tokenize(line)[:-1]] if not line.startswith("task ") else None
+        for line in lines
+    ]
+    declarations = [k for k, line in enumerate(words) if line]
+    for _ in range(draw(st.integers(1, 3))):
+        line = words[draw(st.sampled_from(declarations))]
+        k = draw(st.integers(0, len(line)))
+        edit = draw(st.sampled_from(("drop", "duplicate", "swap", "insert")))
+        if edit == "insert":
+            line.insert(k, draw(st.sampled_from(vocabulary)))
+        elif edit == "drop" and k < len(line):
+            del line[k]
+        elif edit == "duplicate" and k < len(line):
+            line.insert(k, line[k])
+        elif edit == "swap" and k + 1 < len(line):
+            line[k], line[k + 1] = line[k + 1], line[k]
+    return "\n".join(text if line is None else " ".join(line) for text, line in zip(lines, words)) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=mutated_declarations())
+def test_mutated_declarations_exit_cleanly(tmp_path_factory, text):
+    # a malformed declaration is exit 2 with a short message, never a traceback
+    path = tmp_path_factory.getbasetemp() / "declarations.alg"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["check", str(path), "--samples", "0"])
+    assert code in (0, 1, 2)
+    assert (code == 2) == bool(err.getvalue()), err.getvalue()
+    assert all(len(line) < 200 for line in err.getvalue().splitlines())
