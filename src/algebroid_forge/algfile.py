@@ -182,7 +182,7 @@ class _Parser:
     def _into(self, table, coords):
         """A store that parses an expression over ``coords`` into ``table[i][j]...``."""
 
-        def store(idx, first):
+        def store(idx, _first):
             cells = table
             for k in idx[:-1]:
                 cells = cells[k]

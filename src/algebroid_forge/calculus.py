@@ -122,15 +122,7 @@ class AlgebroidPresentation:
 
     def rho_apply(self, i: int, f: RationalFunction) -> RationalFunction:
         """The base vector field rho(e_i) acting on a function."""
-        return self.memo(("rho_apply", i, f), self._compute_rho_apply, i, f)
-
-    def _compute_rho_apply(self, i: int, f: RationalFunction) -> RationalFunction:
-        out = self.zero_rf()
-        for a, name in enumerate(self.coords):
-            coeff = self.anchor[i][a]
-            if not coeff.is_zero():
-                out = out + coeff * f.differentiate(name)
-        return out
+        return self.memo(("rho_apply", i, f), apply_field, self.coords, self.anchor[i], f)
 
     def bracket_frame(self, i: int, j: int) -> "GradedSection":
         """[e_i, e_j] with the antisymmetric sign convention."""
@@ -599,22 +591,41 @@ def vector_field(X: GradedSection) -> tuple[RationalFunction, ...]:
     return tuple(comps)
 
 
+def apply_field(coords: tuple[str, ...], v, f: RationalFunction) -> RationalFunction:
+    """The base vector field with components ``v`` on ``coords`` acting on f:
+    sum_a v^a df/dx^a.  Every derivative along a vector field is this one."""
+    out = RationalFunction.zero(coords)
+    for name, c in zip(coords, v):
+        if not c.is_zero():
+            out = out + c * f.differentiate(name)
+    return out
+
+
 def vf_bracket(
     A: AlgebroidPresentation,
     v: tuple[RationalFunction, ...],
     w: tuple[RationalFunction, ...],
 ) -> tuple[RationalFunction, ...]:
     """Commutator of base vector fields given by components."""
-    out = []
-    for a in range(A.n):
-        acc = A.zero_rf()
-        for b, name in enumerate(A.coords):
-            if not v[b].is_zero():
-                acc = acc + v[b] * w[a].differentiate(name)
-            if not w[b].is_zero():
-                acc = acc - w[b] * v[a].differentiate(name)
-        out.append(acc)
-    return tuple(out)
+    return tuple(
+        apply_field(A.coords, v, wa) - apply_field(A.coords, w, va) for va, wa in zip(v, w)
+    )
+
+
+def exterior_power(
+    parent: AlgebroidPresentation, variance: str, degree: int, coeffs: Mapping, images
+) -> GradedSection:
+    """sum_I c_I images[i_1] ^ ... ^ images[i_k] for ``coeffs`` {I: c_I} of
+    the given degree: a bundle map, given by the degree-1 images of the frame
+    (or coframe) on ``parent``, extended slot by slot to k-sections.  The one
+    k-slot extension of a map (pi#, N*, Phi^*, wedge^k Phi)."""
+    out = GradedSection._make(parent, variance, degree, {})
+    for idx, c in coeffs.items():
+        term = GradedSection._make(parent, variance, 0, {(): c})
+        for i in idx:
+            term = wedge(term, images[i])
+        out = out + term
+    return out
 
 
 def mat_apply(matrix, X: GradedSection) -> GradedSection:
@@ -683,13 +694,13 @@ def pullback(phi: BundleMorphism, mu: GradedSection) -> GradedSection:
         raise ParentMismatch("pullback expects a form on the morphism target")
     if mu.variance != FORM:
         raise VarianceMismatch("pullback acts on forms")
-    out = phi.source.zero_section(FORM, mu.degree)
-    for idx, g in mu.coeffs.items():
-        term = phi.source.function(phi.base_subs(g), FORM)
-        for j in idx:
-            term = wedge(term, phi.pull_coframe(j))
-        out = out + term
-    return out
+    return exterior_power(
+        phi.source,
+        FORM,
+        mu.degree,
+        {idx: phi.base_subs(g) for idx, g in mu.coeffs.items()},
+        [phi.pull_coframe(j) for j in range(phi.target.rank)],
+    )
 
 
 def identity_morphism(A: AlgebroidPresentation) -> BundleMorphism:
@@ -842,22 +853,13 @@ def derived_presentation(
     whose coefficients become the structure row.  Dual, deformed and prime
     structures are all built this way; the axioms are not implied.
     """
-    anchor = []
-    for i in range(A.rank):
-        row = [A.zero_rf() for _ in range(A.n)]
-        for k in range(A.rank):
-            c = matrix[k][i]
-            if not c.is_zero():
-                for a in range(A.n):
-                    if not A.anchor[k][a].is_zero():
-                        row[a] = row[a] + c * A.anchor[k][a]
-        anchor.append(tuple(row))
+    anchor = tuple(vector_field(mat_apply(matrix, A.frame(i))) for i in range(A.rank))
     rows = []
     for i in range(A.rank):
         for j in range(i + 1, A.rank):
             br = bracket(i, j)
             rows.append(tuple(br.coefficient((k,)) for k in range(A.rank)))
-    return AlgebroidPresentation(A.coords, A.rank, tuple(anchor), tuple(rows), name=name)
+    return AlgebroidPresentation(A.coords, A.rank, anchor, tuple(rows), name=name)
 
 
 # ---------------------------------------------------------------------------

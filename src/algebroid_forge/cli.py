@@ -109,7 +109,7 @@ TENSOR_KINDS = {"pi": (MULTIVECTOR, 2), "phi": (FORM, 3)}  # what a tensor slot 
 # optional and binds the qLB for later tasks.
 TASKS = {
     "check-axioms A": lambda c, A: _axioms(A),
-    "check-twisted-poisson A pi phi": lambda c, A, pi, phi: check_twisted_poisson(A, pi, phi),
+    "check-twisted-poisson A pi phi": lambda c, A, pi, phi: check_twisted_poisson(pi, phi),
     "check-compatible A pi N": lambda c, A, pi, N: check_compatible(A, pi, N),
     "check-pqn A pi N phi": lambda c, A, pi, N, phi: check_pqn(A, pi, N, phi),
     "build-qlb from_pqn A pi N phi as Q": lambda c, *s: build_qlb_from_pqn(PqnStructure(*s)),
@@ -169,7 +169,7 @@ def _list_value(task, word, entries, chart):
     if word == "[x3]":
         for name in entries:
             if name not in chart.coords:
-                raise _error(task, f"unknown coordinate {clip(name)!r} in submanifold argument")
+                raise _error(task, f"unknown coordinate {clip(str(name))!r} in submanifold argument")
         return tuple(entries)
     vectors = []
     for entry in entries:
@@ -206,7 +206,11 @@ def _fit(task, words, args, file, built):
         if table is list:
             if not isinstance(arg, list):
                 raise _Misfit(k, want)
-            values.append(_list_value(task, word, arg, chart))
+            value = _list_value(task, word, arg, chart)
+            repeats = [arg[i] for i, v in enumerate(value) if v in value[:i]]
+            if repeats:
+                raise _error(task, f"argument {k+1} repeats {clip(str(repeats[0]))!r}")
+            values.append(value)
             continue
         scope = built if table is None else getattr(file, table)
         if not isinstance(arg, str) or arg not in scope or not _on_chart(file, word, arg, chart):
@@ -218,6 +222,12 @@ def _fit(task, words, args, file, built):
             chart = scope[arg].A
     if len(args) > len(words):
         raise _Misfit(len(words), None)
+    if words[:1] == ["Phi"]:  # Phi Qsrc Qtgt: Phi maps the chart and rank of each qLB
+        phi, src, tgt = values
+        ends = ((phi.source, built[src]), (phi.target, built[tgt]))
+        if any((m.coords, m.rank) != (a.coords, a.rank) for m, a in ends):
+            wants = f"the chart and rank of {clip(src)} to those of {clip(tgt)}"
+            raise _error(task, f"argument 1 must be a morphism from {wants}")
     return values, chart
 
 

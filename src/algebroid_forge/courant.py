@@ -29,6 +29,7 @@ from .calculus import (
     BundleMorphism,
     GradedSection,
     _pair_index,
+    apply_field,
     d_function,
     differential,
     insert,
@@ -327,12 +328,7 @@ def d_operator(E: CourantDouble, f: RationalFunction) -> CourantSection:
 
 
 def rho_apply_section(E: CourantDouble, e: CourantSection, f: RationalFunction) -> RationalFunction:
-    comps = anchor_field(E, e)
-    out = E.base.zero_rf()
-    for a, name in enumerate(E.base.coords):
-        if not comps[a].is_zero():
-            out = out + comps[a] * f.differentiate(name)
-    return out
+    return apply_field(E.base.coords, anchor_field(E, e), f)
 
 
 # ---------------------------------------------------------------------------
@@ -476,14 +472,12 @@ class Submanifold:
 
     def tangency_residues(self, field_components) -> list[tuple[str, RationalFunction]]:
         """Residues whose vanishing says the vector field is tangent to P."""
-        out = []
         kept = set(self.kept)
+        zero = RationalFunction.zero(self.coords)
+        along = [v if name in kept else zero for name, v in zip(self.coords, field_components)]
+        out = []
         for name, expr in self.assignments:
-            c = self.coords.index(name)
-            residue = field_components[c]
-            for a, cname in enumerate(self.coords):
-                if cname in kept and not field_components[a].is_zero():
-                    residue = residue - field_components[a] * expr.differentiate(cname)
+            residue = field_components[self.coords.index(name)] - apply_field(self.coords, along, expr)
             out.append((name, self.restrict(residue)))
         return out
 

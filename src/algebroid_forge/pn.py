@@ -23,11 +23,13 @@ from .calculus import (
     BundleMorphism,
     GradedSection,
     _require_retaggable,
+    apply_field,
     check_axioms,
     d_function,
     derived_presentation,
     differential,
     evaluate,
+    exterior_power,
     identity_morphism,
     insert,
     is_lie_algebroid_morphism,
@@ -42,7 +44,13 @@ from .calculus import (
     vector_field,
     wedge,
 )
-from .errors import DegreeMismatch, HypothesisNotSatisfied, MalformedMorphism, VarianceMismatch
+from .errors import (
+    DegreeMismatch,
+    HypothesisNotSatisfied,
+    MalformedMorphism,
+    ParentMismatch,
+    VarianceMismatch,
+)
 from .rational import RationalFunction
 from .reporting import (
     EVIDENCE_SAMPLED,
@@ -95,26 +103,19 @@ def matrix_compose(A: AlgebroidPresentation, left: Matrix, right: Matrix) -> Mat
 
 
 def pi_sharp(pi: GradedSection, mu: GradedSection) -> GradedSection:
-    """Extension of pi# to k-forms: <pi# mu, a_1 ^...^ a_k> = (-1)^k mu(pi# a_1, ...)."""
+    """Extension of pi# to k-forms: <pi# mu, a_1 ^...^ a_k> = (-1)^k mu(pi# a_1, ...).
+
+    pi# is antisymmetric, so the sign cancels against the transpose: pi# mu
+    is mu with every slot sent through pi#."""
     if pi.variance != MULTIVECTOR or pi.degree != 2:
         raise DegreeMismatch("pi must be a degree-2 multivector")
     if mu.variance != FORM:
         raise VarianceMismatch("pi_sharp acts on forms")
     A = pi.parent
-    k = mu.degree
-    if k == 0:
-        return retag(mu, A, MULTIVECTOR)
+    if mu.parent != A:
+        raise ParentMismatch("sections live on different presentations")
     images = [insert(pi, A.coframe(i)) for i in range(A.rank)]
-    sign = -1 if k % 2 else 1
-    coeffs = {}
-    for idx in combinations(range(A.rank), k):
-        w = images[idx[0]]
-        for t in idx[1:]:
-            w = wedge(w, images[t])
-        value = pairing(mu, w)
-        if not value.is_zero():
-            coeffs[idx] = value if sign == 1 else -value
-    return A.section(MULTIVECTOR, k, coeffs)
+    return exterior_power(A, MULTIVECTOR, mu.degree, mu.coeffs, images)
 
 
 def bivector_from_sharp(A: AlgebroidPresentation, sharp: Matrix) -> GradedSection:
@@ -126,12 +127,11 @@ def bivector_from_sharp(A: AlgebroidPresentation, sharp: Matrix) -> GradedSectio
     return A.section(MULTIVECTOR, 2, coeffs)
 
 
-def sharp_is_antisymmetric(A: AlgebroidPresentation, sharp: Matrix) -> bool:
-    for j in range(A.rank):
-        for k in range(A.rank):
-            if not (sharp[k][j] + sharp[j][k]).is_zero():
-                return False
-    return True
+def intertwining(A: AlgebroidPresentation, pi: GradedSection, n_matrix: Matrix) -> Matrix:
+    """N pi# - pi# N*.  Since pi# is antisymmetric, entry [k][j] is also
+    (N pi#)[k][j] + (N pi#)[j][k]: it vanishes iff N pi is a bivector."""
+    nsharp = matrix_compose(A, n_matrix, contraction_matrix(pi))
+    return tuple(tuple(nsharp[k][j] + nsharp[j][k] for j in range(A.rank)) for k in range(A.rank))
 
 
 # ---------------------------------------------------------------------------
@@ -139,20 +139,16 @@ def sharp_is_antisymmetric(A: AlgebroidPresentation, sharp: Matrix) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def deformed_bracket(
-    A: AlgebroidPresentation, n_matrix: Matrix, X: GradedSection, Y: GradedSection
-) -> GradedSection:
+def deformed_bracket(n_matrix: Matrix, X: GradedSection, Y: GradedSection) -> GradedSection:
     """[X, Y]_N = [NX, Y] + [X, NY] - N[X, Y]."""
     nx, ny = mat_apply(n_matrix, X), mat_apply(n_matrix, Y)
     return schouten(nx, Y) + schouten(X, ny) - mat_apply(n_matrix, schouten(X, Y))
 
 
-def nijenhuis_torsion(
-    A: AlgebroidPresentation, n_matrix: Matrix, X: GradedSection, Y: GradedSection
-) -> GradedSection:
+def nijenhuis_torsion(n_matrix: Matrix, X: GradedSection, Y: GradedSection) -> GradedSection:
     """T_N(X, Y) = [NX, NY] - N [X, Y]_N."""
     nx, ny = mat_apply(n_matrix, X), mat_apply(n_matrix, Y)
-    return schouten(nx, ny) - mat_apply(n_matrix, deformed_bracket(A, n_matrix, X, Y))
+    return schouten(nx, ny) - mat_apply(n_matrix, deformed_bracket(n_matrix, X, Y))
 
 
 def deformed_presentation(
@@ -169,7 +165,7 @@ def deformed_presentation(
 
     def bracket(i: int, j: int) -> GradedSection:
         X, Y = A.frame(i), A.frame(j)
-        br = deformed_bracket(A, n_matrix, X, Y)
+        br = deformed_bracket(n_matrix, X, Y)
         if twisted:
             br = br - pi_sharp(pi, insert(phi, wedge(X, Y)))
         return br
@@ -184,31 +180,28 @@ def deformed_presentation(
 # ---------------------------------------------------------------------------
 
 
+def _nstar_images(A: AlgebroidPresentation, n_matrix: Matrix) -> list[GradedSection]:
+    """N* eps^j for every coframe element."""
+    nstar = nstar_matrix(A, n_matrix)
+    return [mat_apply(nstar, A.coframe(j)) for j in range(A.rank)]
+
+
 def insert_endomorphism(A: AlgebroidPresentation, n_matrix: Matrix, mu: GradedSection) -> GradedSection:
-    """i_N mu, the degree-0 derivation (i_N mu)(X_1..X_k) = sum_j mu(.., N X_j, ..)."""
+    """i_N mu, the degree-0 derivation (i_N mu)(X_1..X_k) = sum_j mu(.., N X_j, ..),
+    written as sum_j N* eps^j ^ i_{e_j} mu (0 on functions): both sides are
+    degree-0 derivations that agree on 1-forms."""
     if mu.variance != FORM:
         raise VarianceMismatch("i_N acts on forms")
-    nstar = nstar_matrix(A, n_matrix)
     out = A.zero_section(FORM, mu.degree)
-    for idx, f in mu.coeffs.items():
-        for t in range(len(idx)):
-            prefix = A.section(FORM, t, {idx[:t]: f})
-            piece = wedge(prefix, mat_apply(nstar, A.coframe(idx[t])))
-            suffix = A.section(FORM, len(idx) - t - 1, {idx[t + 1 :]: A.one_rf()})
-            out = out + wedge(piece, suffix)
+    if mu.degree:
+        for j, image in enumerate(_nstar_images(A, n_matrix)):
+            out = out + wedge(image, insert(mu, A.frame(j)))
     return out
 
 
 def nstar_pullback(A: AlgebroidPresentation, n_matrix: Matrix, psi: GradedSection) -> GradedSection:
     """N* on forms, every slot through N: (N* psi)(X_1..X_k) = psi(N X_1, .., N X_k)."""
-    nstar = nstar_matrix(A, n_matrix)
-    out = A.zero_section(FORM, psi.degree)
-    for idx, f in psi.coeffs.items():
-        term = A.function(f, FORM)
-        for t in idx:
-            term = wedge(term, mat_apply(nstar, A.coframe(t)))
-        out = out + term
-    return out
+    return exterior_power(A, FORM, psi.degree, psi.coeffs, _nstar_images(A, n_matrix))
 
 
 def d_n(A: AlgebroidPresentation, n_matrix: Matrix, mu: GradedSection) -> GradedSection:
@@ -223,11 +216,6 @@ def d_n(A: AlgebroidPresentation, n_matrix: Matrix, mu: GradedSection) -> Graded
 # ---------------------------------------------------------------------------
 
 
-def bivector_pairing(pi: GradedSection, alpha: GradedSection, beta: GradedSection) -> RationalFunction:
-    """pi(alpha, beta) = <alpha ^ beta, pi>."""
-    return pairing(wedge(alpha, beta), pi)
-
-
 def twisted_bracket(
     pi: GradedSection, phi: GradedSection, alpha: GradedSection, beta: GradedSection
 ) -> GradedSection:
@@ -235,7 +223,7 @@ def twisted_bracket(
     A = pi.parent
     sa, sb = pi_sharp(pi, alpha), pi_sharp(pi, beta)
     out = lie_derivative(sa, beta) - lie_derivative(sb, alpha)
-    out = out - d_function(A, bivector_pairing(pi, alpha, beta))
+    out = out - d_function(A, pairing(wedge(alpha, beta), pi))
     if phi is not None and not phi.is_zero():
         out = out + insert(phi, wedge(sa, sb))
     return out
@@ -280,17 +268,16 @@ def concomitant(A: AlgebroidPresentation, pi: GradedSection, n_matrix: Matrix):
     """The Magri-Morosi concomitant C(pi, N) as a function of two 1-forms,
     or None when N o pi# is not antisymmetric, so that N pi is no bivector.
     N pi, N* and A*_pi are built once, for every pair the caller evaluates."""
-    nsharp = matrix_compose(A, n_matrix, contraction_matrix(pi))
-    if not sharp_is_antisymmetric(A, nsharp):
+    if any(not c.is_zero() for row in intertwining(A, pi, n_matrix) for c in row):
         return None
-    npi = bivector_from_sharp(A, nsharp)
+    npi = bivector_from_sharp(A, matrix_compose(A, n_matrix, contraction_matrix(pi)))
     nstar = nstar_matrix(A, n_matrix)
     dual = dual_presentation(A, pi)
 
     def C(alpha: GradedSection, beta: GradedSection) -> GradedSection:
         first = poisson_bracket(npi, alpha, beta)
         second = deformed_bracket(
-            dual, nstar, retag(alpha, dual, MULTIVECTOR), retag(beta, dual, MULTIVECTOR)
+            nstar, retag(alpha, dual, MULTIVECTOR), retag(beta, dual, MULTIVECTOR)
         )
         return first - retag(second, A, FORM)
 
@@ -314,17 +301,15 @@ def magri_morosi(
 def check_compatible(A: AlgebroidPresentation, pi: GradedSection, n_matrix: Matrix) -> Report:
     """N pi# = pi# N* and vanishing Magri-Morosi concomitant, on frames."""
     report = Report("check-compatible")
-    sharp = contraction_matrix(pi)
-    nsharp = matrix_compose(A, n_matrix, sharp)
+    residue = intertwining(A, pi, n_matrix)
     anti = report.clause("np-bivector", PROOF_TENSORIAL, note="precondition: N pi antisymmetric")
     for j in range(A.rank):
         for k in range(j, A.rank):
-            anti.record(f"(Npi)[{j+1},{k+1}]+(Npi)[{k+1},{j+1}]", nsharp[k][j] + nsharp[j][k])
+            anti.record(f"(Npi)[{j+1},{k+1}]+(Npi)[{k+1},{j+1}]", residue[k][j])
     intertwine = report.clause("sharp-intertwines", PROOF_TENSORIAL)
-    other = matrix_compose(A, sharp, nstar_matrix(A, n_matrix))
     for k in range(A.rank):
         for i in range(A.rank):
-            intertwine.record(f"(Npi# - pi#N*)[{k+1},{i+1}]", nsharp[k][i] - other[k][i])
+            intertwine.record(f"(Npi# - pi#N*)[{k+1},{i+1}]", residue[k][i])
     mm = report.clause("magri-morosi", PROOF_TENSORIAL)
     C = concomitant(A, pi, n_matrix)
     if C is None:
@@ -336,9 +321,7 @@ def check_compatible(A: AlgebroidPresentation, pi: GradedSection, n_matrix: Matr
     return report
 
 
-def check_twisted_poisson(
-    A: AlgebroidPresentation, pi: GradedSection, phi: GradedSection
-) -> Report:
+def check_twisted_poisson(pi: GradedSection, phi: GradedSection) -> Report:
     """d phi = 0 and [pi, pi] = 2 pi#(phi), exactly."""
     report = Report("check-twisted-poisson")
     closed = report.clause("closed-3form", PROOF_TENSORIAL)
@@ -375,7 +358,7 @@ def check_pqn(
     torsion = report.clause("torsion-matches-phi", PROOF_TENSORIAL)
     for i in range(A.rank):
         for j in range(i + 1, A.rank):
-            t = nijenhuis_torsion(A, n_matrix, A.frame(i), A.frame(j))
+            t = nijenhuis_torsion(n_matrix, A.frame(i), A.frame(j))
             corr = pi_sharp(pi, insert(phi, wedge(A.frame(i), A.frame(j))))
             torsion.record(f"T_N(e{i+1},e{j+1})+pi#(i phi)", t + corr)
     return report
@@ -454,7 +437,7 @@ def qlb_from_twisted_poisson(
     A: AlgebroidPresentation, pi: GradedSection, phi: GradedSection, name: str = ""
 ) -> QuasiLieBialgebroid:
     """(A*_{pi,phi}, d', phi); requires the twisted Poisson identity."""
-    pre = check_twisted_poisson(A, pi, phi)
+    pre = check_twisted_poisson(pi, phi)
     if not pre.passed:
         raise HypothesisNotSatisfied("not a twisted Poisson structure", pre)
     base = dual_presentation(A, pi, phi)
@@ -545,7 +528,7 @@ def verify_lemma_tnstar(S: PqnStructure) -> Report:
     clause = report.clause("tnstar-identity", PROOF_TENSORIAL)
     for i in range(A.rank):
         for j in range(i + 1, A.rank):
-            torsion = nijenhuis_torsion(dual, nstar, dual.frame(i), dual.frame(j))
+            torsion = nijenhuis_torsion(nstar, dual.frame(i), dual.frame(j))
             torsion_form = retag(torsion, A, FORM)
             si = pi_sharp(S.pi, A.coframe(i))
             sj = pi_sharp(S.pi, A.coframe(j))
@@ -559,34 +542,6 @@ def verify_lemma_tnstar(S: PqnStructure) -> Report:
 # ---------------------------------------------------------------------------
 # quasi-Lie bialgebroid morphisms
 # ---------------------------------------------------------------------------
-
-
-def _push_multivector(phi: BundleMorphism, P: GradedSection):
-    """Coefficients of (wedge^k Phi)(P) on the target frame, over the source chart."""
-    k = P.degree
-    out: dict[tuple[int, ...], RationalFunction] = {}
-    for jdx in combinations(range(phi.target.rank), k):
-        acc = RationalFunction.zero(phi.source.coords)
-        for idx, f in P.coeffs.items():
-            # minor determinant of the morphism matrix, rows jdx, columns idx
-            det = _det([[phi.matrix[j][i] for i in idx] for j in jdx], phi.source.coords)
-            acc = acc + f * det
-        out[jdx] = acc
-    return out
-
-
-def _det(rows, coords) -> RationalFunction:
-    n = len(rows)
-    if n == 0:
-        return RationalFunction.one(coords)
-    if n == 1:
-        return rows[0][0]
-    out = RationalFunction.zero(coords)
-    for c in range(n):
-        minor = [r[:c] + r[c + 1 :] for r in rows[1:]]
-        term = rows[0][c] * _det(minor, coords)
-        out = out + term if c % 2 == 0 else out - term
-    return out
 
 
 def check_qlb_morphism(
@@ -612,16 +567,13 @@ def check_qlb_morphism(
         v = dual_anchor(QA, pullback(phi, QB.base.coframe(j)))
         w = dual_anchor(QB, QB.base.coframe(j))
         for b, name in enumerate(phi.target.coords):
-            push = RationalFunction.zero(phi.source.coords)
-            for a, src in enumerate(phi.source.coords):
-                if not v[a].is_zero():
-                    push = push + v[a] * phi.base_map[b].differentiate(src)
+            push = apply_field(phi.source.coords, v, phi.base_map[b])
             anchors.record(f"eps{j+1}.{name}", push - phi.base_subs(w[b]))
 
+    # (wedge^3 Phi)(X_A)[J] = <Phi^* eps_B^J, X_A>
     threesec = report.clause("three-section-pushes", PROOF_TENSORIAL)
-    pushed = _push_multivector(phi, QA.x3)
     for jdx in combinations(range(QB.base.rank), 3):
-        target_coeff = phi.base_subs(QB.x3.coefficient(jdx))
+        pushed = pairing(pullback(phi, QB.base.section(FORM, 3, {jdx: QB.base.one_rf()})), QA.x3)
         label = "e" + "^e".join(str(j + 1) for j in jdx)
-        threesec.record(label, pushed.get(jdx, RationalFunction.zero(phi.source.coords)) - target_coeff)
+        threesec.record(label, pushed - phi.base_subs(QB.x3.coefficient(jdx)))
     return report

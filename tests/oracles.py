@@ -4,14 +4,18 @@ These deliberately avoid the production code paths: the pairing oracle is a
 permutation-expansion determinant, the differential oracle evaluates the
 Cartan formula argument by argument on frame tuples, and the intertwining
 oracle applies N, N* and pi# to plain ``Fraction`` vectors one definition
-at a time, with nothing from ``pn``.  The polynomial oracles hand exponent
+at a time, with nothing from ``pn``.  The bundle-map oracles (pi# on
+k-forms, N* and i_N on forms, wedge^k Phi on multivectors) work on
+constant coefficients, ``{increasing index tuple: Fraction}`` and
+``Fraction`` matrices, and evaluate forms by determinants, with nothing
+from ``pn`` or ``calculus``.  The polynomial oracles hand exponent
 dictionaries to sympy and read its results back into the canonical form by
 plain integer arithmetic.
 """
 
 import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import sympy
 
@@ -77,6 +81,84 @@ def cartan_d_value(mu, frame_tuple, bracket):
     return total
 
 
+def unit(i, rank):
+    return [Fraction(int(k == i)) for k in range(rank)]
+
+
+def sharp(pi, a):
+    """pi#(a) = i_a pi for a covector ``a`` (a list of Fractions), with
+    ``i_a(e_i ^ e_j) = a(e_i) e_j - a(e_j) e_i``."""
+    out = [Fraction(0)] * len(a)
+    for (i, j), c in pi.items():
+        out[j] += c * a[i]
+        out[i] -= c * a[j]
+    return out
+
+
+def det(rows):
+    """Determinant of a square list of lists by the Leibniz expansion."""
+    total = Fraction(0)
+    for perm in permutations(range(len(rows))):
+        term = Fraction(perm_sign(perm))
+        for i, col in enumerate(perm):
+            term *= rows[i][col]
+        total += term
+    return total
+
+
+def form_value(mu, xs):
+    """mu(X_1, ..., X_k) = sum_J mu_J det[eps^{j_s}(X_t)] for vectors ``xs``."""
+    return sum((c * det([[x[j] for x in xs] for j in idx]) for idx, c in mu.items()), Fraction(0))
+
+
+def _nonzero_on_tuples(rank, k, value):
+    """{I: value(I)} over the increasing k-tuples I where it is nonzero."""
+    out = {idx: value(idx) for idx in combinations(range(rank), k)}
+    return {idx: v for idx, v in out.items() if v}
+
+
+def pi_sharp_oracle(pi, mu, rank, k):
+    """pi# on a k-form by its definition:
+    <pi# mu, eps^I> = (-1)^k mu(pi# eps^{i_1}, ..., pi# eps^{i_k})."""
+    images = [sharp(pi, unit(i, rank)) for i in range(rank)]
+    return _nonzero_on_tuples(rank, k, lambda I: (-1) ** k * form_value(mu, [images[i] for i in I]))
+
+
+def _columns(n):
+    """N e_j for the matrix ``n`` by columns (``n[i][j]`` is the e_i part of N e_j)."""
+    return [[row[j] for row in n] for j in range(len(n))]
+
+
+def nstar_pullback_oracle(n, psi, k):
+    """(N* psi)(e_I) = psi(N e_{i_1}, ..., N e_{i_k})."""
+    cols = _columns(n)
+    return _nonzero_on_tuples(len(n), k, lambda I: form_value(psi, [cols[i] for i in I]))
+
+
+def insert_endomorphism_oracle(n, mu, k):
+    """(i_N mu)(e_I) = sum_t mu(e_{i_1}, ..., N e_{i_t}, ..., e_{i_k})."""
+    rank, cols = len(n), _columns(n)
+
+    def value(I):
+        args = [unit(i, rank) for i in I]
+        return sum(
+            (form_value(mu, args[:t] + [cols[i]] + args[t + 1 :]) for t, i in enumerate(I)),
+            Fraction(0),
+        )
+
+    return _nonzero_on_tuples(rank, k, value)
+
+
+def push_oracle(matrix, x, k):
+    """(wedge^k Phi)(X) for a k-vector X: its e^J coefficient is
+    sum_I X_I times the minor of Phi's matrix on rows J and columns I."""
+
+    def value(J):
+        return sum((c * det([[matrix[j][i] for i in I] for j in J]) for I, c in x.items()), Fraction(0))
+
+    return _nonzero_on_tuples(len(matrix), k, value)
+
+
 def sharp_intertwining_oracle(pi, n):
     """The nonzero entries of N pi# - pi# N* for constant coefficients, from
     the definitions alone, on plain ``Fraction`` lists.
@@ -92,29 +174,19 @@ def sharp_intertwining_oracle(pi, n):
     rank = len(n)
     zero = Fraction(0)
 
-    def unit(i):
-        return [Fraction(int(k == i)) for k in range(rank)]
-
     def apply_n(x):
         return [sum((n[k][j] * x[j] for j in range(rank)), zero) for k in range(rank)]
 
     def n_star(a):
         # (N* a)(e_j) = a(N e_j)
-        images = [apply_n(unit(j)) for j in range(rank)]
+        images = [apply_n(unit(j, rank)) for j in range(rank)]
         return [sum((a[k] * y[k] for k in range(rank)), zero) for y in images]
-
-    def sharp(a):
-        out = [zero] * rank
-        for (i, j), c in pi.items():
-            out[j] += c * a[i]
-            out[i] -= c * a[j]
-        return out
 
     residues = {}
     for i in range(rank):
-        eps = unit(i)
-        lhs = apply_n(sharp(eps))
-        rhs = sharp(n_star(eps))
+        eps = unit(i, rank)
+        lhs = apply_n(sharp(pi, eps))
+        rhs = sharp(pi, n_star(eps))
         for k in range(rank):
             if lhs[k] != rhs[k]:
                 residues[f"(Npi# - pi#N*)[{k+1},{i+1}]"] = lhs[k] - rhs[k]

@@ -426,6 +426,28 @@ class TestTaskBinding:
                 "argument 2 must be a declared degree-2 multivector on AN",
             ),
             ("e3_pqn.alg", "task check-qlb Q;", "argument 1 must be a declared built qlb"),
+            # a repeated list entry ran with doubled instance counts
+            (
+                "split_dirac_tr3.alg",
+                "task check-split-dirac Q span [e3, e3] at [x3];",
+                "argument 3 repeats 'e3'",
+            ),
+            (
+                "split_dirac_tr3.alg",
+                "task check-split-dirac Q span [e3, e03] at [x3];",
+                "argument 3 repeats 'e03'",
+            ),
+            (
+                "split_dirac_tr3.alg",
+                "task check-split-dirac Q span [e3] at [x3, x3];",
+                "argument 5 repeats 'x3'",
+            ),
+            # an integer in a coordinate list was a TypeError traceback
+            (
+                "split_dirac_tr3.alg",
+                "task check-split-dirac Q span [e3] at [3];",
+                "unknown coordinate '3' in submanifold argument",
+            ),
         ],
     )
     def test_misfit_is_an_error_at_the_task_line(self, tmp_path, capsys, name, task, message):
@@ -434,6 +456,27 @@ class TestTaskBinding:
         line = text.count("\n")
         captured = capsys.readouterr()
         assert f"{line}:1: task {task.split()[1]}: {message}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("task", ["check-qlb-morphism", "build-morphism-graph"])
+    @pytest.mark.parametrize(
+        "ends",
+        ["T2 -> T2 { base[y1] = y1; base[y2] = y2; }", "ANnull -> T2 { base[y1] = x1; base[y2] = x2; }"],
+        ids=["source", "target"],
+    )
+    def test_morphism_off_the_qlb_charts_is_an_error(self, tmp_path, capsys, task, ends):
+        # Qsrc and Qtgt have the chart and rank of AN; a morphism off them
+        # was a task error after every earlier task had run
+        text = corpus_with(
+            "e3_pqn.alg",
+            "algebroid T2 { base = [y1, y2]; rank = 2; }",
+            f"morphism M : {ends}",
+            f"task {task} M Qsrc Qtgt;",
+        )
+        assert check_text(tmp_path, text) == 2
+        captured = capsys.readouterr()
+        message = "argument 1 must be a morphism from the chart and rank of Qsrc to those of Qtgt"
+        assert f"{text.count(chr(10))}:1: task {task}: {message}" in captured.err
         assert captured.out == ""
 
     def test_bad_last_task_runs_no_task(self, tmp_path, capsys, monkeypatch):

@@ -1,7 +1,9 @@
 """A stdlib lint of the package source: every imported name is used by its
-module, and every local a function assigns is read.  ``__init__.py`` is
-exempt from the import rule, since its imports are the public API; names
-that start with an underscore are exempt from the local rule."""
+module, every local a function assigns is read, and every parameter of a
+``def`` is read.  ``__init__.py`` is exempt from the import rule, since its
+imports are the public API; names that start with an underscore are exempt
+from the local and parameter rules, and lambdas from the parameter rule (a
+task table's lambdas share one signature)."""
 
 import ast
 import pathlib
@@ -76,10 +78,24 @@ def unread_locals(tree: ast.Module) -> list[str]:
     return sorted(set(out))
 
 
+def unread_parameters(tree: ast.Module) -> list[str]:
+    out = []
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = function.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        read = loaded_names(function)
+        for p in params:
+            if p.arg not in read and not p.arg.startswith("_"):
+                out.append(f"line {p.lineno}: parameter {p.arg} of {function.name} never read")
+    return out
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports_or_unread_locals(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    problems = unread_locals(tree)
+    problems = unread_locals(tree) + unread_parameters(tree)
     if path.name != "__init__.py":
         problems += unused_imports(tree)
     assert not problems, f"{path.name}: " + "; ".join(problems)

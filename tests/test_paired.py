@@ -257,6 +257,34 @@ class TestTorsion:
         assert consistency[0].passed
 
 
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            # N e1 = e1 + e2, N e2 = e2: sigma(N e1, e1) = -1 on the diagonal,
+            # while sigma(N e1, e2) = -sigma(N e2, e1) off it
+            ((1, 1), (0, 1)),
+            # N = diag(1, 2): constant data, both torsion blocks vanish
+            ((1, 0), (0, 2)),
+        ],
+        ids=["shear", "diag-1-2"],
+    )
+    def test_sigma_n_not_a_two_form(self, columns):
+        # sigma(N., .) is no 2-form: the vector-block system is undefined,
+        # its flag fails as sigma-N-symmetric does, and the equivalence
+        # with the torsion is not asserted
+        n = tuple(tuple(TR2.scalar(columns[j][i]) for j in range(2)) for i in range(2))
+        sigma = wedge(TR2.coframe(0), TR2.coframe(1))
+        op = PairedOperator(TR2, n, TR2.zero_section(MULTIVECTOR, 2), sigma)
+        clauses = {c.name: c for c in check_torsion_blocks(standard_double(TR2), op).clauses}
+        assert clauses["torsion-on-vectors"].passed and clauses["vector-block-torsion"].passed
+        assert clauses["vector-block-two-form"].failures == [
+            ("Nsigma-two-form", "sigma(N.,.)-not-antisymmetric")
+        ]
+        assert clauses["equivalence-consistency"].passed
+        theorem = check_theorem_pqn_from_paired(TR2, op)
+        assert "sigma-N-symmetric" in [c.name for c in theorem.failing_clauses()]
+
+
 class TestTheorem:
     def test_e5_yields_pqn(self):
         report = check_theorem_pqn_from_paired(TR2, e5_operator())

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -53,7 +54,13 @@ from algebroid_forge.pn import (
     verify_lemma_tnstar,
 )
 
-from oracles import sharp_intertwining_oracle
+from oracles import (
+    insert_endomorphism_oracle,
+    nstar_pullback_oracle,
+    pi_sharp_oracle,
+    push_oracle,
+    sharp_intertwining_oracle,
+)
 
 TR2 = tangent_algebroid(2)
 TR3 = tangent_algebroid(3)
@@ -166,17 +173,17 @@ class TestDeformedBracket:
         A = TR2
         X = A.frame(0).scale(A.coord_rf("x1")) + A.frame(1)
         Y = A.frame(1).scale(A.coord_rf("x2"))
-        assert deformed_bracket(A, eye(A), X, Y) == schouten(X, Y)
+        assert deformed_bracket(eye(A), X, Y) == schouten(X, Y)
 
     def test_aff1_nilpotent(self):
         A = aff1()
         n = ((A.zero_rf(), A.zero_rf()), (A.one_rf(), A.zero_rf()))  # Ne1=e2, Ne2=0
-        assert deformed_bracket(A, n, A.frame(0), A.frame(1)).is_zero()
+        assert deformed_bracket(n, A.frame(0), A.frame(1)).is_zero()
 
     def test_zero_endomorphism(self):
         A = TR2
         X, Y = A.frame(0), A.frame(1).scale(A.coord_rf("x1"))
-        assert deformed_bracket(A, zeros(A), X, Y).is_zero()
+        assert deformed_bracket(zeros(A), X, Y).is_zero()
 
 
 class TestNijenhuisTorsion:
@@ -184,25 +191,25 @@ class TestNijenhuisTorsion:
         for A in (TR2, TR3, aff1()):
             for i in range(A.rank):
                 for j in range(A.rank):
-                    assert nijenhuis_torsion(A, eye(A), A.frame(i), A.frame(j)).is_zero()
+                    assert nijenhuis_torsion(eye(A), A.frame(i), A.frame(j)).is_zero()
 
     def test_aff1_nilpotent(self):
         A = aff1()
         n = ((A.zero_rf(), A.zero_rf()), (A.one_rf(), A.zero_rf()))
-        assert nijenhuis_torsion(A, n, A.frame(0), A.frame(1)).is_zero()
+        assert nijenhuis_torsion(n, A.frame(0), A.frame(1)).is_zero()
 
     def test_diagonal_on_tangent(self):
         n = diag(TR3, ["x1", "x2", "x3"])
         for i in range(3):
             for j in range(3):
-                assert nijenhuis_torsion(TR3, n, TR3.frame(i), TR3.frame(j)).is_zero()
+                assert nijenhuis_torsion(n, TR3.frame(i), TR3.frame(j)).is_zero()
 
     def test_tensoriality(self):
         A = TR2
         n = diag(A, ["x2", "x1"])
         f = A.coord_rf("x1") * A.coord_rf("x2")
-        lhs = nijenhuis_torsion(A, n, A.frame(0).scale(f), A.frame(1))
-        rhs = nijenhuis_torsion(A, n, A.frame(0), A.frame(1)).scale(f)
+        lhs = nijenhuis_torsion(n, A.frame(0).scale(f), A.frame(1))
+        rhs = nijenhuis_torsion(n, A.frame(0), A.frame(1)).scale(f)
         assert lhs == rhs
 
 
@@ -277,30 +284,30 @@ class TestTwistedOps:
 
 class TestTwistedPoisson:
     def test_constant_symplectic_inverse(self):
-        assert check_twisted_poisson(TR2, std_pi(TR2), TR2.zero_section(FORM, 3)).passed
+        assert check_twisted_poisson(std_pi(TR2), TR2.zero_section(FORM, 3)).passed
 
     def test_degenerate_pi_with_top_form_passes(self):
         # pi = d1^d2 on TR3 kills any 3-form through pi#, so the identity holds
         pi = std_pi(TR3)
         phi = TR3.section(FORM, 3, {(0, 1, 2): TR3.one_rf()})
-        report = check_twisted_poisson(TR3, pi, phi)
+        report = check_twisted_poisson(pi, phi)
         assert report.passed
 
     def test_nondegenerate_pi_fails(self):
         pi = wedge(TR4.frame(0), TR4.frame(1)) + wedge(TR4.frame(2), TR4.frame(3))
         phi = TR4.section(FORM, 3, {(0, 1, 2): TR4.one_rf()})
-        report = check_twisted_poisson(TR4, pi, phi)
+        report = check_twisted_poisson(pi, phi)
         assert not report.passed
         assert report.failing_clauses()[0].name == "twisted-poisson-identity"
 
     def test_zero_pi_closed_phi(self):
         z2 = TR3.zero_section(MULTIVECTOR, 2)
         phi = TR3.section(FORM, 3, {(0, 1, 2): TR3.coord_rf("x1")})
-        assert check_twisted_poisson(TR3, z2, phi).passed
+        assert check_twisted_poisson(z2, phi).passed
 
     def test_rank4_rational_instance(self):
         pi, phi = tr4_twisted()
-        report = check_twisted_poisson(TR4, pi, phi)
+        report = check_twisted_poisson(pi, phi)
         assert report.passed
 
 
@@ -595,3 +602,85 @@ class TestDualPresentation:
         n = diag(TR3, ["x1", "x2", "x3"])
         f = TR3.function(TR3.coord_rf("x2"), FORM)
         assert insert_endomorphism(TR3, n, f).is_zero()
+
+
+# -- the single bundle-map paths against the Fraction oracles ---------------
+# constant coefficients over a point, rank <= 4, forms and multivectors of
+# degree <= 3; the oracles evaluate by determinants, nothing from pn or calculus
+
+
+@st.composite
+def _tensor(draw, rank, k):
+    """{increasing k-tuple: Fraction}, nonzero entries only."""
+    coeffs = {idx: draw(_entry) for idx in combinations(range(rank), k)}
+    return {idx: c for idx, c in coeffs.items() if c}
+
+
+@st.composite
+def _matrix(draw, rows, cols):
+    return [[draw(_entry) for _ in range(cols)] for _ in range(rows)]
+
+
+@st.composite
+def _rank_and_degree(draw):
+    rank = draw(st.integers(1, 4))
+    return rank, draw(st.integers(0, min(3, rank)))
+
+
+def _point(rank):
+    return lie_algebra_presentation(rank, {})
+
+
+def _section(A, variance, degree, coeffs):
+    return A.section(variance, degree, {idx: A.scalar(c) for idx, c in coeffs.items()})
+
+
+def _engine_matrix(A, fracs):
+    return tuple(tuple(A.scalar(x) for x in row) for row in fracs)
+
+
+def _fractions(section):
+    return {idx: c.constant_value() for idx, c in section.coeffs.items()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), shape=_rank_and_degree())
+def test_pi_sharp_matches_oracle(data, shape):
+    rank, k = shape
+    pi, mu = data.draw(_tensor(rank, 2)), data.draw(_tensor(rank, k))
+    A = _point(rank)
+    got = pi_sharp(_section(A, MULTIVECTOR, 2, pi), _section(A, FORM, k, mu))
+    assert (got.variance, got.degree) == (MULTIVECTOR, k)
+    assert _fractions(got) == pi_sharp_oracle(pi, mu, rank, k)
+
+
+@pytest.mark.parametrize(
+    "engine, oracle",
+    [(nstar_pullback, nstar_pullback_oracle), (insert_endomorphism, insert_endomorphism_oracle)],
+    ids=["nstar_pullback", "insert_endomorphism"],
+)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), shape=_rank_and_degree())
+def test_endomorphism_on_forms_matches_oracle(engine, oracle, data, shape):
+    rank, k = shape
+    n, mu = data.draw(_matrix(rank, rank)), data.draw(_tensor(rank, k))
+    A = _point(rank)
+    got = engine(A, _engine_matrix(A, n), _section(A, FORM, k, mu))
+    assert (got.variance, got.degree) == (FORM, k)
+    assert _fractions(got) == oracle(n, mu, k)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), ranks=st.tuples(st.integers(3, 4), st.integers(3, 4)))
+def test_three_section_pushes_match_minors(data, ranks):
+    # with X_B = 0 the clause's residues are (wedge^3 Phi)(X_A), entry by entry
+    source_rank, target_rank = ranks
+    fracs, x = data.draw(_matrix(target_rank, source_rank)), data.draw(_tensor(source_rank, 3))
+    A, B = _point(source_rank), _point(target_rank)
+    QA = QuasiLieBialgebroid(A, null_presentation(A), _section(A, MULTIVECTOR, 3, x))
+    QB = QuasiLieBialgebroid(B, null_presentation(B), B.zero_section(MULTIVECTOR, 3))
+    phi = BundleMorphism(A, B, (), _engine_matrix(A, fracs))
+    report = check_qlb_morphism(phi, QA, QB)
+    clause = next(c for c in report.clauses if c.name == "three-section-pushes")
+    expected = {"e" + "^e".join(str(j + 1) for j in J): v for J, v in push_oracle(fracs, x, 3).items()}
+    assert {label: Fraction(text) for label, text in clause.failures} == expected
