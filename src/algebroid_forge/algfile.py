@@ -9,8 +9,6 @@ task vocabulary.
 
 from __future__ import annotations
 
-import re
-
 from .calculus import (
     FORM,
     MULTIVECTOR,
@@ -21,10 +19,16 @@ from .calculus import (
 )
 from .errors import ParseError, SemanticError, clip
 from .paired import PairedOperator
-from .rational import ExpressionParser, RationalFunction, Token, tokenize
+from .rational import ExpressionParser, RationalFunction, Token, _at, tokenize
 
-# a frame symbol; at most 9 digits keep int() of its index cheap and allowed
-_FRAME_RE = re.compile(r"^e([0-9]{1,9})$")
+
+def _frame_index(word: str) -> int | None:
+    """k for a frame symbol e<k>, else None; at most 9 ASCII digits keep
+    int() of the index cheap and allowed."""
+    digits = word[1:]
+    if word[:1] == "e" and 0 < len(digits) <= 9 and digits.isascii() and digits.isdigit():
+        return int(digits)
+    return None
 
 # Bounds on an algebroid declaration, each a ParseError at the offending
 # token: parsing allocates rank^2 (rank - 1) / 2 structure entries, and the
@@ -280,7 +284,7 @@ class _Parser:
                     bad = parser.peek()
                     raise ParseError(bad.line, bad.column, "end of coefficient", bad.value)
             frame_tok = self.tokens[frame_at]
-            k = int(_FRAME_RE.match(frame_tok.value).group(1))
+            k = _frame_index(frame_tok.value)
             if not 1 <= k <= rank:
                 raise SemanticError(
                     f"frame index e{k} outside rank {rank}", frame_tok.line, frame_tok.column
@@ -288,7 +292,7 @@ class _Parser:
             self.pos = frame_at + 1
             value = coeff if sign == 1 else -coeff
             prev = out.get(k - 1)
-            out[k - 1] = value if prev is None else prev + value
+            out[k - 1] = value if prev is None else _at(frame_tok, prev.__add__, value)
             sign = 1
             if self.peek().kind in ("+", "-"):
                 continue
@@ -306,7 +310,7 @@ class _Parser:
                 depth -= 1
             elif depth == 0 and tok.kind in (";", "+", "-") and i > start:
                 return None
-            elif depth == 0 and tok.kind == "name" and _FRAME_RE.match(tok.value):
+            elif depth == 0 and tok.kind == "name" and _frame_index(tok.value) is not None:
                 nxt = self.tokens[i + 1]
                 if nxt.kind in (";", "+", "-", "eof"):
                     return i

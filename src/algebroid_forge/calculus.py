@@ -20,9 +20,7 @@ Sign conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
-import random
-from collections.abc import Callable, Iterable, Mapping
-from fractions import Fraction
+import _random
 from itertools import combinations
 
 from .errors import (
@@ -137,7 +135,7 @@ class AlgebroidPresentation:
 
     # -- section constructors --------------------------------------------------
 
-    def section(self, variance: str, degree: int, coeffs: Mapping[Idx, RationalFunction]) -> "GradedSection":
+    def section(self, variance: str, degree: int, coeffs: dict[Idx, RationalFunction]) -> "GradedSection":
         return GradedSection(self, variance, degree, coeffs)
 
     def zero_section(self, variance: str, degree: int) -> "GradedSection":
@@ -163,7 +161,7 @@ class GradedSection:
         parent: AlgebroidPresentation,
         variance: str,
         degree: int,
-        coeffs: Mapping[Idx, RationalFunction],
+        coeffs: dict[Idx, RationalFunction],
     ):
         if variance not in (MULTIVECTOR, FORM):
             raise VarianceMismatch(f"variance must be multivector or form, got {variance!r}")
@@ -188,7 +186,7 @@ class GradedSection:
         self._hash = None
 
     @classmethod
-    def _make(cls, parent, variance: str, degree: int, coeffs: Mapping) -> "GradedSection":
+    def _make(cls, parent, variance: str, degree: int, coeffs: dict) -> "GradedSection":
         """A section from index tuples already valid for ``degree`` on
         ``parent``; zero coefficients are still dropped."""
         s = object.__new__(cls)
@@ -208,7 +206,7 @@ class GradedSection:
     def items(self):
         return sorted(self.coeffs.items(), key=lambda kv: kv[0])
 
-    def _like(self, coeffs: Mapping[Idx, RationalFunction], degree: int | None = None) -> "GradedSection":
+    def _like(self, coeffs: dict[Idx, RationalFunction], degree: int | None = None) -> "GradedSection":
         return GradedSection._make(
             self.parent, self.variance, self.degree if degree is None else degree, coeffs
         )
@@ -362,7 +360,7 @@ def pairing(mu: GradedSection, w: GradedSection) -> RationalFunction:
     return out
 
 
-def _single_contract(coeffs: Mapping[Idx, RationalFunction], j: int) -> dict[Idx, RationalFunction]:
+def _single_contract(coeffs: dict[Idx, RationalFunction], j: int) -> dict[Idx, RationalFunction]:
     out: dict[Idx, RationalFunction] = {}
     for idx, c in coeffs.items():
         try:
@@ -410,7 +408,7 @@ def insert(target: GradedSection, arg: GradedSection) -> GradedSection:
     return GradedSection._make(target.parent, target.variance, target.degree - arg.degree, result)
 
 
-def evaluate(mu: GradedSection, args: Iterable[GradedSection]) -> RationalFunction:
+def evaluate(mu: GradedSection, args: list[GradedSection]) -> RationalFunction:
     """mu(X_1, ..., X_k) = <mu, X_1 ^ ... ^ X_k>."""
     args = list(args)
     if not args:
@@ -613,7 +611,7 @@ def vf_bracket(
 
 
 def exterior_power(
-    parent: AlgebroidPresentation, variance: str, degree: int, coeffs: Mapping, images
+    parent: AlgebroidPresentation, variance: str, degree: int, coeffs: dict, images
 ) -> GradedSection:
     """sum_I c_I images[i_1] ^ ... ^ images[i_k] for ``coeffs`` {I: c_I} of
     the given degree: a bundle map, given by the degree-1 images of the frame
@@ -814,7 +812,7 @@ def tangent_algebroid(n: int, prefix: str = "x") -> AlgebroidPresentation:
 
 
 def lie_algebra_presentation(
-    rank: int, brackets: Mapping[tuple[int, int], Mapping[int, Fraction]], name: str = ""
+    rank: int, brackets: dict[tuple[int, int], dict[int, object]], name: str = ""
 ) -> AlgebroidPresentation:
     """A Lie algebra as an algebroid over a point (n = 0, zero anchor)."""
     coords: tuple[str, ...] = ()
@@ -842,7 +840,7 @@ def null_presentation(A: AlgebroidPresentation, name: str = "") -> AlgebroidPres
 def derived_presentation(
     A: AlgebroidPresentation,
     matrix: tuple[tuple[RationalFunction, ...], ...],
-    bracket: Callable[[int, int], GradedSection],
+    bracket,
     name: str,
 ) -> AlgebroidPresentation:
     """Presentation data on A's chart and rank built from a frame-pair bracket.
@@ -867,7 +865,24 @@ def derived_presentation(
 # ---------------------------------------------------------------------------
 
 
-def random_poly(A: AlgebroidPresentation, rng: random.Random, max_degree: int) -> RationalFunction:
+class SeededRng(_random.Random):
+    """The sampler's generator: the Mersenne Twister of random.Random, seeded
+    by the same int, so that every draw equals that of random.Random(seed).
+    It keeps the random module, and what that imports, out of every run."""
+
+    def randrange(self, start: int, stop: int) -> int:
+        """An int in [start, stop), drawn as random.Random.randrange draws it."""
+        width = stop - start
+        if width <= 0:
+            raise ValueError(f"empty range for randrange({start}, {stop})")
+        k = width.bit_length()
+        r = self.getrandbits(k)
+        while r >= width:
+            r = self.getrandbits(k)
+        return start + r
+
+
+def random_poly(A: AlgebroidPresentation, rng: SeededRng, max_degree: int) -> RationalFunction:
     """A seeded random polynomial: a constant in [-2, 2] plus, per coordinate,
     a power of degree 1..max_degree times a constant in [-2, 2] with
     probability 1/2.  Every sampled section family draws from this."""

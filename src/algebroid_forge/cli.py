@@ -9,14 +9,13 @@ hypothesis-not-satisfied and task-level errors), 2 on parse or semantic
 errors (a task that fits no usage included) and on an option out of range
 (``--max-degree`` is at most ``rational.MAX_DEGREE``).  The ``records``
 format prints one machine-readable line per clause and is byte-identical
-across runs with identical inputs and configuration.
+across runs with identical inputs and configuration.  The arguments are
+read by ``parse_args``, a small parser of this one usage.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
-from fractions import Fraction
 
 from . import algfile
 from .calculus import FORM, MULTIVECTOR, check_axioms, check_d_squared
@@ -59,7 +58,7 @@ from .reporting import ERROR, HYPOTHESIS, Report
 class RunConfig:
     __slots__ = ("seed", "samples", "max_degree", "kappa")
 
-    def __init__(self, seed=0, samples=10, max_degree=2, kappa=Fraction(1, 2)):
+    def __init__(self, seed=0, samples=10, max_degree=2, kappa="1/2"):
         self.seed, self.samples, self.max_degree, self.kappa = seed, samples, max_degree, kappa
 
 
@@ -173,12 +172,11 @@ def _list_value(task, word, entries, chart):
         return tuple(entries)
     vectors = []
     for entry in entries:
-        m = algfile._FRAME_RE.match(str(entry))
-        if not m or not 1 <= int(m.group(1)) <= chart.rank:
+        k = algfile._frame_index(str(entry))
+        if k is None or not 1 <= k <= chart.rank:
             shown = repr(clip(entry)) if isinstance(entry, str) else clip(str(entry))
             raise _error(task, f"span entries must be frame symbols, got {shown}")
-        k = int(m.group(1)) - 1
-        vectors.append([Fraction(1 if j == k else 0) for j in range(chart.rank)])
+        vectors.append([1 if j == k - 1 else 0 for j in range(chart.rank)])
     return vectors
 
 
@@ -306,48 +304,136 @@ def run(file: algfile.StructureFile, config: RunConfig) -> list[Report]:
     return reports
 
 
+def _integer(text: str) -> int:
+    """The value of --seed."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"invalid int value: {clip(text)!r}") from None
+
+
 def _non_negative(text: str) -> int:
-    """argparse type of the sampling sizes."""
+    """The value of a sampling size."""
     try:
         value = int(text)
     except ValueError:
         value = -1
     if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {clip(text)!r}")
+        raise ValueError(f"expected a non-negative integer, got {clip(text)!r}")
     return value
 
 
 def _sample_degree(text: str) -> int:
-    """argparse type of --max-degree: sampled powers must stay packable."""
+    """The value of --max-degree: sampled powers must stay packable."""
     value = _non_negative(text)
     if value > MAX_DEGREE:
-        raise argparse.ArgumentTypeError(f"expected at most {MAX_DEGREE}, got {clip(text)!r}")
+        raise ValueError(f"expected at most {MAX_DEGREE}, got {clip(text)!r}")
     return value
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="forge", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    check = sub.add_parser("check", help="run the tasks of a structure file")
-    check.add_argument("file")
-    check.add_argument("--seed", type=int, default=0)
-    check.add_argument("--samples", type=_non_negative, default=10)
-    check.add_argument("--max-degree", type=_sample_degree, default=2)
-    check.add_argument("--kappa", choices=["1", "1/2"], default="1/2")
-    check.add_argument("--format", choices=["text", "records"], default="text")
-    args = parser.parse_args(argv)
+def _choice(*choices):
+    """The reader of a value that must be one of ``choices``."""
 
-    kappa = Fraction(1, 2) if args.kappa == "1/2" else Fraction(1)
-    config = RunConfig(args.seed, args.samples, args.max_degree, kappa)
+    def read(text: str) -> str:
+        if text not in choices:
+            listed = ", ".join(map(repr, choices))
+            raise ValueError(f"invalid choice: {clip(text)!r} (choose from {listed})")
+        return text
+
+    return read
+
+
+# flag -> (the reader of its value, its default)
+OPTIONS = {
+    "--seed": (_integer, 0),
+    "--samples": (_non_negative, 10),
+    "--max-degree": (_sample_degree, 2),
+    "--kappa": (_choice("1", "1/2"), "1/2"),
+    "--format": (_choice("text", "records"), "text"),
+}
+USAGE = """usage: forge check FILE [--seed S] [--samples K] [--max-degree D]
+                        [--kappa {1,1/2}] [--format {text,records}]"""
+HELP = f"""{USAGE}
+
+Run the verification tasks of a structure file.
+
+options:
+  -h, --help               show this help and exit
+  --seed S                 seed of the sampled section families (default 0)
+  --samples K              random members per sampled family (default 10)
+  --max-degree D           degree of their random coefficients, at most {MAX_DEGREE} (default 2)
+  --kappa {{1,1/2}}          the C2 normalization convention (default 1/2)
+  --format {{text,records}}  a report per task, or one line per clause (default text)
+
+exit status: 0 when every task passes, 1 when some task fails, 2 on a parse,
+semantic or usage error"""
+
+
+def _help():
+    print(HELP)
+    raise SystemExit(0)
+
+
+def _usage_error(message: str):
+    print(f"{USAGE}\nforge check: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def parse_args(argv: list[str]) -> tuple[str, dict]:
+    """(FILE, {flag: value}) of ``forge check FILE [options]``.  A flag may be
+    abbreviated to a unique prefix and may take its value as ``--flag=V``;
+    ``-h`` or ``--help`` prints HELP and exits 0, a usage error exits 2."""
+    if argv[:1] in (["-h"], ["--help"]):
+        _help()
+    if argv[:1] != ["check"]:
+        if not argv:
+            _usage_error("missing command 'check'")
+        _usage_error(f"invalid command {clip(argv[0])!r}, expected 'check'")
+    values = {flag: default for flag, (_, default) in OPTIONS.items()}
+    files = []
+    args = iter(argv[1:])
+    for arg in args:
+        if arg == "--":
+            files.extend(args)
+        elif arg == "-" or not arg.startswith("-"):
+            files.append(arg)
+        elif arg == "-h":
+            _help()
+        else:
+            name, eq, value = arg.partition("=")
+            flags = [flag for flag in (*OPTIONS, "--help") if flag.startswith(name)]
+            flag = name if name in flags else flags[0] if len(flags) == 1 else None
+            if flag is None and flags:
+                _usage_error(f"ambiguous option: {clip(name)} could match {', '.join(flags)}")
+            if flag is None:
+                _usage_error(f"unrecognized arguments: {clip(arg)}")
+            if flag == "--help":
+                _help()
+            if not eq:
+                value = next(args, None)
+                if value is None or value.startswith("-") and not value[1:].isdigit():
+                    _usage_error(f"argument {flag}: expected one argument")
+            try:
+                values[flag] = OPTIONS[flag][0](value)
+            except ValueError as err:
+                _usage_error(f"argument {flag}: {err}")
+    if len(files) != 1:
+        _usage_error(f"unrecognized arguments: {clip(' '.join(files[1:]))}" if files else "missing FILE")
+    return files[0], values
+
+
+def main(argv=None) -> int:
+    path, options = parse_args(sys.argv[1:] if argv is None else list(argv))
+    config = RunConfig(*(options[flag] for flag in ("--seed", "--samples", "--max-degree", "--kappa")))
     try:
-        with open(args.file, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
         reports = run(algfile.parse(text), config)
     except (OSError, UnicodeDecodeError, ParseError, SemanticError) as err:
-        print(f"{args.file}: {err}", file=sys.stderr)
+        print(f"{path}: {err}", file=sys.stderr)
         return 2
 
-    if args.format == "records":
+    if options["--format"] == "records":
         lines = [line for report in reports for line in report.to_records()]
     else:
         lines = [report.to_text() for report in reports]

@@ -17,8 +17,7 @@ The Dorfman bracket in this normal form is flip-symmetric:
 
 from __future__ import annotations
 
-import random
-from fractions import Fraction
+import math
 from itertools import combinations
 from itertools import product as cartesian_product
 
@@ -28,6 +27,7 @@ from .calculus import (
     AlgebroidPresentation,
     BundleMorphism,
     GradedSection,
+    SeededRng,
     _pair_index,
     apply_field,
     d_function,
@@ -315,10 +315,9 @@ def _compute_dorfman(E: CourantDouble, e1: CourantSection, e2: CourantSection) -
 
 
 def skew_bracket(E: CourantDouble, e1: CourantSection, e2: CourantSection) -> CourantSection:
-    half = Fraction(1, 2)
     d12 = dorfman(E, e1, e2)
     d21 = dorfman(E, e2, e1)
-    return (d12 - d21).scale(half)
+    return (d12 - d21).scale(E.base.one_rf() / 2)
 
 
 def d_operator(E: CourantDouble, f: RationalFunction) -> CourantSection:
@@ -356,11 +355,11 @@ class SectionFamily:
             x = E.base.coord_rf(name)
             for label, s in frames:
                 self.members.append((f"{name}*{label}", s.scale(x)))
-        rng = random.Random(self.seed)
+        rng = SeededRng(self.seed)
         for k in range(self.samples):
             self.members.append((f"rnd{k}", self._random_section(rng)))
 
-    def _random_section(self, rng: random.Random) -> CourantSection:
+    def _random_section(self, rng: SeededRng) -> CourantSection:
         E = self.E
         vec = {(i,): random_poly(E.base, rng, self.max_degree) for i in range(E.rank)}
         cov = {(i,): random_poly(E.base, rng, self.max_degree) for i in range(E.rank)}
@@ -375,28 +374,30 @@ class SectionFamily:
         seen = []
         for combo in cartesian_product(range(self.frame_count), repeat=arity):
             seen.append(tuple(self.members[i] for i in combo))
-        rng = random.Random(self.seed + arity)
+        rng = SeededRng(self.seed + arity)
         for _ in range(self.samples):
-            combo = [rng.randrange(len(self.members)) for _ in range(arity)]
+            combo = [rng.randrange(0, len(self.members)) for _ in range(arity)]
             seen.append(tuple(self.members[i] for i in combo))
         return seen
 
     def functions(self):
         E = self.E
         out = [(name, E.base.coord_rf(name)) for name in E.base.coords]
-        rng = random.Random(self.seed + 101)
+        rng = SeededRng(self.seed + 101)
         out.append(("rndf", random_poly(E.base, rng, self.max_degree)))
         return out
 
 
 def verify_courant_axioms(
     E: CourantDouble,
-    kappa: Fraction = Fraction(1, 2),
+    kappa="1/2",
     seed: int = 0,
     samples: int = 10,
     max_degree: int = 2,
 ) -> Report:
-    """Evaluate the five Courant axiom residues on the documented family."""
+    """Evaluate the five Courant axiom residues on the documented family.
+
+    ``kappa`` is a rational scalar, or its text such as "1/2"."""
     family = SectionFamily(E, seed, samples, max_degree)
     report = Report(
         "verify-courant",
@@ -410,8 +411,9 @@ def verify_courant_axioms(
         c1.record(f"{l1},{l2},{l3}", lhs - rhs)
 
     c2 = report.clause("C2-squares", EVIDENCE_SAMPLED)
+    factor = E.base.scalar(kappa)
     for label, e in family.singles():
-        residue = dorfman(E, e, e) - d_operator(E, pairing_sections(E, e, e)).scale(kappa)
+        residue = dorfman(E, e, e) - d_operator(E, pairing_sections(E, e, e)).scale(factor)
         c2.record(label, residue)
 
     c3 = report.clause("C3-pairing-invariance", EVIDENCE_SAMPLED)
@@ -523,22 +525,31 @@ def in_span(rows: list[list[RationalFunction]], v: list[RationalFunction]) -> bo
     return all(x.is_zero() for x in reduced)
 
 
-def rational_nullspace(rows: list[list[Fraction]], width: int) -> list[list[Fraction]]:
-    """Exact nullspace basis over Q for constant subbundle data."""
-    matrix = [list(map(Fraction, r)) for r in rows]
+def rational_nullspace(rows: list[list], width: int) -> list[list[int]]:
+    """Exact nullspace basis over Q for constant subbundle data.
+
+    Entries are rational scalars (ints, Fractions, ...).  One basis vector per
+    non-pivot column: the reduced-row-echelon one, which is 1 there, cleared
+    of denominators to coprime ints.  Elimination runs fraction-free over Z.
+    """
+    matrix = []
+    for row in rows:
+        den = math.lcm(*(x.denominator for x in row))
+        matrix.append([x.numerator * (den // x.denominator) for x in row])
     pivots: list[tuple[int, int]] = []
     r = 0
     for c in range(width):
-        pivot = next((i for i in range(r, len(matrix)) if matrix[i][c] != 0), None)
+        pivot = next((i for i in range(r, len(matrix)) if matrix[i][c]), None)
         if pivot is None:
             continue
         matrix[r], matrix[pivot] = matrix[pivot], matrix[r]
         lead = matrix[r][c]
-        matrix[r] = [x / lead for x in matrix[r]]
         for i in range(len(matrix)):
-            if i != r and matrix[i][c] != 0:
+            if i != r and matrix[i][c]:
                 f = matrix[i][c]
-                matrix[i] = [x - f * y for x, y in zip(matrix[i], matrix[r])]
+                row = [lead * x - f * y for x, y in zip(matrix[i], matrix[r])]
+                g = math.gcd(*row)
+                matrix[i] = [x // g for x in row] if g > 1 else row
         pivots.append((r, c))
         r += 1
         if r == len(matrix):
@@ -548,11 +559,14 @@ def rational_nullspace(rows: list[list[Fraction]], width: int) -> list[list[Frac
     for free in range(width):
         if free in pivot_cols:
             continue
-        v = [Fraction(0)] * width
-        v[free] = Fraction(1)
+        # v[free] = 1 and v[cc] = -matrix[rr][free] / lead, times lcm of the leads
+        scale = math.lcm(*(matrix[rr][cc] for rr, cc in pivots))
+        v = [0] * width
+        v[free] = scale
         for rr, cc in pivots:
-            v[cc] = -matrix[rr][free]
-        basis.append(v)
+            v[cc] = -matrix[rr][free] * scale // matrix[rr][cc]
+        g = math.gcd(*v)
+        basis.append([x // g for x in v])
     return basis
 
 
@@ -633,14 +647,15 @@ def check_generalized_dirac(F: GeneralizedDirac) -> Report:
 
 class SplitSubbundle:
     """Constant-coefficient subbundle L of the vector side, with its exact
-    annihilator complement in the covector side computed over Q."""
+    annihilator complement in the covector side computed over Q.  Vector
+    entries are rational scalars (ints, Fractions, ...)."""
 
     __slots__ = ("vectors",)
 
-    def __init__(self, vectors: list[list[Fraction]]):
+    def __init__(self, vectors: list[list]):
         self.vectors = vectors
 
-    def annihilator(self, rank: int) -> list[list[Fraction]]:
+    def annihilator(self, rank: int) -> list[list[int]]:
         return rational_nullspace(self.vectors, rank)
 
 

@@ -24,6 +24,14 @@ class DegreeOverflow(ForgeError):
         self.degree = degree
 
 
+class TermOverflow(ForgeError):
+    """A polynomial product whose term bound exceeds rational.MAX_TERMS."""
+
+    def __init__(self, terms, bound):
+        super().__init__(f"polynomial product of up to {terms} terms exceeds {bound}")
+        self.terms = terms
+
+
 class UnknownCoordinate(ForgeError):
     """A coordinate name outside the chart's coordinate list."""
 

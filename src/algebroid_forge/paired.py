@@ -5,8 +5,6 @@ complex condition, and the deformed-double identification theorems.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .calculus import (
     FORM,
     MULTIVECTOR,
@@ -214,7 +212,7 @@ def check_torsion_blocks(E: CourantDouble, op: PairedOperator) -> Report:
     system2 = report.clause("vector-block-two-form", PROOF_TENSORIAL)
     system2.record_flag("Nsigma-two-form", symmetric, "sigma(N.,.)-not-antisymmetric")
     if symmetric:  # then i_N sigma = sigma(N., .) + sigma(., N.) is twice it
-        dnsigma = differential(insert_endomorphism(A, op.n_matrix, op.sigma)).scale(Fraction(1, 2))
+        dnsigma = differential(insert_endomorphism(A, op.n_matrix, op.sigma)).scale(A.one_rf() / 2)
         for i in range(A.rank):
             for j in range(i + 1, A.rank):
                 X, Y = A.frame(i), A.frame(j)

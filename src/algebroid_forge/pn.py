@@ -13,7 +13,6 @@ read it on the dual side of a quasi-Lie bialgebroid or a split double.
 
 from __future__ import annotations
 
-import random
 from itertools import combinations
 
 from .calculus import (
@@ -22,6 +21,7 @@ from .calculus import (
     AlgebroidPresentation,
     BundleMorphism,
     GradedSection,
+    SeededRng,
     _require_retaggable,
     apply_field,
     check_axioms,
@@ -505,7 +505,7 @@ def check_qlb(
                 f"e{i+1},{name}",
                 derivation_residue(Q.base.frame(i), Q.base.function(Q.base.coord_rf(name))),
             )
-    rng = random.Random(seed)
+    rng = SeededRng(seed)
 
     def random_vector() -> GradedSection:
         coeffs = {(i,): random_poly(Q.base, rng, max_degree) for i in range(Q.base.rank)}

@@ -2,15 +2,23 @@
 
 Every tensor coefficient in the package is a quotient of multivariate
 polynomials over a fixed ordered coordinate tuple.  A polynomial is held
-fraction-free: a Fraction content times a primitive part with integer
-coefficients of gcd 1 and a positive leading coefficient.  Each monomial of
+fraction-free: a rational content, kept as a reduced pair of ints, times a
+primitive part with integer coefficients of gcd 1 and a positive leading
+coefficient.  Each monomial of
 the primitive part is one int, packed in fields of FIELD_BITS bits: the
 total degree in the top field, then the exponents of x1, x2, ... going
 down.  Integer order is then graded-lexicographic (grlex) order, a monomial
 product is one integer add, and by Gauss's lemma a product of polynomials
 is the product of the contents times the product of the primitive parts.
 Total degrees are at most MAX_DEGREE, so a field never overflows into the
-next; a product beyond it raises DegreeOverflow.
+next; a product beyond it raises DegreeOverflow.  A product of t1 and t2
+terms has at most t1 * t2 terms, and one whose bound exceeds MAX_TERMS raises
+TermOverflow before it is expanded, so each product does bounded work.
+
+Rational scalars (a content, a constant, a scale factor) come in as any
+number whose ``numerator`` and ``denominator`` are ints, such as an int or a
+``fractions.Fraction``; ``content``, ``terms`` and ``constant_value`` hand
+Fractions back.
 
 Values are immutable and normalized on construction: numerator and
 denominator are reduced by their polynomial gcd (GCDHEU, with the
@@ -22,16 +30,11 @@ serializations).
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
-from fractions import Fraction
 from types import MappingProxyType
 
-from .errors import DegreeOverflow, DivisionByZero, ParseError, UnknownCoordinate, clip
+from .errors import DegreeOverflow, DivisionByZero, ParseError, TermOverflow, UnknownCoordinate, clip
 
 Monomial = tuple[int, ...]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 # Bits per packed monomial field.  The top bit of each field stays clear in
 # every stored monomial: it is the guard bit of the divisibility test in
@@ -39,6 +42,11 @@ _ONE = Fraction(1)
 FIELD_BITS = 16
 MAX_DEGREE = (1 << (FIELD_BITS - 1)) - 1
 _FIELD_MASK = (1 << FIELD_BITS) - 1
+
+# The most terms a polynomial product may have by its bound t1 * t2, and a
+# parsed power by its bound C(n + t - 1, t - 1): one product then takes at
+# most MAX_TERMS coefficient multiplications.
+MAX_TERMS = 10**5
 
 
 def _pack(mono: Monomial) -> int:
@@ -66,33 +74,77 @@ def _guards(n: int) -> int:
     return ((1 << (FIELD_BITS * (n + 1))) - 1) // _FIELD_MASK << (FIELD_BITS - 1)
 
 
-def _canonical(num: int, den: int, coeffs: dict[int, int]) -> tuple[Fraction, dict[int, int]]:
-    """Write (num/den) * coeffs as content * primitive part (coeffs nonzero)."""
+def _ratio(q) -> tuple[int, int]:
+    """An exact rational scalar as a reduced (numerator, denominator > 0) pair."""
+    num, den = q.numerator, q.denominator
+    if den == 1:
+        return num, 1
+    if den < 0:
+        num, den = -num, -den
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+def _is_rational(x) -> bool:
+    """Whether x is a rational scalar: its numerator and denominator are ints."""
+    num, den = getattr(x, "numerator", None), getattr(x, "denominator", None)
+    return isinstance(num, int) and isinstance(den, int)
+
+
+def _qmul(n1: int, d1: int, n2: int, d2: int) -> tuple[int, int]:
+    """(n1/d1) * (n2/d2) reduced, for reduced pairs with positive denominators."""
+    if d1 == d2 == 1:
+        return n1 * n2, 1
+    g1 = math.gcd(n1, d2)
+    g2 = math.gcd(n2, d1)
+    return (n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1)
+
+
+def _qdiv(n1: int, d1: int, n2: int, d2: int) -> tuple[int, int]:
+    """(n1/d1) / (n2/d2) reduced, for reduced pairs with n2 nonzero."""
+    return _qmul(n1, d1, d2, n2) if n2 > 0 else _qmul(n1, d1, -d2, -n2)
+
+
+def _canonical(num: int, den: int, coeffs: dict[int, int]) -> tuple[int, int, dict[int, int]]:
+    """Write (num/den) * coeffs, den > 0 and coeffs nonzero, as the content
+    pair and the primitive part."""
     g = math.gcd(*coeffs.values())
     if coeffs[max(coeffs)] < 0:
         g = -g
     if g != 1:
         coeffs = {k: c // g for k, c in coeffs.items()}
         num *= g
-    return (Fraction(num) if den == 1 else Fraction(num, den)), coeffs
+    if den != 1:
+        r = math.gcd(num, den)
+        if r != 1:
+            num, den = num // r, den // r
+    return num, den, coeffs
+
+
+def _fraction(num: int, den: int):
+    """num/den as a Fraction, for the accessors that hand rationals out."""
+    from fractions import Fraction
+
+    return Fraction(num, den)
 
 
 class Polynomial:
     """Multivariate polynomial over Q, stored as content * primitive part.
 
-    `content` is a Fraction carrying the sign (0 for the zero polynomial);
-    `prim` maps packed monomials to int coefficients of gcd 1 whose
-    grlex-leading one is positive (empty for zero).  Both are never mutated
-    after construction.  `terms` is the read-only {exponent tuple: Fraction}
-    view.  The variable tuple is fixed; cross-ring arithmetic is a
+    The content is cnum/cden, a reduced pair of ints with cden > 0 that
+    carries the sign (0/1 for the zero polynomial); ``content`` reads it as a
+    Fraction.  `prim` maps packed monomials to int coefficients of gcd 1
+    whose grlex-leading one is positive (empty for zero).  None of them is
+    mutated after construction.  `terms` is the read-only {exponent tuple:
+    Fraction} view.  The variable tuple is fixed; cross-ring arithmetic is a
     programming error and raises ValueError.
     """
 
-    __slots__ = ("vars", "content", "prim", "_hash")
+    __slots__ = ("vars", "cnum", "cden", "prim", "_hash")
 
-    def __init__(self, vars: tuple[str, ...], terms: Mapping[Monomial, Fraction]):
+    def __init__(self, vars: tuple[str, ...], terms: dict[Monomial, object]):
         n = len(vars)
-        fracs = {}
+        pairs = {}
         for mono, c in terms.items():
             if not c:
                 continue
@@ -100,22 +152,23 @@ class Polynomial:
                 raise ValueError(f"bad exponent tuple {mono} for coordinates {vars}")
             if sum(mono) > MAX_DEGREE:
                 raise DegreeOverflow(sum(mono), MAX_DEGREE)
-            fracs[_pack(mono)] = Fraction(c)
+            pairs[_pack(mono)] = _ratio(c)
         self.vars = vars
         self._hash = None
-        if not fracs:
-            self.content, self.prim = _ZERO, {}
+        if not pairs:
+            self.cnum, self.cden, self.prim = 0, 1, {}
             return
-        den = math.lcm(*(c.denominator for c in fracs.values()))
-        ints = {k: c.numerator * (den // c.denominator) for k, c in fracs.items()}
-        self.content, self.prim = _canonical(1, den, ints)
+        den = math.lcm(*(d for _, d in pairs.values()))
+        ints = {k: c * (den // d) for k, (c, d) in pairs.items()}
+        self.cnum, self.cden, self.prim = _canonical(1, den, ints)
 
     @classmethod
-    def _make(cls, vars: tuple[str, ...], content: Fraction, prim: dict[int, int]) -> "Polynomial":
+    def _make(cls, vars: tuple[str, ...], cnum: int, cden: int, prim: dict[int, int]) -> "Polynomial":
         """Wrap parts already in canonical form."""
         p = object.__new__(cls)
         p.vars = vars
-        p.content = content
+        p.cnum = cnum
+        p.cden = cden
         p.prim = prim
         p._hash = None
         return p
@@ -129,23 +182,28 @@ class Polynomial:
 
     @classmethod
     def zero(cls, vars: tuple[str, ...]) -> "Polynomial":
-        return cls._make(vars, _ZERO, {})
+        return cls._make(vars, 0, 1, {})
 
     @classmethod
     def const(cls, vars: tuple[str, ...], value) -> "Polynomial":
-        q = Fraction(value)
-        if not q:
+        num, den = _ratio(value)
+        if not num:
             return cls.zero(vars)
-        return cls._make(vars, q, {0: 1})
+        return cls._make(vars, num, den, {0: 1})
 
     @classmethod
     def coord(cls, vars: tuple[str, ...], name: str) -> "Polynomial":
         if name not in vars:
             raise UnknownCoordinate(f"unknown coordinate {clip(name)!r} (chart has {list(vars)})")
-        return cls._make(vars, _ONE, {_var_key(len(vars), vars.index(name)): 1})
+        return cls._make(vars, 1, 1, {_var_key(len(vars), vars.index(name)): 1})
 
     @property
-    def terms(self) -> Mapping[Monomial, Fraction]:
+    def content(self):
+        """The content as a Fraction."""
+        return _fraction(self.cnum, self.cden)
+
+    @property
+    def terms(self) -> MappingProxyType:
         n, content = len(self.vars), self.content
         return MappingProxyType({_unpack(k, n): content * c for k, c in self.prim.items()})
 
@@ -158,12 +216,10 @@ class Polynomial:
         prim = self.prim
         return not prim or (len(prim) == 1 and 0 in prim)
 
-    def constant_value(self) -> Fraction:
-        """The constant term (the value, for a constant polynomial)."""
-        c = self.prim.get(0)
-        if c is None:
-            return _ZERO
-        return self.content if c == 1 else self.content * c
+    def constant_value(self):
+        """The constant term as a Fraction (the value, for a constant polynomial)."""
+        c = self.prim.get(0, 0)
+        return _fraction(self.cnum * c, self.cden)
 
     def total_degree(self) -> int:
         if not self.prim:
@@ -183,8 +239,8 @@ class Polynomial:
         if not self.prim:
             return other
         # c1*P1 + c2*P2 = (g/l) * (a1*P1 + a2*P2) with integer a1, a2
-        n1, d1 = self.content.numerator, self.content.denominator
-        n2, d2 = other.content.numerator, other.content.denominator
+        n1, d1 = self.cnum, self.cden
+        n2, d2 = other.cnum, other.cden
         g = math.gcd(n1, n2)
         l = d1 // math.gcd(d1, d2) * d2
         a1 = n1 // g * (l // d1)
@@ -200,7 +256,7 @@ class Polynomial:
         return Polynomial._from_ints(self.vars, g, l, terms)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._make(self.vars, -self.content, self.prim)
+        return Polynomial._make(self.vars, -self.cnum, self.cden, self.prim)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -216,6 +272,8 @@ class Polynomial:
         degree = (max(p) >> top) + (max(q) >> top)
         if degree > MAX_DEGREE:
             raise DegreeOverflow(degree, MAX_DEGREE)
+        if len(p) * len(q) > MAX_TERMS:
+            raise TermOverflow(len(p) * len(q), MAX_TERMS)
         if len(p) < len(q):
             p, q = q, p
         if len(q) == 1:
@@ -231,16 +289,16 @@ class Polynomial:
                     terms[k] = get(k, 0) + c1 * c2
             if not all(terms.values()):
                 terms = {k: c for k, c in terms.items() if c}
-        c1, c2 = self.content, other.content
-        content = c2 if c1 == 1 else c1 if c2 == 1 else c1 * c2
-        return Polynomial._make(self.vars, content, terms)
+        return Polynomial._make(self.vars, *_qmul(self.cnum, self.cden, other.cnum, other.cden), terms)
 
-    def scale(self, q: Fraction) -> "Polynomial":
-        if not q:
+    def scale(self, q) -> "Polynomial":
+        """self * q for a rational scalar q."""
+        num, den = _ratio(q)
+        if not num:
             return Polynomial.zero(self.vars)
         if not self.prim:
             return self
-        return Polynomial._make(self.vars, self.content * q, self.prim)
+        return Polynomial._make(self.vars, *_qmul(self.cnum, self.cden, num, den), self.prim)
 
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
@@ -265,40 +323,46 @@ class Polynomial:
             e = (k >> shift) & _FIELD_MASK
             if e:
                 terms[k - step] = c * e
-        content = self.content
-        return Polynomial._from_ints(self.vars, content.numerator, content.denominator, terms)
+        return Polynomial._from_ints(self.vars, self.cnum, self.cden, terms)
 
     # -- equality / hashing / rendering --------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.vars == other.vars and self.content == other.content and self.prim == other.prim
+        return (
+            self.vars == other.vars
+            and self.cnum == other.cnum
+            and self.cden == other.cden
+            and self.prim == other.prim
+        )
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.vars, self.content, frozenset(self.prim.items())))
+            self._hash = hash((self.vars, self.cnum, self.cden, frozenset(self.prim.items())))
         return self._hash
 
     def __str__(self) -> str:
         if not self.prim:
             return "0"
-        n, content = len(self.vars), self.content
+        n, cnum, cden = len(self.vars), self.cnum, self.cden
         parts = []
         for key in sorted(self.prim, reverse=True):
-            coeff = content * self.prim[key]
+            c = cnum * self.prim[key]
+            g = math.gcd(c, cden)
+            coeff = str(abs(c) // g) if g == cden else f"{abs(c) // g}/{cden // g}"
             factors = [
                 f"{v}^{e}" if e > 1 else v
                 for v, e in zip(self.vars, _unpack(key, n))
                 if e
             ]
             if not factors:
-                body = str(abs(coeff))
-            elif abs(coeff) == 1:
+                body = coeff
+            elif coeff == "1":
                 body = "*".join(factors)
             else:
-                body = "*".join([str(abs(coeff))] + factors)
-            parts.append(("- " if coeff < 0 else "+ ") + body)
+                body = "*".join([coeff] + factors)
+            parts.append(("- " if c < 0 else "+ ") + body)
         head = parts[0].replace("+ ", "", 1).replace("- ", "-", 1)
         return " ".join([head] + parts[1:])
 
@@ -398,10 +462,10 @@ def _interpolate(h: dict[int, int], x: int, step: int, limit: int) -> dict[int, 
 
 def _primitive_ints(f: dict[int, int]) -> dict[int, int]:
     """f divided by its integer content, with a positive leading coefficient."""
-    return _canonical(1, 1, f)[1]
+    return _canonical(1, 1, f)[2]
 
 
-def _heu_gcd(f: dict[int, int], g: dict[int, int], active: Sequence[int], n: int):
+def _heu_gcd(f: dict[int, int], g: dict[int, int], active: range, n: int):
     """GCDHEU of nonzero integer polynomials in the variables `active`.
 
     Char, Geddes and Gonnet, "GCDHEU: Heuristic polynomial GCD algorithm
@@ -477,9 +541,9 @@ def _monomial_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     """Gcd when at least one argument is a single term: exponent minima."""
     n = len(p.vars)
     if 0 in p.prim or 0 in q.prim:
-        return Polynomial._make(p.vars, _ONE, {0: 1})
+        return Polynomial._make(p.vars, 1, 1, {0: 1})
     mono = [min(es) for es in zip(*(_unpack(k, n) for k in (*p.prim, *q.prim)))]
-    return Polynomial._make(p.vars, _ONE, {_pack(mono): 1})
+    return Polynomial._make(p.vars, 1, 1, {_pack(mono): 1})
 
 
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -491,18 +555,18 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     """
     p._check(q)
     if not p.prim:
-        return _int_content_and_primitive(q)[1]
+        return _primitive(q)
     if not q.prim:
-        return _int_content_and_primitive(p)[1]
+        return _primitive(p)
     if p.prim == q.prim:
-        return _int_content_and_primitive(p)[1]
+        return _primitive(p)
     if len(p.prim) == 1 or len(q.prim) == 1:
         return _monomial_gcd(p, q)
     n = len(p.vars)
     found = _heu_gcd(p.prim, q.prim, range(n), n)
     if found is None:
         return _prs_gcd(p, q)
-    return Polynomial._make(p.vars, _ONE, _primitive_ints(found[0]))
+    return Polynomial._make(p.vars, 1, 1, _primitive_ints(found[0]))
 
 
 def exact_div(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -516,16 +580,17 @@ def exact_div(p: Polynomial, q: Polynomial) -> Polynomial:
     if not p.prim:
         return p
     p._check(q)
+    content = _qdiv(p.cnum, p.cden, q.cnum, q.cden)
     if q.is_constant():
-        return Polynomial._make(p.vars, p.content / q.content, p.prim)
+        return Polynomial._make(p.vars, *content, p.prim)
     quotient = _divide(p.prim, q.prim, len(p.vars))
     if quotient is None:
         raise ValueError("inexact polynomial division")
-    return Polynomial._make(p.vars, p.content / q.content, quotient)
+    return Polynomial._make(p.vars, *content, quotient)
 
 
 def _is_unit(p: Polynomial) -> bool:
-    return p.is_constant() and abs(p.content) == 1
+    return p.is_constant() and p.cden == 1 and abs(p.cnum) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -533,10 +598,10 @@ def _is_unit(p: Polynomial) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _int_content_and_primitive(p: Polynomial) -> tuple[Fraction, Polynomial]:
-    """Write p = content * P with P an integer polynomial of content 1 and a
+def _primitive(p: Polynomial) -> Polynomial:
+    """P in p = content * P: an integer polynomial of content 1 and a
     positive grlex leading coefficient (the sign goes to the content)."""
-    return p.content, Polynomial._make(p.vars, _ONE if p.prim else _ZERO, p.prim)
+    return Polynomial._make(p.vars, 1 if p.prim else 0, 1, p.prim)
 
 
 def _coeffs_in(p: Polynomial, index: int) -> dict[int, Polynomial]:
@@ -548,8 +613,7 @@ def _coeffs_in(p: Polynomial, index: int) -> dict[int, Polynomial]:
     for k, c in p.prim.items():
         e = (k >> shift) & _FIELD_MASK
         out.setdefault(e, {})[k - e * step] = c
-    num, den = p.content.numerator, p.content.denominator
-    return {e: Polynomial._from_ints(p.vars, num, den, t) for e, t in out.items()}
+    return {e: Polynomial._from_ints(p.vars, p.cnum, p.cden, t) for e, t in out.items()}
 
 
 def _deg_in(p: Polynomial, index: int) -> int:
@@ -559,7 +623,7 @@ def _deg_in(p: Polynomial, index: int) -> int:
 
 def _var_power(p: Polynomial, index: int, k: int) -> Polynomial:
     """The monomial vars[index]^k in p's ring."""
-    return Polynomial._make(p.vars, _ONE, {k * _var_key(len(p.vars), index): 1})
+    return Polynomial._make(p.vars, 1, 1, {k * _var_key(len(p.vars), index): 1})
 
 
 def _pseudo_rem(a: Polynomial, b: Polynomial, index: int) -> Polynomial:
@@ -589,7 +653,7 @@ def _content_in(p: Polynomial, index: int) -> Polynomial:
     constant running gcd short-circuits to 1.
     """
     coeffs = list(_coeffs_in(p, index).values())
-    g = _int_content_and_primitive(coeffs[0])[1]
+    g = _primitive(coeffs[0])
     for c in coeffs[1:]:
         if g.total_degree() == 0:
             return Polynomial.const(p.vars, 1)
@@ -604,11 +668,11 @@ def _prs_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     active variables; a single-term argument short-circuits to exponent
     minima.  Slower than GCDHEU but never gives up."""
     if p.is_zero():
-        return _int_content_and_primitive(q)[1]
+        return _primitive(q)
     if q.is_zero():
-        return _int_content_and_primitive(p)[1]
-    p = _int_content_and_primitive(p)[1]
-    q = _int_content_and_primitive(q)[1]
+        return _primitive(p)
+    p = _primitive(p)
+    q = _primitive(q)
     if p == q:
         return p
     if len(p.prim) == 1 or len(q.prim) == 1:
@@ -653,8 +717,8 @@ def _prs_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     if _deg_in(g, index) == 0:
         # the PRS bottomed out in the coefficient ring: cofactors are coprime
         g = one
-    g = _int_content_and_primitive(g)[1]
-    return _int_content_and_primitive(d * g)[1]
+    g = _primitive(g)
+    return _primitive(d * g)
 
 
 
@@ -720,7 +784,8 @@ class RationalFunction:
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.den.is_constant()
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self):
+        """The value of a constant as a Fraction."""
         return self.num.constant_value() / self.den.constant_value()
 
     # -- field operations -------------------------------------------------------
@@ -730,7 +795,7 @@ class RationalFunction:
             if other.vars != self.vars:
                 raise ValueError("mixed coordinate rings")
             return other
-        if isinstance(other, (int, Fraction)):
+        if _is_rational(other):
             return RationalFunction.const(self.vars, other)
         return NotImplemented
 
@@ -823,7 +888,7 @@ class RationalFunction:
         return RationalFunction(num, d * u)
 
     def subs(
-        self, values: Mapping[str, "RationalFunction"], target: tuple[str, ...] | None = None
+        self, values: dict[str, "RationalFunction"], target: tuple[str, ...] | None = None
     ) -> "RationalFunction":
         """Substitute coordinates; unmentioned coordinates map to themselves.
 
@@ -843,10 +908,10 @@ class RationalFunction:
     # -- equality / rendering -----------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = RationalFunction.const(self.vars, other)
         if not isinstance(other, RationalFunction):
-            return NotImplemented
+            if not _is_rational(other):
+                return NotImplemented
+            other = RationalFunction.const(self.vars, other)
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
@@ -896,10 +961,11 @@ def _normalize(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial
 def _monic(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
     """Scale num/den so that den's grlex leading coefficient is 1."""
     lc = den.prim[max(den.prim)]
-    if lc != 1 or den.content != 1:
-        lc *= den.content
-        num = num.scale(1 / lc)
-        den = Polynomial._make(den.vars, den.content / lc, den.prim)
+    if lc != 1 or den.cnum != 1 or den.cden != 1:
+        # den leads with lc * cnum / cden: divide both by that
+        lead = _qmul(lc, 1, den.cnum, den.cden)
+        num = Polynomial._make(num.vars, *_qdiv(num.cnum, num.cden, *lead), num.prim)
+        den = Polynomial._make(den.vars, 1, lc, den.prim)
     return num, den
 
 
@@ -913,12 +979,14 @@ def _reduced(num: Polynomial, den: Polynomial) -> RationalFunction:
 
 
 def _poly_subs(
-    p: Polynomial, image: Sequence[RationalFunction], target: tuple[str, ...]
+    p: Polynomial, image: list[RationalFunction], target: tuple[str, ...]
 ) -> RationalFunction:
     total = RationalFunction.zero(target)
-    for m, c in p.terms.items():
-        term = RationalFunction.const(target, c)
-        for rf, e in zip(image, m):
+    n = len(p.vars)
+    for k, c in p.prim.items():
+        coeff = Polynomial._from_ints(target, p.cnum, p.cden, {0: c})
+        term = RationalFunction(coeff, _unit(target), _normalized=True)
+        for rf, e in zip(image, _unpack(k, n)):
             if e:
                 term = term * rf**e
         total = total + term
@@ -1028,15 +1096,17 @@ class ExpressionParser:
     and prefix signs nest at most MAX_DEPTH deep in total; deeper input is a
     ParseError at the first token past the limit (the recursion would
     otherwise exhaust the interpreter's stack).  An exponent is at most
-    MAX_EXPONENT in absolute value, and no power, product or quotient may
-    reach a polynomial degree above MAX_DEGREE; either is a ParseError at
-    the `^`, `*` or `/` token, so a packed monomial can never alias.
+    MAX_EXPONENT in absolute value.  No operation may reach a polynomial
+    degree above MAX_DEGREE, so a packed monomial can never alias, nor a
+    polynomial product or power a term bound above MAX_TERMS (a power p^n of
+    t terms is bounded by C(n + t - 1, t - 1) before it is expanded); either
+    is a ParseError at the operator's token.
     """
 
     MAX_DEPTH = 100
     MAX_EXPONENT = MAX_DEGREE
 
-    def __init__(self, tokens: Sequence[Token], pos: int, vars: tuple[str, ...]):
+    def __init__(self, tokens: list[Token], pos: int, vars: tuple[str, ...]):
         self.tokens = tokens
         self.pos = pos
         self.vars = vars
@@ -1061,7 +1131,7 @@ class ExpressionParser:
             op = self.tokens[self.pos]
             self.pos += 1
             rhs = self._product()
-            value = value + rhs if op.kind == "+" else value - rhs
+            value = _at(op, value.__add__ if op.kind == "+" else value.__sub__, rhs)
         return value
 
     def _product(self) -> RationalFunction:
@@ -1072,10 +1142,7 @@ class ExpressionParser:
             rhs = self._factor()
             if op.kind == "/" and rhs.is_zero():
                 raise ParseError(op.line, op.column, "a nonzero divisor", "0")
-            try:
-                value = value * rhs if op.kind == "*" else value / rhs
-            except DegreeOverflow as err:
-                raise _degree_error(op, err.degree) from None
+            value = _at(op, value.__mul__ if op.kind == "*" else value.__truediv__, rhs)
         return value
 
     def _factor(self) -> RationalFunction:
@@ -1110,10 +1177,14 @@ class ExpressionParser:
             exponent = sign * int(digits or "0")
             if exponent < 0 and base.is_zero():
                 raise ParseError(tok.line, tok.column, "a nonzero base for a negative exponent", "0")
-            degree = max(base.num.total_degree(), base.den.total_degree()) * abs(exponent)
+            parts = (base.num, base.den)
+            degree = max(p.total_degree() for p in parts) * abs(exponent)
             if degree > MAX_DEGREE:
                 raise _degree_error(caret, degree)
-            return base**exponent
+            terms = max(math.comb(abs(exponent) + len(p.prim) - 1, len(p.prim) - 1) for p in parts if p.prim)
+            if terms > MAX_TERMS:
+                raise _terms_error(caret, terms)
+            return _at(caret, base.__pow__, exponent)
         return base
 
     def _atom(self) -> RationalFunction:
@@ -1142,6 +1213,21 @@ class ExpressionParser:
 
 def _degree_error(tok: Token, degree: int) -> ParseError:
     return ParseError(tok.line, tok.column, f"a polynomial degree of at most {MAX_DEGREE}", f"degree {degree}")
+
+
+def _terms_error(tok: Token, terms: int) -> ParseError:
+    expected = f"a polynomial of at most {MAX_TERMS} terms"
+    return ParseError(tok.line, tok.column, expected, f"up to {terms} terms")
+
+
+def _at(tok: Token, op, *args) -> RationalFunction:
+    """op(*args) for a parsed operator; an overflow is a ParseError at tok."""
+    try:
+        return op(*args)
+    except DegreeOverflow as err:
+        raise _degree_error(tok, err.degree) from None
+    except TermOverflow as err:
+        raise _terms_error(tok, err.terms) from None
 
 
 def parse_scalar(text: str, vars: tuple[str, ...]) -> RationalFunction:

@@ -7,17 +7,18 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algebroid_forge import algfile, cli
+from algebroid_forge import algfile, cli, tangent_algebroid
 from algebroid_forge.algfile import MAX_COORDS, MAX_RANK
-from algebroid_forge.cli import SLOTS, TASKS, RunConfig, main
+from algebroid_forge.cli import OPTIONS, SLOTS, TASKS, RunConfig, main
 from algebroid_forge.errors import CLIP
-from algebroid_forge.rational import MAX_DEGREE, MAX_DIGITS, tokenize
+from algebroid_forge.rational import MAX_DEGREE, MAX_DIGITS, MAX_TERMS, tokenize
 from algebroid_forge.reporting import PROOF_TENSORIAL, Report
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -138,23 +139,53 @@ class TestRecords:
         assert hashlib.sha256(records).hexdigest() == table[f"{key}@{seed}"]
 
 
+# stdlib modules that no check may load: each costs every run its import
+UNLOADED = {
+    *("dataclasses", "typing", "inspect", "ast", "dis"),
+    *("fractions", "decimal", "numbers", "argparse", "gettext", "random", "os", "re"),
+    *("enum", "functools", "collections", "shutil", "locale", "lzma", "bz2"),
+}
+# a -S child that imports the package, runs forge on each of its arguments
+# (an argument list joined by unit separators), then prints the modules loaded
+RUN_ALL = """
+import sys
+from algebroid_forge import cli
+for argv in [arg.split("\\x1f") for arg in sys.argv[1:]]:
+    try:
+        cli.main(argv)
+    except SystemExit:
+        pass
+print("@modules", " ".join(sorted(sys.modules)))
+"""
+
+
 def test_import_loads_no_introspection_modules():
     # every check pays the package's import in a fresh interpreter; pytest and
     # hypothesis load these modules here, so a -S child reports what the
-    # package itself pulls in
-    code = "import algebroid_forge.cli, sys; print(' '.join(sorted(sys.modules)))"
+    # package itself pulls in, also on the paths a run takes: every corpus
+    # file, kappa 1, --help and a usage error
+    runs = [["check", *args] for _, args in FINGERPRINT_RUNS]
+    runs += [["--help"], ["check", str(CORPUS / "so3.alg"), "--kappa", "2"]]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     result = subprocess.run(
-        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-S", "-c", RUN_ALL, *("\x1f".join(argv) for argv in runs)],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
     )
-    loaded = set(result.stdout.split())
+    loaded = set(result.stdout.rsplit("@modules", 1)[1].split())
     assert "algebroid_forge.cli" in loaded
-    assert not loaded & {"dataclasses", "typing", "inspect", "ast", "dis"}
+    assert "forge check: error: argument --kappa" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not loaded & UNLOADED, sorted(loaded & UNLOADED)
 
 
 def test_run_config_defaults():
+    # kappa is the --kappa text, read as a scalar by verify_courant_axioms
     config = RunConfig()
-    assert (config.seed, config.samples, config.max_degree, config.kappa) == (0, 10, 2, Fraction(1, 2))
+    assert (config.seed, config.samples, config.max_degree, config.kappa) == (0, 10, 2, "1/2")
+    assert tangent_algebroid(1).scalar(config.kappa) == Fraction(1, 2)
 
 
 def test_reports_and_clauses_start_empty_and_unshared():
@@ -259,6 +290,50 @@ class TestBadInput:
         assert main(["check", str(path), "--format", "records"]) == 1
         out = capsys.readouterr().out
         assert f"exceeds{MAX_DEGREE} verdict=error" in out
+
+    @pytest.mark.parametrize(
+        "expression, operator, terms",
+        [
+            # C(60 + 3, 3) = 39,711 terms, but a product on the way, the 455
+            # terms of p^12 by the 969 of p^16, is over the cap
+            ("(x1+x2+x3+1)^60", "^", 455 * 969),
+            # C(40 + 4, 4) = 135,751 terms, refused before any product
+            ("(x1+x2+x3+x4+1)^40", "^", 135751),
+            # C(12 + 3, 3) = 455 terms on each side
+            ("(x1+x2+x3+1)^12 * (x1+x2+x3+2)^12", "*", 455 * 455),
+        ],
+        ids=["power", "power-bound", "product"],
+    )
+    def test_expression_over_term_cap(self, tmp_path, capsys, expression, operator, terms):
+        # a parse error at the operator, before the expansion costs its time
+        prefix = "algebroid A { base = [x1, x2, x3, x4]; rank = 1; anchor[1,x1] = "
+        path = tmp_path / "big.alg"
+        path.write_text(f"{prefix}{expression}; }}\n")
+        start = time.perf_counter()
+        assert main(["check", str(path)]) == 2
+        assert time.perf_counter() - start < 1.0
+        column = len(prefix) + expression.index(operator) + 1
+        expected = f"expected a polynomial of at most {MAX_TERMS} terms, found 'up to {terms} terms'"
+        assert f"1:{column}: {expected}" in capsys.readouterr().err
+
+    def test_term_overflow_in_a_task_is_an_error(self, tmp_path, capsys):
+        # 455 terms parse; the check's first product of two such is over the cap
+        path = tmp_path / "wide.alg"
+        path.write_text(
+            "algebroid A { base = [x1, x2, x3]; rank = 1; anchor[1,x1] = (x1+x2+x3+1)^12; }\n"
+            "task check-axioms A;\n"
+        )
+        assert main(["check", str(path), "--format", "records"]) == 1
+        assert f"termsexceeds{MAX_TERMS} verdict=error" in capsys.readouterr().out
+
+    def test_degree_overflow_in_a_sum(self, tmp_path, capsys):
+        # the sum's common denominator has degree 40,000: a parse error at
+        # the '+', where it was an uncaught DegreeOverflow
+        path = tmp_path / "sum.alg"
+        path.write_text("algebroid A { base = [x1]; rank = 1; anchor[1,x1] = x1^20000 + 1/x1^20000; }\n")
+        assert main(["check", str(path)]) == 2
+        expected = f"1:62: expected a polynomial degree of at most {MAX_DEGREE}, found 'degree 40000'"
+        assert expected in capsys.readouterr().err
 
     def test_max_degree_over_cap(self, capsys):
         with pytest.raises(SystemExit) as exit_:
@@ -518,6 +593,80 @@ class TestTaskBinding:
         verdicts = [line.rsplit("=", 1)[1] for line in capsys.readouterr().out.splitlines()]
         assert verdicts[0] == "pass"
         assert verdicts[-2:] == ["hypothesis-not-satisfied", "error"]
+
+
+SO3 = str(CORPUS / "so3.alg")
+
+
+class TestArguments:
+    @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"], ["check", SO3, "-h"]])
+    def test_help_lists_every_flag(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 0
+        out = capsys.readouterr().out
+        assert all(flag in out for flag in OPTIONS)
+        assert "{1,1/2}" in out and "{text,records}" in out
+
+    def test_flag_value_forms(self, capsys):
+        # --seed=3 is --seed 3; a negative seed and a unique prefix are accepted
+        runs = [
+            ["--seed=3"],
+            ["--seed", "3"],
+            ["--seed", "-5"],
+            ["--max-deg", "1"],
+            ["--form", "records", "--kappa=1"],
+        ]
+        outputs = []
+        for flags in runs:
+            code = main(["check", str(CORPUS / "courant_tr2.alg"), "--samples", "2", *flags])
+            outputs.append((code, capsys.readouterr().out))
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0
+        assert "seed=3" in outputs[0][1]
+        assert "seed=-5" in outputs[2][1] and "max_degree=1" in outputs[3][1]
+        assert outputs[4][0] == 1 and outputs[4][1].startswith("task=verify-courant#1 clause=C1")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["check", SO3, "--bogus"], "unrecognized arguments: --bogus"),
+            (["check", SO3, "--s", "1"], "ambiguous option: --s could match --seed, --samples"),
+            (["check"], "missing FILE"),
+            (["check", SO3, "extra"], "unrecognized arguments: extra"),
+            ([], "missing command 'check'"),
+            (["verify", SO3], "invalid command 'verify', expected 'check'"),
+            (["check", SO3, "--kappa", "2"], "argument --kappa: invalid choice: '2' (choose from '1', '1/2')"),
+            (["check", SO3, "--format", "json"], "argument --format: invalid choice: 'json'"),
+            (["check", SO3, "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+            (["check", SO3, "--seed", "7" * 5000], f"argument --seed: invalid int value: '{'7' * CLIP}...'"),
+            (["check", SO3, "--seed"], "argument --seed: expected one argument"),
+            (["check", SO3, "--samples", "--format"], "argument --samples: expected one argument"),
+        ],
+        ids=[
+            "unknown-flag",
+            "ambiguous-flag",
+            "missing-file",
+            "extra-positional",
+            "missing-command",
+            "unknown-command",
+            "bad-kappa",
+            "bad-format",
+            "non-integer-seed",
+            "5000-digit-seed",
+            "missing-value",
+            "flag-as-value",
+        ],
+    )
+    def test_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: forge check")
+        assert f"forge check: error: {message}" in captured.err
+        assert "Traceback" not in captured.err
+        assert all(len(line) < 200 for line in captured.err.splitlines())
 
 
 # the README's task block, bound against these declarations; Qsrc and Qtgt

@@ -7,12 +7,13 @@ import math
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from algebroid_forge.calculus import (
     FORM,
     MULTIVECTOR,
+    SeededRng,
     differential,
     insert,
     lie_derivative,
@@ -156,6 +157,8 @@ def test_polynomial_representation_is_canonical(p, q):
     lead = p.terms[max(p.terms, key=lambda m: (sum(m), m))]
     assert (p.content > 0) == (lead > 0)
     assert (-p).content == -p.content and (-p).prim == p.prim
+    # the content is held as a reduced int pair with a positive denominator
+    assert p.cden > 0 and math.gcd(p.cnum, p.cden) == 1 and p.content == Fraction(p.cnum, p.cden)
 
 
 @settings(max_examples=60, deadline=None)
@@ -165,3 +168,29 @@ def test_polynomial_ops_match_sympy(p, q, index):
     assert dict((p + q).terms) == sympy_terms(sp + sq)
     assert dict((p * q).terms) == sympy_terms(sp * sq)
     assert dict(p.derivative(index).terms) == sympy_terms(sp.diff(sp.gens[index]))
+    factor = Fraction(index - 1, index + 2)
+    assert dict(p.scale(factor).terms) == sympy_terms(sp * sympy_poly({(0, 0, 0): factor}, 3))
+
+
+# the draws the sampler makes: a constant in -2..2, a degree in 0..max_degree,
+# a coin, and an index into a section family of up to a few hundred members
+SAMPLER_DRAWS = st.one_of(
+    st.just((-2, 3)),
+    st.integers(1, 40).map(lambda width: (0, width)),
+    st.integers(1, 400).map(lambda width: (0, width)),
+    st.none(),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.integers(-500, 500), st.integers()), st.lists(SAMPLER_DRAWS, max_size=60))
+@example(0, [(-2, 3), (0, 3), None, (0, 120)])
+def test_sampler_rng_replays_random(seed, draws):
+    # SeededRng draws exactly what random.Random(seed) draws, so the sampled
+    # families, and every record, stay those of the random module
+    ours, reference = SeededRng(seed), random.Random(seed)
+    for draw in draws:
+        if draw is None:
+            assert ours.random() == reference.random()
+        else:
+            assert ours.randrange(*draw) == reference.randrange(*draw)
