@@ -7,10 +7,11 @@ Every task is fitted to one of the usages in TASKS before the first runs.
 Exit codes: 0 when every task passes, 1 when some task fails (including
 hypothesis-not-satisfied and task-level errors), 2 on parse or semantic
 errors (a task that fits no usage included) and on an option out of range
-(``--max-degree`` is at most ``rational.MAX_DEGREE``).  The ``records``
-format prints one machine-readable line per clause and is byte-identical
-across runs with identical inputs and configuration.  The arguments are
-read by ``parse_args``, a small parser of this one usage.
+(``--samples`` is at most ``MAX_SAMPLES``, ``--max-degree`` at most
+``rational.MAX_DEGREE``).  The ``records`` format prints one
+machine-readable line per clause and is byte-identical across runs with
+identical inputs and configuration.  The arguments are read by
+``parse_args``, a small parser of this one usage.
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ from .pn import (
 )
 from .rational import MAX_DEGREE
 from .reporting import ERROR, HYPOTHESIS, Report
+
+MAX_SAMPLES = 1000  # the largest --samples
 
 
 class RunConfig:
@@ -323,12 +326,21 @@ def _non_negative(text: str) -> int:
     return value
 
 
-def _sample_degree(text: str) -> int:
-    """The value of --max-degree: sampled powers must stay packable."""
-    value = _non_negative(text)
-    if value > MAX_DEGREE:
-        raise ValueError(f"expected at most {MAX_DEGREE}, got {clip(text)!r}")
-    return value
+def _at_most(cap: int):
+    """The reader of a sampling size of at most ``cap``.  A digit string is
+    measured before it is read, so one too long for ``int`` is over the cap."""
+
+    def read(text: str) -> int:
+        if text.isascii() and text.isdigit():
+            digits = text.lstrip("0")
+            value = cap + 1 if len(digits) > len(str(cap)) else int(digits or "0")
+        else:
+            value = _non_negative(text)
+        if value > cap:
+            raise ValueError(f"expected at most {cap}, got {clip(text)!r}")
+        return value
+
+    return read
 
 
 def _choice(*choices):
@@ -343,11 +355,13 @@ def _choice(*choices):
     return read
 
 
-# flag -> (the reader of its value, its default)
+# flag -> (the reader of its value, its default).  Sampled powers must stay
+# packable (MAX_DEGREE); a sampled family, and the memo of the double it is
+# checked on, grow with --samples.
 OPTIONS = {
     "--seed": (_integer, 0),
-    "--samples": (_non_negative, 10),
-    "--max-degree": (_sample_degree, 2),
+    "--samples": (_at_most(MAX_SAMPLES), 10),
+    "--max-degree": (_at_most(MAX_DEGREE), 2),
     "--kappa": (_choice("1", "1/2"), "1/2"),
     "--format": (_choice("text", "records"), "text"),
 }
@@ -360,7 +374,7 @@ Run the verification tasks of a structure file.
 options:
   -h, --help               show this help and exit
   --seed S                 seed of the sampled section families (default 0)
-  --samples K              random members per sampled family (default 10)
+  --samples K              random members per sampled family, at most {MAX_SAMPLES} (default 10)
   --max-degree D           degree of their random coefficients, at most {MAX_DEGREE} (default 2)
   --kappa {{1,1/2}}          the C2 normalization convention (default 1/2)
   --format {{text,records}}  a report per task, or one line per clause (default text)

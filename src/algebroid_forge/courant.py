@@ -73,7 +73,7 @@ class CourantDouble:
             other.base, other.dual, other.x3, other.psi, other.conjugated
         )
 
-    memo = AlgebroidPresentation.memo  # the Dorfman bracket's cache
+    memo = AlgebroidPresentation.memo  # Dorfman bracket, pairing, anchor and its action
 
     @property
     def rank(self) -> int:
@@ -273,12 +273,34 @@ def _embed(
 # ---------------------------------------------------------------------------
 
 
+def _on_double(E: CourantDouble, halves: tuple[GradedSection, ...]) -> None:
+    """Raise unless every half lives on E.base: a memo key records a section
+    by its coefficients only, so a section of another presentation must not
+    reach the cache.  Identity is the common case; data equality the fallback."""
+    base = E.base
+    for h in halves:
+        if h.parent is not base and h.parent != base:
+            raise ParentMismatch("sections do not live on this double")
+
+
 def pairing_sections(E: CourantDouble, e1: CourantSection, e2: CourantSection) -> RationalFunction:
+    halves = (e1.vec, e1.cov, e2.vec, e2.cov)
+    _on_double(E, halves)
+    key = ("pairing_sections",) + tuple(h.key for h in halves)
+    return E.memo(key, _compute_pairing, E, e1, e2)
+
+
+def _compute_pairing(E: CourantDouble, e1: CourantSection, e2: CourantSection) -> RationalFunction:
     out = pairing(e1.cov, e2.vec) + pairing(e2.cov, e1.vec)
     return -out if E.conjugated else out
 
 
 def anchor_field(E: CourantDouble, e: CourantSection) -> tuple[RationalFunction, ...]:
+    _on_double(E, (e.vec, e.cov))
+    return E.memo(("anchor_field", e.vec.key, e.cov.key), _compute_anchor, E, e)
+
+
+def _compute_anchor(E: CourantDouble, e: CourantSection) -> tuple[RationalFunction, ...]:
     v = vector_field(e.vec)
     w = dual_anchor(E, e.cov)
     return tuple(a + b for a, b in zip(v, w))
@@ -287,8 +309,7 @@ def anchor_field(E: CourantDouble, e: CourantSection) -> tuple[RationalFunction,
 def dorfman(E: CourantDouble, e1: CourantSection, e2: CourantSection) -> CourantSection:
     """The non-skew bracket; see the module docstring for the formula."""
     halves = (e1.vec, e1.cov, e2.vec, e2.cov)
-    if any(h.parent is not E.base and h.parent != E.base for h in halves):
-        raise ParentMismatch("sections do not live on this double")
+    _on_double(E, halves)
     key = ("dorfman",) + tuple(h.key for h in halves)
     return E.memo(key, _compute_dorfman, E, e1, e2)
 
@@ -327,6 +348,11 @@ def d_operator(E: CourantDouble, f: RationalFunction) -> CourantSection:
 
 
 def rho_apply_section(E: CourantDouble, e: CourantSection, f: RationalFunction) -> RationalFunction:
+    _on_double(E, (e.vec, e.cov))
+    return E.memo(("rho_apply_section", e.vec.key, e.cov.key, f), _compute_rho_apply, E, e, f)
+
+
+def _compute_rho_apply(E: CourantDouble, e: CourantSection, f: RationalFunction) -> RationalFunction:
     return apply_field(E.base.coords, anchor_field(E, e), f)
 
 
@@ -434,8 +460,9 @@ def verify_courant_axioms(
             c4.record(f"{l1},{l2}", E.base.zero_rf())
 
     c5 = report.clause("C5-leibniz-anchor", EVIDENCE_SAMPLED)
+    functions = family.functions()
     for (l1, e1), (l2, e2) in family.tuples(2):
-        for fname, f in family.functions():
+        for fname, f in functions:
             lhs = dorfman(E, e1, e2.scale(f))
             rhs = dorfman(E, e1, e2).scale(f) + e2.scale(rho_apply_section(E, e1, f))
             c5.record(f"{l1},{l2};{fname}", lhs - rhs)

@@ -803,6 +803,10 @@ class RationalFunction:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other.num.prim:
+            return self
+        if not self.num.prim:
+            return other
         d1, d2 = self.den, other.den
         if d1.is_constant() and d2.is_constant():
             # both denominators are monic constants, hence 1
@@ -840,6 +844,10 @@ class RationalFunction:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if other.is_constant():
+            return self._scaled(other)
+        if self.is_constant():
+            return other._scaled(self)
         n1, d1 = self.num, self.den
         n2, d2 = other.num, other.den
         if not d2.is_constant():
@@ -853,6 +861,21 @@ class RationalFunction:
         return _reduced(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
+
+    def _scaled(self, c: "RationalFunction") -> "RationalFunction":
+        """self * c for a constant c: the zero operand if either is zero, the
+        other operand if either is 1, else (c * num) / den.  A nonzero
+        constant is a unit, so that quotient is in lowest terms and den stays
+        monic."""
+        k, num = c.num, self.num
+        if not k.prim:
+            return c
+        if not num.prim or k.cnum == k.cden == 1:
+            return self
+        if num.cnum == num.cden == 1 and self.is_constant():
+            return c
+        scaled = Polynomial._make(num.vars, *_qmul(num.cnum, num.cden, k.cnum, k.cden), num.prim)
+        return RationalFunction(scaled, self.den, _normalized=True)
 
     def __truediv__(self, other) -> "RationalFunction":
         other = self._coerce(other)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from algebroid_forge import algfile, cli, tangent_algebroid
 from algebroid_forge.algfile import MAX_COORDS, MAX_RANK
-from algebroid_forge.cli import OPTIONS, SLOTS, TASKS, RunConfig, main
+from algebroid_forge.cli import MAX_SAMPLES, OPTIONS, SLOTS, TASKS, RunConfig, main
 from algebroid_forge.errors import CLIP
 from algebroid_forge.rational import MAX_DEGREE, MAX_DIGITS, MAX_TERMS, tokenize
 from algebroid_forge.reporting import PROOF_TENSORIAL, Report
@@ -340,6 +340,19 @@ class TestBadInput:
             main(["check", str(CORPUS / "so3.alg"), "--max-degree", str(MAX_DEGREE + 1)])
         assert exit_.value.code == 2
         assert f"expected at most {MAX_DEGREE}, got '{MAX_DEGREE + 1}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [str(MAX_SAMPLES + 1), "7" * 5000])
+    def test_samples_over_cap_start_no_check(self, capsys, monkeypatch, value):
+        monkeypatch.setattr(cli, "run", lambda *args: pytest.fail("a check started"))
+        with pytest.raises(SystemExit) as exit_:
+            main(["check", str(CORPUS / "so3.alg"), "--samples", value])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        shown = value if len(value) <= CLIP else value[:CLIP] + "..."
+        assert err.startswith("usage: forge check")
+        assert f"forge check: error: argument --samples: expected at most {MAX_SAMPLES}, got '{shown}'" in err
+        assert "Traceback" not in err
+        assert cli.parse_args(["check", "f.alg", "--samples", str(MAX_SAMPLES)])[1]["--samples"] == MAX_SAMPLES
 
     @pytest.mark.parametrize("flag", ["--samples", "--max-degree"])
     def test_negative_sampling_sizes(self, flag):

@@ -10,6 +10,7 @@ from algebroid_forge.algfile import parse
 from algebroid_forge.calculus import (
     FORM,
     MULTIVECTOR,
+    AlgebroidPresentation,
     BundleMorphism,
     differential,
     identity_morphism,
@@ -27,6 +28,7 @@ from algebroid_forge.courant import (
     Submanifold,
     build_morphism_graph,
     check_generalized_dirac,
+    anchor_field,
     check_split_dirac,
     conjugate,
     dorfman,
@@ -36,6 +38,7 @@ from algebroid_forge.courant import (
     product,
     product_with_renaming,
     qlb_double,
+    rho_apply_section,
     skew_bracket,
     standard_double,
     tangent_conormal_dirac,
@@ -441,6 +444,9 @@ def memoized_calls(E, inputs):
     )
     sections = [CourantSection(X, a), CourantSection(X, b), CourantSection(Y, a)]
     calls = [partial(dorfman, E, e1, e2) for e1 in sections for e2 in sections]
+    calls += [partial(pairing_sections, E, e1, e2) for e1 in sections for e2 in sections]
+    calls += [partial(anchor_field, E, e) for e in sections]
+    calls += [partial(rho_apply_section, E, e, g) for e in sections for g in (f, f * f)]
     calls += [partial(A.rho_apply, i, g) for i in range(A.rank) for g in (f, f * f)]
     calls += [partial(d_star, E, s) for s in (f, X, Y, wedge(X, Y), A.zero_section(MULTIVECTOR, 2))]
     calls += [partial(dual_bracket, E, a, b), partial(dual_bracket, E, b, a)]
@@ -500,3 +506,23 @@ class TestMemoKeys:
         e = CourantSection(E.base.frame(0), stranger.coframe(0))
         with pytest.raises(ParentMismatch):
             dorfman(E, E.frame_section(0), e)
+
+    def test_section_of_another_double_misses_the_cache(self):
+        # B has TR2's chart and brackets but a swapped anchor: its frame
+        # sections have the keys of TR2's, so only the parent check keeps a
+        # warm entry of E from serving them
+        E = standard_double(tangent_algebroid(2))
+        A = E.base
+        B = AlgebroidPresentation(A.coords, A.rank, A.anchor[::-1], A.structure)
+        mine, theirs = E.frame_section(0), standard_double(B).frame_section(0)
+        assert (mine.vec.key, mine.cov.key) == (theirs.vec.key, theirs.cov.key)
+        f = A.coord_rf("x1")
+        for call in (
+            lambda e: anchor_field(E, e),
+            lambda e: pairing_sections(E, e, mine),
+            lambda e: pairing_sections(E, mine, e),
+            lambda e: rho_apply_section(E, e, f),
+        ):
+            call(mine)
+            with pytest.raises(ParentMismatch):
+                call(theirs)

@@ -172,6 +172,26 @@ def test_polynomial_ops_match_sympy(p, q, index):
     assert dict(p.scale(factor).terms) == sympy_terms(sp * sympy_poly({(0, 0, 0): factor}, 3))
 
 
+def fields(rf):
+    return rf.num.cnum, rf.num.cden, rf.num.prim, rf.den
+
+
+@settings(max_examples=60, deadline=None)
+@given(polynomials, polynomials, st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
+def test_identity_fast_paths_match_the_general_path(p, q, c):
+    # a = p/q, a nonconstant denominator included; 0, 1 and units c
+    a = RationalFunction(p, q if not q.is_zero() else Polynomial.const(TR3.coords, 1))
+    zero, one = RationalFunction.zero(TR3.coords), RationalFunction.one(TR3.coords)
+    # a sum with a zero operand is the other operand (either, if both are zero)
+    assert all(s is a or s == a == zero for s in (a + zero, zero + a, a + 0, 0 + a))
+    assert a * one is a and a * 1 is a and (one * a is a or a == one)
+    assert a * zero == zero and zero * a == zero and a * 0 == zero
+    general = RationalFunction(a.num * Polynomial.const(TR3.coords, c), a.den)
+    constant = RationalFunction.const(TR3.coords, c)
+    for product in (a * constant, constant * a, a * c, c * a):
+        assert fields(product) == fields(general)
+
+
 # the draws the sampler makes: a constant in -2..2, a degree in 0..max_degree,
 # a coin, and an index into a section family of up to a few hundred members
 SAMPLER_DRAWS = st.one_of(
