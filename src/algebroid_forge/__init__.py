@@ -54,6 +54,7 @@ from .pn import (
     check_twisted_poisson,
     d_n,
     deformed_bracket,
+    magri_morosi,
     nijenhuis_torsion,
     nstar_pullback,
     pi_sharp,

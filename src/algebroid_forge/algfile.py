@@ -1,4 +1,4 @@
-"""Parser and serializer for ``.alg`` structure-definition files.
+"""Parser for ``.alg`` structure-definition files.
 
 A file declares algebroids, tensors, endomorphisms, morphisms and paired
 operators, then lists verification tasks.  Every referenced name must be
@@ -56,9 +56,9 @@ class TaskItem:
 
 class StructureFile:
     """The declarations of a file by kind, the parent algebroid of each
-    tensor, endo and paired operator, the tasks, and the declaration order."""
+    tensor, endo and paired operator, and the tasks."""
 
-    __slots__ = ("algebroids", "tensors", "endos", "morphisms", "paired", "parent", "tasks", "order")
+    __slots__ = ("algebroids", "tensors", "endos", "morphisms", "paired", "parent", "tasks")
 
     def __init__(self):
         self.algebroids: dict[str, AlgebroidPresentation] = {}
@@ -68,7 +68,6 @@ class StructureFile:
         self.paired: dict[str, PairedOperator] = {}
         self.parent: dict[str, str] = {}  # tensor, endo or paired name -> algebroid name
         self.tasks: list[TaskItem] = []
-        self.order: list[tuple[str, str]] = []
 
     def declared(self, name: str) -> bool:
         tables = (self.algebroids, self.tensors, self.endos, self.morphisms, self.paired)
@@ -249,7 +248,6 @@ class _Parser:
             tuple(tuple(r) for r in structure),
             name=name,
         )
-        self.file.order.append(("algebroid", name))
 
     def _lincomb(self, coords, rank) -> dict[int, RationalFunction]:
         # lincomb := "0" | [sign] term (("+"|"-") term)*,
@@ -351,7 +349,6 @@ class _Parser:
         self._body({"(": ((A.rank,) * degree, entry)} if degree <= A.rank else {})
         self.file.tensors[name] = A.section(kind_tok.value, degree, coeffs)
         self.file.parent[name] = parent_tok.value
-        self.file.order.append(("tensor", name))
 
     def _endo(self):
         self.expect_name("endo")
@@ -365,7 +362,6 @@ class _Parser:
         self._body({"[": ((A.rank, A.rank), self._into(matrix, A.coords))})
         self.file.endos[name] = tuple(tuple(r) for r in matrix)
         self.file.parent[name] = parent_tok.value
-        self.file.order.append(("endo", name))
 
     def _morphism(self):
         self.expect_name("morphism")
@@ -387,7 +383,6 @@ class _Parser:
         self.file.morphisms[name] = BundleMorphism(
             src, dst, tuple(base), tuple(tuple(r) for r in matrix), name=name
         )
-        self.file.order.append(("morphism", name))
 
     def _paired(self):
         self.expect_name("paired")
@@ -416,7 +411,6 @@ class _Parser:
         self.expect("}")
         self.file.paired[name] = PairedOperator(A, *parts, name=name)
         self.file.parent[name] = parent
-        self.file.order.append(("paired", name))
 
     def _task(self):
         head = self.expect_name("task")
@@ -456,81 +450,3 @@ def parse(text: str) -> StructureFile:
     """Parse a structure file; ParseError/SemanticError carry positions."""
     return _Parser(text).parse()
 
-
-def _declared(file: StructureFile, table: dict, parent: str, value) -> str:
-    """The first declaration on ``parent`` with this value; an equal value
-    declared on another algebroid of the same chart would not reparse."""
-    return next(k for k, v in table.items() if file.parent[k] == parent and v == value)
-
-
-def serialize(file: StructureFile) -> str:
-    """Deterministic canonical text whose parse equals the original parse."""
-    lines: list[str] = []
-    for kind, name in file.order:
-        if kind == "algebroid":
-            A = file.algebroids[name]
-            lines.append(f"algebroid {name} {{")
-            lines.append(f"  base = [{', '.join(A.coords)}];")
-            lines.append(f"  rank = {A.rank};")
-            for i in range(A.rank):
-                for a, c in enumerate(A.coords):
-                    if not A.anchor[i][a].is_zero():
-                        lines.append(f"  anchor[{i+1},{c}] = {A.anchor[i][a]};")
-            for i in range(A.rank):
-                for j in range(i + 1, A.rank):
-                    row = A.structure[_pair_index(i, j, A.rank)]
-                    terms = [
-                        f"({c})*e{k+1}" for k, c in enumerate(row) if not c.is_zero()
-                    ]
-                    if terms:
-                        lines.append(f"  bracket[{i+1},{j+1}] = {' + '.join(terms)};")
-            lines.append("}")
-        elif kind == "tensor":
-            t = file.tensors[name]
-            parent = file.parent[name]
-            lines.append(f"tensor {name} on {parent} {t.variance} degree {t.degree} {{")
-            for idx, c in t.items():
-                inside = ",".join(str(k + 1) for k in idx)
-                lines.append(f"  ({inside}) = {c};")
-            lines.append("}")
-        elif kind == "endo":
-            m = file.endos[name]
-            parent = file.parent[name]
-            lines.append(f"endo {name} on {parent} {{")
-            for i, row in enumerate(m):
-                for j, c in enumerate(row):
-                    if not c.is_zero():
-                        lines.append(f"  [{i+1},{j+1}] = {c};")
-            lines.append("}")
-        elif kind == "morphism":
-            phi = file.morphisms[name]
-            lines.append(f"morphism {name} : {phi.source.name} -> {phi.target.name} {{")
-            for b, c in enumerate(phi.target.coords):
-                if not phi.base_map[b].is_zero():
-                    lines.append(f"  base[{c}] = {phi.base_map[b]};")
-            for j, row in enumerate(phi.matrix):
-                for i, cval in enumerate(row):
-                    if not cval.is_zero():
-                        lines.append(f"  matrix[{j+1},{i+1}] = {cval};")
-            lines.append("}")
-        elif kind == "paired":
-            op = file.paired[name]
-            parent = file.parent[name]
-            n_name = _declared(file, file.endos, parent, op.n_matrix)
-            pi_name = _declared(file, file.tensors, parent, op.pi)
-            sigma_name = _declared(file, file.tensors, parent, op.sigma)
-            lines.append(f"paired {name} on {parent} {{")
-            lines.append(f"  N = {n_name};")
-            lines.append(f"  pi = {pi_name};")
-            lines.append(f"  sigma = {sigma_name};")
-            lines.append("}")
-    for task in file.tasks:
-        rendered = []
-        for arg in task.args:
-            if isinstance(arg, list):
-                rendered.append("[" + ", ".join(str(a) for a in arg) + "]")
-            else:
-                rendered.append(str(arg))
-        suffix = (" " + " ".join(rendered)) if rendered else ""
-        lines.append(f"task {task.name}{suffix};")
-    return "\n".join(lines) + "\n"

@@ -712,23 +712,6 @@ def identity_morphism(A: AlgebroidPresentation) -> BundleMorphism:
     )
 
 
-def compose(outer: BundleMorphism, inner: BundleMorphism) -> BundleMorphism:
-    """outer o inner (inner applied first)."""
-    if inner.target != outer.source:
-        raise MalformedMorphism("composition mismatch")
-    base = tuple(inner.base_subs(f) for f in outer.base_map)
-    rows = []
-    for j in range(outer.target.rank):
-        row = []
-        for i in range(inner.source.rank):
-            acc = RationalFunction.zero(inner.source.coords)
-            for k in range(inner.target.rank):
-                acc = acc + inner.base_subs(outer.matrix[j][k]) * inner.matrix[k][i]
-            row.append(acc)
-        rows.append(tuple(row))
-    return BundleMorphism(inner.source, outer.target, base, tuple(rows))
-
-
 # ---------------------------------------------------------------------------
 # axiom checkers
 # ---------------------------------------------------------------------------
@@ -809,23 +792,6 @@ def tangent_algebroid(n: int, prefix: str = "x") -> AlgebroidPresentation:
     npairs = n * (n - 1) // 2
     structure = tuple(tuple(zero for _ in range(n)) for _ in range(npairs))
     return AlgebroidPresentation(coords, n, anchor, structure, name=f"TR{n}")
-
-
-def lie_algebra_presentation(
-    rank: int, brackets: dict[tuple[int, int], dict[int, object]], name: str = ""
-) -> AlgebroidPresentation:
-    """A Lie algebra as an algebroid over a point (n = 0, zero anchor)."""
-    coords: tuple[str, ...] = ()
-    zero = RationalFunction.zero(coords)
-    anchor = tuple(() for _ in range(rank))
-    rows = []
-    for i in range(rank):
-        for j in range(i + 1, rank):
-            row = [zero] * rank
-            for k, c in brackets.get((i, j), {}).items():
-                row[k] = RationalFunction.const(coords, c)
-            rows.append(tuple(row))
-    return AlgebroidPresentation(coords, rank, anchor, tuple(rows), name=name)
 
 
 def null_presentation(A: AlgebroidPresentation, name: str = "") -> AlgebroidPresentation:

@@ -200,6 +200,9 @@ def _fit(task, words, args, file, built):
         if word not in SLOTS:
             if arg != word:
                 raise _Misfit(k, word)
+            if word == "tp_conormal" and chart.rank != chart.n:  # TP + nu*P matches e_i to x_i
+                shape = f"{clip(chart.name)} has rank {chart.rank} on {chart.n} coordinates"
+                raise _error(task, f"tp_conormal needs rank = base dimension, {shape}")
             continue
         table, want = SLOTS[word]
         if table in ("tensors", "endos"):

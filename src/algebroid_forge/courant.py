@@ -38,7 +38,6 @@ from .calculus import (
     pairing,
     pullback,
     random_poly,
-    retag,
     schouten,
     vector_field,
     vf_bracket,
@@ -172,19 +171,6 @@ def transport_plus(E: CourantDouble) -> CourantDouble:
     if not E.conjugated:
         return E
     return CourantDouble(E.base, negate_presentation(E.dual), E.x3, -E.psi, False)
-
-
-def flip(E: CourantDouble) -> CourantDouble:
-    """Swap the roles of B and B* (sections flip with ``flip_section``)."""
-    if E.conjugated:
-        raise ParentMismatch("flip is only used on plain doubles")
-    return CourantDouble(
-        E.dual, E.base, retag(E.psi, E.dual, MULTIVECTOR), retag(E.x3, E.dual, FORM)
-    )
-
-
-def flip_section(E: CourantDouble, e: CourantSection) -> CourantSection:
-    return CourantSection(retag(e.cov, E.dual, MULTIVECTOR), retag(e.vec, E.dual, FORM))
 
 
 def _rename_ring(coords: tuple[str, ...], taken: set[str]) -> dict[str, str]:

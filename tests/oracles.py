@@ -11,6 +11,10 @@ constant coefficients, ``{increasing index tuple: Fraction}`` and
 from ``pn`` or ``calculus``.  The polynomial oracles hand exponent
 dictionaries to sympy and read its results back into the canonical form by
 plain integer arithmetic.
+
+The test references at the end are constructions the package itself never
+needs: a Lie algebra as an algebroid over a point, the composite of two
+bundle maps, and the B <-> B* swap of a split double.
 """
 
 import math
@@ -19,7 +23,18 @@ from itertools import combinations, permutations
 
 import sympy
 
-from algebroid_forge.calculus import evaluate, pairing, vector_field
+from algebroid_forge.calculus import (
+    FORM,
+    MULTIVECTOR,
+    AlgebroidPresentation,
+    BundleMorphism,
+    evaluate,
+    pairing,
+    retag,
+    vector_field,
+)
+from algebroid_forge.courant import CourantDouble, CourantSection
+from algebroid_forge.rational import RationalFunction
 
 
 def perm_sign(perm):
@@ -216,3 +231,46 @@ def primitive_form(terms):
     if ints[max(ints, key=lambda m: (sum(m), m))] < 0:
         g = -g
     return {m: Fraction(c, g) for m, c in ints.items()}
+
+
+def lie_algebra_presentation(rank, brackets, name=""):
+    """A Lie algebra as an algebroid over a point (no coordinates, zero
+    anchor); ``brackets`` maps ``(i, j)``, ``i < j``, to ``{k: c_ij^k}``."""
+    coords = ()
+    zero = RationalFunction.zero(coords)
+    rows = []
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            row = [zero] * rank
+            for k, c in brackets.get((i, j), {}).items():
+                row[k] = RationalFunction.const(coords, c)
+            rows.append(tuple(row))
+    return AlgebroidPresentation(coords, rank, tuple(() for _ in range(rank)), tuple(rows), name=name)
+
+
+def compose(outer, inner):
+    """outer o inner (inner applied first): base maps substituted, matrices
+    multiplied with the outer entries pulled back along the inner base map."""
+    assert inner.target == outer.source
+    base = tuple(inner.base_subs(f) for f in outer.base_map)
+    rows = []
+    for j in range(outer.target.rank):
+        row = []
+        for i in range(inner.source.rank):
+            acc = RationalFunction.zero(inner.source.coords)
+            for k in range(inner.target.rank):
+                acc = acc + inner.base_subs(outer.matrix[j][k]) * inner.matrix[k][i]
+            row.append(acc)
+        rows.append(tuple(row))
+    return BundleMorphism(inner.source, outer.target, base, tuple(rows))
+
+
+def flip(E):
+    """The plain double E with the roles of B and B* swapped; its sections
+    swap with ``flip_section``."""
+    assert not E.conjugated
+    return CourantDouble(E.dual, E.base, retag(E.psi, E.dual, MULTIVECTOR), retag(E.x3, E.dual, FORM))
+
+
+def flip_section(E, e):
+    return CourantSection(retag(e.cov, E.dual, MULTIVECTOR), retag(e.vec, E.dual, FORM))

@@ -1,6 +1,6 @@
 import pytest
 
-from algebroid_forge.algfile import TaskItem, parse, serialize
+from algebroid_forge.algfile import TaskItem, parse
 from algebroid_forge.errors import ParseError, SemanticError
 
 MINIMAL = """
@@ -155,48 +155,6 @@ class TestErrors:
             )
 
 
-class TestRoundTrip:
-    @pytest.mark.parametrize("text", [MINIMAL, SO3, FULL])
-    def test_parse_serialize_parse(self, text):
-        first = parse(text)
-        second = parse(serialize(first))
-        assert first.algebroids == second.algebroids
-        assert first.tensors == second.tensors
-        assert first.endos == second.endos
-        assert first.morphisms == second.morphisms
-        assert first.paired == second.paired
-        assert first.tasks == second.tasks
-
-    def test_paired_names_declarations_on_its_algebroid(self):
-        # A and B share a chart, so NA == NB and the tensors on A equal those
-        # on B; the operator on B must be written with B's names to reparse
-        text = "".join(
-            f"algebroid {X} {{ base = [x1, x2]; rank = 2; anchor[1,x1] = 1; }}\n"
-            f"endo N{X} on {X} {{ [1,1] = x1; }}\n"
-            f"tensor pi{X} on {X} multivector degree 2 {{ (1,2) = x2; }}\n"
-            f"tensor sigma{X} on {X} form degree 2 {{ (1,2) = 1; }}\n"
-            for X in "AB"
-        ) + "paired P on B { N = NB; pi = piB; sigma = sigmaB; }\n"
-        first = parse(text)
-        out = serialize(first)
-        assert "  N = NB;\n  pi = piB;\n  sigma = sigmaB;\n" in out
-        assert parse(out).paired == first.paired
-
-    def test_corpus_round_trips(self):
-        import pathlib
-
-        corpus = pathlib.Path(__file__).resolve().parent.parent / "corpus"
-        for path in sorted(corpus.glob("*.alg")):
-            if path.name == "parse_error.alg":
-                continue
-            text = path.read_text()
-            first = parse(text)
-            second = parse(serialize(first))
-            assert first.algebroids == second.algebroids, path.name
-            assert first.tensors == second.tensors, path.name
-            assert first.tasks == second.tasks, path.name
-
-
 # declarations the entry cases below refer to: A on a 2-dimensional chart of
 # rank 2, C on a 1-dimensional chart of rank 1
 ENTRY_HEADER = """algebroid A { base = [x1, x2]; rank = 2; }
@@ -286,8 +244,7 @@ def test_readme_structure_block_round_trips():
 
     readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Structure files", 1)[1].split("```")[1]
-    first = parse(block)
-    assert {kind for kind, _ in first.order} == {"algebroid", "tensor", "endo", "morphism", "paired"}
-    second = parse(serialize(first))
-    for table in ("algebroids", "tensors", "endos", "morphisms", "paired", "parent", "order"):
-        assert getattr(first, table) == getattr(second, table), table
+    parsed = parse(block)
+    # the example declares one of every kind
+    for table in ("algebroids", "tensors", "endos", "morphisms", "paired"):
+        assert getattr(parsed, table), table

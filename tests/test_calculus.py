@@ -12,14 +12,12 @@ from algebroid_forge.calculus import (
     GradedSection,
     check_axioms,
     check_d_squared,
-    compose,
     d_function,
     differential,
     evaluate,
     identity_morphism,
     insert,
     is_lie_algebroid_morphism,
-    lie_algebra_presentation,
     lie_derivative,
     null_presentation,
     pairing,
@@ -29,7 +27,7 @@ from algebroid_forge.calculus import (
     wedge,
 )
 from algebroid_forge.errors import DegreeMismatch, MalformedPresentation, VarianceMismatch
-from oracles import cartan_d_value, pairing_oracle
+from oracles import cartan_d_value, compose, lie_algebra_presentation, pairing_oracle
 
 TR2 = tangent_algebroid(2)
 TR3 = tangent_algebroid(3)

@@ -246,6 +246,28 @@ class TestBadInput:
         # the task line follows the nine header lines
         assert f"10:1: task {task.split()[1].rstrip(';')}: {argument}" in result.stderr
 
+    @pytest.mark.parametrize(
+        "declarations, shape",
+        [
+            ((CORPUS / "so3.alg").read_text(), "so3 has rank 3 on 0 coordinates"),
+            ("algebroid B { base = [x1]; rank = 2; anchor[1,x1] = 1; }\n", "B has rank 2 on 1 coordinates"),
+        ],
+        ids=["point-base", "rank-2-on-1"],
+    )
+    def test_conormal_off_a_tangent_type_algebroid(self, tmp_path, declarations, shape):
+        # TP + nu*P needs rank = base dimension: the chart decides it at bind
+        # time, so no task runs
+        bad = tmp_path / "bad.alg"
+        task = f"task check-generalized-dirac standard {shape.split()[0]} tp_conormal [];\n"
+        bad.write_text(declarations + task)
+        result = forge("check", str(bad))
+        assert_input_error(result, bad)
+        assert result.stdout == ""
+        line = declarations.count("\n") + 1
+        assert f"{line}:1: task check-generalized-dirac: tp_conormal needs rank = base dimension, {shape}" in (
+            result.stderr
+        )
+
     def test_zero_to_negative_power(self, tmp_path):
         bad = tmp_path / "bad.alg"
         bad.write_text("algebroid A { base = [x1]; rank = 1; anchor[1,x1] = (x1-x1)^-1; }\n")

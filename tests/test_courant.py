@@ -32,8 +32,6 @@ from algebroid_forge.courant import (
     check_split_dirac,
     conjugate,
     dorfman,
-    flip,
-    flip_section,
     pairing_sections,
     product,
     product_with_renaming,
@@ -56,6 +54,7 @@ from algebroid_forge.pn import (
     qlb_from_closed3form,
     qlb_from_twisted_poisson,
 )
+from oracles import flip, flip_section
 from test_pn import an_presentation, diag, e6_conformal, std_pi, tr4_twisted
 
 TR2 = tangent_algebroid(2)

@@ -3,14 +3,22 @@ module, every local a function assigns is read, and every parameter of a
 ``def`` is read.  ``__init__.py`` is exempt from the import rule, since its
 imports are the public API; names that start with an underscore are exempt
 from the local and parameter rules, and lambdas from the parameter rule (a
-task table's lambdas share one signature)."""
+task table's lambdas share one signature).
+
+Every top-level function or class is read by some module of the package or
+exported from ``__init__.py``, and every module and method that the
+benchmark's tracer (``perfbench/tracer.py``) patches exists, so a refactor
+that would break traced benchmark runs fails here first."""
 
 import ast
+import importlib
+import importlib.util
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "algebroid_forge"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "algebroid_forge"
 MODULES = sorted(SRC.glob("*.py"))
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
@@ -99,3 +107,60 @@ def test_no_unused_imports_or_unread_locals(path):
     if path.name != "__init__.py":
         problems += unused_imports(tree)
     assert not problems, f"{path.name}: " + "; ".join(problems)
+
+
+def reads(nodes) -> set[str]:
+    """Names and attributes loaded under ``nodes``; an import is not a read."""
+    out = set()
+    for node in (n for top in nodes for n in ast.walk(top)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+    return out
+
+
+def unreached_definitions() -> list[str]:
+    """Top-level functions and classes that no module of the package reads
+    outside the definition's own body and that ``__init__.py`` does not
+    import: code only the tests reach belongs in the tests."""
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in MODULES}
+    exported = {
+        alias.name
+        for node in trees["__init__.py"].body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    out = []
+    for tree in trees.values():
+        for definition in tree.body:
+            if not isinstance(definition, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if definition.name in exported:
+                continue
+            rest = [node for node in tree.body if node is not definition]
+            if not any(
+                definition.name in reads(other.body if other is not tree else rest)
+                for other in trees.values()
+            ):
+                out.append(definition.name)
+    return sorted(out)
+
+
+def test_every_definition_is_reached_or_exported():
+    unreached = unreached_definitions()
+    assert not unreached, "read by no module and not exported: " + ", ".join(unreached)
+
+
+def test_tracer_targets_exist():
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module in tracer.MODULES:
+        importlib.import_module(f"algebroid_forge.{module}")
+    missing = []
+    for module, cls, attr, _ in tracer.METHODS:
+        owner = getattr(importlib.import_module(f"algebroid_forge.{module}"), cls, None)
+        if owner is None or attr not in vars(owner):  # the tracer reads the class __dict__
+            missing.append(f"{module}.{cls}.{attr}")
+    assert not missing, "the tracer patches missing methods: " + ", ".join(missing)

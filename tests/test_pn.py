@@ -14,7 +14,6 @@ from algebroid_forge.calculus import (
     check_axioms,
     d_function,
     differential,
-    lie_algebra_presentation,
     null_presentation,
     pairing,
     retag,
@@ -56,6 +55,7 @@ from algebroid_forge.pn import (
 
 from oracles import (
     insert_endomorphism_oracle,
+    lie_algebra_presentation,
     nstar_pullback_oracle,
     pi_sharp_oracle,
     push_oracle,
