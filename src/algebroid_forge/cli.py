@@ -19,7 +19,7 @@ from __future__ import annotations
 import sys
 
 from . import algfile
-from .calculus import FORM, MULTIVECTOR, check_axioms, check_d_squared
+from .calculus import FORM, MULTIVECTOR, check_axioms, check_d_squared, null_presentation
 from .courant import (
     SplitSubbundle,
     Submanifold,
@@ -48,6 +48,7 @@ from .pn import (
     check_qlb,
     check_qlb_morphism,
     check_twisted_poisson,
+    dual_presentation,
     qlb_from_closed3form,
     qlb_from_twisted_poisson,
     verify_lemma_tnstar,
@@ -148,6 +149,15 @@ TASKS = {
     "build-deformed-double P twist phi": lambda c, P, phi: _deformed(c, P, twisted_double(P.A, phi)),
 }
 
+# build usage -> the base presentation of the qLB it builds, from the same
+# slot values: what a Phi naming that qLB must map from or to.
+BASES = {
+    "build-qlb from_pqn A pi N phi as Q": lambda A, pi, N, phi: dual_presentation(A, pi),
+    "build-qlb A pi N phi as Q": lambda A, pi, N, phi: dual_presentation(A, pi),
+    "build-qlb from_3form A phi as Q": lambda A, phi: null_presentation(A),
+    "build-qlb from_twisted A pi phi as Q": lambda A, pi, phi: dual_presentation(A, pi, phi),
+}
+
 
 class BoundTask:
     """A task fitted to its usage.  A qLB in ``values`` stays a name until the
@@ -157,6 +167,23 @@ class BoundTask:
 
     def __init__(self, name: str, call, values: list, binds: str | None):
         self.name, self.call, self.values, self.binds = name, call, values, binds
+
+
+class _Built:
+    """A qLB name that a build task binds: ``A`` has the chart and rank of
+    its base, and ``base()`` is that base as presentation data, or None when
+    building it raises (the build task then fails the same way)."""
+
+    __slots__ = ("A", "_make", "_values")
+
+    def __init__(self, A, make, values: list):
+        self.A, self._make, self._values = A, make, values
+
+    def base(self):
+        try:
+            return self._make(*self._values)
+        except ForgeError:
+            return None
 
 
 class _Misfit(Exception):
@@ -220,37 +247,44 @@ def _fit(task, words, args, file, built):
         if not isinstance(arg, str) or arg not in scope or not _on_chart(file, word, arg, chart):
             raise _Misfit(k, want)
         values.append(arg if table is None else scope[arg])
-        if table is None or word == "A":
+        if word == "A":
             chart = scope[arg]
-        elif word == "P":
+        elif table is None or word == "P":
             chart = scope[arg].A
     if len(args) > len(words):
         raise _Misfit(len(words), None)
-    if words[:1] == ["Phi"]:  # Phi Qsrc Qtgt: Phi maps the chart and rank of each qLB
+    if words[:1] == ["Phi"]:  # Phi Qsrc Qtgt: Phi maps the base of each qLB
         phi, src, tgt = values
         ends = ((phi.source, built[src]), (phi.target, built[tgt]))
-        if any((m.coords, m.rank) != (a.coords, a.rank) for m, a in ends):
+        if any((m.coords, m.rank) != (q.A.coords, q.A.rank) for m, q in ends):
             wants = f"the chart and rank of {clip(src)} to those of {clip(tgt)}"
             raise _error(task, f"argument 1 must be a morphism from {wants}")
+        for end, (m, q), name in zip(("source", "target"), ends, (src, tgt)):
+            base = q.base()
+            if base is not None and m != base:
+                wants = f"the base of {clip(src)} to the base of {clip(tgt)}"
+                why = f"its {end} {clip(m.name)} is not the base of {clip(name)}"
+                raise _error(task, f"argument 1 must be a morphism from {wants}: {why}")
     return values, chart
 
 
 def bind(file: algfile.StructureFile) -> list[BoundTask]:
     """Resolve every task of the file against TASKS before any task runs:
-    arity (trailing arguments included), keywords, name kinds and the qLB
-    names that builds bind.  A task that fits no usage is a SemanticError at
-    its line, naming what its first misfitting argument must be."""
-    built = {}  # qLB name -> the algebroid whose chart and rank its base has
+    arity (trailing arguments included), keywords, name kinds, the qLB
+    names that builds bind, and a Phi against the bases of its qLBs.  A task
+    that fits no usage is a SemanticError at its line, naming what its first
+    misfitting argument must be."""
+    built = {}  # qLB name -> _Built
     bound = []
     for task in file.tasks:
-        usages = [(u.split()[1:], call) for u, call in TASKS.items() if u.split()[0] == task.name]
+        usages = [(u, u.split()[1:], call) for u, call in TASKS.items() if u.split()[0] == task.name]
         if not usages:
             raise SemanticError(f"unknown task {clip(task.name)!r}", task.line, 1)
         args, binds = task.args, ""
         if args[-2:-1] == ["as"] and isinstance(args[-1], str):
             args, binds = args[:-2], args[-1]
         misfits = []
-        for words, call in usages:
+        for usage, words, call in usages:
             builds = words[-2:] == ["as", "Q"]
             fit_words, fit_args = (words[:-2], args) if builds else (words, task.args)
             try:
@@ -259,7 +293,7 @@ def bind(file: algfile.StructureFile) -> list[BoundTask]:
                 misfits.append(misfit.args)
                 continue
             if builds and binds:
-                built[binds] = chart
+                built[binds] = _Built(chart, BASES[usage], values)
             bound.append(BoundTask(task.name, call, values, binds if builds else None))
             break
         else:

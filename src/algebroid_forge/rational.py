@@ -21,10 +21,12 @@ number whose ``numerator`` and ``denominator`` are ints, such as an int or a
 Fractions back.
 
 Values are immutable and normalized on construction: numerator and
-denominator are reduced by their polynomial gcd (GCDHEU, with the
-subresultant PRS as fallback) and the denominator is made monic under grlex
-order, so equal values have identical representations (and identical
-serializations).
+denominator are reduced by their polynomial gcd and the denominator is made
+monic under grlex order, so equal values have identical representations
+(and identical serializations).  Every gcd of the fraction field goes
+through poly_gcd, which tries in order: the trivial shapes (zero, equal or
+single-term arguments), the variable support, trial division, GCDHEU, and
+the subresultant PRS when GCDHEU gives up.
 """
 
 from __future__ import annotations
@@ -546,12 +548,41 @@ def _monomial_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     return Polynomial._make(p.vars, 1, 1, {_pack(mono): 1})
 
 
+def _coprime_by_support(f: dict[int, int], g: dict[int, int], n: int) -> bool:
+    """Whether the support argument proves gcd(f, g) = 1.
+
+    Let Y be the variables that occur in f but not in g.  The gcd divides g,
+    so it is free of Y, and so it divides every coefficient of f viewed as a
+    polynomial in Y.  When one such coefficient is a nonzero constant (a
+    term of f with no exponent outside Y, alone in its Y-monomial), the gcd
+    is 1.  Tried both ways round.
+    """
+    fields = [_FIELD_MASK << _exponent_shift(n, i) for i in range(n)]
+    used_f = used_g = 0
+    for k in f:
+        used_f |= k
+    for k in g:
+        used_g |= k
+    for a, used_a, used_b in ((f, used_f, used_g), (g, used_g, used_f)):
+        y = sum(m for m in fields if used_a & m and not used_b & m)
+        if y:
+            rest = sum(fields) ^ y
+            pure = {k & y for k in a if not k & rest}
+            pure.difference_update(k & y for k in a if k & rest)
+            if pure:
+                return True
+    return False
+
+
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     """Gcd in Q[x], normalized primitive over Z with positive leading coeff.
 
-    GCDHEU on the primitive parts; the subresultant PRS (_prs_gcd) is the
-    fallback when the heuristic gives up.  A single-term argument
-    short-circuits to exponent minima.
+    Tried in order on the primitive parts, each step proving its answer:
+    the trivial shapes (a zero or equal argument; a single-term argument
+    gives exponent minima), the variable support (_coprime_by_support
+    proves the gcd is 1), trial division (the part with the smaller grlex
+    leading monomial is the gcd when it divides the other), GCDHEU, and
+    the subresultant PRS (_prs_gcd) when the heuristic gives up.
     """
     p._check(q)
     if not p.prim:
@@ -563,6 +594,11 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     if len(p.prim) == 1 or len(q.prim) == 1:
         return _monomial_gcd(p, q)
     n = len(p.vars)
+    if _coprime_by_support(p.prim, q.prim, n):
+        return Polynomial._make(p.vars, 1, 1, {0: 1})
+    a, b = (p.prim, q.prim) if max(p.prim) <= max(q.prim) else (q.prim, p.prim)
+    if _divide(b, a, n) is not None:
+        return Polynomial._make(p.vars, 1, 1, a)
     found = _heu_gcd(p.prim, q.prim, range(n), n)
     if found is None:
         return _prs_gcd(p, q)

@@ -500,6 +500,32 @@ class TestBadInput:
         assert f"expected a coordinate in {str(coords)[:CLIP]}..., found 'w'" in err
         assert all(len(line) < 200 for line in err.splitlines())
 
+    @pytest.mark.parametrize("task", ["check-qlb-morphism", "build-morphism-graph"])
+    @pytest.mark.parametrize(
+        "ends, why",
+        [
+            ("ANnull -> AN", "its target AN is not the base of Qtgt"),
+            ("AN -> ANnull", "its source AN is not the base of Qsrc"),
+        ],
+        ids=["target", "source"],
+    )
+    def test_morphism_off_the_built_bases(self, tmp_path, task, ends, why):
+        # AN has the chart and rank of both bases, but both builds give the
+        # null structure on it (pi0 = 0 and from_3form), which AN is not.
+        # This bound and ran the seven corpus tasks before an error (exit 1)
+        text = corpus_with(
+            "e3_pqn.alg",
+            f"morphism M : {ends} {{ base[x1] = x1; base[x2] = x2; base[x3] = x3; }}",
+            f"task {task} M Qsrc Qtgt;",
+        )
+        bad = tmp_path / "bad.alg"
+        bad.write_text(text)
+        result = forge("check", str(bad))
+        assert_input_error(result, bad)
+        wants = "argument 1 must be a morphism from the base of Qsrc to the base of Qtgt"
+        assert f"{text.count(chr(10))}:1: task {task}: {wants}: {why}" in result.stderr
+        assert result.stdout == ""
+
 
 def corpus_with(name, *tasks):
     """A corpus file's declarations and tasks, then the given task lines."""
@@ -588,6 +614,37 @@ class TestTaskBinding:
         message = "argument 1 must be a morphism from the chart and rank of Qsrc to those of Qtgt"
         assert f"{text.count(chr(10))}:1: task {task}: {message}" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["e3_pqn.alg", "heisenberg_pn.alg", "split_dirac_tr3.alg", "tr2_conformal.alg", "twisted_poisson_r4.alg"],
+    )
+    def test_bases_are_the_built_bases(self, name):
+        # the bind-time check of a Phi reads cli.BASES: each must give the
+        # base its build task builds
+        assert set(cli.BASES) == {u for u in TASKS if u.endswith(" as Q")}
+        builds = [t for t in cli.bind(algfile.parse((CORPUS / name).read_text())) if t.binds]
+        assert builds
+        for task in builds:
+            usage = next(u for u, call in TASKS.items() if call is task.call)
+            Q = task.call(RunConfig(), *task.values)
+            assert cli.BASES[usage](*task.values) == Q.base
+
+    def test_base_that_cannot_be_built_is_left_to_the_build(self, tmp_path, capsys):
+        # the twisted base of pibig has degree 40000: its build task reports
+        # the overflow, and the morphism check an unbuilt qLB (exit 1, as
+        # before the bind-time check of bases)
+        text = corpus_with(
+            "e3_pqn.alg",
+            "tensor pibig on AN multivector degree 2 { (1,2) = x1^20000; }",
+            "task build-qlb from_twisted AN pibig psi as Qbig;",
+            "task check-qlb-morphism Nstar Qsrc Qbig;",
+        )
+        assert check_text(tmp_path, text, "--format", "records") == 1
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            "task=build-qlb#8 clause=- class=- residue=polynomialdegree40000exceeds32767 verdict=error",
+            "task=check-qlb-morphism#9 clause=- class=- residue=qlbQbigwasnotbuilt:itsbuildtaskfailed verdict=error",
+        ]
 
     def test_bad_last_task_runs_no_task(self, tmp_path, capsys, monkeypatch):
         # every task is bound before the first runs, so a misspelled last
@@ -712,7 +769,8 @@ tensor pi on A multivector degree 2 { (1,2) = 1; }
 tensor phi on A form degree 3 { }
 tensor sigma on A form degree 2 { }
 endo N on A { }
-morphism Phi : A -> A { }
+algebroid A0 { base = [x1, x2, x3]; rank = 3; }
+morphism Phi : A0 -> A0 { }
 paired P on A { N = N; pi = pi; sigma = sigma; }
 task build-qlb from_3form A phi as Qsrc;
 task build-qlb from_3form A phi as Qtgt;

@@ -8,7 +8,9 @@ task table's lambdas share one signature).
 Every top-level function or class is read by some module of the package or
 exported from ``__init__.py``, and every module and method that the
 benchmark's tracer (``perfbench/tracer.py``) patches exists, so a refactor
-that would break traced benchmark runs fails here first."""
+that would break traced benchmark runs fails here first.  For the same
+reason every polynomial gcd enters through ``rational.poly_gcd``, the span
+the tracer times and counts: no other function reaches GCDHEU or the PRS."""
 
 import ast
 import importlib
@@ -164,3 +166,43 @@ def test_tracer_targets_exist():
         if owner is None or attr not in vars(owner):  # the tracer reads the class __dict__
             missing.append(f"{module}.{cls}.{attr}")
     assert not missing, "the tracer patches missing methods: " + ", ".join(missing)
+
+
+# gcd internal -> the only functions of rational.py that may read it: the
+# entry point poly_gcd, the internal's own recursion, and _content_in, the
+# PRS's coefficient gcd, which only the PRS reads
+GCD_CALLERS = {
+    "_heu_gcd": {"poly_gcd", "_heu_gcd"},
+    "_prs_gcd": {"poly_gcd", "_prs_gcd", "_content_in"},
+    "_content_in": {"_prs_gcd"},
+}
+
+
+def gcd_entries(tree: ast.Module) -> list[str]:
+    """Reads of a gcd internal outside the functions GCD_CALLERS allows,
+    each attributed to its innermost enclosing ``def`` (``Class.method``)."""
+    out = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name if owner is None else f"{owner}.{child.name}")
+            elif isinstance(child, ast.Name) and child.id in GCD_CALLERS:
+                if owner not in GCD_CALLERS[child.id] and isinstance(child.ctx, ast.Load):
+                    out.append(f"line {child.lineno}: {owner or 'module level'} reads {child.id}")
+            else:
+                visit(child, owner)
+
+    visit(tree, None)
+    return out
+
+
+def test_every_gcd_enters_through_poly_gcd():
+    problems = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        if path.name == "rational.py":
+            problems += gcd_entries(tree)
+        else:
+            problems += [f"{path.name} reads {name}" for name in sorted(GCD_CALLERS.keys() & reads([tree]))]
+    assert not problems, "a gcd bypasses rational.poly_gcd: " + "; ".join(problems)

@@ -6,6 +6,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from algebroid_forge import rational
 from algebroid_forge.errors import DegreeOverflow, DivisionByZero, ParseError, UnknownCoordinate
 from algebroid_forge.rational import (
     MAX_DEGREE,
@@ -200,6 +201,90 @@ def test_prs_fallback_agrees_with_gcdheu(triple):
     assert Polynomial._from_ints(VARS, 1, 1, h) * Polynomial._from_ints(VARS, 1, 1, cff) == (
         Polynomial._from_ints(VARS, 1, 1, p.prim)
     )
+
+
+def x1_polys(min_size=1):
+    """Polynomials in x1 alone, up to 4 terms of degree at most 3."""
+    monomials = st.tuples(st.integers(0, 3), st.just(0), st.just(0))
+    return st.dictionaries(monomials, rationals, min_size=min_size, max_size=4).map(
+        lambda terms: Polynomial(VARS, terms)
+    )
+
+
+@st.composite
+def support_pairs(draw):
+    """(p, q, coprime): p = c*a in x1 only, q = c*b in x1..x3, and with
+    `coprime` q gains the term x2^3, a constant coefficient in the variables
+    p lacks, so the gcd is 1."""
+    c, a = draw(x1_polys()), draw(x1_polys())
+    monomials = st.tuples(*[st.integers(0, 2)] * 3)
+    b = Polynomial(VARS, draw(st.dictionaries(monomials, rationals, min_size=1, max_size=4)))
+    p, q = c * a, c * b
+    coprime = draw(st.booleans())
+    if coprime:
+        q = q + Polynomial(VARS, {(0, 3, 0): draw(rationals)})
+    return p, q, coprime
+
+
+@st.composite
+def divisor_pairs(draw):
+    """(u * L^j, L^k) for a linear L, or (d, d') for a derivative d'."""
+    degree_one = st.sampled_from([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    linear = st.dictionaries(degree_one, rationals, min_size=2)
+    if draw(st.booleans()):
+        L = Polynomial(VARS, draw(linear))
+        u = draw(factor_triples())[0]
+        return u * L ** draw(st.integers(0, 3)), L ** draw(st.integers(1, 3))
+    d = draw(factor_triples())[0] * Polynomial(VARS, draw(linear)) ** draw(st.integers(1, 3))
+    return d, d.derivative(draw(st.integers(0, 2)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(support_pairs(), divisor_pairs().map(lambda pair: (*pair, False))))
+def test_fast_path_gcds_match_sympy(case):
+    # the variable-support and trial-division steps answer before GCDHEU
+    p, q, coprime = case
+    if p.is_zero() or q.is_zero():
+        return
+    ours = poly_gcd(p, q)
+    assert dict(ours.terms) == dict(poly_gcd(q, p).terms) == sympy_gcd_form(p, q)
+    if coprime:
+        assert ours == Polynomial.const(VARS, 1)
+
+
+@pytest.fixture
+def no_gcdheu(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("GCDHEU ran")
+
+    monkeypatch.setattr(rational, "_heu_gcd", refuse)
+
+
+class TestGcdFastPaths:
+    def test_support_proves_a_unit_gcd(self, no_gcdheu):
+        # x1*x2 + 3 read in x2 has the constant coefficient 3
+        p, q = rf("x1 + 1").num, rf("x1*x2 + 3").num
+        assert poly_gcd(p, q) == poly_gcd(q, p) == Polynomial.const(VARS, 1)
+
+    def test_power_of_a_linear_divides_a_higher_power(self, no_gcdheu):
+        L = rf("2*x1 - 3*x2 + 5").num
+        assert poly_gcd(L**2, -(L**3)) == poly_gcd(L**3, L**2) == rational._primitive(L**2)
+
+    def test_derivative_divides_its_square_free_function(self, no_gcdheu):
+        d = rf("x2*x1^2 + x2").num
+        assert poly_gcd(d, d.derivative(1)) == rf("x1^2 + 1").num
+
+    def test_sums_of_powers_of_one_denominator(self, no_gcdheu):
+        # the rational-chart shape: g = 1/L, d_i g = -a_i / L^2
+        total = rf("1/(2*x1 + 3)^2") + rf("x2/(2*x1 + 3)^3")
+        assert total == rf("(2*x1 + 3 + x2)/(2*x1 + 3)^3")
+        assert rf("1/(2*x1 + 3)^2").differentiate("x1") == rf("-4/(2*x1 + 3)^3")
+
+    def test_undecided_pairs_still_reach_gcdheu(self, no_gcdheu):
+        # neither step applies to (x1 + x2)(x1 - 1) and (x1 + x2)(x2 + 2)
+        p, q = rf("(x1 + x2)*(x1 - 1)").num, rf("(x1 + x2)*(x2 + 2)").num
+        with pytest.raises(AssertionError, match="GCDHEU ran"):
+            poly_gcd(p, q)
 
 
 def test_heu_gcd_through_a_cofactor_leads_positively():
