@@ -12,7 +12,30 @@ E1 x conj(E2) use one uniform bracket.
 The Dorfman bracket in this normal form is flip-symmetric:
 
     (X+a) o (Y+b) = [X,Y] + L*_a Y - i_b d* X + X3(a, b, -)
-                  + [a,b]* + L_X b - i_Y d a + psi(X, Y, -).
+                  + [a,b]* + L_X b - i_Y d a + psi(X, Y, -),
+
+where L*_a Y = i_a d*Y + d*<a,Y> and L_X b = i_X db + d<b,X>.  ``dorfman``
+evaluates it in frame components: ten terms, five per half.  Write
+X = X_i e_i and a = a_i eps^i (likewise Y and b), [e_i, e_j] = c_ij^k e_k
+and rho_i = rho(e_i); c* and rho* are the same data of the dual side, and
+a degree-2 W has W_jk = -W_kj for j > k.  Then
+
+    [X,Y]_k      = sum_{i<j} (X_i Y_j - X_j Y_i) c_ij^k
+                   + sum_i (X_i rho_i(Y_k) - Y_i rho_i(X_k))
+    (i_a d*Y)_k  = sum_j a_j (d*Y)_jk
+    (d*<a,Y>)_k  = rho*_k(<a,Y>),   <a,Y> = sum_i a_i Y_i
+    -(i_b d*X)_k = -sum_j b_j (d*X)_jk
+    X3(a,b,-)_k  = sum_{i<j} (a_i b_j - a_j b_i) (i_{eps^j} i_{eps^i} X3)_k
+
+    [a,b]*_k     = [X,Y]_k with a, b for X, Y and c*, rho* for c, rho
+    (i_X db)_k   = sum_j X_j (db)_jk
+    (d<b,X>)_k   = rho_k(<b,X>)
+    -(i_Y da)_k  = -sum_j Y_j (da)_jk
+    psi(X,Y,-)_k = sum_{i<j} (X_i Y_j - X_j Y_i) (i_{e_j} i_{e_i} psi)_k
+
+in the conventions of ``calculus`` (i_{e_j} eps^I = (-1)^t eps^{I minus j},
+t the position of j in I).  d*Y and da are the memoized ``d_star`` and
+``differential``, rho_i(f) the memoized ``rho_apply``.
 """
 
 from __future__ import annotations
@@ -29,11 +52,10 @@ from .calculus import (
     GradedSection,
     SeededRng,
     _pair_index,
+    _single_contract,
     apply_field,
     d_function,
     differential,
-    insert,
-    lie_derivative,
     null_presentation,
     pairing,
     pullback,
@@ -43,7 +65,7 @@ from .calculus import (
     vf_bracket,
     wedge,
 )
-from .errors import MalformedMorphism, ParentMismatch
+from .errors import DegreeMismatch, MalformedMorphism, ParentMismatch, VarianceMismatch
 from .pn import QuasiLieBialgebroid, d_star, dual_anchor, dual_bracket
 from .rational import RationalFunction
 from .reporting import EVIDENCE_SAMPLED, PROOF_TENSORIAL, Report
@@ -72,7 +94,7 @@ class CourantDouble:
             other.base, other.dual, other.x3, other.psi, other.conjugated
         )
 
-    memo = AlgebroidPresentation.memo  # Dorfman bracket, pairing, anchor and its action
+    memo = AlgebroidPresentation.memo  # Dorfman bracket, frame tables, pairing, anchor and its action
 
     @property
     def rank(self) -> int:
@@ -301,24 +323,156 @@ def dorfman(E: CourantDouble, e1: CourantSection, e2: CourantSection) -> Courant
 
 
 def _compute_dorfman(E: CourantDouble, e1: CourantSection, e2: CourantSection) -> CourantSection:
-    X, a = e1.vec, e1.cov
-    Y, b = e2.vec, e2.cov
-    vec = schouten(X, Y)
-    if not a.is_zero():
-        dsY = d_star(E, Y)
-        vec = vec + insert(dsY, a) + d_star(E, pairing(a, Y))
-    if not b.is_zero():
-        vec = vec - insert(d_star(E, X), b)
-    if not E.x3.is_zero() and not a.is_zero() and not b.is_zero():
-        vec = vec + insert(E.x3, wedge(a, b))
-    cov = dual_bracket(E, a, b)
-    if not X.is_zero():
-        cov = cov + lie_derivative(X, b)
-    if not Y.is_zero():
-        cov = cov - insert(differential(a), Y)
-    if not E.psi.is_zero() and not X.is_zero() and not Y.is_zero():
-        cov = cov + insert(E.psi, wedge(X, Y))
-    return CourantSection(vec, cov)
+    X, a = _frame_coefficients(e1.vec, MULTIVECTOR), _frame_coefficients(e1.cov, FORM)
+    Y, b = _frame_coefficients(e2.vec, MULTIVECTOR), _frame_coefficients(e2.cov, FORM)
+    base_table, dual_table, x3_pairs, psi_pairs = _frame_tables(E)
+    vec: dict[int, RationalFunction] = {}
+    _bracket_into(vec, E.base, base_table, X, Y)
+    if a and Y:
+        _contract_into(vec, a, d_star(E, e2.vec), False)
+        _gradient_into(vec, E.dual, dual_table[1], a, Y)
+    if b and X:
+        _contract_into(vec, b, d_star(E, e1.vec), True)
+    if a and b:
+        _pairs_into(vec, x3_pairs, a, b)
+    cov: dict[int, RationalFunction] = {}
+    _bracket_into(cov, E.dual, dual_table, a, b)
+    if X and b:
+        _contract_into(cov, X, differential(e2.cov), False)
+        _gradient_into(cov, E.base, base_table[1], b, X)
+    if Y and a:
+        _contract_into(cov, Y, differential(e1.cov), True)
+    if X and Y:
+        _pairs_into(cov, psi_pairs, X, Y)
+    return CourantSection(_degree_one(E.base, MULTIVECTOR, vec), _degree_one(E.base, FORM, cov))
+
+
+# -- frame components of the Dorfman bracket -----------------------------------
+# A degree-1 half is read as {i: coefficient}; each term adds its components
+# into an {k: coefficient} accumulator.
+
+
+def _frame_coefficients(h: GradedSection, variance: str) -> dict[int, RationalFunction]:
+    if h.coeffs and h.variance != variance:
+        raise VarianceMismatch(f"a Courant section half must be a {variance}")
+    if h.coeffs and h.degree != 1:
+        raise DegreeMismatch(f"a Courant section half has degree 1, not {h.degree}")
+    return {i: c for (i,), c in h.coeffs.items()}
+
+
+def _degree_one(parent: AlgebroidPresentation, variance: str, acc: dict) -> GradedSection:
+    return GradedSection._make(parent, variance, 1, {(k,): c for k, c in acc.items()})
+
+
+def _accumulate(acc: dict, k: int, term: RationalFunction) -> None:
+    s = acc.get(k)
+    acc[k] = term if s is None else s + term
+
+
+def _frame_tables(E: CourantDouble) -> tuple:
+    """Per-double frame tables: (pairs, anchored) for E.base and for E.dual,
+    and the pairs of E.x3 and of E.psi; see ``_compute_frame_tables``."""
+    return E.memo(("frame_tables",), _compute_frame_tables, E)
+
+
+def _compute_frame_tables(E: CourantDouble) -> tuple:
+    """A pair table lists (i, j, ((k, t_ij^k), ...)) over i < j with a nonzero
+    row: the structure entries c_ij^k of a side, or the components of
+    i_j i_i T for the three-tensors.  ``anchored`` lists the frame indices
+    whose anchor is nonzero."""
+    base, dual = E.base, E.dual
+    if dual.rank != base.rank or dual.coords != base.coords:
+        raise ParentMismatch("the dual side must share the base's chart and rank")
+
+    def structure(P: AlgebroidPresentation):
+        pairs = []
+        for i in range(P.rank):
+            for j in range(i + 1, P.rank):
+                row = P.structure[_pair_index(i, j, P.rank)]
+                entries = tuple((k, c) for k, c in enumerate(row) if not c.is_zero())
+                if entries:
+                    pairs.append((i, j, entries))
+        anchored = tuple(i for i, row in enumerate(P.anchor) if any(not c.is_zero() for c in row))
+        return tuple(pairs), anchored
+
+    def contractions(T: GradedSection, variance: str):
+        if T.is_zero():
+            return ()
+        if T.parent != base:
+            raise ParentMismatch("the three-tensors of a double live on its base")
+        if T.variance != variance:
+            raise VarianceMismatch("x3 must be a multivector and psi a form")
+        if T.degree != 3:
+            raise DegreeMismatch("x3 and psi have degree 3")
+        pairs = []
+        for i in range(base.rank):
+            for j in range(i + 1, base.rank):
+                row = _single_contract(_single_contract(T.coeffs, i), j)
+                if row:
+                    pairs.append((i, j, tuple((k, c) for (k,), c in row.items())))
+        return tuple(pairs)
+
+    return structure(base), structure(dual), contractions(E.x3, MULTIVECTOR), contractions(E.psi, FORM)
+
+
+def _pairs_into(acc: dict, pairs: tuple, u: dict, v: dict) -> None:
+    """sum_{i<j} (u_i v_j - u_j v_i) t_ij^k, for a pair table t."""
+    for i, j, row in pairs:
+        ui, uj, vi, vj = u.get(i), u.get(j), v.get(i), v.get(j)
+        w = ui * vj if ui is not None and vj is not None else None
+        if uj is not None and vi is not None:
+            w = -(uj * vi) if w is None else w - uj * vi
+        if w is None or w.is_zero():
+            continue
+        for k, c in row:
+            _accumulate(acc, k, w * c)
+
+
+def _bracket_into(acc: dict, P: AlgebroidPresentation, table: tuple, u: dict, v: dict) -> None:
+    """[u, v]_k on the side P: its structure part, then its anchor part
+    sum_i (u_i rho_i(v_k) - v_i rho_i(u_k))."""
+    pairs, anchored = table
+    _pairs_into(acc, pairs, u, v)
+    for i in anchored:
+        ui, vi = u.get(i), v.get(i)
+        if ui is not None:
+            for k, vk in v.items():
+                t = P.rho_apply(i, vk)
+                if not t.is_zero():
+                    _accumulate(acc, k, ui * t)
+        if vi is not None:
+            for k, uk in u.items():
+                t = P.rho_apply(i, uk)
+                if not t.is_zero():
+                    _accumulate(acc, k, -(vi * t))
+
+
+def _contract_into(acc: dict, u: dict, W: GradedSection, negate: bool) -> None:
+    """(i_u W)_k = sum_j u_j W_jk for a degree-2 W (W_jk = -W_kj), negated
+    if asked."""
+    for (j, k), w in W.coeffs.items():
+        uj, uk = u.get(j), u.get(k)
+        if uj is not None:
+            t = uj * w
+            _accumulate(acc, k, -t if negate else t)
+        if uk is not None:
+            t = uk * w
+            _accumulate(acc, j, t if negate else -t)
+
+
+def _gradient_into(acc: dict, P: AlgebroidPresentation, anchored: tuple, u: dict, v: dict) -> None:
+    """(d_P <u, v>)_k = rho_k(sum_i u_i v_i) on the side P."""
+    f = None
+    for i, ui in u.items():
+        vi = v.get(i)
+        if vi is not None:
+            f = ui * vi if f is None else f + ui * vi
+    if f is None or f.is_zero():
+        return
+    for k in anchored:
+        t = P.rho_apply(k, f)
+        if not t.is_zero():
+            _accumulate(acc, k, t)
 
 
 def skew_bracket(E: CourantDouble, e1: CourantSection, e2: CourantSection) -> CourantSection:

@@ -14,7 +14,9 @@ plain integer arithmetic.
 
 The test references at the end are constructions the package itself never
 needs: a Lie algebra as an algebroid over a point, the composite of two
-bundle maps, and the B <-> B* swap of a split double.
+bundle maps, the B <-> B* swap of a split double, and the Dorfman bracket
+composed from the calculus operations, term by term of the formula in the
+``courant`` module docstring.
 """
 
 import math
@@ -28,12 +30,18 @@ from algebroid_forge.calculus import (
     MULTIVECTOR,
     AlgebroidPresentation,
     BundleMorphism,
+    differential,
     evaluate,
+    insert,
+    lie_derivative,
     pairing,
     retag,
+    schouten,
     vector_field,
+    wedge,
 )
 from algebroid_forge.courant import CourantDouble, CourantSection
+from algebroid_forge.pn import d_star, dual_bracket
 from algebroid_forge.rational import RationalFunction
 
 
@@ -274,3 +282,27 @@ def flip(E):
 
 def flip_section(E, e):
     return CourantSection(retag(e.cov, E.dual, MULTIVECTOR), retag(e.vec, E.dual, FORM))
+
+
+def dorfman_by_calculus(E, e1, e2):
+    """(X+a) o (Y+b) composed from schouten, d_star, insert, lie_derivative,
+    differential, dual_bracket and wedge: the reference for the frame-
+    component kernel behind ``courant.dorfman``."""
+    X, a = e1.vec, e1.cov
+    Y, b = e2.vec, e2.cov
+    vec = schouten(X, Y)
+    if not a.is_zero():
+        dsY = d_star(E, Y)
+        vec = vec + insert(dsY, a) + d_star(E, pairing(a, Y))
+    if not b.is_zero():
+        vec = vec - insert(d_star(E, X), b)
+    if not E.x3.is_zero() and not a.is_zero() and not b.is_zero():
+        vec = vec + insert(E.x3, wedge(a, b))
+    cov = dual_bracket(E, a, b)
+    if not X.is_zero():
+        cov = cov + lie_derivative(X, b)
+    if not Y.is_zero():
+        cov = cov - insert(differential(a), Y)
+    if not E.psi.is_zero() and not X.is_zero() and not Y.is_zero():
+        cov = cov + insert(E.psi, wedge(X, Y))
+    return CourantSection(vec, cov)

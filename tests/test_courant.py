@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from algebroid_forge import courant
 from algebroid_forge.algfile import parse
 from algebroid_forge.calculus import (
     FORM,
@@ -21,11 +22,13 @@ from algebroid_forge.calculus import (
     wedge,
 )
 from algebroid_forge.courant import (
+    CourantDouble,
     CourantSection,
     GeneralizedDirac,
     SectionFamily,
     SplitSubbundle,
     Submanifold,
+    _frame_tables,
     build_morphism_graph,
     check_generalized_dirac,
     anchor_field,
@@ -43,7 +46,7 @@ from algebroid_forge.courant import (
     twisted_double,
     verify_courant_axioms,
 )
-from algebroid_forge.errors import ParentMismatch
+from algebroid_forge.errors import DegreeMismatch, ParentMismatch, VarianceMismatch
 from algebroid_forge.pn import (
     QuasiLieBialgebroid,
     build_qlb_from_pqn,
@@ -112,6 +115,84 @@ class TestDorfman:
         got = dorfman(E, E.coframe_section(0), E.coframe_section(1))
         assert got.cov.is_zero()
         assert retag(got.vec, TR3, FORM) == TR3.coframe(2)  # phi(d1,d2,-) = dx3
+
+
+@pytest.fixture
+def no_calculus_composition(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("dorfman composed a calculus operation")
+
+    # raising=False: a name courant no longer imports must stay unused
+    for name in ("schouten", "insert", "wedge", "lie_derivative", "dual_bracket"):
+        monkeypatch.setattr(courant, name, refuse, raising=False)
+
+
+def degree_one(A, variance, texts):
+    return A.section(variance, 1, {(i,): A.scalar(t) for i, t in texts.items()})
+
+
+class TestDorfmanKernel:
+    # fresh doubles, so every bracket is computed; values frozen from the
+    # composition of the calculus operations (oracles.dorfman_by_calculus)
+
+    def test_qlb_double_with_x3(self, no_calculus_composition):
+        pi, phi = tr4_twisted()
+        E = qlb_double(qlb_from_twisted_poisson(pi.parent, pi, phi))
+        A = E.base
+        assert not E.x3.is_zero()
+        e1 = CourantSection(degree_one(A, MULTIVECTOR, {0: "x2", 2: "1"}), degree_one(A, FORM, {1: "x3", 3: "1"}))
+        e2 = CourantSection(degree_one(A, MULTIVECTOR, {1: "x1*x4", 3: "2"}), degree_one(A, FORM, {0: "1", 2: "x1"}))
+        got = dorfman(E, e1, e2)
+        assert got.vec == degree_one(A, MULTIVECTOR, {
+            0: "(x1 - 1)/x1",
+            1: "x1^2 + x1 + 1",
+            2: "(x1^3*x4 + x1^2*x4 + x1*x4 - x1 - 1)/x1^2",
+        })
+        assert got.cov == degree_one(A, FORM, {0: "1", 1: "(x1^2 - x1 + 1)/x1", 3: "(-x1^3*x4 - x1*x4 + 1)/x1"})
+
+    def test_twisted_double_with_psi(self, no_calculus_composition):
+        E = twisted_double(TR3, TR3.section(FORM, 3, {(0, 1, 2): TR3.scalar("x1 + 1")}))
+        e1 = CourantSection(degree_one(TR3, MULTIVECTOR, {0: "x2", 1: "1"}), degree_one(TR3, FORM, {2: "x1"}))
+        e2 = CourantSection(degree_one(TR3, MULTIVECTOR, {1: "x3", 2: "x1^2"}), degree_one(TR3, FORM, {0: "x2*x3"}))
+        got = dorfman(E, e1, e2)
+        assert got.vec == degree_one(TR3, MULTIVECTOR, {0: "-x3", 2: "2*x1*x2"})
+        assert got.cov == degree_one(TR3, FORM, {
+            0: "x1^3 + 2*x1^2 + x3",
+            1: "-x1^3*x2 - x1^2*x2 + x2*x3",
+            2: "x1*x2*x3 + x2*x3",
+        })
+
+    @pytest.mark.parametrize(
+        "shape, error",
+        [
+            ("x3 a form", VarianceMismatch),
+            ("psi a multivector", VarianceMismatch),
+            ("x3 of degree 2", DegreeMismatch),
+            ("dual of rank 2", ParentMismatch),
+            ("covector half a multivector", VarianceMismatch),
+            ("vector half a 2-vector", DegreeMismatch),
+        ],
+    )
+    def test_malformed_doubles_and_halves_are_refused(self, shape, error):
+        # the errors the composed calculus operations raised on these shapes
+        one, zero3 = TR3.one_rf(), TR3.zero_section(FORM, 3)
+        top, pair = {(0, 1, 2): one}, {(0, 1): one}
+        E = {
+            "x3 a form": CourantDouble(TR3, TR3, TR3.section(FORM, 3, top), zero3),
+            "psi a multivector": CourantDouble(
+                TR3, TR3, TR3.zero_section(MULTIVECTOR, 3), TR3.section(MULTIVECTOR, 3, top)
+            ),
+            "x3 of degree 2": CourantDouble(TR3, TR3, TR3.section(MULTIVECTOR, 2, pair), zero3),
+            "dual of rank 2": CourantDouble(TR3, TR2, TR3.zero_section(MULTIVECTOR, 3), zero3),
+        }.get(shape, standard_double(TR3))
+        e1 = CourantSection(TR3.frame(0), TR3.coframe(1).scale(TR3.coord_rf("x1")))
+        if shape == "covector half a multivector":
+            e1 = CourantSection(TR3.frame(0), TR3.frame(1))
+        if shape == "vector half a 2-vector":
+            e1 = CourantSection(TR3.section(MULTIVECTOR, 2, pair), TR3.coframe(1))
+        e2 = CourantSection(TR3.frame(1).scale(TR3.coord_rf("x2")), TR3.coframe(0))
+        with pytest.raises(error):
+            dorfman(E, e1, e2)
 
 
 class TestSkew:
@@ -450,6 +531,7 @@ def memoized_calls(E, inputs):
     calls += [partial(d_star, E, s) for s in (f, X, Y, wedge(X, Y), A.zero_section(MULTIVECTOR, 2))]
     calls += [partial(dual_bracket, E, a, b), partial(dual_bracket, E, b, a)]
     calls += [partial(differential, s) for s in (a, b, wedge(a, b), A.zero_section(FORM, 2))]
+    calls += [partial(_frame_tables, E)]
     return calls
 
 

@@ -1,7 +1,8 @@
 """Hypothesis property checks layered on top of the seeded random tests:
 the graded-algebra laws on generated sections, the canonical-form law for
-the scalar field, and the content-times-primitive-part representation of
-polynomials."""
+the scalar field, the content-times-primitive-part representation of
+polynomials, and the frame-component Dorfman bracket against its
+composition from the calculus."""
 
 import math
 import random
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from algebroid_forge.calculus import (
     FORM,
     MULTIVECTOR,
+    AlgebroidPresentation,
     SeededRng,
     differential,
     insert,
@@ -22,8 +24,16 @@ from algebroid_forge.calculus import (
     tangent_algebroid,
     wedge,
 )
+from algebroid_forge.courant import (
+    CourantDouble,
+    CourantSection,
+    conjugate,
+    dorfman,
+    product,
+    transport_plus,
+)
 from algebroid_forge.rational import Polynomial, RationalFunction
-from oracles import sympy_poly, sympy_terms
+from oracles import dorfman_by_calculus, sympy_poly, sympy_terms
 
 TR3 = tangent_algebroid(3)
 
@@ -214,3 +224,86 @@ def test_sampler_rng_replays_random(seed, draws):
             assert ours.random() == reference.random()
         else:
             assert ours.randrange(*draw) == reference.randrange(*draw)
+
+
+# -- the Dorfman kernel against the calculus composition --------------------
+
+
+@st.composite
+def chart_coefficients(draw, coords, nonzero=False):
+    """0 (unless ``nonzero``), a polynomial of degree <= 2 or 1/(c + x1) on
+    ``coords``."""
+    kind = draw(st.sampled_from(("poly", "poly", "pole") if nonzero else ("zero", "poly", "poly", "pole")))
+    if kind == "zero":
+        return RationalFunction.zero(coords)
+    if kind == "pole":
+        return 1 / (RationalFunction.coord(coords, "x1") + draw(st.integers(1, 3)))
+    out = RationalFunction.const(coords, draw(st.integers(1, 2) if nonzero else coeff))
+    for name in coords:
+        if draw(st.booleans()):
+            out = out + RationalFunction.coord(coords, name) ** draw(st.integers(1, 2)) * draw(coeff)
+    return out
+
+
+@st.composite
+def anchored_brackets(draw, coords, rank):
+    """Anchor and structure functions drawn freely: the bracket formula is
+    an identity of the data, so no axiom is needed for the comparison."""
+    anchor = tuple(tuple(draw(chart_coefficients(coords)) for _ in coords) for _ in range(rank))
+    pairs = rank * (rank - 1) // 2
+    structure = tuple(tuple(draw(chart_coefficients(coords)) for _ in range(rank)) for _ in range(pairs))
+    return AlgebroidPresentation(coords, rank, anchor, structure)
+
+
+@st.composite
+def split_doubles(draw, coords, rank):
+    base = draw(anchored_brackets(coords, rank))
+    dual = draw(anchored_brackets(coords, rank))
+    top = [(0, 1, 2)] if rank == 3 else []
+    x3 = base.section(MULTIVECTOR, 3, {idx: draw(chart_coefficients(coords, True)) for idx in top})
+    psi = base.section(FORM, 3, {idx: draw(chart_coefficients(coords, True)) for idx in top})
+    return CourantDouble(base, dual, x3, psi)
+
+
+@st.composite
+def courant_halves(draw, E, variance):
+    if draw(st.integers(0, 3)) == 0:
+        return E.base.zero_section(variance, 1)
+    coords = E.base.coords
+    return E.base.section(variance, 1, {(i,): draw(chart_coefficients(coords)) for i in range(E.rank)})
+
+
+@st.composite
+def dorfman_cases(draw):
+    kind = draw(st.sampled_from(("plain", "plain", "conjugate", "transport_plus", "product")))
+    if kind == "product":
+        # two one-coordinate factors; the second factor's x1 is renamed
+        r1 = draw(st.integers(1, 2))
+        E1 = draw(split_doubles(("x1",), r1))
+        E2 = draw(split_doubles(("x1",), draw(st.integers(1, 3 - r1))))
+        E = product(E1, conjugate(E2) if draw(st.booleans()) else E2)
+    else:
+        coords = draw(st.sampled_from((("x1",), ("x1", "x2"))))
+        E = draw(split_doubles(coords, draw(st.integers(1, 3))))
+        if kind != "plain":
+            E = conjugate(E)
+        if kind == "transport_plus":
+            E = transport_plus(E)
+    e1, e2 = (
+        CourantSection(draw(courant_halves(E, MULTIVECTOR)), draw(courant_halves(E, FORM)))
+        for _ in range(2)
+    )
+    return E, e1, e2
+
+
+def exact_section(s):
+    return s.parent, s.variance, s.degree, {idx: fields(c) for idx, c in s.coeffs.items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(dorfman_cases())
+def test_dorfman_kernel_matches_the_calculus(case):
+    E, e1, e2 = case
+    got, want = dorfman(E, e1, e2), dorfman_by_calculus(E, e1, e2)
+    assert exact_section(got.vec) == exact_section(want.vec)
+    assert exact_section(got.cov) == exact_section(want.cov)
