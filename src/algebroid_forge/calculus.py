@@ -16,6 +16,24 @@ Sign conventions, fixed once for the whole package:
   * d eps^k(e_i, e_j) = -c_{ij}^k (Chevalley-Eilenberg);
   * Schouten bracket graded so that [P, Q wedge R] =
     [P,Q] wedge R + (-1)^{(p-1)q} Q wedge [P,R].
+
+Schouten and d read the structure and anchor data through one memoized
+frame table per presentation (``_frame_table``), in closed form:
+
+    [e_I, e_J] = sum_{a,b} (-1)^{a+b} [e_{I_a}, e_{J_b}] ^ e_{I-I_a} ^ e_{J-J_b}
+    d eps^I    = sum_a (-1)^a d eps^{I_a} ^ eps^{I-I_a}
+
+with a, b counting positions from 0 and I-I_a the tuple I without its
+a-th index.  Both are the Leibniz rules unrolled.  With p = 1, [e_i, -] is
+a degree-0 derivation, and moving [e_i, e_{J_b}] to the front past b
+degree-1 factors gives (-1)^b.  For p > 1, induct on the first factor:
+[e_{i_0} ^ U, V] = e_{i_0} ^ [U, V] + (-1)^{(q-1)(p-1)} [e_{i_0}, V] ^ U.
+In the first term, moving a bracket [e_{I_a}, e_{J_b}] of [U, V] ahead of
+e_{i_0} turns its sign (-1)^{(a-1)+b} into (-1)^{a+b}; in the second,
+reordering e_{J-J_b} ^ U into U ^ e_{J-J_b} costs (-1)^{(q-1)(p-1)},
+which cancels the rule's sign and leaves (-1)^{0+b}.  For d, unrolling
+d(eps^k ^ R) = d eps^k ^ R - eps^k ^ dR gives (-1)^a, since each
+d eps^{I_a} has degree 2 and moves to the front freely.
 """
 
 from __future__ import annotations
@@ -124,14 +142,8 @@ class AlgebroidPresentation:
 
     def bracket_frame(self, i: int, j: int) -> "GradedSection":
         """[e_i, e_j] with the antisymmetric sign convention."""
-        if i == j:
-            return self.section(MULTIVECTOR, 1, {})
-        sign = 1
-        if i > j:
-            i, j, sign = j, i, -1
-        row = self.structure[_pair_index(i, j, self.rank)]
-        coeffs = {(k,): row[k] if sign == 1 else -row[k] for k in range(self.rank)}
-        return self.section(MULTIVECTOR, 1, coeffs)
+        row = _frame_table(self)[0].get((min(i, j), max(i, j)), ())
+        return self.section(MULTIVECTOR, 1, {(k,): c if i < j else -c for k, c in row})
 
     # -- section constructors --------------------------------------------------
 
@@ -261,24 +273,23 @@ class GradedSection:
         if self.degree != other.degree and not (self.is_zero() or other.is_zero()):
             raise DegreeMismatch(f"degree {self.degree} vs {other.degree}")
 
-    def __add__(self, other: "GradedSection") -> "GradedSection":
+    def _plus(self, other: "GradedSection", sign: int) -> "GradedSection":
+        """self + sign * other, summed in place over other's terms."""
         self._check_compatible(other)
         coeffs = dict(self.coeffs)
         for idx, rf in other.coeffs.items():
-            s = coeffs.get(idx)
-            s = rf if s is None else s + rf
-            if s.is_zero():
-                coeffs.pop(idx, None)
-            else:
-                coeffs[idx] = s
+            _accumulate(coeffs, idx, rf if sign > 0 else -rf)
         degree = self.degree if self.coeffs or not other.coeffs else other.degree
         return self._like(coeffs, degree)
 
-    def __neg__(self) -> "GradedSection":
-        return self._like({i: -c for i, c in self.coeffs.items()})
+    def __add__(self, other: "GradedSection") -> "GradedSection":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "GradedSection") -> "GradedSection":
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def __neg__(self) -> "GradedSection":
+        return self._like({i: -c for i, c in self.coeffs.items()})
 
     def scale(self, f) -> "GradedSection":
         f = self.parent.scalar(f)
@@ -317,6 +328,12 @@ def _merge_indices(a: Idx, b: Idx) -> tuple[int, Idx] | None:
     return (-1 if inversions % 2 else 1), merged
 
 
+def _accumulate(acc: dict, key, term: RationalFunction) -> None:
+    """acc[key] += term.  A zero sum stays; GradedSection._make drops it."""
+    s = acc.get(key)
+    acc[key] = term if s is None else s + term
+
+
 def wedge(a: GradedSection, b: GradedSection) -> GradedSection:
     if a.parent != b.parent:
         raise ParentMismatch("sections live on different presentations")
@@ -332,14 +349,7 @@ def wedge(a: GradedSection, b: GradedSection) -> GradedSection:
                     continue
                 sign, idx = merged
                 term = ca * cb
-                if sign < 0:
-                    term = -term
-                s = coeffs.get(idx)
-                s = term if s is None else s + term
-                if s.is_zero():
-                    coeffs.pop(idx, None)
-                else:
-                    coeffs[idx] = s
+                _accumulate(coeffs, idx, term if sign > 0 else -term)
     return GradedSection._make(a.parent, a.variance, degree, coeffs)
 
 
@@ -361,20 +371,12 @@ def pairing(mu: GradedSection, w: GradedSection) -> RationalFunction:
 
 
 def _single_contract(coeffs: dict[Idx, RationalFunction], j: int) -> dict[Idx, RationalFunction]:
+    # distinct tuples holding j lose it to distinct tuples: nothing to sum
     out: dict[Idx, RationalFunction] = {}
     for idx, c in coeffs.items():
-        try:
+        if j in idx:
             t = idx.index(j)
-        except ValueError:
-            continue
-        rest = idx[:t] + idx[t + 1 :]
-        term = c if t % 2 == 0 else -c
-        s = out.get(rest)
-        s = term if s is None else s + term
-        if s.is_zero():
-            out.pop(rest, None)
-        else:
-            out[rest] = s
+            out[idx[:t] + idx[t + 1 :]] = c if t % 2 == 0 else -c
     return out
 
 
@@ -398,13 +400,7 @@ def insert(target: GradedSection, arg: GradedSection) -> GradedSection:
             if not coeffs:
                 break
         for idx, c in coeffs.items():
-            term = g * c
-            s = result.get(idx)
-            s = term if s is None else s + term
-            if s.is_zero():
-                result.pop(idx, None)
-            else:
-                result[idx] = s
+            _accumulate(result, idx, g * c)
     return GradedSection._make(target.parent, target.variance, target.degree - arg.degree, result)
 
 
@@ -433,28 +429,43 @@ def _compute_d_function(A: AlgebroidPresentation, f: RationalFunction) -> Graded
     return A.section(FORM, 1, {(i,): A.rho_apply(i, f) for i in range(A.rank)})
 
 
+def _frame_table(A: AlgebroidPresentation) -> tuple:
+    """(brackets, anchored), memoized on A: ``brackets`` maps each pair
+    (i, j), i < j, with a nonzero row to its entries ((k, c_ij^k), ...), and
+    ``anchored`` lists the frame indices whose anchor is nonzero.  The one
+    reading of the structure and anchor data behind Schouten, d and the
+    Dorfman kernel."""
+    return A.memo(("frame_table",), _compute_frame_table, A)
+
+
+def _compute_frame_table(A: AlgebroidPresentation) -> tuple:
+    brackets = {}
+    for i, j in combinations(range(A.rank), 2):
+        row = A.structure[_pair_index(i, j, A.rank)]
+        entries = tuple((k, c) for k, c in enumerate(row) if not c.is_zero())
+        if entries:
+            brackets[(i, j)] = entries
+    anchored = tuple(i for i, row in enumerate(A.anchor) if any(not c.is_zero() for c in row))
+    return brackets, anchored
+
+
 def _d_basis_form(A: AlgebroidPresentation, idx: Idx) -> GradedSection:
-    """d eps^idx for a pure coframe wedge."""
-    if not idx:
-        return A.zero_section(FORM, 1)
+    """d eps^idx for a pure coframe wedge, memoized on A."""
     return A.memo(("d_basis_form", idx), _compute_d_basis_form, A, idx)
 
 
 def _compute_d_basis_form(A: AlgebroidPresentation, idx: Idx) -> GradedSection:
-    head, tail = idx[0], idx[1:]
-    # d eps^k = -sum_{i<j} c_{ij}^k eps^i ^ eps^j
-    d_head = {}
-    for i in range(A.rank):
-        for j in range(i + 1, A.rank):
-            c = A.structure[_pair_index(i, j, A.rank)][head]
-            if not c.is_zero():
-                d_head[(i, j)] = -c
-    # d(eps^h ^ rest) = d eps^h ^ rest - eps^h ^ d rest
-    tail_section = A.section(FORM, len(tail), {tail: A.one_rf()})
-    out = wedge(A.section(FORM, 2, d_head), tail_section)
-    if tail:
-        out = out - wedge(A.coframe(head), _d_basis_form(A, tail))
-    return out
+    # d eps^I = sum_a (-1)^a d eps^{I_a} ^ eps^{I minus I_a}, with
+    # d eps^k = -sum_{i<j} c_ij^k eps^i ^ eps^j
+    out: dict[Idx, RationalFunction] = {}
+    for (i, j), row in _frame_table(A)[0].items():
+        for k, c in row:
+            if k in idx:
+                a = idx.index(k)
+                merged = _merge_indices((i, j), idx[:a] + idx[a + 1 :])
+                if merged is not None:
+                    _accumulate(out, merged[1], -c if merged[0] * (-1) ** a > 0 else c)
+    return GradedSection._make(A, FORM, len(idx) + 1, out)
 
 
 def differential(mu: GradedSection) -> GradedSection:
@@ -465,63 +476,50 @@ def differential(mu: GradedSection) -> GradedSection:
 
 
 def _compute_differential(mu: GradedSection) -> GradedSection:
+    # d(f eps^I) = df ^ eps^I + f d eps^I
     A = mu.parent
-    out = A.zero_section(FORM, mu.degree + 1)
+    out: dict[Idx, RationalFunction] = {}
     for idx, f in mu.coeffs.items():
-        basis = GradedSection._make(A, FORM, len(idx), {idx: A.one_rf()})
-        out = out + wedge(d_function(A, f), basis)
-        df_basis = _d_basis_form(A, idx)
-        if not df_basis.is_zero():
-            out = out + df_basis.scale(f)
-    return out
+        for (i,), c in d_function(A, f).coeffs.items():
+            merged = _merge_indices((i,), idx)
+            if merged is not None:
+                _accumulate(out, merged[1], c if merged[0] > 0 else -c)
+        for key, c in _d_basis_form(A, idx).coeffs.items():
+            _accumulate(out, key, f * c)
+    return GradedSection._make(A, FORM, mu.degree + 1, out)
 
 
-def _schouten_frames(A: AlgebroidPresentation, I: Idx, J: Idx) -> GradedSection:
-    """[e_I, e_J] for pure frame wedges, recursively via the Leibniz rules."""
-    return A.memo(("schouten_frames", I, J), _compute_schouten_frames, A, I, J)
+def _frames_into(acc: dict, brackets: dict, I: Idx, J: Idx, fg: RationalFunction) -> None:
+    """acc += fg [e_I, e_J], by the closed form of the module docstring."""
+    for a, i in enumerate(I):
+        rest_i = I[:a] + I[a + 1 :]
+        for b, j in enumerate(J):
+            row = brackets.get((i, j) if i < j else (j, i))
+            merged = row and _merge_indices(rest_i, J[:b] + J[b + 1 :])
+            if not merged:
+                continue
+            sign = merged[0] * (-1) ** (a + b) * (1 if i < j else -1)
+            for k, c in row:
+                term = _merge_indices((k,), merged[1])
+                if term is not None:
+                    t = fg * c
+                    _accumulate(acc, term[1], t if sign * term[0] > 0 else -t)
 
 
-def _compute_schouten_frames(A: AlgebroidPresentation, I: Idx, J: Idx) -> GradedSection:
-    p, q = len(I), len(J)
-    if p == 0 or q == 0:
-        out = A.zero_section(MULTIVECTOR, max(p + q - 1, 0))
-    elif p == 1 and q == 1:
-        out = A.bracket_frame(I[0], J[0])
-    elif p == 1:
-        # [e_a, -] is a degree-0 derivation of the wedge
-        head, tail = J[0], J[1:]
-        tail_sec = A.section(MULTIVECTOR, q - 1, {tail: A.one_rf()})
-        out = wedge(A.bracket_frame(I[0], head), tail_sec)
-        rest = _schouten_frames(A, I, tail)
-        if not rest.is_zero():
-            out = out + wedge(A.frame(head), rest)
-    else:
-        # [e_a ^ U, V] = e_a ^ [U, V] + (-1)^{(q-1)(p-1)} [e_a, V] ^ U
-        head, tail = I[0], I[1:]
-        out = wedge(A.frame(head), _schouten_frames(A, tail, J))
-        cross = _schouten_frames(A, (head,), J)
-        if not cross.is_zero():
-            tail_sec = A.section(MULTIVECTOR, p - 1, {tail: A.one_rf()})
-            term = wedge(cross, tail_sec)
-            if ((q - 1) * (p - 1)) % 2:
-                term = -term
-            out = out + term
-    return out
-
-
-def _schouten_frame_function(A: AlgebroidPresentation, I: Idx, g: RationalFunction) -> GradedSection:
-    """[e_I, g] = sum_t (-1)^{p-t} (rho(e_{i_t}) g) e_{I minus i_t} (t 1-based)."""
+def _function_into(
+    acc: dict, A: AlgebroidPresentation, anchored: tuple, I: Idx, g, f, J: Idx, sign: int
+) -> None:
+    """acc += sign f [e_I, g] ^ e_J, where [e_I, g] =
+    sum_a (-1)^{p-1-a} rho(e_{I_a})(g) e_{I minus I_a} (a from 0, p = |I|)."""
     p = len(I)
-    out = A.zero_section(MULTIVECTOR, max(p - 1, 0))
-    for t in range(p):
-        coeff = A.rho_apply(I[t], g)
-        if coeff.is_zero():
+    for a, i in enumerate(I):
+        if i not in anchored:
             continue
-        rest = I[:t] + I[t + 1 :]
-        if (p - (t + 1)) % 2:
-            coeff = -coeff
-        out = out + GradedSection._make(A, MULTIVECTOR, p - 1, {rest: coeff})
-    return out
+        t = A.rho_apply(i, g)
+        merged = not t.is_zero() and _merge_indices(I[:a] + I[a + 1 :], J)
+        if merged:
+            t = f * t
+            _accumulate(acc, merged[1], t if sign * merged[0] * (-1) ** (p - 1 - a) > 0 else -t)
 
 
 def schouten(P: GradedSection, Q: GradedSection) -> GradedSection:
@@ -532,35 +530,23 @@ def schouten(P: GradedSection, Q: GradedSection) -> GradedSection:
         raise VarianceMismatch("schouten acts on multivectors")
     A = P.parent
     p, q = P.degree, Q.degree
-    out = A.zero_section(MULTIVECTOR, max(p + q - 1, 0))
-    if P.is_zero() or Q.is_zero():
-        return out
-    if p == 0 and q == 0:
-        return out
+    if P.is_zero() or Q.is_zero() or p == q == 0:
+        return A.zero_section(MULTIVECTOR, max(p + q - 1, 0))
     if p == 0:
         # [f, Q] = (-1)^q [Q, f]
         flipped = schouten(Q, P)
         return flipped if q % 2 == 0 else -flipped
-    sign_pq = -1 if ((p - 1) * (q - 1)) % 2 else 1
+    brackets, anchored = _frame_table(A)
+    trail = 1 if ((p - 1) * (q - 1)) % 2 else -1
+    out: dict[Idx, RationalFunction] = {}
     for I, f in P.coeffs.items():
         for J, g in Q.coeffs.items():
             # [f e_I, g e_J] = fg [e_I, e_J] + f [e_I, g] ^ e_J
             #                  - (-1)^{(p-1)(q-1)} g [e_J, f] ^ e_I
-            fg = f * g
-            if not fg.is_zero():
-                core = _schouten_frames(A, I, J)
-                if not core.is_zero():
-                    out = out + core.scale(fg)
-            lead = _schouten_frame_function(A, I, g)
-            if not lead.is_zero():
-                term = wedge(lead.scale(f), GradedSection._make(A, MULTIVECTOR, q, {J: A.one_rf()}))
-                out = out + term
-            if q >= 1:
-                trail = _schouten_frame_function(A, J, f)
-                if not trail.is_zero():
-                    term = wedge(trail.scale(g), GradedSection._make(A, MULTIVECTOR, p, {I: A.one_rf()}))
-                    out = out + term.scale(-sign_pq)
-    return out
+            _frames_into(out, brackets, I, J, f * g)
+            _function_into(out, A, anchored, I, g, f, J, 1)
+            _function_into(out, A, anchored, J, f, g, I, trail)
+    return GradedSection._make(A, MULTIVECTOR, p + q - 1, out)
 
 
 def lie_derivative(X: GradedSection, s: GradedSection) -> GradedSection:
@@ -635,13 +621,7 @@ def mat_apply(matrix, X: GradedSection) -> GradedSection:
             entry = matrix[k][i]
             if entry.is_zero():
                 continue
-            term = entry * c
-            s = coeffs.get((k,))
-            s = term if s is None else s + term
-            if s.is_zero():
-                coeffs.pop((k,), None)
-            else:
-                coeffs[(k,)] = s
+            _accumulate(coeffs, (k,), entry * c)
     return GradedSection._make(A, X.variance, 1, coeffs)
 
 

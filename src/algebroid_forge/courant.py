@@ -51,6 +51,8 @@ from .calculus import (
     BundleMorphism,
     GradedSection,
     SeededRng,
+    _accumulate,
+    _frame_table,
     _pair_index,
     _single_contract,
     apply_field,
@@ -364,60 +366,42 @@ def _degree_one(parent: AlgebroidPresentation, variance: str, acc: dict) -> Grad
     return GradedSection._make(parent, variance, 1, {(k,): c for k, c in acc.items()})
 
 
-def _accumulate(acc: dict, k: int, term: RationalFunction) -> None:
-    s = acc.get(k)
-    acc[k] = term if s is None else s + term
-
-
 def _frame_tables(E: CourantDouble) -> tuple:
-    """Per-double frame tables: (pairs, anchored) for E.base and for E.dual,
-    and the pairs of E.x3 and of E.psi; see ``_compute_frame_tables``."""
+    """Per-double frame tables: ``calculus._frame_table`` of E.base and of
+    E.dual, and the pairs of E.x3 and of E.psi; see ``_compute_frame_tables``."""
     return E.memo(("frame_tables",), _compute_frame_tables, E)
 
 
 def _compute_frame_tables(E: CourantDouble) -> tuple:
-    """A pair table lists (i, j, ((k, t_ij^k), ...)) over i < j with a nonzero
-    row: the structure entries c_ij^k of a side, or the components of
-    i_j i_i T for the three-tensors.  ``anchored`` lists the frame indices
-    whose anchor is nonzero."""
+    """A pair table maps (i, j), i < j, with a nonzero row to ((k, t_ij^k), ...):
+    the structure entries c_ij^k of a side, or the components of i_j i_i T
+    for the three-tensors."""
     base, dual = E.base, E.dual
     if dual.rank != base.rank or dual.coords != base.coords:
         raise ParentMismatch("the dual side must share the base's chart and rank")
 
-    def structure(P: AlgebroidPresentation):
-        pairs = []
-        for i in range(P.rank):
-            for j in range(i + 1, P.rank):
-                row = P.structure[_pair_index(i, j, P.rank)]
-                entries = tuple((k, c) for k, c in enumerate(row) if not c.is_zero())
-                if entries:
-                    pairs.append((i, j, entries))
-        anchored = tuple(i for i, row in enumerate(P.anchor) if any(not c.is_zero() for c in row))
-        return tuple(pairs), anchored
-
     def contractions(T: GradedSection, variance: str):
         if T.is_zero():
-            return ()
+            return {}
         if T.parent != base:
             raise ParentMismatch("the three-tensors of a double live on its base")
         if T.variance != variance:
             raise VarianceMismatch("x3 must be a multivector and psi a form")
         if T.degree != 3:
             raise DegreeMismatch("x3 and psi have degree 3")
-        pairs = []
-        for i in range(base.rank):
-            for j in range(i + 1, base.rank):
-                row = _single_contract(_single_contract(T.coeffs, i), j)
-                if row:
-                    pairs.append((i, j, tuple((k, c) for (k,), c in row.items())))
-        return tuple(pairs)
+        pairs = {}
+        for i, j in combinations(range(base.rank), 2):
+            row = _single_contract(_single_contract(T.coeffs, i), j)
+            if row:
+                pairs[(i, j)] = tuple((k, c) for (k,), c in row.items())
+        return pairs
 
-    return structure(base), structure(dual), contractions(E.x3, MULTIVECTOR), contractions(E.psi, FORM)
+    return _frame_table(base), _frame_table(dual), contractions(E.x3, MULTIVECTOR), contractions(E.psi, FORM)
 
 
-def _pairs_into(acc: dict, pairs: tuple, u: dict, v: dict) -> None:
+def _pairs_into(acc: dict, pairs: dict, u: dict, v: dict) -> None:
     """sum_{i<j} (u_i v_j - u_j v_i) t_ij^k, for a pair table t."""
-    for i, j, row in pairs:
+    for (i, j), row in pairs.items():
         ui, uj, vi, vj = u.get(i), u.get(j), v.get(i), v.get(j)
         w = ui * vj if ui is not None and vj is not None else None
         if uj is not None and vi is not None:

@@ -404,14 +404,7 @@ def _compute_d_star(D, s: GradedSection) -> GradedSection:
 
 
 def dual_bracket(D, a: GradedSection, b: GradedSection) -> GradedSection:
-    """[a, b]_* on forms of D.base: the Schouten bracket of D.dual (memoized
-    on D.dual)."""
-    _require_retaggable(a, D.dual)
-    _require_retaggable(b, D.dual)
-    return D.dual.memo(("dual_bracket", D.base, a.key, b.key), _compute_dual_bracket, D, a, b)
-
-
-def _compute_dual_bracket(D, a: GradedSection, b: GradedSection) -> GradedSection:
+    """[a, b]_* on forms of D.base: the Schouten bracket of D.dual."""
     return retag(
         schouten(retag(a, D.dual, MULTIVECTOR), retag(b, D.dual, MULTIVECTOR)), D.base, FORM
     )

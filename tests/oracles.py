@@ -12,11 +12,16 @@ from ``pn`` or ``calculus``.  The polynomial oracles hand exponent
 dictionaries to sympy and read its results back into the canonical form by
 plain integer arithmetic.
 
-The test references at the end are constructions the package itself never
-needs: a Lie algebra as an algebroid over a point, the composite of two
-bundle maps, the B <-> B* swap of a split double, and the Dorfman bracket
-composed from the calculus operations, term by term of the formula in the
-``courant`` module docstring.
+The test references after them are constructions the package itself
+never needs: a Lie algebra as an algebroid over a point, the composite of
+two bundle maps, the B <-> B* swap of a split double, and the Dorfman
+bracket composed from the calculus operations, term by term of the formula
+in the ``courant`` module docstring.
+
+Last comes a reference for Schouten and d that makes no engine call at all:
+sympy expressions read from a presentation's raw anchor and structure
+rows, the Schouten bracket expanded by the graded Leibniz rule and
+antisymmetry alone, and d by the Cartan formula.
 """
 
 import math
@@ -306,3 +311,131 @@ def dorfman_by_calculus(E, e1, e2):
     if not E.psi.is_zero() and not X.is_zero() and not Y.is_zero():
         cov = cov + insert(E.psi, wedge(X, Y))
     return CourantSection(vec, cov)
+
+
+# -- Schouten and d from raw anchor and structure data ----------------------
+# Nothing below calls the engine: a presentation is read once into sympy
+# expressions (its ``anchor`` rows and its ``structure`` rows, listed over
+# the pairs i < j in lexicographic order), and the brackets follow from the
+# Leibniz rules and the Cartan formula alone.  No Jacobi identity is assumed.
+
+
+def sympy_rf(rf, symbols):
+    """A RationalFunction as a sympy expression, from its terms."""
+
+    def poly(p):
+        return sum(
+            (sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(s**e for s, e in zip(symbols, m)))
+             for m, c in p.terms.items()),
+            sympy.Integer(0),
+        )
+
+    return poly(rf.num) / poly(rf.den)
+
+
+class RawAlgebroid:
+    """Anchor and structure functions of a presentation as sympy expressions."""
+
+    def __init__(self, A):
+        self.rank = A.rank
+        self.symbols = tuple(sympy.Symbol(name) for name in A.coords)
+        self.anchor = [[sympy_rf(c, self.symbols) for c in row] for row in A.anchor]
+        pairs = combinations(range(A.rank), 2)
+        self.brackets = {ij: [sympy_rf(c, self.symbols) for c in row] for ij, row in zip(pairs, A.structure)}
+
+    def rho(self, i, f):
+        """rho(e_i) f = sum_a rho_i^a df/dx_a."""
+        return sum((c * sympy.diff(f, x) for c, x in zip(self.anchor[i], self.symbols)), sympy.Integer(0))
+
+    def coefficients(self, section):
+        return {idx: sympy_rf(c, self.symbols) for idx, c in section.coeffs.items()}
+
+
+def _sorted_frames(word):
+    """(sign, increasing frame tuple) of the frame indices of a word, or None
+    if one repeats."""
+    frames = [a for a in word if isinstance(a, int)]
+    if len(set(frames)) < len(frames):
+        return None
+    return perm_sign(frames), tuple(sorted(frames))
+
+
+def _degree(word):
+    return sum(isinstance(a, int) for a in word)
+
+
+def _bracket_atoms(raw, x, y):
+    """[x, y] for a frame index (degree 1) or a function (degree 0) each."""
+    if isinstance(x, int) and isinstance(y, int):
+        if x == y:
+            return []
+        (i, j), sign = ((x, y), 1) if x < y else ((y, x), -1)
+        return [(sign * c, (k,)) for k, c in enumerate(raw.brackets[(i, j)]) if c != 0]
+    if isinstance(x, int):
+        return [(raw.rho(x, y), ())]
+    if isinstance(y, int):
+        return [(-raw.rho(y, x), ())]
+    return []
+
+
+def _bracket_words(raw, u, v):
+    """[u, v] for wedge words of atoms, as (coefficient, word) terms: the
+    graded Leibniz rule on the right, and graded antisymmetry to bring a
+    longer left word to the right."""
+    p, q = _degree(u), _degree(v)
+    if len(v) > 1:
+        # [u, v0 ^ w] = [u, v0] ^ w + (-1)^{(p-1) deg v0} v0 ^ [u, w]
+        v0, w = v[:1], v[1:]
+        sign = (-1) ** ((p - 1) * _degree(v0))
+        return [(c, t + w) for c, t in _bracket_words(raw, u, v0)] + [
+            (sign * c, v0 + t) for c, t in _bracket_words(raw, u, w)
+        ]
+    if len(u) > 1:
+        # [u, v] = -(-1)^{(p-1)(q-1)} [v, u]
+        sign = -((-1) ** ((p - 1) * (q - 1)))
+        return [(sign * c, t) for c, t in _bracket_words(raw, v, u)]
+    return _bracket_atoms(raw, u[0], v[0])
+
+
+def schouten_oracle(raw, P, Q):
+    """[P, Q] for {I: coefficient} multivectors, expanded word by word:
+    f e_I is the word (f, i_1, ..., i_p)."""
+    out = {}
+    for I, f in P.items():
+        for J, g in Q.items():
+            for c, word in _bracket_words(raw, (f,) + I, (g,) + J):
+                normal = _sorted_frames(word)
+                if normal is not None:
+                    sign, idx = normal
+                    term = sign * c * sympy.Mul(*(a for a in word if not isinstance(a, int)))
+                    out[idx] = out.get(idx, 0) + term
+    return out
+
+
+def cartan_d_oracle(raw, mu, degree):
+    """d mu for a {I: coefficient} form of the given degree, on every
+    increasing frame tuple K = (k_0, ..., k_degree):
+    sum_t (-1)^t rho_{k_t} mu(K minus k_t)
+    + sum_{s<t} (-1)^{s+t} mu([e_{k_s}, e_{k_t}], K minus {k_s, k_t})."""
+
+    def value(frames):
+        normal = _sorted_frames(frames)
+        return 0 if normal is None else normal[0] * mu.get(normal[1], 0)
+
+    out = {}
+    for K in combinations(range(raw.rank), degree + 1):
+        total = sympy.Integer(0)
+        for t in range(degree + 1):
+            total += (-1) ** t * raw.rho(K[t], mu.get(K[:t] + K[t + 1 :], sympy.Integer(0)))
+        for s, t in combinations(range(degree + 1), 2):
+            rest = tuple(k for u, k in enumerate(K) if u not in (s, t))
+            for m, c in enumerate(raw.brackets[(K[s], K[t])]):
+                total += (-1) ** (s + t) * c * value((m,) + rest)
+        out[K] = total
+    return out
+
+
+def matches_oracle(raw, section, expected):
+    """Whether an engine section has exactly the oracle's coefficients."""
+    got = raw.coefficients(section)
+    return all(sympy.cancel(got.get(idx, 0) - expected.get(idx, 0)) == 0 for idx in set(got) | set(expected))

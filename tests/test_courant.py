@@ -13,6 +13,7 @@ from algebroid_forge.calculus import (
     MULTIVECTOR,
     AlgebroidPresentation,
     BundleMorphism,
+    _frame_table,
     differential,
     identity_morphism,
     null_presentation,
@@ -529,9 +530,8 @@ def memoized_calls(E, inputs):
     calls += [partial(rho_apply_section, E, e, g) for e in sections for g in (f, f * f)]
     calls += [partial(A.rho_apply, i, g) for i in range(A.rank) for g in (f, f * f)]
     calls += [partial(d_star, E, s) for s in (f, X, Y, wedge(X, Y), A.zero_section(MULTIVECTOR, 2))]
-    calls += [partial(dual_bracket, E, a, b), partial(dual_bracket, E, b, a)]
     calls += [partial(differential, s) for s in (a, b, wedge(a, b), A.zero_section(FORM, 2))]
-    calls += [partial(_frame_tables, E)]
+    calls += [partial(_frame_tables, E), partial(_frame_table, A), partial(_frame_table, E.dual)]
     return calls
 
 

@@ -10,7 +10,9 @@ exported from ``__init__.py``, and every module and method that the
 benchmark's tracer (``perfbench/tracer.py``) patches exists, so a refactor
 that would break traced benchmark runs fails here first.  For the same
 reason every polynomial gcd enters through ``rational.poly_gcd``, the span
-the tracer times and counts: no other function reaches GCDHEU or the PRS."""
+the tracer times and counts: no other function reaches GCDHEU or the PRS.
+Likewise, structure rows are read in ``calculus._compute_frame_table`` and
+in the product's transport only, never by a bracket of its own."""
 
 import ast
 import importlib
@@ -178,23 +180,32 @@ GCD_CALLERS = {
 }
 
 
-def gcd_entries(tree: ast.Module) -> list[str]:
-    """Reads of a gcd internal outside the functions GCD_CALLERS allows,
-    each attributed to its innermost enclosing ``def`` (``Class.method``)."""
-    out = []
+def owned_nodes(tree: ast.Module):
+    """(node, owner) for every node under ``tree`` but a ``def`` or ``class``
+    statement itself: owner is the innermost enclosing one, as
+    ``Class.method`` or ``function.nested``, or None at module level."""
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, child.name if owner is None else f"{owner}.{child.name}")
-            elif isinstance(child, ast.Name) and child.id in GCD_CALLERS:
-                if owner not in GCD_CALLERS[child.id] and isinstance(child.ctx, ast.Load):
-                    out.append(f"line {child.lineno}: {owner or 'module level'} reads {child.id}")
+                yield from visit(child, child.name if owner is None else f"{owner}.{child.name}")
             else:
-                visit(child, owner)
+                yield child, owner
+                yield from visit(child, owner)
 
-    visit(tree, None)
-    return out
+    return visit(tree, None)
+
+
+def gcd_entries(tree: ast.Module) -> list[str]:
+    """Reads of a gcd internal outside the functions GCD_CALLERS allows."""
+    return [
+        f"line {node.lineno}: {owner or 'module level'} reads {node.id}"
+        for node, owner in owned_nodes(tree)
+        if isinstance(node, ast.Name)
+        and node.id in GCD_CALLERS
+        and isinstance(node.ctx, ast.Load)
+        and owner not in GCD_CALLERS[node.id]
+    ]
 
 
 def test_every_gcd_enters_through_poly_gcd():
@@ -206,3 +217,40 @@ def test_every_gcd_enters_through_poly_gcd():
         else:
             problems += [f"{path.name} reads {name}" for name in sorted(GCD_CALLERS.keys() & reads([tree]))]
     assert not problems, "a gcd bypasses rational.poly_gcd: " + "; ".join(problems)
+
+
+# the only readers of a presentation's structure rows: the frame-table
+# builder that every bracket shares, and the product's transport of both
+# factors' rows
+STRUCTURE_READERS = {"_compute_frame_table", "product_with_renaming.combine"}
+
+
+def structure_reads(tree: ast.Module) -> list[str]:
+    """``.structure[...]`` reads outside STRUCTURE_READERS."""
+    return [
+        f"line {node.lineno}: {owner or 'module level'} indexes .structure"
+        for node, owner in owned_nodes(tree)
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "structure"
+        and owner not in STRUCTURE_READERS
+    ]
+
+
+def test_structure_is_read_through_the_frame_table():
+    problems = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        problems += [f"{path.name} {p}" for p in structure_reads(tree)]
+    assert not problems, "a structure read bypasses calculus._frame_table: " + "; ".join(problems)
+
+
+def test_structure_lint_flags_a_second_reader():
+    # a d that reads its structure constants itself again
+    text = (SRC / "calculus.py").read_text(encoding="utf-8")
+    head = "def _compute_d_basis_form(A: AlgebroidPresentation, idx: Idx) -> GradedSection:\n"
+    assert text.count(head) == 1
+    copy = text.replace(head, head + "    A.structure[_pair_index(0, 1, A.rank)][idx[0]]\n")
+    assert [p.split(": ", 1)[1] for p in structure_reads(ast.parse(copy))] == [
+        "_compute_d_basis_form indexes .structure"
+    ]

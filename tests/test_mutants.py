@@ -1,0 +1,289 @@
+"""A standing mutant gate: named source mutations of the package, each run
+against the property that must kill it.
+
+A mutation replaces one snippet of a module's source text, which must occur
+exactly once, in memory.  The text is compiled into a fresh module object
+that imports its sibling modules, unmutated, from the package; no file is
+written.  Every property builds its own presentations and doubles, so no
+memo cache filled by the unmutated code can answer for the mutant.
+
+A surviving mutant fails ``test_mutant_is_killed[<name>]``, and so does a
+mutation whose snippet no longer occurs exactly once, so the list follows
+the code.  ``test_property_holds_unmutated`` runs every property on the
+package itself, where it must hold.  A kernel change adds its mutants here.
+"""
+
+import pathlib
+import random
+import types
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+
+from algebroid_forge import calculus, courant, pn, rational
+from algebroid_forge.calculus import FORM, MULTIVECTOR
+from algebroid_forge.rational import RationalFunction
+
+from oracles import RawAlgebroid, cartan_d_oracle, dorfman_by_calculus, matches_oracle, schouten_oracle
+
+SRC = pathlib.Path(calculus.__file__).resolve().parent
+COORDS = ("x1", "x2")
+
+
+def compile_mutant(module: str, old: str, new: str) -> types.ModuleType:
+    path = SRC / f"{module}.py"
+    text = path.read_text(encoding="utf-8")
+    assert text.count(old) == 1, f"the snippet occurs {text.count(old)} times in {module}.py: {old!r}"
+    fresh = types.ModuleType(f"algebroid_forge.{module}")
+    fresh.__package__ = "algebroid_forge"
+    exec(compile(text.replace(old, new), str(path), "exec"), fresh.__dict__)
+    return fresh
+
+
+# -- seeded data ---------------------------------------------------------------
+
+
+def seeded_coefficient(rng: random.Random) -> RationalFunction:
+    """A nonzero polynomial of degree <= 2 on COORDS, seeded."""
+    out = RationalFunction.const(COORDS, rng.choice((-2, -1, 1, 2)))
+    for name in COORDS:
+        out = out + RationalFunction.coord(COORDS, name) ** rng.randrange(1, 3) * rng.randrange(-2, 3)
+    return out
+
+
+def seeded_data(seed: int, rank: int = 3):
+    """(anchor, structure) with every entry nonzero."""
+    rng = random.Random(seed)
+    anchor = tuple(tuple(seeded_coefficient(rng) for _ in COORDS) for _ in range(rank))
+    pairs = rank * (rank - 1) // 2
+    structure = tuple(tuple(seeded_coefficient(rng) for _ in range(rank)) for _ in range(pairs))
+    return anchor, structure
+
+
+def seeded_section(A, variance: str, degree: int, seed: int):
+    rng = random.Random(seed)
+    return A.section(variance, degree, {I: seeded_coefficient(rng) for I in combinations(range(A.rank), degree)})
+
+
+# -- properties ------------------------------------------------------------------
+# Each takes the module under test (the package's own or a mutant) and
+# returns a list of failures; an empty list means the property holds.
+
+
+SCHOUTEN_DEGREES = ((0, 1), (1, 1), (1, 2), (2, 1), (2, 2))
+_CALCULUS_EXPECTED = []
+
+
+def calculus_expected(raw, A):
+    """The oracle's Schouten brackets and differentials of ``calculus_sections``,
+    computed once: the seeded data are the same for every module."""
+    if not _CALCULUS_EXPECTED:
+        schoutens, forms = calculus_sections(A)
+        _CALCULUS_EXPECTED.append(
+            [schouten_oracle(raw, raw.coefficients(P), raw.coefficients(Q)) for P, Q in schoutens]
+        )
+        _CALCULUS_EXPECTED.append([cartan_d_oracle(raw, raw.coefficients(mu), mu.degree) for mu in forms])
+    return _CALCULUS_EXPECTED
+
+
+def calculus_sections(A):
+    schoutens = [
+        (seeded_section(A, MULTIVECTOR, p, 10 + p), seeded_section(A, MULTIVECTOR, q, 20 + q))
+        for p, q in SCHOUTEN_DEGREES
+    ]
+    return schoutens, [seeded_section(A, FORM, k, 30 + k) for k in range(3)]
+
+
+def calculus_property(calc) -> list[str]:
+    """Section subtraction inverts addition, and Schouten at the degrees
+    SCHOUTEN_DEGREES and d in degrees 0-2 agree with the raw-data oracle on
+    rank-3 data with every entry nonzero.  Stops at the first failure."""
+    A = calc.AlgebroidPresentation(COORDS, 3, *seeded_data(1))
+    P, Q = seeded_section(A, FORM, 2, 40), seeded_section(A, FORM, 2, 41)
+    if (P - Q) + Q != P or not (P - P).is_zero():
+        return ["subtraction"]
+    raw = RawAlgebroid(A)
+    schouten_expected, d_expected = calculus_expected(raw, A)
+    schoutens, forms = calculus_sections(A)
+    for (P, Q), expected in zip(schoutens, schouten_expected):
+        if not matches_oracle(raw, calc.schouten(P, Q), expected):
+            return [f"schouten of degrees {P.degree}, {Q.degree}"]
+    for mu, expected in zip(forms, d_expected):
+        if not matches_oracle(raw, calc.differential(mu), expected):
+            return [f"d in degree {mu.degree}"]
+    return []
+
+
+DORFMAN_SEEDS = (2, 3)
+
+
+def dorfman_case(seed: int, double_type):
+    """A rank-3 double with nonzero x3 and psi, every structure entry
+    nonzero, and two sections with all four halves nonzero."""
+    base = calculus.AlgebroidPresentation(COORDS, 3, *seeded_data(seed))
+    dual = calculus.AlgebroidPresentation(COORDS, 3, *seeded_data(seed + 100))
+    x3 = seeded_section(base, MULTIVECTOR, 3, seed + 200)
+    psi = seeded_section(base, FORM, 3, seed + 300)
+    e1, e2 = (
+        courant.CourantSection(seeded_section(base, MULTIVECTOR, 1, s), seeded_section(base, FORM, 1, s + 1))
+        for s in (seed + 400, seed + 500)
+    )
+    return double_type(base, dual, x3, psi), e1, e2
+
+
+_DORFMAN_EXPECTED = {}
+
+
+def dorfman_property(mod) -> list[str]:
+    """Both orders of the Dorfman bracket of two generic sections agree
+    with its composition from the calculus (``oracles.dorfman_by_calculus``)."""
+    failures = []
+    for seed in DORFMAN_SEEDS:
+        if seed not in _DORFMAN_EXPECTED:
+            E, e1, e2 = dorfman_case(seed, courant.CourantDouble)
+            _DORFMAN_EXPECTED[seed] = [dorfman_by_calculus(E, e1, e2), dorfman_by_calculus(E, e2, e1)]
+        E, e1, e2 = dorfman_case(seed, mod.CourantDouble)
+        if [mod.dorfman(E, e1, e2), mod.dorfman(E, e2, e1)] != _DORFMAN_EXPECTED[seed]:
+            failures.append(f"dorfman at seed {seed}")
+    return failures
+
+
+def d_star_property(pn_mod) -> list[str]:
+    """d_* is a derivation: d_*(f X) = d_* f ^ X + f d_* X."""
+    base = calculus.AlgebroidPresentation(COORDS, 3, *seeded_data(4))
+    dual = calculus.AlgebroidPresentation(COORDS, 3, *seeded_data(5))
+    Q = pn_mod.QuasiLieBialgebroid(base, dual, base.zero_section(MULTIVECTOR, 3))
+    f = base.coord_rf("x1") + 1
+    failures = []
+    for degree in (1, 2):
+        X = seeded_section(base, MULTIVECTOR, degree, 50 + degree)
+        lhs = pn_mod.d_star(Q, X.scale(f))
+        rhs = calculus.wedge(pn_mod.d_star(Q, f), X) + pn_mod.d_star(Q, X).scale(f)
+        if lhs != rhs:
+            failures.append(f"Leibniz rule in degree {degree}")
+    return failures
+
+
+def courant_axioms_property(mod) -> list[str]:
+    """The standard double of TR2 passes verify-courant."""
+    report = mod.verify_courant_axioms(mod.standard_double(calculus.tangent_algebroid(2)), samples=2)
+    return [c.name for c in report.failing_clauses()]
+
+
+def gcd_property(rat) -> list[str]:
+    """gcd(f h, g h) = h for coprime f, g."""
+    vars_ = ("x", "y")
+
+    def poly(terms):
+        return rat.Polynomial(vars_, {m: Fraction(c) for m, c in terms.items()})
+
+    h = poly({(1, 0): 1, (0, 0): 1})  # x + 1
+    failures = []
+    for f, g in (({(0, 1): 1}, {(0, 0): 1}), ({(0, 1): 1, (0, 0): 2}, {(1, 0): 1})):
+        got = rat.poly_gcd(poly(f) * h, poly(g) * h)
+        if got != h:
+            failures.append(f"gcd of {poly(f) * h} and {poly(g) * h} is {got}")
+    return failures
+
+
+# -- the mutants -------------------------------------------------------------------
+
+# the ten terms of the Dorfman kernel, each as (label, call, sign-flipped call)
+DORFMAN_TERMS = (
+    ("XY", "_bracket_into(vec, E.base, base_table, X, Y)", "_bracket_into(vec, E.base, base_table, Y, X)"),
+    ("ia-dstarY", "_contract_into(vec, a, d_star(E, e2.vec), False)", "_contract_into(vec, a, d_star(E, e2.vec), True)"),
+    (
+        "dstar-aY",
+        "_gradient_into(vec, E.dual, dual_table[1], a, Y)",
+        "_gradient_into(vec, E.dual, dual_table[1], {i: -c for i, c in a.items()}, Y)",
+    ),
+    ("ib-dstarX", "_contract_into(vec, b, d_star(E, e1.vec), True)", "_contract_into(vec, b, d_star(E, e1.vec), False)"),
+    ("x3", "_pairs_into(vec, x3_pairs, a, b)", "_pairs_into(vec, x3_pairs, b, a)"),
+    ("ab-star", "_bracket_into(cov, E.dual, dual_table, a, b)", "_bracket_into(cov, E.dual, dual_table, b, a)"),
+    ("iX-db", "_contract_into(cov, X, differential(e2.cov), False)", "_contract_into(cov, X, differential(e2.cov), True)"),
+    (
+        "d-bX",
+        "_gradient_into(cov, E.base, base_table[1], b, X)",
+        "_gradient_into(cov, E.base, base_table[1], {i: -c for i, c in b.items()}, X)",
+    ),
+    ("iY-da", "_contract_into(cov, Y, differential(e1.cov), True)", "_contract_into(cov, Y, differential(e1.cov), False)"),
+    ("psi", "_pairs_into(cov, psi_pairs, X, Y)", "_pairs_into(cov, psi_pairs, Y, X)"),
+)
+
+# name -> (module, snippet, replacement, property)
+MUTANTS = {}
+for label, call, flipped in DORFMAN_TERMS:
+    MUTANTS[f"dorfman-drop-{label}"] = ("courant", call, "pass", dorfman_property)
+    MUTANTS[f"dorfman-flip-{label}"] = ("courant", call, flipped, dorfman_property)
+MUTANTS.update(
+    {
+        "dorfman-no-x3-table": (
+            "courant", "contractions(E.x3, MULTIVECTOR)", "{}", dorfman_property,
+        ),
+        "dorfman-no-psi-table": (
+            "courant", "contractions(E.psi, FORM)", "{}", dorfman_property,
+        ),
+        "d_star-sign": (
+            "pn",
+            "return retag(differential(retag(s, D.dual, FORM)), D.base, MULTIVECTOR)",
+            "return -retag(differential(retag(s, D.dual, FORM)), D.base, MULTIVECTOR)",
+            d_star_property,
+        ),
+        "C2-kappa-1": (
+            "courant", "factor = E.base.scalar(kappa)", "factor = E.base.scalar(1)", courant_axioms_property,
+        ),
+        "poly_gcd-support-too-eager": (
+            "rational", "            pure.difference_update(k & y for k in a if k & rest)\n", "", gcd_property,
+        ),
+        "schouten-closed-form-sign": (
+            "calculus",
+            "sign = merged[0] * (-1) ** (a + b) * (1 if i < j else -1)",
+            "sign = merged[0] * (1 if i < j else -1)",
+            calculus_property,
+        ),
+        "schouten-anchor-sign": (
+            "calculus",
+            "sign * merged[0] * (-1) ** (p - 1 - a) > 0",
+            "sign * merged[0] > 0",
+            calculus_property,
+        ),
+        "d-closed-form-sign": (
+            "calculus",
+            "-c if merged[0] * (-1) ** a > 0 else c",
+            "-c if merged[0] > 0 else c",
+            calculus_property,
+        ),
+        "plus-ignores-sign": (
+            "calculus",
+            "_accumulate(coeffs, idx, rf if sign > 0 else -rf)",
+            "_accumulate(coeffs, idx, rf)",
+            calculus_property,
+        ),
+        "frame-table-no-anchored": (
+            "calculus",
+            "anchored = tuple(i for i, row in enumerate(A.anchor) if any(not c.is_zero() for c in row))",
+            "anchored = ()",
+            calculus_property,
+        ),
+    }
+)
+
+PROPERTIES = {
+    calculus_property: calculus,
+    dorfman_property: courant,
+    d_star_property: pn,
+    courant_axioms_property: courant,
+    gcd_property: rational,
+}
+
+
+@pytest.mark.parametrize("prop", list(PROPERTIES), ids=lambda p: p.__name__)
+def test_property_holds_unmutated(prop):
+    assert prop(PROPERTIES[prop]) == []
+
+
+@pytest.mark.parametrize("name", list(MUTANTS))
+def test_mutant_is_killed(name):
+    module, old, new, prop = MUTANTS[name]
+    assert prop(compile_mutant(module, old, new)), f"mutant {name} survives {prop.__name__}"

@@ -1,12 +1,14 @@
 """Hypothesis property checks layered on top of the seeded random tests:
 the graded-algebra laws on generated sections, the canonical-form law for
 the scalar field, the content-times-primitive-part representation of
-polynomials, and the frame-component Dorfman bracket against its
-composition from the calculus."""
+polynomials, the frame-component Dorfman bracket against its composition
+from the calculus, and Schouten and d against a sympy reference built from
+the raw anchor and structure data."""
 
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -33,7 +35,15 @@ from algebroid_forge.courant import (
     transport_plus,
 )
 from algebroid_forge.rational import Polynomial, RationalFunction
-from oracles import dorfman_by_calculus, sympy_poly, sympy_terms
+from oracles import (
+    RawAlgebroid,
+    cartan_d_oracle,
+    dorfman_by_calculus,
+    matches_oracle,
+    schouten_oracle,
+    sympy_poly,
+    sympy_terms,
+)
 
 TR3 = tangent_algebroid(3)
 
@@ -55,8 +65,6 @@ def sections(draw, variance, degree=None):
     if degree is None:
         degree = draw(st.integers(0, 3))
     coeffs = {}
-    from itertools import combinations
-
     for idx in combinations(range(3), degree):
         if draw(st.booleans()):
             coeffs[idx] = draw(scalars())
@@ -307,3 +315,34 @@ def test_dorfman_kernel_matches_the_calculus(case):
     got, want = dorfman(E, e1, e2), dorfman_by_calculus(E, e1, e2)
     assert exact_section(got.vec) == exact_section(want.vec)
     assert exact_section(got.cov) == exact_section(want.cov)
+
+
+# -- Schouten and d against the engine-free reference -------------------------
+
+
+@st.composite
+def calculus_cases(draw):
+    """Drawn anchored data of rank 1-3 and, for the degrees p, q and every
+    form degree up to the rank, sections with drawn coefficients."""
+    coords = draw(st.sampled_from((("x1",), ("x1", "x2"))))
+    rank = draw(st.integers(1, 3))
+    A = draw(anchored_brackets(coords, rank))
+
+    def section(variance, degree):
+        idx = combinations(range(rank), degree)
+        return A.section(variance, degree, {I: draw(chart_coefficients(coords)) for I in idx})
+
+    p, q = draw(st.integers(0, rank)), draw(st.integers(0, rank))
+    forms = [section(FORM, k) for k in range(rank + 1)]
+    return A, section(MULTIVECTOR, p), section(MULTIVECTOR, q), forms
+
+
+@settings(max_examples=80, deadline=None)
+@given(calculus_cases())
+def test_schouten_and_d_match_the_raw_data_oracle(case):
+    A, P, Q, forms = case
+    raw = RawAlgebroid(A)
+    expected = schouten_oracle(raw, raw.coefficients(P), raw.coefficients(Q))
+    assert matches_oracle(raw, schouten(P, Q), expected)
+    for mu in forms:
+        assert matches_oracle(raw, differential(mu), cartan_d_oracle(raw, raw.coefficients(mu), mu.degree))
