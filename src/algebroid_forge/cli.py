@@ -138,7 +138,7 @@ TASKS = {
     "build-morphism-graph Phi Qsrc Qtgt": lambda c, *s: check_generalized_dirac(
         build_morphism_graph(*s)
     ),
-    "check-paired P": lambda c, P: check_paired(P.A, P.blocks()),
+    "check-paired P": lambda c, P: check_paired(P.A, P.blocks),
     "check-torsion-blocks P": lambda c, P: check_torsion_blocks(standard_double(P.A), P),
     "check-torsion-blocks P twist phi": lambda c, P, phi: check_torsion_blocks(
         twisted_double(P.A, phi), P

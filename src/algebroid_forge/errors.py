@@ -57,11 +57,7 @@ class MalformedMorphism(ForgeError):
 
 
 class HypothesisNotSatisfied(ForgeError):
-    """A constructor's precondition failed; carries the failing clause."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
+    """A constructor's precondition failed; the message names what failed."""
 
 
 class ParseError(ForgeError):

@@ -5,6 +5,8 @@ complex condition, and the deformed-double identification theorems.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .calculus import (
     FORM,
     MULTIVECTOR,
@@ -38,7 +40,6 @@ from .pn import (
     deformed_presentation,
     dual_presentation,
     insert_endomorphism,
-    intertwining,
     matrix_compose,
     nijenhuis_torsion,
     nstar_matrix,
@@ -48,14 +49,18 @@ from .reporting import PROOF_TENSORIAL, EVIDENCE_SAMPLED, Report
 
 
 class PairedOperator:
-    """The block operator [[N, pi], [sigma, -N*]]; paired by construction
+    """The block operator [[N, pi#], [sigma_flat, -N*]]; paired by construction
     because pi and sigma enter as honest (anti-symmetric) graded sections.
-    Equality ignores ``name``."""
+    ``blocks`` is its one representation, the four block matrices
+    (n, p, s, m), built here once: column i of ``contraction_matrix(t)`` is
+    i_{e_i or eps^i} t.  Equality ignores ``name``."""
 
-    __slots__ = ("A", "n_matrix", "pi", "sigma", "name")
+    __slots__ = ("A", "n_matrix", "pi", "sigma", "name", "blocks")
 
     def __init__(self, A: AlgebroidPresentation, n_matrix: Matrix, pi: GradedSection, sigma, name=""):
         self.A, self.n_matrix, self.pi, self.sigma, self.name = A, n_matrix, pi, sigma, name
+        neg_nstar = tuple(tuple(-c for c in row) for row in nstar_matrix(A, n_matrix))
+        self.blocks = (n_matrix, contraction_matrix(pi), contraction_matrix(sigma), neg_nstar)
 
     def __eq__(self, other):
         if not isinstance(other, PairedOperator):
@@ -64,24 +69,15 @@ class PairedOperator:
             other.A, other.n_matrix, other.pi, other.sigma
         )
 
-    def blocks(self) -> tuple[Matrix, Matrix, Matrix, Matrix]:
-        A = self.A
-        nstar = nstar_matrix(A, self.n_matrix)
-        neg_nstar = tuple(tuple(-c for c in row) for row in nstar)
-        return (
-            self.n_matrix,
-            contraction_matrix(self.pi),
-            contraction_matrix(self.sigma),
-            neg_nstar,
-        )
-
 
 def apply_operator(op: PairedOperator, e: CourantSection) -> CourantSection:
-    """N(X + alpha) = (N X + pi# alpha) + (sigma_flat X - N* alpha)."""
+    """N(X + alpha) = (n X + p alpha) + (s X + m alpha): the blocks act on the
+    components, the off-diagonal ones across the two halves."""
+    n, p, s, m = op.blocks
     X, alpha = e.vec, e.cov
     return CourantSection(
-        mat_apply(op.n_matrix, X) + insert(op.pi, alpha),
-        insert(op.sigma, X) - mat_apply(nstar_matrix(op.A, op.n_matrix), alpha),
+        mat_apply(n, X) + retag(mat_apply(p, alpha), op.A, MULTIVECTOR),
+        retag(mat_apply(s, X), op.A, FORM) + mat_apply(m, alpha),
     )
 
 
@@ -136,15 +132,36 @@ def courant_nijenhuis_torsion(
 
 def _block_product(A: AlgebroidPresentation, a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> Matrix:
     """a b + c d, one block of the product of two block operators.  With the
-    blocks (n, p, s, m) of [[N, pi#], [sigma_flat, -N*]], (s, n, m, s) gives
-    sigma_flat N - N* sigma_flat, whose entry [j][i] is
-    sigma(N e_i, e_j) - sigma(e_i, N e_j)."""
+    blocks (n, p, s, m) of [[N, pi#], [sigma_flat, -N*]], (n, p, p, m) gives
+    N pi# - pi# N*, equal entry by entry to ``pn.intertwining`` since pi# is
+    antisymmetric, and (s, n, m, s) gives sigma_flat N - N* sigma_flat, whose
+    entry [j][i] is sigma(N e_i, e_j) - sigma(e_i, N e_j)."""
     ab, cd = matrix_compose(A, a, b), matrix_compose(A, c, d)
     return tuple(tuple(x + y for x, y in zip(r, q)) for r, q in zip(ab, cd))
 
 
 def _phi_two_slot(phi: GradedSection, X: GradedSection, Y: GradedSection) -> GradedSection:
     return insert(phi, wedge(X, Y))
+
+
+def _frame_torsions(E: CourantDouble, op: PairedOperator):
+    """For each frame pair i < j, the labelled torsions T_N(eps^i, eps^j)
+    and T_N(e_i, e_j)."""
+    for i, j in combinations(range(op.A.rank), 2):
+        cov = courant_nijenhuis_torsion(E, op, E.coframe_section(i), E.coframe_section(j))
+        vec = courant_nijenhuis_torsion(E, op, E.frame_section(i), E.frame_section(j))
+        yield (f"T(eps{i+1},eps{j+1})", cov), (f"T(e{i+1},e{j+1})", vec)
+
+
+def _torsion_clauses(report: Report, E: CourantDouble, op: PairedOperator):
+    """Add the clauses torsion-on-covectors and torsion-on-vectors to
+    ``report``, and return them."""
+    cov = report.clause("torsion-on-covectors", PROOF_TENSORIAL)
+    vec = report.clause("torsion-on-vectors", PROOF_TENSORIAL)
+    for on_covectors, on_vectors in _frame_torsions(E, op):
+        cov.record(*on_covectors)
+        vec.record(*on_vectors)
+    return cov, vec
 
 
 def check_torsion_blocks(E: CourantDouble, op: PairedOperator) -> Report:
@@ -155,20 +172,7 @@ def check_torsion_blocks(E: CourantDouble, op: PairedOperator) -> Report:
     phi = E.psi
     twisted = not phi.is_zero()
     report = Report("check-torsion-blocks")
-
-    cov_torsion = report.clause("torsion-on-covectors", PROOF_TENSORIAL)
-    for i in range(A.rank):
-        for j in range(i + 1, A.rank):
-            t = courant_nijenhuis_torsion(
-                E, op, E.coframe_section(i), E.coframe_section(j)
-            )
-            cov_torsion.record(f"T(eps{i+1},eps{j+1})", t)
-
-    vec_torsion = report.clause("torsion-on-vectors", PROOF_TENSORIAL)
-    for i in range(A.rank):
-        for j in range(i + 1, A.rank):
-            t = courant_nijenhuis_torsion(E, op, E.frame_section(i), E.frame_section(j))
-            vec_torsion.record(f"T(e{i+1},e{j+1})", t)
+    cov_torsion, vec_torsion = _torsion_clauses(report, E, op)
 
     poisson = report.clause("pi-poisson", PROOF_TENSORIAL)
     poisson.record("[pi,pi]", schouten(op.pi, op.pi))
@@ -188,11 +192,10 @@ def check_torsion_blocks(E: CourantDouble, op: PairedOperator) -> Report:
 
     # sigma(N., .) is a 2-form iff sigma(NX, Y) = sigma(X, NY), that is iff
     # sigma_flat N - N* sigma_flat vanishes, its diagonal included
-    n, _, s, m = op.blocks()
+    n, _, s, m = op.blocks
     symmetric = all(c.is_zero() for row in _block_product(A, s, n, m, s) for c in row)
     dsigma = differential(op.sigma)
     i_n_dsigma = insert_endomorphism(A, op.n_matrix, dsigma)
-    nstar = nstar_matrix(A, op.n_matrix)
 
     system1 = report.clause("vector-block-torsion", PROOF_TENSORIAL)
     for i in range(A.rank):
@@ -221,8 +224,8 @@ def check_torsion_blocks(E: CourantDouble, op: PairedOperator) -> Report:
                 if twisted:
                     residue = residue + _phi_two_slot(phi, X, Y)
                     residue = residue - _phi_two_slot(phi, nx, ny)
-                    residue = residue - mat_apply(nstar, _phi_two_slot(phi, nx, Y))
-                    residue = residue - mat_apply(nstar, _phi_two_slot(phi, X, ny))
+                    residue = residue + mat_apply(m, _phi_two_slot(phi, nx, Y))
+                    residue = residue + mat_apply(m, _phi_two_slot(phi, X, ny))
                 system2.record(f"e{i+1},e{j+1}", residue)
 
     consistency = report.clause(
@@ -249,10 +252,11 @@ def check_theorem_pqn_from_paired(A: AlgebroidPresentation, op: PairedOperator) 
     conclusion for (A, pi, N, d sigma); a hypotheses-pass/conclusion-fail
     combination is flagged as a library bug."""
     report = Report("check-theorem-pqn")
-    n, p, s, m = op.blocks()
-    report.clause("pairedness", PROOF_TENSORIAL).absorb(check_paired(A, (n, p, s, m)))
+    n, p, s, m = op.blocks
+    report.clause("pairedness", PROOF_TENSORIAL).absorb(check_paired(A, op.blocks))
 
-    residue = intertwining(A, op.pi, op.n_matrix)
+    # N pi# - pi# N*, the block product check-gc reads as well
+    residue = _block_product(A, n, p, p, m)
     intertwine = report.clause("sharp-intertwines", PROOF_TENSORIAL)
     for k in range(A.rank):
         for i in range(A.rank):
@@ -264,18 +268,10 @@ def check_theorem_pqn_from_paired(A: AlgebroidPresentation, op: PairedOperator) 
         for j in range(A.rank):
             symmetry.record(f"sigma(Ne{i+1},e{j+1})-sigma(e{i+1},Ne{j+1})", flat[j][i])
 
-    E = standard_double(A)
     torsion = report.clause("torsion-blocks-vanish", PROOF_TENSORIAL)
-    for i in range(A.rank):
-        for j in range(i + 1, A.rank):
-            torsion.record(
-                f"T(eps{i+1},eps{j+1})",
-                courant_nijenhuis_torsion(E, op, E.coframe_section(i), E.coframe_section(j)),
-            )
-            torsion.record(
-                f"T(e{i+1},e{j+1})",
-                courant_nijenhuis_torsion(E, op, E.frame_section(i), E.frame_section(j)),
-            )
+    for on_covectors, on_vectors in _frame_torsions(standard_double(A), op):
+        torsion.record(*on_covectors)
+        torsion.record(*on_vectors)
 
     hypotheses = all(c.passed for c in report.clauses)
     if not hypotheses:
@@ -302,7 +298,7 @@ def check_generalized_complex(op: PairedOperator) -> Report:
     """N^2 = -Id blockwise plus pairing preservation on frame pairs."""
     A = op.A
     report = Report("check-gc")
-    n, p, s, m = op.blocks()
+    n, p, s, m = op.blocks
     one = A.one_rf()
     # residue (a b + c d)[i][j], plus Id on the diagonal of the two squares
     for name, a, b, c, d, square in (
@@ -347,14 +343,12 @@ def build_deformed_double(
     phi = E.psi
     twisted = not phi.is_zero()
 
-    gc = check_generalized_complex(op)
-    blocks = check_torsion_blocks(E, op)
     # every generalized-complex clause, and the torsion on both frame blocks
-    blocking = [c.name for c in (*gc.clauses, *blocks.clauses[:2]) if not c.passed]
+    hypotheses = check_generalized_complex(op)
+    _torsion_clauses(hypotheses, E, op)
+    blocking = [c.name for c in hypotheses.failing_clauses()]
     if blocking:
-        raise HypothesisNotSatisfied(
-            f"deformed double hypotheses fail: {', '.join(sorted(blocking))}", blocks
-        )
+        raise HypothesisNotSatisfied(f"deformed double hypotheses fail: {', '.join(sorted(blocking))}")
 
     base = dual_presentation(A, op.pi)
     dual = deformed_presentation(A, op.n_matrix, op.pi, phi)
@@ -381,8 +375,7 @@ def build_deformed_double(
     anchor_clause = report.clause("anchor-agrees", EVIDENCE_SAMPLED)
     for label, e in family.singles():
         lhs = anchor_field(Eq, flipped(e))
-        deformed_vec = mat_apply(op.n_matrix, e.vec) + pi_sharp(op.pi, e.cov)
-        rhs = vector_field(deformed_vec)
+        rhs = vector_field(apply_operator(op, e).vec)
         for a, name in enumerate(A.coords):
             anchor_clause.record(f"{label}.{name}", lhs[a] - rhs[a])
 

@@ -52,13 +52,7 @@ from .errors import (
     VarianceMismatch,
 )
 from .rational import RationalFunction
-from .reporting import (
-    EVIDENCE_SAMPLED,
-    HYPOTHESIS,
-    PROOF_GENERATORS,
-    PROOF_TENSORIAL,
-    Report,
-)
+from .reporting import EVIDENCE_SAMPLED, PROOF_GENERATORS, PROOF_TENSORIAL, Report
 
 Matrix = tuple[tuple[RationalFunction, ...], ...]
 
@@ -417,11 +411,8 @@ def dual_anchor(D, a: GradedSection) -> tuple[RationalFunction, ...]:
 
 def qlb_from_closed3form(A: AlgebroidPresentation, phi: GradedSection, name: str = "") -> QuasiLieBialgebroid:
     """(A*, d_A, phi) with the null structure on A*; requires d phi = 0."""
-    dphi = differential(phi)
-    if not dphi.is_zero():
-        raise HypothesisNotSatisfied(
-            "phi is not closed", Report("qlb-from-3form", verdict_override=HYPOTHESIS, detail=str(dphi))
-        )
+    if not differential(phi).is_zero():
+        raise HypothesisNotSatisfied("phi is not closed")
     base = null_presentation(A, name=f"{A.name}*null")
     return QuasiLieBialgebroid(base, A, retag(phi, base, MULTIVECTOR), name=name)
 
@@ -432,7 +423,7 @@ def qlb_from_twisted_poisson(
     """(A*_{pi,phi}, d', phi); requires the twisted Poisson identity."""
     pre = check_twisted_poisson(pi, phi)
     if not pre.passed:
-        raise HypothesisNotSatisfied("not a twisted Poisson structure", pre)
+        raise HypothesisNotSatisfied("not a twisted Poisson structure")
     base = dual_presentation(A, pi, phi)
     prime = deformed_presentation(A, identity_morphism(A).matrix, pi, phi, f"{A.name}'")
     return QuasiLieBialgebroid(base, prime, retag(phi, base, MULTIVECTOR), name=name)
@@ -442,7 +433,7 @@ def _require_pqn(S: PqnStructure) -> None:
     pre = check_pqn(S.A, S.pi, S.n_matrix, S.phi)
     if not pre.passed:
         failing = ", ".join(c.name for c in pre.failing_clauses())
-        raise HypothesisNotSatisfied(f"not a PqN structure (failing: {failing})", pre)
+        raise HypothesisNotSatisfied(f"not a PqN structure (failing: {failing})")
 
 
 def build_qlb_from_pqn(S: PqnStructure, name: str = "") -> QuasiLieBialgebroid:

@@ -14,9 +14,10 @@ plain integer arithmetic.
 
 The test references after them are constructions the package itself
 never needs: a Lie algebra as an algebroid over a point, the composite of
-two bundle maps, the B <-> B* swap of a split double, and the Dorfman
+two bundle maps, the B <-> B* swap of a split double, the Dorfman
 bracket composed from the calculus operations, term by term of the formula
-in the ``courant`` module docstring.
+in the ``courant`` module docstring, and a paired operator applied by
+contraction with pi and sigma rather than through its block matrices.
 
 Last comes a reference for Schouten and d that makes no engine call at all:
 sympy expressions read from a presentation's raw anchor and structure
@@ -39,6 +40,7 @@ from algebroid_forge.calculus import (
     evaluate,
     insert,
     lie_derivative,
+    mat_apply,
     pairing,
     retag,
     schouten,
@@ -46,7 +48,7 @@ from algebroid_forge.calculus import (
     wedge,
 )
 from algebroid_forge.courant import CourantDouble, CourantSection
-from algebroid_forge.pn import d_star, dual_bracket
+from algebroid_forge.pn import d_star, dual_bracket, nstar_matrix
 from algebroid_forge.rational import RationalFunction
 
 
@@ -311,6 +313,17 @@ def dorfman_by_calculus(E, e1, e2):
     if not E.psi.is_zero() and not X.is_zero() and not Y.is_zero():
         cov = cov + insert(E.psi, wedge(X, Y))
     return CourantSection(vec, cov)
+
+
+def apply_by_contraction(op, e):
+    """N(X + alpha) = (N X + pi# alpha) + (sigma_flat X - N* alpha): the
+    paired operator by contraction with pi and sigma, the reference for its
+    block action ``paired.apply_operator``."""
+    X, alpha = e.vec, e.cov
+    return CourantSection(
+        mat_apply(op.n_matrix, X) + insert(op.pi, alpha),
+        insert(op.sigma, X) - mat_apply(nstar_matrix(op.A, op.n_matrix), alpha),
+    )
 
 
 # -- Schouten and d from raw anchor and structure data ----------------------

@@ -235,7 +235,7 @@ class TestCriterion8PairedOperators:
         start = time.monotonic()
         op = e5_operator()
         E = standard_double(TR2)
-        paired = check_paired(TR2, op.blocks())
+        paired = check_paired(TR2, op.blocks)
         gc = check_generalized_complex(op)
         blocks = check_torsion_blocks(E, op)
         ok = paired.passed and gc.passed and blocks.passed

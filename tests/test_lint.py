@@ -124,36 +124,45 @@ def reads(nodes) -> set[str]:
     return out
 
 
-def unreached_definitions() -> list[str]:
-    """Top-level functions and classes that no module of the package reads
+def parsed_modules() -> dict[str, ast.Module]:
+    """File name -> parsed tree, for every module of the package."""
+    return {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in MODULES}
+
+
+def unreached_definitions(trees: dict[str, ast.Module]) -> list[str]:
+    """Top-level functions and classes that no module of ``trees`` reads
     outside the definition's own body and that ``__init__.py`` does not
     import: code only the tests reach belongs in the tests."""
-    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in MODULES}
     exported = {
         alias.name
         for node in trees["__init__.py"].body
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
+    # what each top-level node reads, walked once
+    top_reads = [(node, reads([node])) for tree in trees.values() for node in tree.body]
     out = []
-    for tree in trees.values():
-        for definition in tree.body:
-            if not isinstance(definition, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            if definition.name in exported:
-                continue
-            rest = [node for node in tree.body if node is not definition]
-            if not any(
-                definition.name in reads(other.body if other is not tree else rest)
-                for other in trees.values()
-            ):
-                out.append(definition.name)
+    for definition, _ in top_reads:
+        if not isinstance(definition, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if definition.name in exported:
+            continue
+        if not any(definition.name in names for node, names in top_reads if node is not definition):
+            out.append(definition.name)
     return sorted(out)
 
 
 def test_every_definition_is_reached_or_exported():
-    unreached = unreached_definitions()
+    unreached = unreached_definitions(parsed_modules())
     assert not unreached, "read by no module and not exported: " + ", ".join(unreached)
+
+
+def test_reachability_lint_flags_an_orphan():
+    # a helper that nothing reads, planted in a copy of reporting.py
+    trees = parsed_modules()
+    text = (SRC / "reporting.py").read_text(encoding="utf-8")
+    trees["reporting.py"] = ast.parse(text + "\n\ndef _orphan_probe():\n    return PASS\n")
+    assert unreached_definitions(trees) == ["_orphan_probe"]
 
 
 def test_tracer_targets_exist():

@@ -21,11 +21,19 @@ from itertools import combinations
 
 import pytest
 
-from algebroid_forge import calculus, courant, pn, rational
+from algebroid_forge import calculus, courant, paired, pn, rational
 from algebroid_forge.calculus import FORM, MULTIVECTOR
+from algebroid_forge.errors import HypothesisNotSatisfied
 from algebroid_forge.rational import RationalFunction
 
-from oracles import RawAlgebroid, cartan_d_oracle, dorfman_by_calculus, matches_oracle, schouten_oracle
+from oracles import (
+    RawAlgebroid,
+    apply_by_contraction,
+    cartan_d_oracle,
+    dorfman_by_calculus,
+    matches_oracle,
+    schouten_oracle,
+)
 
 SRC = pathlib.Path(calculus.__file__).resolve().parent
 COORDS = ("x1", "x2")
@@ -171,6 +179,52 @@ def courant_axioms_property(mod) -> list[str]:
     return [c.name for c in report.failing_clauses()]
 
 
+def paired_property(mod) -> list[str]:
+    """A generic seeded operator on TR2 acts as its contraction reference
+    (``oracles.apply_by_contraction``) and its theorem's sharp-intertwines
+    failures are pn's intertwining residues; an almost complex J on TR4
+    that passes check-gc but is not integrable (torsion on vectors only)
+    stops the deformed double."""
+    A = calculus.tangent_algebroid(2)
+    zero, one = A.zero_rf(), A.one_rf()
+    rng = random.Random(6)
+    n = tuple(tuple(seeded_coefficient(rng) for _ in range(2)) for _ in range(2))
+    ops = [
+        mod.PairedOperator(A, n, seeded_section(A, MULTIVECTOR, 2, 60), seeded_section(A, FORM, 2, 61)),
+        # N = Id: N pi# - pi# N* vanishes, N pi# + pi# N does not
+        mod.PairedOperator(
+            A, ((one, zero), (zero, one)), seeded_section(A, MULTIVECTOR, 2, 62), A.zero_section(FORM, 2)
+        ),
+    ]
+    e = courant.CourantSection(seeded_section(A, MULTIVECTOR, 1, 63), seeded_section(A, FORM, 1, 64))
+    failures = []
+    for k, op in enumerate(ops):
+        got, want = mod.apply_operator(op, e), apply_by_contraction(op, e)
+        if (got.vec, got.cov) != (want.vec, want.cov):
+            failures.append(f"block action of operator {k}")
+        residue = pn.intertwining(A, op.pi, op.n_matrix)
+        expected = [
+            (f"[{i+1},{j+1}]", str(c))
+            for i, row in enumerate(residue)
+            for j, c in enumerate(row)
+            if not c.is_zero()
+        ]
+        clauses = {c.name: c for c in mod.check_theorem_pqn_from_paired(A, op).clauses}
+        if clauses["sharp-intertwines"].failures != expected:
+            failures.append(f"sharp-intertwines of operator {k}")
+    R4 = calculus.tangent_algebroid(4)
+    z, o, f = R4.zero_rf(), R4.one_rf(), R4.coord_rf("x1")
+    J = ((z, -o, f, z), (o, z, z, -f), (z, z, z, -o), (z, z, o, z))
+    op = mod.PairedOperator(R4, J, R4.zero_section(MULTIVECTOR, 2), R4.zero_section(FORM, 2))
+    try:
+        mod.build_deformed_double(courant.standard_double(R4), op)
+        failures.append("non-integrable J passes the deformed-double gate")
+    except HypothesisNotSatisfied as err:
+        if "torsion-on-vectors" not in str(err):
+            failures.append(f"gate message: {err}")
+    return failures
+
+
 def gcd_property(rat) -> list[str]:
     """gcd(f h, g h) = h for coprime f, g."""
     vars_ = ("x", "y")
@@ -266,6 +320,27 @@ MUTANTS.update(
             "anchored = ()",
             calculus_property,
         ),
+        "paired-nstar-sign": (
+            "paired", "tuple(-c for c in row)", "tuple(c for c in row)", paired_property,
+        ),
+        "paired-apply-swaps-p-s": (
+            "paired",
+            "n, p, s, m = op.blocks\n    X, alpha = e.vec, e.cov",
+            "n, s, p, m = op.blocks\n    X, alpha = e.vec, e.cov",
+            paired_property,
+        ),
+        "paired-gate-covectors-only": (
+            "paired",
+            "blocking = [c.name for c in hypotheses.failing_clauses()]",
+            "blocking = [c.name for c in hypotheses.failing_clauses() if c.name != 'torsion-on-vectors']",
+            paired_property,
+        ),
+        "paired-theorem-intertwines-n": (
+            "paired",
+            "residue = _block_product(A, n, p, p, m)",
+            "residue = _block_product(A, n, p, p, n)",
+            paired_property,
+        ),
     }
 )
 
@@ -275,6 +350,7 @@ PROPERTIES = {
     d_star_property: pn,
     courant_axioms_property: courant,
     gcd_property: rational,
+    paired_property: paired,
 }
 
 
