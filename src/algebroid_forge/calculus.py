@@ -138,7 +138,7 @@ class AlgebroidPresentation:
 
     def rho_apply(self, i: int, f: RationalFunction) -> RationalFunction:
         """The base vector field rho(e_i) acting on a function."""
-        return self.memo(("rho_apply", i, f), apply_field, self.coords, self.anchor[i], f)
+        return self.memo(("rho_apply", i, f), apply_field, self, self.anchor[i], f)
 
     def bracket_frame(self, i: int, j: int) -> "GradedSection":
         """[e_i, e_j] with the antisymmetric sign convention."""
@@ -575,14 +575,20 @@ def vector_field(X: GradedSection) -> tuple[RationalFunction, ...]:
     return tuple(comps)
 
 
-def apply_field(coords: tuple[str, ...], v, f: RationalFunction) -> RationalFunction:
-    """The base vector field with components ``v`` on ``coords`` acting on f:
+def apply_field(A: AlgebroidPresentation, v, f: RationalFunction) -> RationalFunction:
+    """The base vector field with components ``v`` on A's chart acting on f:
     sum_a v^a df/dx^a.  Every derivative along a vector field is this one."""
-    out = RationalFunction.zero(coords)
-    for name, c in zip(coords, v):
+    out = A.zero_rf()
+    for name, c in zip(A.coords, v):
         if not c.is_zero():
-            out = out + c * f.differentiate(name)
+            out = out + c * _partial(A, f, name)
     return out
+
+
+def _partial(A: AlgebroidPresentation, f: RationalFunction, name: str) -> RationalFunction:
+    """df/dx for the coordinate ``name``: the gradient memo, which keeps
+    each function's partials on A as they are first asked for."""
+    return A.memo(("gradient", f, name), f.differentiate, name)
 
 
 def vf_bracket(
@@ -592,7 +598,7 @@ def vf_bracket(
 ) -> tuple[RationalFunction, ...]:
     """Commutator of base vector fields given by components."""
     return tuple(
-        apply_field(A.coords, v, wa) - apply_field(A.coords, w, va) for va, wa in zip(v, w)
+        apply_field(A, v, wa) - apply_field(A, w, va) for va, wa in zip(v, w)
     )
 
 

@@ -35,7 +35,9 @@ a degree-2 W has W_jk = -W_kj for j > k.  Then
 
 in the conventions of ``calculus`` (i_{e_j} eps^I = (-1)^t eps^{I minus j},
 t the position of j in I).  d*Y and da are the memoized ``d_star`` and
-``differential``, rho_i(f) the memoized ``rho_apply``.
+``differential``, rho_i(f) the memoized ``rho_apply``.  The C1, C2 and C5
+residues of ``verify_courant_axioms`` are evaluated in the same components
+(``_residue``); a section is built only for a nonzero residue.
 """
 
 from __future__ import annotations
@@ -117,11 +119,19 @@ class CourantDouble:
 class CourantSection:
     """A section X + alpha of B + B*, stored as its two degree-1 halves."""
 
-    __slots__ = ("vec", "cov")
+    __slots__ = ("vec", "cov", "_key")
 
     def __init__(self, vec: GradedSection, cov: GradedSection):
         self.vec = vec
         self.cov = cov
+        self._key = None
+
+    @property
+    def key(self) -> tuple:
+        """(vec.key, cov.key), built once: all a memo key records of a section."""
+        if self._key is None:
+            self._key = (self.vec.key, self.cov.key)
+        return self._key
 
     def __add__(self, other: "CourantSection") -> "CourantSection":
         return CourantSection(self.vec + other.vec, self.cov + other.cov)
@@ -294,10 +304,8 @@ def _on_double(E: CourantDouble, halves: tuple[GradedSection, ...]) -> None:
 
 
 def pairing_sections(E: CourantDouble, e1: CourantSection, e2: CourantSection) -> RationalFunction:
-    halves = (e1.vec, e1.cov, e2.vec, e2.cov)
-    _on_double(E, halves)
-    key = ("pairing_sections",) + tuple(h.key for h in halves)
-    return E.memo(key, _compute_pairing, E, e1, e2)
+    _on_double(E, (e1.vec, e1.cov, e2.vec, e2.cov))
+    return E.memo(("pairing_sections", e1.key, e2.key), _compute_pairing, E, e1, e2)
 
 
 def _compute_pairing(E: CourantDouble, e1: CourantSection, e2: CourantSection) -> RationalFunction:
@@ -307,7 +315,7 @@ def _compute_pairing(E: CourantDouble, e1: CourantSection, e2: CourantSection) -
 
 def anchor_field(E: CourantDouble, e: CourantSection) -> tuple[RationalFunction, ...]:
     _on_double(E, (e.vec, e.cov))
-    return E.memo(("anchor_field", e.vec.key, e.cov.key), _compute_anchor, E, e)
+    return E.memo(("anchor_field", e.key), _compute_anchor, E, e)
 
 
 def _compute_anchor(E: CourantDouble, e: CourantSection) -> tuple[RationalFunction, ...]:
@@ -318,10 +326,8 @@ def _compute_anchor(E: CourantDouble, e: CourantSection) -> tuple[RationalFuncti
 
 def dorfman(E: CourantDouble, e1: CourantSection, e2: CourantSection) -> CourantSection:
     """The non-skew bracket; see the module docstring for the formula."""
-    halves = (e1.vec, e1.cov, e2.vec, e2.cov)
-    _on_double(E, halves)
-    key = ("dorfman",) + tuple(h.key for h in halves)
-    return E.memo(key, _compute_dorfman, E, e1, e2)
+    _on_double(E, (e1.vec, e1.cov, e2.vec, e2.cov))
+    return E.memo(("dorfman", e1.key, e2.key), _compute_dorfman, E, e1, e2)
 
 
 def _compute_dorfman(E: CourantDouble, e1: CourantSection, e2: CourantSection) -> CourantSection:
@@ -473,11 +479,11 @@ def d_operator(E: CourantDouble, f: RationalFunction) -> CourantSection:
 
 def rho_apply_section(E: CourantDouble, e: CourantSection, f: RationalFunction) -> RationalFunction:
     _on_double(E, (e.vec, e.cov))
-    return E.memo(("rho_apply_section", e.vec.key, e.cov.key, f), _compute_rho_apply, E, e, f)
+    return E.memo(("rho_apply_section", e.key, f), _compute_rho_apply, E, e, f)
 
 
 def _compute_rho_apply(E: CourantDouble, e: CourantSection, f: RationalFunction) -> RationalFunction:
-    return apply_field(E.base.coords, anchor_field(E, e), f)
+    return apply_field(E.base, anchor_field(E, e), f)
 
 
 # ---------------------------------------------------------------------------
@@ -557,14 +563,14 @@ def verify_courant_axioms(
     c1 = report.clause("C1-leibniz-jacobi", EVIDENCE_SAMPLED)
     for (l1, e1), (l2, e2), (l3, e3) in family.tuples(3):
         lhs = dorfman(E, e1, dorfman(E, e2, e3))
-        rhs = dorfman(E, dorfman(E, e1, e2), e3) + dorfman(E, e2, dorfman(E, e1, e3))
-        c1.record(f"{l1},{l2},{l3}", lhs - rhs)
+        rhs1, rhs2 = dorfman(E, dorfman(E, e1, e2), e3), dorfman(E, e2, dorfman(E, e1, e3))
+        c1.record(f"{l1},{l2},{l3}", _residue(E, ((1, None, lhs), (-1, None, rhs1), (-1, None, rhs2))))
 
     c2 = report.clause("C2-squares", EVIDENCE_SAMPLED)
     factor = E.base.scalar(kappa)
     for label, e in family.singles():
-        residue = dorfman(E, e, e) - d_operator(E, pairing_sections(E, e, e)).scale(factor)
-        c2.record(label, residue)
+        square = d_operator(E, pairing_sections(E, e, e))
+        c2.record(label, _residue(E, ((1, None, dorfman(E, e, e)), (-1, factor, square))))
 
     c3 = report.clause("C3-pairing-invariance", EVIDENCE_SAMPLED)
     for (l0, e), (l1, e1), (l2, e2) in family.tuples(3):
@@ -585,14 +591,37 @@ def verify_courant_axioms(
 
     c5 = report.clause("C5-leibniz-anchor", EVIDENCE_SAMPLED)
     functions = family.functions()
+    scaled = {}  # f * e2, built once per (e2, f)
     for (l1, e1), (l2, e2) in family.tuples(2):
         for fname, f in functions:
-            lhs = dorfman(E, e1, e2.scale(f))
-            rhs = dorfman(E, e1, e2).scale(f) + e2.scale(rho_apply_section(E, e1, f))
-            c5.record(f"{l1},{l2};{fname}", lhs - rhs)
+            key = (l2, fname)
+            if key not in scaled:
+                scaled[key] = e2.scale(f)
+            lhs, rhs1 = dorfman(E, e1, scaled[key]), dorfman(E, e1, e2)
+            terms = ((1, None, lhs), (-1, f, rhs1), (-1, rho_apply_section(E, e1, f), e2))
+            c5.record(f"{l1},{l2};{fname}", _residue(E, terms))
         if not E.base.coords:
             c5.record(f"{l1},{l2}", E.zero_section())
     return report
+
+
+def _residue(E: CourantDouble, terms) -> CourantSection:
+    """sum sign * w * s over the terms (sign, w, s), w a function or None
+    for 1, summed in frame components into one accumulator per half; a
+    section is built only for a nonzero sum."""
+    vec: dict[int, RationalFunction] = {}
+    cov: dict[int, RationalFunction] = {}
+    for sign, w, s in terms:
+        if w is not None and w.is_zero():
+            continue
+        for acc, half in ((vec, s.vec), (cov, s.cov)):
+            for (i,), c in half.coeffs.items():
+                if w is not None:
+                    c = c * w
+                _accumulate(acc, i, c if sign > 0 else -c)
+    if all(c.is_zero() for c in vec.values()) and all(c.is_zero() for c in cov.values()):
+        return E.zero_section()
+    return CourantSection(_degree_one(E.base, MULTIVECTOR, vec), _degree_one(E.base, FORM, cov))
 
 
 # ---------------------------------------------------------------------------
@@ -623,14 +652,15 @@ class Submanifold:
         values = {name: expr for name, expr in self.assignments}
         return f.subs(values, target=self.coords)
 
-    def tangency_residues(self, field_components) -> list[tuple[str, RationalFunction]]:
-        """Residues whose vanishing says the vector field is tangent to P."""
+    def tangency_residues(self, A, field_components) -> list[tuple[str, RationalFunction]]:
+        """Residues whose vanishing says the vector field is tangent to P;
+        A is a presentation on P's chart."""
         kept = set(self.kept)
         zero = RationalFunction.zero(self.coords)
         along = [v if name in kept else zero for name, v in zip(self.coords, field_components)]
         out = []
         for name, expr in self.assignments:
-            residue = field_components[self.coords.index(name)] - apply_field(self.coords, along, expr)
+            residue = field_components[self.coords.index(name)] - apply_field(A, along, expr)
             out.append((name, self.restrict(residue)))
         return out
 
@@ -777,7 +807,7 @@ def check_generalized_dirac(F: GeneralizedDirac) -> Report:
 
     d2 = report.clause("D2-anchor-tangency", PROOF_TENSORIAL)
     for label, s in restricted:
-        for name, residue in P.tangency_residues(anchor_field(E, s)):
+        for name, residue in P.tangency_residues(E.base, anchor_field(E, s)):
             d2.record(f"{label}.{name}", residue)
 
     d3 = report.clause("D3-bracket-closure", PROOF_TENSORIAL,
@@ -842,7 +872,7 @@ def check_split_dirac(
 
     cond1 = report.clause("1-L-subalgebroid", PROOF_TENSORIAL)
     for label, s in l_secs:
-        for name, residue in P.tangency_residues(vector_field(s.vec)):
+        for name, residue in P.tangency_residues(E.base, vector_field(s.vec)):
             cond1.record(f"rho({label}).{name}", residue)
     for l1, s1 in l_secs:
         for l2, s2 in l_secs:
@@ -862,7 +892,7 @@ def check_split_dirac(
 
     cond3 = report.clause("3-Lperp-anchor-tangency", PROOF_TENSORIAL)
     for label, s in p_secs:
-        for name, residue in P.tangency_residues(dual_anchor(E, s.cov)):
+        for name, residue in P.tangency_residues(E.base, dual_anchor(E, s.cov)):
             cond3.record(f"rho*({label}).{name}", residue)
 
     cond4 = report.clause("4-X-vanishes-on-Lperp", PROOF_TENSORIAL)

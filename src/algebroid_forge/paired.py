@@ -198,13 +198,11 @@ def check_torsion_blocks(E: CourantDouble, op: PairedOperator) -> Report:
     i_n_dsigma = insert_endomorphism(A, op.n_matrix, dsigma)
 
     system1 = report.clause("vector-block-torsion", PROOF_TENSORIAL)
+    corr = dsigma + insert_endomorphism(A, op.n_matrix, phi) if twisted else dsigma
     for i in range(A.rank):
         for j in range(i + 1, A.rank):
             X, Y = A.frame(i), A.frame(j)
             residue = nijenhuis_torsion(op.n_matrix, X, Y)
-            corr = dsigma
-            if twisted:
-                corr = corr + insert_endomorphism(A, op.n_matrix, phi)
             residue = residue - pi_sharp(op.pi, _phi_two_slot(corr, X, Y))
             if twisted:
                 residue = residue + mat_apply(
@@ -320,9 +318,10 @@ def check_generalized_complex(op: PairedOperator) -> Report:
         E.coframe_section(i) for i in range(A.rank)
     ]
     labels = [f"e{i+1}" for i in range(A.rank)] + [f"eps{i+1}" for i in range(A.rank)]
-    for i, (l1, u) in enumerate(zip(labels, frames)):
-        for l2, v in zip(labels[i:], frames[i:]):
-            lhs = pairing_sections(E, apply_operator(op, u), apply_operator(op, v))
+    images = [apply_operator(op, u) for u in frames]
+    for i, (l1, u, ju) in enumerate(zip(labels, frames, images)):
+        for l2, v, jv in zip(labels[i:], frames[i:], images[i:]):
+            lhs = pairing_sections(E, ju, jv)
             rhs = pairing_sections(E, u, v)
             preserved.record(f"<{l1},{l2}>", lhs - rhs)
     return report
@@ -373,15 +372,17 @@ def build_deformed_double(
         bracket_clause.record(f"{l1},{l2}", lhs - rhs)
 
     anchor_clause = report.clause("anchor-agrees", EVIDENCE_SAMPLED)
+    images = {}  # the operator's image of each single
     for label, e in family.singles():
         lhs = anchor_field(Eq, flipped(e))
-        rhs = vector_field(apply_operator(op, e).vec)
+        images[label] = apply_operator(op, e)
+        rhs = vector_field(images[label].vec)
         for a, name in enumerate(A.coords):
             anchor_clause.record(f"{label}.{name}", lhs[a] - rhs[a])
 
     pairing_clause = report.clause("pairing-agrees", EVIDENCE_SAMPLED)
     for (l1, e1), (l2, e2) in family.tuples(2):
         lhs = pairing_sections(Eq, flipped(e1), flipped(e2))
-        rhs = pairing_sections(E, apply_operator(op, e1), apply_operator(op, e2))
+        rhs = pairing_sections(E, images[l1], images[l2])
         pairing_clause.record(f"{l1},{l2}", lhs - rhs)
     return Q, report

@@ -551,7 +551,7 @@ def check_qlb_morphism(
         v = dual_anchor(QA, pullback(phi, QB.base.coframe(j)))
         w = dual_anchor(QB, QB.base.coframe(j))
         for b, name in enumerate(phi.target.coords):
-            push = apply_field(phi.source.coords, v, phi.base_map[b])
+            push = apply_field(phi.source, v, phi.base_map[b])
             anchors.record(f"eps{j+1}.{name}", push - phi.base_subs(w[b]))
 
     # (wedge^3 Phi)(X_A)[J] = <Phi^* eps_B^J, X_A>

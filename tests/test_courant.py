@@ -1,3 +1,4 @@
+import pathlib
 import random
 from fractions import Fraction
 from functools import partial
@@ -13,7 +14,9 @@ from algebroid_forge.calculus import (
     MULTIVECTOR,
     AlgebroidPresentation,
     BundleMorphism,
+    GradedSection,
     _frame_table,
+    _partial,
     differential,
     identity_morphism,
     null_presentation,
@@ -523,12 +526,16 @@ def memoized_calls(E, inputs):
         A.section(FORM, 1, inputs[3]),
         inputs[4],
     )
-    sections = [CourantSection(X, a), CourantSection(X, b), CourantSection(Y, a)]
+    # (X, a) shares a half with (X, b) and with (Y, a); the last section has
+    # the coefficients of (X, a) with its halves swapped
+    swapped = CourantSection(A.section(MULTIVECTOR, 1, inputs[1]), A.section(FORM, 1, inputs[0]))
+    sections = [CourantSection(X, a), CourantSection(X, b), CourantSection(Y, a), swapped]
     calls = [partial(dorfman, E, e1, e2) for e1 in sections for e2 in sections]
     calls += [partial(pairing_sections, E, e1, e2) for e1 in sections for e2 in sections]
     calls += [partial(anchor_field, E, e) for e in sections]
     calls += [partial(rho_apply_section, E, e, g) for e in sections for g in (f, f * f)]
     calls += [partial(A.rho_apply, i, g) for i in range(A.rank) for g in (f, f * f)]
+    calls += [partial(_partial, A, g, x) for x in A.coords for g in (f, f * f)]
     calls += [partial(d_star, E, s) for s in (f, X, Y, wedge(X, Y), A.zero_section(MULTIVECTOR, 2))]
     calls += [partial(differential, s) for s in (a, b, wedge(a, b), A.zero_section(FORM, 2))]
     calls += [partial(_frame_tables, E), partial(_frame_table, A), partial(_frame_table, E.dual)]
@@ -581,6 +588,24 @@ class TestMemoKeys:
             got = d_star(E, E.base.zero_section(MULTIVECTOR, degree))
             assert got.is_zero() and got.degree == degree + 1
 
+    def test_courant_keys_tell_halves_apart(self):
+        A = TR2
+        f, g = A.coord_rf("x1"), A.coord_rf("x2") + 1
+        X, Y = A.section(MULTIVECTOR, 1, {(0,): f}), A.section(MULTIVECTOR, 1, {(1,): g})
+        a, b = A.section(FORM, 1, {(1,): g}), A.section(FORM, 1, {(0,): f})
+        zero_vec, zero_cov = A.zero_section(MULTIVECTOR, 1), A.zero_section(FORM, 1)
+        # shared halves, each half alone, and (X, a) with its halves swapped: (Y, b)
+        sections = [
+            CourantSection(X, a), CourantSection(X, b), CourantSection(Y, a), CourantSection(Y, b),
+            CourantSection(X, zero_cov), CourantSection(zero_vec, a), CourantSection(zero_vec, b),
+            CourantSection(zero_vec, zero_cov),
+        ]
+        keys = [e.key for e in sections]
+        assert len(set(keys)) == len(keys)
+        e = sections[0]
+        assert e.key is e.key  # built once
+        assert CourantSection(X, a).key == e.key == (X.key, a.key)
+
     def test_dorfman_rejects_a_half_from_another_presentation(self):
         E = standard_double(tangent_algebroid(2))
         stranger = tangent_algebroid(2, prefix="y")
@@ -607,3 +632,41 @@ class TestMemoKeys:
             call(mine)
             with pytest.raises(ParentMismatch):
                 call(theirs)
+
+
+# -- residues are summed in components, not as sections -----------------------
+
+TR2_FILE = pathlib.Path(__file__).resolve().parent.parent / "corpus" / "courant_tr2.alg"
+TR2_REPORTS = {
+    "1/2": """[PASS] verify-courant  (kappa=1/2 max_degree=2 samples=10 seed=0)
+  ok   C1-leibniz-jacobi (EVIDENCE_SAMPLED, 74 instances)
+  ok   C2-squares (EVIDENCE_SAMPLED, 22 instances)
+  ok   C3-pairing-invariance (EVIDENCE_SAMPLED, 74 instances)
+  ok   C4-anchor-morphism (EVIDENCE_SAMPLED, 52 instances)
+  ok   C5-leibniz-anchor (EVIDENCE_SAMPLED, 78 instances)""",
+    "1": """[FAIL] verify-courant  (kappa=1 max_degree=2 samples=10 seed=0)
+  ok   C1-leibniz-jacobi (EVIDENCE_SAMPLED, 74 instances)
+  FAIL C2-squares (EVIDENCE_SAMPLED, 22 instances)
+       residue[rnd0] = 0 | (4*x2 - 4)*eps1 + (4*x1 + 2)*eps2
+       residue[rnd1] = 0 | (8*x1*x2 - 8*x1)*eps1 + (4*x1^2 + 8*x2 - 2)*eps2
+       residue[rnd3] = 0 | (8*x1^3 - 4*x1)*eps1 + (-1)*eps2
+       residue[rnd4] = 0 | (6*x1^2 + 2)*eps1
+       ... 5 more
+  ok   C3-pairing-invariance (EVIDENCE_SAMPLED, 74 instances)
+  ok   C4-anchor-morphism (EVIDENCE_SAMPLED, 52 instances)
+  ok   C5-leibniz-anchor (EVIDENCE_SAMPLED, 78 instances)""",
+}
+
+
+def test_residues_take_no_section_arithmetic(monkeypatch):
+    # with section sums and differences made to raise, courant_tr2.alg's
+    # double at seed 0 still gives its report, the kappa-1 residues included
+    def forbidden(*args):
+        raise AssertionError("a Courant residue was summed as sections")
+
+    A = parse(TR2_FILE.read_text(encoding="utf-8")).algebroids["TR2"]
+    monkeypatch.setattr(CourantSection, "__add__", forbidden)
+    monkeypatch.setattr(CourantSection, "__sub__", forbidden)
+    monkeypatch.setattr(GradedSection, "_plus", forbidden)
+    for kappa, expected in TR2_REPORTS.items():
+        assert verify_courant_axioms(standard_double(A), kappa=kappa, seed=0).to_text() == expected

@@ -287,6 +287,12 @@ MUTANTS.update(
         "C2-kappa-1": (
             "courant", "factor = E.base.scalar(kappa)", "factor = E.base.scalar(1)", courant_axioms_property,
         ),
+        "residue-ignores-sign": (
+            "courant", "_accumulate(acc, i, c if sign > 0 else -c)", "_accumulate(acc, i, c)", courant_axioms_property,
+        ),
+        "C5-scaled-keyed-by-f": (
+            "courant", "key = (l2, fname)", "key = fname", courant_axioms_property,
+        ),
         "poly_gcd-support-too-eager": (
             "rational", "            pure.difference_update(k & y for k in a if k & rest)\n", "", gcd_property,
         ),
@@ -312,6 +318,12 @@ MUTANTS.update(
             "calculus",
             "_accumulate(coeffs, idx, rf if sign > 0 else -rf)",
             "_accumulate(coeffs, idx, rf)",
+            calculus_property,
+        ),
+        "gradient-memo-drops-coordinate": (
+            "calculus",
+            'A.memo(("gradient", f, name), f.differentiate, name)',
+            'A.memo(("gradient", f), f.differentiate, name)',
             calculus_property,
         ),
         "frame-table-no-anchored": (

@@ -2,7 +2,8 @@
 the graded-algebra laws on generated sections, the canonical-form law for
 the scalar field, the content-times-primitive-part representation of
 polynomials, the frame-component Dorfman bracket against its composition
-from the calculus, and Schouten and d against a sympy reference built from
+from the calculus, the component sums of the Courant residues against
+section arithmetic, and Schouten and d against a sympy reference built from
 the raw anchor and structure data."""
 
 import math
@@ -29,9 +30,13 @@ from algebroid_forge.calculus import (
 from algebroid_forge.courant import (
     CourantDouble,
     CourantSection,
+    _residue,
     conjugate,
+    d_operator,
     dorfman,
+    pairing_sections,
     product,
+    rho_apply_section,
     transport_plus,
 )
 from algebroid_forge.rational import Polynomial, RationalFunction
@@ -315,6 +320,35 @@ def test_dorfman_kernel_matches_the_calculus(case):
     got, want = dorfman(E, e1, e2), dorfman_by_calculus(E, e1, e2)
     assert exact_section(got.vec) == exact_section(want.vec)
     assert exact_section(got.cov) == exact_section(want.cov)
+
+
+@st.composite
+def residue_cases(draw):
+    """A ``dorfman_cases`` draw, a third section, a function and a kappa."""
+    E, e1, e2 = draw(dorfman_cases())
+    e3 = CourantSection(draw(courant_halves(E, MULTIVECTOR)), draw(courant_halves(E, FORM)))
+    f = draw(chart_coefficients(E.base.coords))
+    return E, e1, e2, e3, f, E.base.scalar(draw(st.sampled_from(("1/2", "1", "0", "-3/2"))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(residue_cases())
+def test_component_residues_match_section_arithmetic(case):
+    # the C1, C2 and C5 residues as verify_courant_axioms sums them, against
+    # lhs - rhs in section arithmetic, by exact key: zero residues included
+    E, e1, e2, e3, f, factor = case
+    lhs = dorfman(E, e1, dorfman(E, e2, e3))
+    rhs1, rhs2 = dorfman(E, dorfman(E, e1, e2), e3), dorfman(E, e2, dorfman(E, e1, e3))
+    square, ee = d_operator(E, pairing_sections(E, e1, e1)), dorfman(E, e1, e1)
+    fe2, rho, e12 = e2.scale(f), rho_apply_section(E, e1, f), dorfman(E, e1, e2)
+    leibniz = dorfman(E, e1, fe2)
+    pairs = (
+        (((1, None, lhs), (-1, None, rhs1), (-1, None, rhs2)), lhs - (rhs1 + rhs2)),
+        (((1, None, ee), (-1, factor, square)), ee - square.scale(factor)),
+        (((1, None, leibniz), (-1, f, e12), (-1, rho, e2)), leibniz - (e12.scale(f) + e2.scale(rho))),
+    )
+    for terms, want in pairs:
+        assert _residue(E, terms).key == want.key
 
 
 # -- Schouten and d against the engine-free reference -------------------------
