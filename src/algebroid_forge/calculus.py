@@ -7,7 +7,7 @@ rational functions.  On top of that this module implements the wedge product,
 the duality pairing (determinant convention), contractions, the algebroid
 differential, the Schouten bracket, Lie derivatives, bundle morphisms with
 pullbacks, the axiom checkers, the one builder of derived presentations and
-the one seeded polynomial sampler.
+the one seeded sampler of polynomials and of random sections.
 
 Sign conventions, fixed once for the whole package:
   * pairing(eps^I, e_J) = delta_{I,J} on increasing tuples;
@@ -780,20 +780,19 @@ def tangent_algebroid(n: int, prefix: str = "x") -> AlgebroidPresentation:
     return AlgebroidPresentation(coords, n, anchor, structure, name=f"TR{n}")
 
 
-def null_presentation(A: AlgebroidPresentation, name: str = "") -> AlgebroidPresentation:
+def null_presentation(A: AlgebroidPresentation) -> AlgebroidPresentation:
     """Same chart and rank as A, zero anchor and brackets (the null structure)."""
     zero = A.zero_rf()
     anchor = tuple(tuple(zero for _ in range(A.n)) for _ in range(A.rank))
     npairs = A.rank * (A.rank - 1) // 2
     structure = tuple(tuple(zero for _ in range(A.rank)) for _ in range(npairs))
-    return AlgebroidPresentation(A.coords, A.rank, anchor, structure, name=name or f"null({A.name})")
+    return AlgebroidPresentation(A.coords, A.rank, anchor, structure)
 
 
 def derived_presentation(
     A: AlgebroidPresentation,
     matrix: tuple[tuple[RationalFunction, ...], ...],
     bracket,
-    name: str,
 ) -> AlgebroidPresentation:
     """Presentation data on A's chart and rank built from a frame-pair bracket.
 
@@ -809,7 +808,7 @@ def derived_presentation(
         for j in range(i + 1, A.rank):
             br = bracket(i, j)
             rows.append(tuple(br.coefficient((k,)) for k in range(A.rank)))
-    return AlgebroidPresentation(A.coords, A.rank, anchor, tuple(rows), name=name)
+    return AlgebroidPresentation(A.coords, A.rank, anchor, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -843,4 +842,17 @@ def random_poly(A: AlgebroidPresentation, rng: SeededRng, max_degree: int) -> Ra
         d = rng.randrange(0, max_degree + 1)
         if d and rng.random() < 0.5:
             out = out + A.coord_rf(name) ** d * rng.randrange(-2, 3)
+    return out
+
+
+def random_sections(A: AlgebroidPresentation, seed: int, samples: int, max_degree: int) -> list:
+    """``samples`` pairs of degree-1 coefficient maps {(i,): c} on A, drawn
+    from one SeededRng(seed): per pair, ``random_poly`` for each frame index
+    of the first map, then of the second.  The one random-section sampler."""
+    rng = SeededRng(seed)
+    out = []
+    for _ in range(samples):
+        first = {(i,): random_poly(A, rng, max_degree) for i in range(A.rank)}
+        second = {(i,): random_poly(A, rng, max_degree) for i in range(A.rank)}
+        out.append((first, second))
     return out

@@ -64,6 +64,7 @@ from .calculus import (
     pairing,
     pullback,
     random_poly,
+    random_sections,
     schouten,
     vector_field,
     vf_bracket,
@@ -184,7 +185,7 @@ def qlb_double(Q: QuasiLieBialgebroid) -> CourantDouble:
 def negate_presentation(P: AlgebroidPresentation) -> AlgebroidPresentation:
     anchor = tuple(tuple(-c for c in row) for row in P.anchor)
     structure = tuple(tuple(-c for c in row) for row in P.structure)
-    return AlgebroidPresentation(P.coords, P.rank, anchor, structure, name=f"-{P.name}")
+    return AlgebroidPresentation(P.coords, P.rank, anchor, structure)
 
 
 def conjugate(E: CourantDouble) -> CourantDouble:
@@ -243,34 +244,25 @@ def product_with_renaming(
     coords = E1.base.coords + tuple(renames2[c] for c in E2.base.coords)
     renames1 = {c: c for c in E1.base.coords}
 
-    def combine(p1: AlgebroidPresentation, p2: AlgebroidPresentation, name: str) -> AlgebroidPresentation:
-        r1, r2 = p1.rank, p2.rank
-        zero = RationalFunction.zero(coords)
-        anchor = []
-        for i in range(r1):
-            row = [_transport(p1.anchor[i][a], renames1, coords) for a in range(p1.n)]
-            anchor.append(tuple(row + [zero] * p2.n))
-        for j in range(r2):
-            row = [_transport(p2.anchor[j][a], renames2, coords) for a in range(p2.n)]
-            anchor.append(tuple([zero] * p1.n + row))
-        rank = r1 + r2
-        rows = []
-        for i in range(rank):
-            for j in range(i + 1, rank):
-                row = [zero] * rank
-                if j < r1:
-                    src = p1.structure[_pair_index(i, j, r1)]
-                    for k in range(r1):
-                        row[k] = _transport(src[k], renames1, coords)
-                elif i >= r1:
-                    src = p2.structure[_pair_index(i - r1, j - r1, r2)]
-                    for k in range(r2):
-                        row[r1 + k] = _transport(src[k], renames2, coords)
-                rows.append(tuple(row))
-        return AlgebroidPresentation(coords, rank, tuple(anchor), tuple(rows), name=name)
+    def combine(p1: AlgebroidPresentation, p2: AlgebroidPresentation) -> AlgebroidPresentation:
+        # each factor's block from its frame table: nonzero entries only
+        rank, zero = p1.rank + p2.rank, RationalFunction.zero(coords)
+        anchor = [[zero] * len(coords) for _ in range(rank)]
+        rows = [[zero] * rank for _ in range(rank * (rank - 1) // 2)]
+        for P, offset, shift, renames in ((p1, 0, 0, renames1), (p2, p1.rank, p1.n, renames2)):
+            brackets, anchored = _frame_table(P)
+            for i in anchored:
+                for a, c in enumerate(P.anchor[i]):
+                    if not c.is_zero():
+                        anchor[offset + i][shift + a] = _transport(c, renames, coords)
+            for (i, j), entries in brackets.items():
+                row = rows[_pair_index(offset + i, offset + j, rank)]
+                for k, c in entries:
+                    row[offset + k] = _transport(c, renames, coords)
+        return AlgebroidPresentation(coords, rank, tuple(map(tuple, anchor)), tuple(map(tuple, rows)))
 
-    base = combine(E1.base, E2.base, f"{E1.base.name}x{E2.base.name}")
-    dual = combine(E1.dual, E2.dual, f"{E1.dual.name}x{E2.dual.name}")
+    base = combine(E1.base, E2.base)
+    dual = combine(E1.dual, E2.dual)
 
     x3 = _embed(E1.x3, base, 0, renames1) + _embed(E2.x3, base, E1.rank, renames2)
     psi = _embed(E1.psi, base, 0, renames1) + _embed(E2.psi, base, E1.rank, renames2)
@@ -511,17 +503,9 @@ class SectionFamily:
             x = E.base.coord_rf(name)
             for label, s in frames:
                 self.members.append((f"{name}*{label}", s.scale(x)))
-        rng = SeededRng(self.seed)
-        for k in range(self.samples):
-            self.members.append((f"rnd{k}", self._random_section(rng)))
-
-    def _random_section(self, rng: SeededRng) -> CourantSection:
-        E = self.E
-        vec = {(i,): random_poly(E.base, rng, self.max_degree) for i in range(E.rank)}
-        cov = {(i,): random_poly(E.base, rng, self.max_degree) for i in range(E.rank)}
-        return CourantSection(
-            E.base.section(MULTIVECTOR, 1, vec), E.base.section(FORM, 1, cov)
-        )
+        for k, (vec, cov) in enumerate(random_sections(E.base, seed, samples, max_degree)):
+            section = CourantSection(E.base.section(MULTIVECTOR, 1, vec), E.base.section(FORM, 1, cov))
+            self.members.append((f"rnd{k}", section))
 
     def singles(self):
         return list(self.members)
@@ -697,10 +681,6 @@ def _row_space(vectors: list[list[RationalFunction]]) -> list[list[RationalFunct
     return rows
 
 
-def span_rank(vectors: list[list[RationalFunction]]) -> int:
-    return len(_row_space(vectors))
-
-
 def in_span(rows: list[list[RationalFunction]], v: list[RationalFunction]) -> bool:
     reduced = _eliminate(rows, list(v))
     return all(x.is_zero() for x in reduced)
@@ -794,12 +774,8 @@ def check_generalized_dirac(F: GeneralizedDirac) -> Report:
     restricted = [(label, restrict_section(P, s)) for label, s in F.generators]
 
     d1 = report.clause("D1-maximal-isotropy", PROOF_TENSORIAL)
-    vectors = [s.components(E.rank) for _, s in restricted]
-    d1.record_flag(
-        f"rank {span_rank(vectors)} == {E.rank}",
-        span_rank(vectors) == E.rank,
-        "rank-deficient",
-    )
+    rows = _row_space([s.components(E.rank) for _, s in restricted])
+    d1.record_flag(f"rank {len(rows)} == {E.rank}", len(rows) == E.rank, "rank-deficient")
     for (l1, s1), (l2, s2) in combinations(restricted, 2):
         d1.record(f"<{l1},{l2}>", P.restrict(pairing_sections(E, s1, s2)))
     for label, s in restricted:
@@ -812,7 +788,6 @@ def check_generalized_dirac(F: GeneralizedDirac) -> Report:
 
     d3 = report.clause("D3-bracket-closure", PROOF_TENSORIAL,
                        note="constant extension off P of the spanning sections")
-    rows = _row_space(vectors)
     for l1, s1 in F.generators:
         for l2, s2 in F.generators:
             bracket = dorfman(E, s1, s2)

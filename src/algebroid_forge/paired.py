@@ -113,11 +113,13 @@ def deformed_courant_bracket(
 ) -> CourantSection:
     """[[e1, e2]]_N = [[N e1, e2]] + [[e1, N e2]] - N [[e1, e2]]."""
     _check_double(E, op)
-    return (
-        skew_bracket(E, apply_operator(op, e1), e2)
-        + skew_bracket(E, e1, apply_operator(op, e2))
-        - apply_operator(op, skew_bracket(E, e1, e2))
-    )
+    return _deformed(E, op, e1, e2, apply_operator(op, e1), apply_operator(op, e2))
+
+
+def _deformed(E: CourantDouble, op: PairedOperator, e1, e2, n1, n2) -> CourantSection:
+    """[[e1, e2]]_N = [[n1, e2]] + [[e1, n2]] - N [[e1, e2]], given the images
+    n1 = N e1 and n2 = N e2, so that a caller applies N to each section once."""
+    return skew_bracket(E, n1, e2) + skew_bracket(E, e1, n2) - apply_operator(op, skew_bracket(E, e1, e2))
 
 
 def courant_nijenhuis_torsion(
@@ -125,9 +127,8 @@ def courant_nijenhuis_torsion(
 ) -> CourantSection:
     """T_N(e1, e2) = [[N e1, N e2]] - N [[e1, e2]]_N."""
     _check_double(E, op)
-    return skew_bracket(
-        E, apply_operator(op, e1), apply_operator(op, e2)
-    ) - apply_operator(op, deformed_courant_bracket(E, op, e1, e2))
+    n1, n2 = apply_operator(op, e1), apply_operator(op, e2)
+    return skew_bracket(E, n1, n2) - apply_operator(op, _deformed(E, op, e1, e2, n1, n2))
 
 
 def _block_product(A: AlgebroidPresentation, a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> Matrix:
@@ -354,7 +355,7 @@ def build_deformed_double(
     x = differential(op.sigma)
     if twisted:
         x = x + insert_endomorphism(A, op.n_matrix, phi)
-    Q = QuasiLieBialgebroid(base, dual, retag(x, base, MULTIVECTOR), name="deformed")
+    Q = QuasiLieBialgebroid(base, dual, retag(x, base, MULTIVECTOR))
     Eq = qlb_double(Q)
 
     def flipped(e: CourantSection) -> CourantSection:
@@ -364,18 +365,17 @@ def build_deformed_double(
         "build-deformed-double", params={"seed": seed, "samples": samples, "max_degree": max_degree}
     )
     family = SectionFamily(E, seed, samples, max_degree)
+    images = {label: apply_operator(op, e) for label, e in family.singles()}
 
     bracket_clause = report.clause("bracket-agrees", EVIDENCE_SAMPLED)
     for (l1, e1), (l2, e2) in family.tuples(2):
         lhs = skew_bracket(Eq, flipped(e1), flipped(e2))
-        rhs = flipped(deformed_courant_bracket(E, op, e1, e2))
+        rhs = flipped(_deformed(E, op, e1, e2, images[l1], images[l2]))
         bracket_clause.record(f"{l1},{l2}", lhs - rhs)
 
     anchor_clause = report.clause("anchor-agrees", EVIDENCE_SAMPLED)
-    images = {}  # the operator's image of each single
     for label, e in family.singles():
         lhs = anchor_field(Eq, flipped(e))
-        images[label] = apply_operator(op, e)
         rhs = vector_field(images[label].vec)
         for a, name in enumerate(A.coords):
             anchor_clause.record(f"{label}.{name}", lhs[a] - rhs[a])

@@ -21,7 +21,6 @@ from .calculus import (
     AlgebroidPresentation,
     BundleMorphism,
     GradedSection,
-    SeededRng,
     _require_retaggable,
     apply_field,
     check_axioms,
@@ -38,7 +37,7 @@ from .calculus import (
     null_presentation,
     pairing,
     pullback,
-    random_poly,
+    random_sections,
     retag,
     schouten,
     vector_field,
@@ -150,7 +149,6 @@ def deformed_presentation(
     n_matrix: Matrix,
     pi: GradedSection | None,
     phi: GradedSection | None,
-    name: str = "",
 ) -> AlgebroidPresentation:
     """(A, [.,.]_N - pi#(phi(.,.,-)), rho o N) as presentation data (axioms not
     implied): A_N when phi is None or zero, and with N = Id the prime
@@ -164,9 +162,7 @@ def deformed_presentation(
             br = br - pi_sharp(pi, insert(phi, wedge(X, Y)))
         return br
 
-    return derived_presentation(
-        A, n_matrix, bracket, name or (f"{A.name}'" if twisted else f"{A.name}_N")
-    )
+    return derived_presentation(A, n_matrix, bracket)
 
 
 # ---------------------------------------------------------------------------
@@ -242,14 +238,12 @@ def dual_presentation(
     A: AlgebroidPresentation,
     pi: GradedSection,
     phi: GradedSection | None = None,
-    name: str = "",
 ) -> AlgebroidPresentation:
     """A*_{pi,phi}: coframe as frame, bracket [.,.]^phi_pi, anchor rho o pi#."""
     return derived_presentation(
         A,
         contraction_matrix(pi),
         lambda i, j: twisted_bracket(pi, phi, A.coframe(i), A.coframe(j)),
-        name or f"{A.name}*_pi",
     )
 
 
@@ -368,10 +362,10 @@ class QuasiLieBialgebroid:
     bracket data on base^* whose Cartan formula defines d_* on multivectors of
     base; ``x3`` is the degree-3 multivector."""
 
-    __slots__ = ("base", "dual", "x3", "name")
+    __slots__ = ("base", "dual", "x3")
 
-    def __init__(self, base: AlgebroidPresentation, dual: AlgebroidPresentation, x3, name: str = ""):
-        self.base, self.dual, self.x3, self.name = base, dual, x3, name
+    def __init__(self, base: AlgebroidPresentation, dual: AlgebroidPresentation, x3):
+        self.base, self.dual, self.x3 = base, dual, x3
 
 
 # The dual side of a quasi-Lie bialgebroid or of a split double: D is anything
@@ -409,24 +403,24 @@ def dual_anchor(D, a: GradedSection) -> tuple[RationalFunction, ...]:
     return vector_field(retag(a, D.dual, MULTIVECTOR))
 
 
-def qlb_from_closed3form(A: AlgebroidPresentation, phi: GradedSection, name: str = "") -> QuasiLieBialgebroid:
+def qlb_from_closed3form(A: AlgebroidPresentation, phi: GradedSection) -> QuasiLieBialgebroid:
     """(A*, d_A, phi) with the null structure on A*; requires d phi = 0."""
     if not differential(phi).is_zero():
         raise HypothesisNotSatisfied("phi is not closed")
-    base = null_presentation(A, name=f"{A.name}*null")
-    return QuasiLieBialgebroid(base, A, retag(phi, base, MULTIVECTOR), name=name)
+    base = null_presentation(A)
+    return QuasiLieBialgebroid(base, A, retag(phi, base, MULTIVECTOR))
 
 
 def qlb_from_twisted_poisson(
-    A: AlgebroidPresentation, pi: GradedSection, phi: GradedSection, name: str = ""
+    A: AlgebroidPresentation, pi: GradedSection, phi: GradedSection
 ) -> QuasiLieBialgebroid:
     """(A*_{pi,phi}, d', phi); requires the twisted Poisson identity."""
     pre = check_twisted_poisson(pi, phi)
     if not pre.passed:
         raise HypothesisNotSatisfied("not a twisted Poisson structure")
     base = dual_presentation(A, pi, phi)
-    prime = deformed_presentation(A, identity_morphism(A).matrix, pi, phi, f"{A.name}'")
-    return QuasiLieBialgebroid(base, prime, retag(phi, base, MULTIVECTOR), name=name)
+    prime = deformed_presentation(A, identity_morphism(A).matrix, pi, phi)
+    return QuasiLieBialgebroid(base, prime, retag(phi, base, MULTIVECTOR))
 
 
 def _require_pqn(S: PqnStructure) -> None:
@@ -436,12 +430,12 @@ def _require_pqn(S: PqnStructure) -> None:
         raise HypothesisNotSatisfied(f"not a PqN structure (failing: {failing})")
 
 
-def build_qlb_from_pqn(S: PqnStructure, name: str = "") -> QuasiLieBialgebroid:
+def build_qlb_from_pqn(S: PqnStructure) -> QuasiLieBialgebroid:
     """The section-2 theorem: (A*_pi, d_N, phi) from a PqN structure."""
     _require_pqn(S)
     base = dual_presentation(S.A, S.pi)
     dual = deformed_presentation(S.A, S.n_matrix, None, None)
-    return QuasiLieBialgebroid(base, dual, retag(S.phi, base, MULTIVECTOR), name=name)
+    return QuasiLieBialgebroid(base, dual, retag(S.phi, base, MULTIVECTOR))
 
 
 def check_qlb(
@@ -489,15 +483,8 @@ def check_qlb(
                 f"e{i+1},{name}",
                 derivation_residue(Q.base.frame(i), Q.base.function(Q.base.coord_rf(name))),
             )
-    rng = SeededRng(seed)
-
-    def random_vector() -> GradedSection:
-        coeffs = {(i,): random_poly(Q.base, rng, max_degree) for i in range(Q.base.rank)}
-        return Q.base.section(MULTIVECTOR, 1, coeffs)
-
-    for s in range(samples):
-        u = random_vector()
-        v = random_vector()
+    for s, (u, v) in enumerate(random_sections(Q.base, seed, samples, max_degree)):
+        u, v = Q.base.section(MULTIVECTOR, 1, u), Q.base.section(MULTIVECTOR, 1, v)
         derivation.record(f"sample {s}", derivation_residue(u, v))
     return report
 

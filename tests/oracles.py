@@ -16,7 +16,9 @@ The test references after them are constructions the package itself
 never needs: a Lie algebra as an algebroid over a point, the composite of
 two bundle maps, the B <-> B* swap of a split double, the Dorfman
 bracket composed from the calculus operations, term by term of the formula
-in the ``courant`` module docstring, and a paired operator applied by
+in the ``courant`` module docstring, the product of two doubles built
+densely from every anchor and structure entry, the seeded random sections
+replayed from ``random.Random``, and a paired operator applied by
 contraction with pi and sigma rather than through its block matrices.
 
 Last comes a reference for Schouten and d that makes no engine call at all:
@@ -26,6 +28,7 @@ antisymmetry alone, and d by the Cartan formula.
 """
 
 import math
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -36,6 +39,7 @@ from algebroid_forge.calculus import (
     MULTIVECTOR,
     AlgebroidPresentation,
     BundleMorphism,
+    _pair_index,
     differential,
     evaluate,
     insert,
@@ -47,7 +51,7 @@ from algebroid_forge.calculus import (
     vector_field,
     wedge,
 )
-from algebroid_forge.courant import CourantDouble, CourantSection
+from algebroid_forge.courant import CourantDouble, CourantSection, transport_plus
 from algebroid_forge.pn import d_star, dual_bracket, nstar_matrix
 from algebroid_forge.rational import RationalFunction
 
@@ -313,6 +317,83 @@ def dorfman_by_calculus(E, e1, e2):
     if not E.psi.is_zero() and not X.is_zero() and not Y.is_zero():
         cov = cov + insert(E.psi, wedge(X, Y))
     return CourantSection(vec, cov)
+
+
+def dense_product(E1, E2):
+    """(base, dual, renames2) of the product of two split doubles, built
+    densely: every anchor and structure entry of both factors transported to
+    the product chart, zeros included, with the second factor's coordinates
+    renamed by appending ``_b`` until they are free.  The reference for
+    ``courant.product_with_renaming``, which transports the nonzero entries
+    of each factor's frame table only."""
+    E1, E2 = transport_plus(E1), transport_plus(E2)
+    taken = set(E1.base.coords)
+    renames2 = {}
+    for name in E2.base.coords:
+        candidate = name
+        while candidate in taken:
+            candidate = candidate + "_b"
+        renames2[name] = candidate
+        taken.add(candidate)
+    coords = E1.base.coords + tuple(renames2[c] for c in E2.base.coords)
+    renames1 = {c: c for c in E1.base.coords}
+
+    def transport(rf, renames):
+        values = {old: RationalFunction.coord(coords, new) for old, new in renames.items()}
+        return rf.subs(values, target=coords)
+
+    def combine(p1, p2):
+        r1, r2 = p1.rank, p2.rank
+        zero = RationalFunction.zero(coords)
+        anchor = []
+        for i in range(r1):
+            row = [transport(p1.anchor[i][a], renames1) for a in range(p1.n)]
+            anchor.append(tuple(row + [zero] * p2.n))
+        for j in range(r2):
+            row = [transport(p2.anchor[j][a], renames2) for a in range(p2.n)]
+            anchor.append(tuple([zero] * p1.n + row))
+        rank = r1 + r2
+        rows = []
+        for i in range(rank):
+            for j in range(i + 1, rank):
+                row = [zero] * rank
+                if j < r1:
+                    src = p1.structure[_pair_index(i, j, r1)]
+                    for k in range(r1):
+                        row[k] = transport(src[k], renames1)
+                elif i >= r1:
+                    src = p2.structure[_pair_index(i - r1, j - r1, r2)]
+                    for k in range(r2):
+                        row[r1 + k] = transport(src[k], renames2)
+                rows.append(tuple(row))
+        return AlgebroidPresentation(coords, rank, tuple(anchor), tuple(rows))
+
+    return combine(E1.base, E2.base), combine(E1.dual, E2.dual), renames2
+
+
+def random_sections_reference(A, seed, samples, max_degree):
+    """The documented draws of ``calculus.random_sections``, replayed from
+    ``random.Random(seed)``: per pair, a polynomial for each frame index of
+    the first map, then of the second.  A polynomial is a constant in
+    [-2, 2] plus, for each coordinate in turn, a degree d in [0, max_degree]
+    and, when d > 0 and a coin falls below 1/2, x^d times a constant in
+    [-2, 2]."""
+    rng = random.Random(seed)
+
+    def poly():
+        out = RationalFunction.const(A.coords, rng.randrange(-2, 3))
+        for name in A.coords:
+            d = rng.randrange(0, max_degree + 1)
+            if d and rng.random() < 0.5:
+                out = out + RationalFunction.coord(A.coords, name) ** d * rng.randrange(-2, 3)
+        return out
+
+    pairs = []
+    for _ in range(samples):
+        first = {(i,): poly() for i in range(A.rank)}
+        second = {(i,): poly() for i in range(A.rank)}
+        pairs.append((first, second))
+    return pairs
 
 
 def apply_by_contraction(op, e):

@@ -11,8 +11,10 @@ benchmark's tracer (``perfbench/tracer.py``) patches exists, so a refactor
 that would break traced benchmark runs fails here first.  For the same
 reason every polynomial gcd enters through ``rational.poly_gcd``, the span
 the tracer times and counts: no other function reaches GCDHEU or the PRS.
-Likewise, structure rows are read in ``calculus._compute_frame_table`` and
-in the product's transport only, never by a bracket of its own."""
+Likewise, structure rows are read in ``calculus._compute_frame_table``
+only, never by a bracket or a product of its own, and the seeded generator
+and polynomial draw are read in ``calculus`` and ``courant.SectionFamily``
+only, so every random section comes from ``calculus.random_sections``."""
 
 import ast
 import importlib
@@ -228,10 +230,9 @@ def test_every_gcd_enters_through_poly_gcd():
     assert not problems, "a gcd bypasses rational.poly_gcd: " + "; ".join(problems)
 
 
-# the only readers of a presentation's structure rows: the frame-table
-# builder that every bracket shares, and the product's transport of both
-# factors' rows
-STRUCTURE_READERS = {"_compute_frame_table", "product_with_renaming.combine"}
+# the only reader of a presentation's structure rows: the frame-table
+# builder that every bracket and the product's transport share
+STRUCTURE_READERS = {"_compute_frame_table"}
 
 
 def structure_reads(tree: ast.Module) -> list[str]:
@@ -262,4 +263,41 @@ def test_structure_lint_flags_a_second_reader():
     copy = text.replace(head, head + "    A.structure[_pair_index(0, 1, A.rank)][idx[0]]\n")
     assert [p.split(": ", 1)[1] for p in structure_reads(ast.parse(copy))] == [
         "_compute_d_basis_form indexes .structure"
+    ]
+
+
+# the sampler's generator and polynomial draw; besides calculus, which defines
+# them and draws random_sections from them, only SectionFamily reads them,
+# for its sampled tuple indices and its random function
+SAMPLER_NAMES = {"SeededRng", "random_poly"}
+
+
+def sampler_reads(tree: ast.Module, module: str) -> list[str]:
+    """Reads of SAMPLER_NAMES in ``module`` outside calculus and SectionFamily."""
+    if module == "calculus.py":
+        return []
+    return [
+        f"line {node.lineno}: {owner or 'module level'} reads {node.id}"
+        for node, owner in owned_nodes(tree)
+        if isinstance(node, ast.Name)
+        and node.id in SAMPLER_NAMES
+        and isinstance(node.ctx, ast.Load)
+        and not (module == "courant.py" and (owner or "").split(".")[0] == "SectionFamily")
+    ]
+
+
+def test_one_section_sampler():
+    problems = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        problems += [f"{path.name} {p}" for p in sampler_reads(tree, path.name)]
+    assert not problems, "a sampler bypasses calculus.random_sections: " + "; ".join(problems)
+
+
+def test_sampler_lint_flags_a_third_sampler():
+    # a pn helper that draws its own random vectors again
+    text = (SRC / "pn.py").read_text(encoding="utf-8")
+    copy = text + "\n\ndef _random_vector(A, rng):\n    return random_poly(A, rng, 2)\n"
+    assert [p.split(": ", 1)[1] for p in sampler_reads(ast.parse(copy), "pn.py")] == [
+        "_random_vector reads random_poly"
     ]

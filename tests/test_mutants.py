@@ -30,8 +30,11 @@ from oracles import (
     RawAlgebroid,
     apply_by_contraction,
     cartan_d_oracle,
+    dense_product,
     dorfman_by_calculus,
+    lie_algebra_presentation,
     matches_oracle,
+    random_sections_reference,
     schouten_oracle,
 )
 
@@ -179,12 +182,38 @@ def courant_axioms_property(mod) -> list[str]:
     return [c.name for c in report.failing_clauses()]
 
 
+def sampler_property(calc) -> list[str]:
+    """random_sections draws what its ``random.Random`` replay draws."""
+    failures = []
+    for A, seed in ((calculus.tangent_algebroid(2), 7), (lie_algebra_presentation(3, {}), -4)):
+        if calc.random_sections(A, seed, 3, 2) != random_sections_reference(A, seed, 3, 2):
+            failures.append(f"random sections of rank {A.rank} at seed {seed}")
+    return failures
+
+
+def product_property(mod) -> list[str]:
+    """The product of two rank-2 doubles on colliding charts, the second
+    conjugated, with every anchor and structure entry nonzero, has the base,
+    dual and renames of the dense reference (``oracles.dense_product``)."""
+    factors = []
+    for seed in (70, 72):
+        base = calculus.AlgebroidPresentation(COORDS, 2, *seeded_data(seed, 2))
+        dual = calculus.AlgebroidPresentation(COORDS, 2, *seeded_data(seed + 1, 2))
+        x3, psi = base.zero_section(MULTIVECTOR, 3), base.zero_section(FORM, 3)
+        factors.append(mod.CourantDouble(base, dual, x3, psi))
+    E1, E2 = factors[0], mod.conjugate(factors[1])
+    E, renames = mod.product_with_renaming(E1, E2)
+    return [] if (E.base, E.dual, renames) == dense_product(E1, E2) else ["product presentations"]
+
+
 def paired_property(mod) -> list[str]:
     """A generic seeded operator on TR2 acts as its contraction reference
     (``oracles.apply_by_contraction``) and its theorem's sharp-intertwines
     failures are pn's intertwining residues; an almost complex J on TR4
     that passes check-gc but is not integrable (torsion on vectors only)
-    stops the deformed double."""
+    stops the deformed double, and the generalized complex operator of
+    ``corpus/e5_gc.alg`` (N = 0, pi = e1^e2, sigma = eps1^eps2 on TR2)
+    passes it."""
     A = calculus.tangent_algebroid(2)
     zero, one = A.zero_rf(), A.one_rf()
     rng = random.Random(6)
@@ -222,6 +251,10 @@ def paired_property(mod) -> list[str]:
     except HypothesisNotSatisfied as err:
         if "torsion-on-vectors" not in str(err):
             failures.append(f"gate message: {err}")
+    pi, sigma = A.section(MULTIVECTOR, 2, {(0, 1): one}), A.section(FORM, 2, {(0, 1): one})
+    e5 = mod.PairedOperator(A, ((zero, zero), (zero, zero)), pi, sigma)
+    _, report = mod.build_deformed_double(courant.standard_double(A), e5)
+    failures += [f"e5 deformed double: {c.name}" for c in report.failing_clauses()]
     return failures
 
 
@@ -347,6 +380,22 @@ MUTANTS.update(
             "blocking = [c.name for c in hypotheses.failing_clauses() if c.name != 'torsion-on-vectors']",
             paired_property,
         ),
+        "random-sections-second-map-fresh-rng": (
+            "calculus",
+            "        second = {(i,): random_poly(A, rng, max_degree) for i in range(A.rank)}\n",
+            "        fresh = SeededRng(seed)\n"
+            "        second = {(i,): random_poly(A, fresh, max_degree) for i in range(A.rank)}\n",
+            sampler_property,
+        ),
+        "product-drops-block-offset": (
+            "courant", "row[offset + k] = ", "row[k] = ", product_property,
+        ),
+        "bracket-agrees-images-l2-for-e1": (
+            "paired",
+            "_deformed(E, op, e1, e2, images[l1], images[l2])",
+            "_deformed(E, op, e1, e2, images[l2], images[l2])",
+            paired_property,
+        ),
         "paired-theorem-intertwines-n": (
             "paired",
             "residue = _block_product(A, n, p, p, m)",
@@ -363,6 +412,8 @@ PROPERTIES = {
     courant_axioms_property: courant,
     gcd_property: rational,
     paired_property: paired,
+    sampler_property: calculus,
+    product_property: courant,
 }
 
 

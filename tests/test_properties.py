@@ -3,8 +3,10 @@ the graded-algebra laws on generated sections, the canonical-form law for
 the scalar field, the content-times-primitive-part representation of
 polynomials, the frame-component Dorfman bracket against its composition
 from the calculus, the component sums of the Courant residues against
-section arithmetic, and Schouten and d against a sympy reference built from
-the raw anchor and structure data."""
+section arithmetic, the product of two doubles against its dense
+transport, the seeded random sections against ``random.Random``, and
+Schouten and d against a sympy reference built from the raw anchor and
+structure data."""
 
 import math
 import random
@@ -23,6 +25,7 @@ from algebroid_forge.calculus import (
     insert,
     lie_derivative,
     pairing,
+    random_sections,
     schouten,
     tangent_algebroid,
     wedge,
@@ -36,6 +39,7 @@ from algebroid_forge.courant import (
     dorfman,
     pairing_sections,
     product,
+    product_with_renaming,
     rho_apply_section,
     transport_plus,
 )
@@ -43,8 +47,10 @@ from algebroid_forge.rational import Polynomial, RationalFunction
 from oracles import (
     RawAlgebroid,
     cartan_d_oracle,
+    dense_product,
     dorfman_by_calculus,
     matches_oracle,
+    random_sections_reference,
     schouten_oracle,
     sympy_poly,
     sympy_terms,
@@ -239,6 +245,18 @@ def test_sampler_rng_replays_random(seed, draws):
             assert ours.randrange(*draw) == reference.randrange(*draw)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-50, 50), st.integers(1, 3), st.integers(0, 3), st.integers(0, 4), st.integers(0, 2))
+def test_random_sections_replay_the_documented_draws(seed, rank, n, samples, max_degree):
+    # every sampled family (Courant sections, check-qlb's vector pairs) reads
+    # random_sections, so its draws are the records' draws
+    coords = tuple(f"x{a + 1}" for a in range(n))
+    zero, pairs = RationalFunction.zero(coords), rank * (rank - 1) // 2
+    A = AlgebroidPresentation(coords, rank, ((zero,) * n,) * rank, ((zero,) * rank,) * pairs)
+    got = random_sections(A, seed, samples, max_degree)
+    assert got == random_sections_reference(A, seed, samples, max_degree)
+
+
 # -- the Dorfman kernel against the calculus composition --------------------
 
 
@@ -307,6 +325,26 @@ def dorfman_cases(draw):
         for _ in range(2)
     )
     return E, e1, e2
+
+
+@st.composite
+def factor_pairs(draw):
+    """Two ``split_doubles`` of rank 1-2, each conjugated or not, on charts
+    that share ``x1``: the second factor's coordinates are renamed, twice
+    over when the first chart also has ``x1_b``."""
+    factors = []
+    for _ in range(2):
+        coords = draw(st.sampled_from((("x1",), ("x1", "x2"), ("x1", "x1_b"))))
+        E = draw(split_doubles(coords, draw(st.integers(1, 2))))
+        factors.append(conjugate(E) if draw(st.booleans()) else E)
+    return factors
+
+
+@settings(max_examples=40, deadline=None)
+@given(factor_pairs())
+def test_product_matches_the_dense_transport(pair):
+    E, renames = product_with_renaming(*pair)
+    assert (E.base, E.dual, renames) == dense_product(*pair)
 
 
 def exact_section(s):
