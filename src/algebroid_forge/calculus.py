@@ -581,7 +581,9 @@ def apply_field(A: AlgebroidPresentation, v, f: RationalFunction) -> RationalFun
     out = A.zero_rf()
     for name, c in zip(A.coords, v):
         if not c.is_zero():
-            out = out + c * _partial(A, f, name)
+            partial = _partial(A, f, name)
+            if not partial.is_zero():
+                out = out + c * partial
     return out
 
 
@@ -687,15 +689,9 @@ def pullback(phi: BundleMorphism, mu: GradedSection) -> GradedSection:
     )
 
 
-def identity_morphism(A: AlgebroidPresentation) -> BundleMorphism:
+def identity_matrix(A: AlgebroidPresentation) -> tuple[tuple[RationalFunction, ...], ...]:
     one, zero = A.one_rf(), A.zero_rf()
-    return BundleMorphism(
-        A,
-        A,
-        tuple(A.coord_rf(c) for c in A.coords),
-        tuple(tuple(one if i == j else zero for i in range(A.rank)) for j in range(A.rank)),
-        name="id",
-    )
+    return tuple(tuple(one if i == j else zero for i in range(A.rank)) for j in range(A.rank))
 
 
 # ---------------------------------------------------------------------------

@@ -99,16 +99,15 @@ class CourantDouble:
             other.base, other.dual, other.x3, other.psi, other.conjugated
         )
 
-    memo = AlgebroidPresentation.memo  # Dorfman bracket, frame tables, pairing, anchor and its action
+    memo = AlgebroidPresentation.memo  # Dorfman bracket, frame tables, pairing, anchor and its action, zero pair
 
     @property
     def rank(self) -> int:
         return self.base.rank
 
     def zero_section(self) -> "CourantSection":
-        return CourantSection(
-            self.base.zero_section(MULTIVECTOR, 1), self.base.zero_section(FORM, 1)
-        )
+        """The zero pair, built once per double: sections are values."""
+        return self.memo(("zero_section",), _zero_pair, self.base)
 
     def frame_section(self, i: int) -> "CourantSection":
         return CourantSection(self.base.frame(i), self.base.zero_section(FORM, 1))
@@ -165,6 +164,10 @@ class CourantSection:
         ]
 
 
+def _zero_pair(A: AlgebroidPresentation) -> CourantSection:
+    return CourantSection(A.zero_section(MULTIVECTOR, 1), A.zero_section(FORM, 1))
+
+
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
@@ -183,9 +186,19 @@ def qlb_double(Q: QuasiLieBialgebroid) -> CourantDouble:
 
 
 def negate_presentation(P: AlgebroidPresentation) -> AlgebroidPresentation:
-    anchor = tuple(tuple(-c for c in row) for row in P.anchor)
-    structure = tuple(tuple(-c for c in row) for row in P.structure)
-    return AlgebroidPresentation(P.coords, P.rank, anchor, structure)
+    """P with every anchor and structure entry negated: the nonzero ones,
+    read from its frame table."""
+    brackets, anchored = _frame_table(P)
+    zero = P.zero_rf()
+    anchor = list(P.anchor)
+    for i in anchored:
+        anchor[i] = tuple(-c for c in anchor[i])
+    rows = [[zero] * P.rank for _ in range(P.rank * (P.rank - 1) // 2)]
+    for (i, j), entries in brackets.items():
+        row = rows[_pair_index(i, j, P.rank)]
+        for k, c in entries:
+            row[k] = -c
+    return AlgebroidPresentation(P.coords, P.rank, tuple(anchor), tuple(map(tuple, rows)))
 
 
 def conjugate(E: CourantDouble) -> CourantDouble:
@@ -288,7 +301,8 @@ def _embed(
 def _on_double(E: CourantDouble, halves: tuple[GradedSection, ...]) -> None:
     """Raise unless every half lives on E.base: a memo key records a section
     by its coefficients only, so a section of another presentation must not
-    reach the cache.  Identity is the common case; data equality the fallback."""
+    reach the cache.  Callers test the halves' parent identity first and call
+    this, the data-equality fallback, only when one differs."""
     base = E.base
     for h in halves:
         if h.parent is not base and h.parent != base:
@@ -296,7 +310,8 @@ def _on_double(E: CourantDouble, halves: tuple[GradedSection, ...]) -> None:
 
 
 def pairing_sections(E: CourantDouble, e1: CourantSection, e2: CourantSection) -> RationalFunction:
-    _on_double(E, (e1.vec, e1.cov, e2.vec, e2.cov))
+    if not (e1.vec.parent is e1.cov.parent is e2.vec.parent is e2.cov.parent is E.base):
+        _on_double(E, (e1.vec, e1.cov, e2.vec, e2.cov))
     return E.memo(("pairing_sections", e1.key, e2.key), _compute_pairing, E, e1, e2)
 
 
@@ -306,7 +321,8 @@ def _compute_pairing(E: CourantDouble, e1: CourantSection, e2: CourantSection) -
 
 
 def anchor_field(E: CourantDouble, e: CourantSection) -> tuple[RationalFunction, ...]:
-    _on_double(E, (e.vec, e.cov))
+    if not (e.vec.parent is e.cov.parent is E.base):
+        _on_double(E, (e.vec, e.cov))
     return E.memo(("anchor_field", e.key), _compute_anchor, E, e)
 
 
@@ -318,7 +334,8 @@ def _compute_anchor(E: CourantDouble, e: CourantSection) -> tuple[RationalFuncti
 
 def dorfman(E: CourantDouble, e1: CourantSection, e2: CourantSection) -> CourantSection:
     """The non-skew bracket; see the module docstring for the formula."""
-    _on_double(E, (e1.vec, e1.cov, e2.vec, e2.cov))
+    if not (e1.vec.parent is e1.cov.parent is e2.vec.parent is e2.cov.parent is E.base):
+        _on_double(E, (e1.vec, e1.cov, e2.vec, e2.cov))
     return E.memo(("dorfman", e1.key, e2.key), _compute_dorfman, E, e1, e2)
 
 
@@ -470,7 +487,8 @@ def d_operator(E: CourantDouble, f: RationalFunction) -> CourantSection:
 
 
 def rho_apply_section(E: CourantDouble, e: CourantSection, f: RationalFunction) -> RationalFunction:
-    _on_double(E, (e.vec, e.cov))
+    if not (e.vec.parent is e.cov.parent is E.base):
+        _on_double(E, (e.vec, e.cov))
     return E.memo(("rho_apply_section", e.key, f), _compute_rho_apply, E, e, f)
 
 

@@ -29,7 +29,7 @@ from .calculus import (
     differential,
     evaluate,
     exterior_power,
-    identity_morphism,
+    identity_matrix,
     insert,
     is_lie_algebroid_morphism,
     lie_derivative,
@@ -419,7 +419,7 @@ def qlb_from_twisted_poisson(
     if not pre.passed:
         raise HypothesisNotSatisfied("not a twisted Poisson structure")
     base = dual_presentation(A, pi, phi)
-    prime = deformed_presentation(A, identity_morphism(A).matrix, pi, phi)
+    prime = deformed_presentation(A, identity_matrix(A), pi, phi)
     return QuasiLieBialgebroid(base, prime, retag(phi, base, MULTIVECTOR))
 
 

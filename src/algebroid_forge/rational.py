@@ -23,10 +23,21 @@ Fractions back.
 Values are immutable and normalized on construction: numerator and
 denominator are reduced by their polynomial gcd and the denominator is made
 monic under grlex order, so equal values have identical representations
-(and identical serializations).  Every gcd of the fraction field goes
-through poly_gcd, which tries in order: the trivial shapes (zero, equal or
-single-term arguments), the variable support, trial division, GCDHEU, and
-the subresultant PRS when GCDHEU gives up.
+(and identical serializations).  A monic denominator has one of three
+shapes, and a sum, difference, product or partial derivative looks at the
+shapes of its operands' denominators once:
+
+- the unit: every constant denominator is one interned object per
+  coordinate tuple, so two polynomial values combine by one Polynomial
+  operation, with no denominator arithmetic;
+- a single term x^E (a Laurent value; the unit is x^0): a gcd against a
+  monomial is an exponent minimum and an lcm an exponent maximum, field by
+  field on the packed key, so Laurent values combine with no polynomial
+  gcd at all;
+- anything else: the gcds go through poly_gcd, which tries in order: the
+  trivial shapes (zero, equal or single-term arguments), the variable
+  support, trial division, GCDHEU, and the subresultant PRS when GCDHEU
+  gives up.  It is the one entry for a gcd of two multi-term polynomials.
 """
 
 from __future__ import annotations
@@ -330,6 +341,8 @@ class Polynomial:
     # -- equality / hashing / rendering --------------------------------------
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Polynomial):
             return NotImplemented
         return (
@@ -539,13 +552,27 @@ def _leading_positive(h, cff, cfg):
     return (h, cff, cfg) if h[max(h)] > 0 else tuple(_times(f, -1) for f in (h, cff, cfg))
 
 
+def _monomial_gcd_key(prim: dict[int, int], key: int, n: int) -> int:
+    """The packed key of gcd(p, x^key) for p with primitive part ``prim``."""
+    g = total = 0
+    for index, e in enumerate(_unpack(key, n)):
+        if e:
+            shift = _exponent_shift(n, index)
+            for k in prim:
+                e = min(e, (k >> shift) & _FIELD_MASK)
+                if not e:
+                    break
+            g |= e << shift
+            total += e
+    return g | total << (FIELD_BITS * n)
+
+
 def _monomial_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     """Gcd when at least one argument is a single term: exponent minima."""
-    n = len(p.vars)
-    if 0 in p.prim or 0 in q.prim:
-        return Polynomial._make(p.vars, 1, 1, {0: 1})
-    mono = [min(es) for es in zip(*(_unpack(k, n) for k in (*p.prim, *q.prim)))]
-    return Polynomial._make(p.vars, 1, 1, {_pack(mono): 1})
+    if len(q.prim) != 1:
+        p, q = q, p
+    (key,) = q.prim
+    return Polynomial._make(p.vars, 1, 1, {_monomial_gcd_key(p.prim, key, len(p.vars)): 1})
 
 
 def _coprime_by_support(f: dict[int, int], g: dict[int, int], n: int) -> bool:
@@ -836,19 +863,23 @@ class RationalFunction:
         return NotImplemented
 
     def __add__(self, other) -> "RationalFunction":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not other.num.prim:
+        if other.__class__ is not RationalFunction or other.num.vars is not self.num.vars:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        n1, n2 = self.num, other.num
+        if not n2.prim:
             return self
-        if not self.num.prim:
+        if not n1.prim:
             return other
         d1, d2 = self.den, other.den
-        if d1.is_constant() and d2.is_constant():
-            # both denominators are monic constants, hence 1
-            return _reduced(self.num + other.num, d1)
+        if d1 is d2 and d1 is _unit(n1.vars):
+            t = n1 + n2
+            return RationalFunction(t, d1, _normalized=True) if t.prim else RationalFunction.zero(n1.vars)
+        if len(d1.prim) == 1 and len(d2.prim) == 1:
+            return _laurent_sum(n1, d1, n2, d2)
         if d1 == d2:
-            return RationalFunction(self.num + other.num, d1)
+            return RationalFunction(n1 + n2, d1)
         g = poly_gcd(d1, d2)
         if _is_unit(g):
             return _reduced(self.num * d2 + other.num * d1, d1 * d2)
@@ -868,29 +899,36 @@ class RationalFunction:
         return RationalFunction(-self.num, self.den, _normalized=True)
 
     def __sub__(self, other) -> "RationalFunction":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not RationalFunction or other.num.vars is not self.num.vars:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other) -> "RationalFunction":
         return (-self) + other
 
     def __mul__(self, other) -> "RationalFunction":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_constant():
-            return self._scaled(other)
-        if self.is_constant():
-            return other._scaled(self)
+        if other.__class__ is not RationalFunction or other.num.vars is not self.num.vars:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         n1, d1 = self.num, self.den
         n2, d2 = other.num, other.den
-        if not d2.is_constant():
+        unit = _unit(n1.vars)
+        if d2 is unit and n2.is_constant():
+            return self._scaled(other)
+        if d1 is unit and n1.is_constant():
+            return other._scaled(self)
+        if d1 is unit and d2 is unit:
+            return RationalFunction(n1 * n2, unit, _normalized=True)
+        if len(d1.prim) == 1 and len(d2.prim) == 1:
+            return _laurent_product(n1, d1, n2, d2)
+        if d2 is not unit:
             g = poly_gcd(n1, d2)
             if not _is_unit(g):
                 n1, d2 = exact_div(n1, g), exact_div(d2, g)
-        if not d1.is_constant():
+        if d1 is not unit:
             g = poly_gcd(n2, d1)
             if not _is_unit(g):
                 n2, d1 = exact_div(n2, g), exact_div(d1, g)
@@ -919,7 +957,8 @@ class RationalFunction:
             return NotImplemented
         if other.is_zero():
             raise DivisionByZero("division by zero rational function")
-        return self * RationalFunction(other.den, other.num)
+        # the reciprocal of a value in lowest terms is in lowest terms
+        return self * _reduced(other.den, other.num)
 
     def __rtruediv__(self, other) -> "RationalFunction":
         return self._coerce(other) / self
@@ -935,10 +974,13 @@ class RationalFunction:
         """Exact partial derivative by coordinate name (quotient rule)."""
         if coord not in self.vars:
             raise UnknownCoordinate(f"unknown coordinate {clip(coord)!r}")
-        i = self.vars.index(coord)
-        d = self.den
-        if d.is_constant():
-            return _reduced(self.num.derivative(i), d)
+        n, d = self.num, self.den
+        i = n.vars.index(coord)
+        if d is _unit(n.vars):
+            dn = n.derivative(i)
+            return RationalFunction(dn, d, _normalized=True) if dn.prim else RationalFunction.zero(n.vars)
+        if len(d.prim) == 1:
+            return _laurent_derivative(n, d, i)
         dd = d.derivative(i)
         e = poly_gcd(d, dd)
         u = exact_div(d, e)
@@ -1018,14 +1060,22 @@ def _normalize(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial
 
 
 def _monic(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Scale num/den so that den's grlex leading coefficient is 1."""
-    lc = den.prim[max(den.prim)]
+    """Scale num/den so that den's grlex leading coefficient is 1; a constant
+    den becomes the interned unit, so every constant denominator is that one
+    object.  The test is on the object: a constant 2 may share the unit's
+    primitive part."""
+    unit = _unit(num.vars)
+    if den is unit:
+        return num, den
+    prim = den.prim
+    top = max(prim)
+    lc = prim[top]
     if lc != 1 or den.cnum != 1 or den.cden != 1:
         # den leads with lc * cnum / cden: divide both by that
         lead = _qmul(lc, 1, den.cnum, den.cden)
         num = Polynomial._make(num.vars, *_qdiv(num.cnum, num.cden, *lead), num.prim)
-        den = Polynomial._make(den.vars, 1, lc, den.prim)
-    return num, den
+        den = Polynomial._make(den.vars, 1, lc, prim)
+    return num, den if top else unit
 
 
 def _reduced(num: Polynomial, den: Polynomial) -> RationalFunction:
@@ -1035,6 +1085,74 @@ def _reduced(num: Polynomial, den: Polynomial) -> RationalFunction:
     if num.is_zero():
         return RationalFunction.zero(num.vars)
     return RationalFunction(*_monic(num, den), _normalized=True)
+
+
+# -- Laurent values: denominators that are single terms ------------------------
+# A monic single-term denominator is a monomial x^E (the unit is x^0), held
+# as its packed key.  gcd(p, x^E) is then x^min: per variable, the smaller of
+# E's exponent and p's least one; the lcm of two of them takes the larger.
+
+
+def _monomial(vars: tuple[str, ...], key: int) -> Polynomial:
+    """x^key, of degree at most MAX_DEGREE: the interned unit for key 0."""
+    degree = key >> (FIELD_BITS * len(vars))
+    if degree > MAX_DEGREE:
+        raise DegreeOverflow(degree, MAX_DEGREE)
+    return Polynomial._make(vars, 1, 1, {key: 1}) if key else _unit(vars)
+
+
+def _unshifted(p: Polynomial, key: int) -> Polynomial:
+    """p / x^key for a monomial dividing every term: the keys move down,
+    their order and the content stay."""
+    if not key:
+        return p
+    return Polynomial._make(p.vars, p.cnum, p.cden, {k - key: c for k, c in p.prim.items()})
+
+
+def _over_monomial(num: Polynomial, key: int) -> RationalFunction:
+    """num / x^key in lowest terms, for nonzero num: one exponent minimum."""
+    g = _monomial_gcd_key(num.prim, key, len(num.vars))
+    return RationalFunction(_unshifted(num, g), _monomial(num.vars, key - g), _normalized=True)
+
+
+def _laurent_sum(n1: Polynomial, d1: Polynomial, n2: Polynomial, d2: Polynomial) -> RationalFunction:
+    """n1/x^a + n2/x^b over the lcm x^max(a, b), then reduced."""
+    vars = n1.vars
+    (a,), (b,) = d1.prim, d2.prim
+    if a == b:
+        t, lcm = n1 + n2, a
+    else:
+        lcm = _pack([max(e, f) for e, f in zip(_unpack(a, len(vars)), _unpack(b, len(vars)))])
+        t = n1 * _monomial(vars, lcm - a) + n2 * _monomial(vars, lcm - b)
+    return _over_monomial(t, lcm) if t.prim else RationalFunction.zero(vars)
+
+
+def _laurent_product(n1: Polynomial, d1: Polynomial, n2: Polynomial, d2: Polynomial) -> RationalFunction:
+    """(n1/x^a) (n2/x^b): each numerator first cancels against the other's
+    denominator, which leaves the product in lowest terms."""
+    vars = n1.vars
+    n = len(vars)
+    (a,), (b,) = d1.prim, d2.prim
+    g1 = _monomial_gcd_key(n1.prim, b, n)
+    g2 = _monomial_gcd_key(n2.prim, a, n)
+    num = _unshifted(n1, g1) * _unshifted(n2, g2)
+    return RationalFunction(num, _monomial(vars, a - g2 + b - g1), _normalized=True)
+
+
+def _laurent_derivative(num: Polynomial, den: Polynomial, index: int) -> RationalFunction:
+    """d(n/x^E)/dx_i = (x_i n' - E_i n) / (x^E x_i), reduced; n'/x^E when
+    E_i = 0."""
+    vars = num.vars
+    n = len(vars)
+    (key,) = den.prim
+    e = (key >> _exponent_shift(n, index)) & _FIELD_MASK
+    if e:
+        x = _monomial(vars, _var_key(n, index))
+        top = num.derivative(index) * x - num * Polynomial.const(vars, e)
+        key = max((den * x).prim)  # x^E x_i, bounded as a product
+    else:
+        top = num.derivative(index)
+    return _over_monomial(top, key) if top.prim else RationalFunction.zero(vars)
 
 
 def _poly_subs(

@@ -10,11 +10,12 @@ constant coefficients, ``{increasing index tuple: Fraction}`` and
 ``Fraction`` matrices, and evaluate forms by determinants, with nothing
 from ``pn`` or ``calculus``.  The polynomial oracles hand exponent
 dictionaries to sympy and read its results back into the canonical form by
-plain integer arithmetic.
+plain integer arithmetic; ``canonical_parts`` does so for an element of
+sympy's rational function field, which sympy keeps in lowest terms.
 
 The test references after them are constructions the package itself
-never needs: a Lie algebra as an algebroid over a point, the composite of
-two bundle maps, the B <-> B* swap of a split double, the Dorfman
+never needs: a Lie algebra as an algebroid over a point, the identity
+bundle map and the composite of two, the B <-> B* swap of a split double, the Dorfman
 bracket composed from the calculus operations, term by term of the formula
 in the ``courant`` module docstring, the product of two doubles built
 densely from every anchor and structure entry, the seeded random sections
@@ -42,6 +43,7 @@ from algebroid_forge.calculus import (
     _pair_index,
     differential,
     evaluate,
+    identity_matrix,
     insert,
     lie_derivative,
     mat_apply,
@@ -252,6 +254,29 @@ def primitive_form(terms):
     return {m: Fraction(c, g) for m, c in ints.items()}
 
 
+def polynomial_parts(terms):
+    """(cnum, cden, prim) of {exponent tuple: Fraction}: the content as a
+    reduced pair and the primitive part {exponent tuple: int}."""
+    if not terms:
+        return 0, 1, {}
+    prim = primitive_form(terms)
+    m = next(iter(terms))
+    content = terms[m] / prim[m]
+    return content.numerator, content.denominator, {k: int(c) for k, c in prim.items()}
+
+
+def canonical_parts(f):
+    """The parts of ``f``, an element of sympy's field ``QQ.frac_field(x1,
+    ...)`` (numerator and denominator coprime), as a RationalFunction holds
+    them: both divided by the denominator's graded-lexicographic leading
+    coefficient, each as ``polynomial_parts``."""
+    num, den = (
+        {m: Fraction(int(c.numerator), int(c.denominator)) for m, c in p.terms() if c} for p in (f.numer, f.denom)
+    )
+    lead = den[max(den, key=lambda m: (sum(m), m))]
+    return tuple(polynomial_parts({m: c / lead for m, c in t.items()}) for t in (num, den))
+
+
 def lie_algebra_presentation(rank, brackets, name=""):
     """A Lie algebra as an algebroid over a point (no coordinates, zero
     anchor); ``brackets`` maps ``(i, j)``, ``i < j``, to ``{k: c_ij^k}``."""
@@ -265,6 +290,11 @@ def lie_algebra_presentation(rank, brackets, name=""):
                 row[k] = RationalFunction.const(coords, c)
             rows.append(tuple(row))
     return AlgebroidPresentation(coords, rank, tuple(() for _ in range(rank)), tuple(rows), name=name)
+
+
+def identity_morphism(A):
+    """The identity bundle map of A, base map included."""
+    return BundleMorphism(A, A, tuple(A.coord_rf(c) for c in A.coords), identity_matrix(A))
 
 
 def compose(outer, inner):

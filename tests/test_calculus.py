@@ -15,7 +15,6 @@ from algebroid_forge.calculus import (
     d_function,
     differential,
     evaluate,
-    identity_morphism,
     insert,
     is_lie_algebroid_morphism,
     lie_derivative,
@@ -27,7 +26,7 @@ from algebroid_forge.calculus import (
     wedge,
 )
 from algebroid_forge.errors import DegreeMismatch, MalformedPresentation, VarianceMismatch
-from oracles import cartan_d_value, compose, lie_algebra_presentation, pairing_oracle
+from oracles import cartan_d_value, compose, identity_morphism, lie_algebra_presentation, pairing_oracle
 
 TR2 = tangent_algebroid(2)
 TR3 = tangent_algebroid(3)

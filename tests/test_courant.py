@@ -18,7 +18,6 @@ from algebroid_forge.calculus import (
     _frame_table,
     _partial,
     differential,
-    identity_morphism,
     null_presentation,
     random_poly,
     retag,
@@ -61,7 +60,7 @@ from algebroid_forge.pn import (
     qlb_from_closed3form,
     qlb_from_twisted_poisson,
 )
-from oracles import flip, flip_section
+from oracles import flip, flip_section, identity_morphism
 from test_pn import an_presentation, diag, e6_conformal, std_pi, tr4_twisted
 
 TR2 = tangent_algebroid(2)
@@ -628,6 +627,8 @@ class TestMemoKeys:
             lambda e: pairing_sections(E, e, mine),
             lambda e: pairing_sections(E, mine, e),
             lambda e: rho_apply_section(E, e, f),
+            lambda e: dorfman(E, e, mine),
+            lambda e: dorfman(E, mine, e),
         ):
             call(mine)
             with pytest.raises(ParentMismatch):

@@ -9,10 +9,12 @@ Every top-level function or class is read by some module of the package or
 exported from ``__init__.py``, and every module and method that the
 benchmark's tracer (``perfbench/tracer.py``) patches exists, so a refactor
 that would break traced benchmark runs fails here first.  For the same
-reason every polynomial gcd enters through ``rational.poly_gcd``, the span
-the tracer times and counts: no other function reaches GCDHEU or the PRS.
+reason every gcd of two multi-term polynomials enters through
+``rational.poly_gcd``, the span the tracer times and counts: no other
+function reaches GCDHEU or the PRS.
 Likewise, structure rows are read in ``calculus._compute_frame_table``
-only, never by a bracket or a product of its own, and the seeded generator
+only (besides the presentation's own constructor, equality and hash), never
+by a bracket, a product or a negation of its own, and the seeded generator
 and polynomial draw are read in ``calculus`` and ``courant.SectionFamily``
 only, so every random section comes from ``calculus.random_sections``."""
 
@@ -230,19 +232,26 @@ def test_every_gcd_enters_through_poly_gcd():
     assert not problems, "a gcd bypasses rational.poly_gcd: " + "; ".join(problems)
 
 
-# the only reader of a presentation's structure rows: the frame-table
-# builder that every bracket and the product's transport share
-STRUCTURE_READERS = {"_compute_frame_table"}
+# the only readers of a presentation's structure rows: its constructor,
+# equality and hash, and the frame-table builder that every bracket, the
+# product's transport and the negation share
+STRUCTURE_READERS = {
+    "AlgebroidPresentation.__init__",
+    "AlgebroidPresentation.__eq__",
+    "AlgebroidPresentation.__hash__",
+    "_compute_frame_table",
+}
 
 
 def structure_reads(tree: ast.Module) -> list[str]:
-    """``.structure[...]`` reads outside STRUCTURE_READERS."""
+    """Loads of ``.structure`` outside STRUCTURE_READERS: a subscript, an
+    iteration or any other read."""
     return [
-        f"line {node.lineno}: {owner or 'module level'} indexes .structure"
+        f"line {node.lineno}: {owner or 'module level'} reads .structure"
         for node, owner in owned_nodes(tree)
-        if isinstance(node, ast.Subscript)
-        and isinstance(node.value, ast.Attribute)
-        and node.value.attr == "structure"
+        if isinstance(node, ast.Attribute)
+        and node.attr == "structure"
+        and isinstance(node.ctx, ast.Load)
         and owner not in STRUCTURE_READERS
     ]
 
@@ -262,8 +271,15 @@ def test_structure_lint_flags_a_second_reader():
     assert text.count(head) == 1
     copy = text.replace(head, head + "    A.structure[_pair_index(0, 1, A.rank)][idx[0]]\n")
     assert [p.split(": ", 1)[1] for p in structure_reads(ast.parse(copy))] == [
-        "_compute_d_basis_form indexes .structure"
+        "_compute_d_basis_form reads .structure"
     ]
+
+
+def test_structure_lint_flags_an_iteration():
+    # a negation that walks the rows itself again, subscripting none of them
+    text = (SRC / "courant.py").read_text(encoding="utf-8")
+    copy = text + "\n\ndef _negated_rows(P):\n    return [[-c for c in row] for row in P.structure]\n"
+    assert [p.split(": ", 1)[1] for p in structure_reads(ast.parse(copy))] == ["_negated_rows reads .structure"]
 
 
 # the sampler's generator and polynomial draw; besides calculus, which defines

@@ -37,6 +37,7 @@ from oracles import (
     random_sections_reference,
     schouten_oracle,
 )
+from test_rational import shape_property
 
 SRC = pathlib.Path(calculus.__file__).resolve().parent
 COORDS = ("x1", "x2")
@@ -396,6 +397,24 @@ MUTANTS.update(
             "_deformed(E, op, e1, e2, images[l2], images[l2])",
             paired_property,
         ),
+        "laurent-lcm-takes-the-minimum": (
+            "rational", "_pack([max(e, f) for e, f in", "_pack([min(e, f) for e, f in", shape_property,
+        ),
+        "laurent-product-no-cross-cancellation": (
+            "rational",
+            "g1 = _monomial_gcd_key(n1.prim, b, n)\n    g2 = _monomial_gcd_key(n2.prim, a, n)",
+            "g1 = g2 = 0",
+            shape_property,
+        ),
+        "laurent-derivative-drops-E-n": (
+            "rational",
+            "num.derivative(index) * x - num * Polynomial.const(vars, e)",
+            "num.derivative(index) * x",
+            shape_property,
+        ),
+        "unit-test-on-the-shared-dict": (
+            "rational", "    if den is unit:\n", "    if den.prim is unit.prim:\n", shape_property,
+        ),
         "paired-theorem-intertwines-n": (
             "paired",
             "residue = _block_product(A, n, p, p, m)",
@@ -414,6 +433,7 @@ PROPERTIES = {
     paired_property: paired,
     sampler_property: calculus,
     product_property: courant,
+    shape_property: rational,
 }
 
 

@@ -54,6 +54,7 @@ from algebroid_forge.pn import (
 )
 
 from oracles import (
+    identity_morphism,
     insert_endomorphism_oracle,
     lie_algebra_presentation,
     nstar_pullback_oracle,
@@ -586,8 +587,6 @@ class TestQlbMorphism:
         phi3 = TR3.section(FORM, 3, {(0, 1, 2): TR3.coord_rf("x1")})
         # x1 eps123 is closed on TR3 (top degree)
         Q = qlb_from_closed3form(TR3, phi3)
-        from algebroid_forge.calculus import identity_morphism
-
         report = check_qlb_morphism(identity_morphism(Q.base), Q, Q)
         assert report.passed
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algebroid_forge import rational
-from algebroid_forge.errors import DegreeOverflow, DivisionByZero, ParseError, UnknownCoordinate
+from algebroid_forge.errors import DegreeOverflow, DivisionByZero, ParseError, TermOverflow, UnknownCoordinate
 from algebroid_forge.rational import (
     MAX_DEGREE,
     ExpressionParser,
@@ -19,7 +19,7 @@ from algebroid_forge.rational import (
     parse_scalar,
     poly_gcd,
 )
-from oracles import primitive_form, sympy_poly, sympy_terms
+from oracles import canonical_parts, primitive_form, sympy_poly, sympy_terms
 
 VARS = ("x1", "x2", "x3")
 
@@ -350,6 +350,174 @@ def test_arith_matches_sympy():
         ):
             got = sympy.sympify(str(ours).replace("^", "**"))
             assert sympy.simplify(got - theirs) == 0
+
+
+# -- the three denominator shapes ---------------------------------------------
+# A denominator is the unit, a single term (a Laurent value) or anything
+# else, and each pair of shapes takes its own path through the field
+# operations.  The draws and their sympy expectations depend on the seed
+# alone, so tests/test_mutants.py runs the same property on its mutants.
+
+SHAPE_SEED, SHAPE_DRAWS = 20, 150
+SHAPE_OPS = (
+    ("a", lambda a, b, d: a),
+    ("b", lambda a, b, d: b),
+    ("a + b", lambda a, b, d: a + b),
+    ("a - b", lambda a, b, d: a - b),
+    ("a * b", lambda a, b, d: a * b),
+    ("a / b", lambda a, b, d: a / b),
+    ("d a", lambda a, b, d: d(a)),
+    ("d (a / b)", lambda a, b, d: d(a / b)),
+)
+
+
+def shape_spec(rng, n):
+    """(terms, factor, kind, den): a sum of coefficient * monomial terms
+    with distinct exponents up to 2, times the monomial ``factor``, over a
+    denominator of ``kind``: "unit"; "term", a content 1, 2 or 1/3 times a
+    monomial with exponents up to 3; "general", (1 + 2*x_j)^k; or
+    "content", a constant 2, 1/3 or -1."""
+    exponents = {tuple(rng.randrange(3) for _ in range(n)) for _ in range(rng.randrange(1, 4))}
+    terms = [(rng.choice((-3, -2, -1, 1, 2, 5)), e) for e in sorted(exponents)]
+    factor = tuple(rng.randrange(2) for _ in range(n)) if rng.random() < 0.4 else (0,) * n
+    kind = rng.choice(("unit", "term", "general", "content"))
+    den = {
+        "unit": None,
+        "term": (rng.choice((1, 2, Fraction(1, 3))), tuple(rng.randrange(4) for _ in range(n))),
+        "general": (rng.randrange(n), rng.randrange(1, 3)),
+        "content": rng.choice((2, Fraction(1, 3), -1)),
+    }[kind]
+    return terms, factor, kind, den
+
+
+def shape_specs(seed, draws):
+    """Per draw: the number of coordinates (1-3), two value specs and the
+    coordinate index to differentiate by."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(draws):
+        n = rng.randrange(1, 4)
+        out.append((n, shape_spec(rng, n), shape_spec(rng, n), rng.randrange(n)))
+    return out
+
+
+def shape_value(rat, vars_, spec):
+    """The spec's value by the arithmetic of the module ``rat``.  A content
+    c enters as one * c, which shares the unit's primitive part."""
+    RF = rat.RationalFunction
+    terms, factor, kind, den = spec
+
+    def monomial(c, exponents):
+        out = RF.one(vars_) * c
+        for name, e in zip(vars_, exponents):
+            if e:
+                out = out * RF.coord(vars_, name) ** e
+        return out
+
+    num = RF.zero(vars_)
+    for c, exponents in terms:
+        num = num + monomial(c, exponents)
+    num = num * monomial(1, factor)
+    if kind == "term":
+        return num / monomial(*den)
+    if kind == "general":
+        j, k = den
+        return num / (RF.coord(vars_, vars_[j]) * 2 + 1) ** k
+    if kind == "content":
+        return num / (RF.one(vars_) * den)
+    return num
+
+
+def shape_element(field, spec):
+    """The spec's value in sympy's rational function field ``field``."""
+    terms, factor, kind, den = spec
+
+    def monomial(c, exponents):
+        c = Fraction(c)
+        out = field(c.numerator) / c.denominator
+        for x, e in zip(field.gens, exponents):
+            out *= x**e
+        return out
+
+    num = sum((monomial(c, e) for c, e in terms), field.zero) * monomial(1, factor)
+    if kind == "term":
+        return num / monomial(*den)
+    if kind == "general":
+        j, k = den
+        return num / (1 + 2 * field.gens[j]) ** k
+    if kind == "content":
+        return num / monomial(den, ())
+    return num
+
+
+_SHAPE_EXPECTED = {}
+
+
+def shape_expected(seed, draws):
+    """The oracle's canonical parts of every SHAPE_OPS result, per draw."""
+    if (seed, draws) not in _SHAPE_EXPECTED:
+        expected = []
+        for n, spec_a, spec_b, x in shape_specs(seed, draws):
+            field = sympy.QQ.frac_field(*sympy.symbols(VARS[:n]))
+            a, b = shape_element(field, spec_a), shape_element(field, spec_b)
+            results = [op(a, b, lambda f: f.diff(field.gens[x])) for _, op in SHAPE_OPS]
+            expected.append([canonical_parts(r) for r in results])
+        _SHAPE_EXPECTED[(seed, draws)] = expected
+    return _SHAPE_EXPECTED[(seed, draws)]
+
+
+def stored_parts(p):
+    """(cnum, cden, prim) as a Polynomial stores them, prim by exponent
+    tuples."""
+    content = Fraction(p.cnum, p.cden)
+    return p.cnum, p.cden, {m: c / content for m, c in p.terms.items()}
+
+
+def shape_property(rat, seed=SHAPE_SEED, draws=SHAPE_DRAWS) -> list[str]:
+    """Every SHAPE_OPS result on the drawn pairs, built by the module
+    ``rat``, has the oracle's canonical parts, and every constant
+    denominator is the interned unit.  Stops at the first failure; an
+    exception is one."""
+    for (n, spec_a, spec_b, x), expected in zip(shape_specs(seed, draws), shape_expected(seed, draws)):
+        vars_ = VARS[:n]
+        try:
+            a, b = shape_value(rat, vars_, spec_a), shape_value(rat, vars_, spec_b)
+            results = [op(a, b, lambda f: f.differentiate(vars_[x])) for _, op in SHAPE_OPS]
+        except Exception as err:
+            return [f"{spec_a}, {spec_b}: {type(err).__name__}: {err}"]
+        unit = rat.RationalFunction.one(vars_).den
+        for (label, _), got, parts in zip(SHAPE_OPS, results, expected):
+            if (stored_parts(got.num), stored_parts(got.den)) != parts:
+                return [f"{label} for a = {a}, b = {b}: got {got}"]
+            if got.den.is_constant() and got.den is not unit:
+                return [f"{label} for a = {a}, b = {b}: a constant denominator that is not the unit"]
+    return []
+
+
+def test_denominator_shapes_match_sympy():
+    assert shape_property(rational) == []
+
+
+class TestShapeBounds:
+    # the unit and Laurent paths keep the bounds of the products they skip
+
+    def test_degree_overflow_on_the_polynomial_path(self):
+        with pytest.raises(DegreeOverflow):
+            rf("x1^20000") * rf("x2^20000")
+
+    def test_degree_overflow_on_the_laurent_paths(self):
+        a, b = rf("1/x1^20000"), rf("1/x2^20000")
+        for op in (lambda: a + b, lambda: a * b, lambda: rf(f"1/x1^{MAX_DEGREE}").differentiate("x1")):
+            with pytest.raises(DegreeOverflow):
+                op()
+
+    def test_term_overflow_on_the_polynomial_and_laurent_paths(self):
+        # 400 terms each: the product's bound 160,000 exceeds MAX_TERMS
+        terms = {(i, j, 0): Fraction(1) for i in range(20) for j in range(20)}
+        p = RationalFunction(Polynomial(VARS, terms), Polynomial.const(VARS, 1))
+        for a, b in ((p, p), (p / rf("x1"), p / rf("x2^2"))):
+            with pytest.raises(TermOverflow):
+                a * b
 
 
 class TestParser:
