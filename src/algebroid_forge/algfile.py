@@ -15,7 +15,6 @@ from .calculus import (
     AlgebroidPresentation,
     BundleMorphism,
     GradedSection,
-    _pair_index,
 )
 from .errors import ParseError, SemanticError, clip
 from .paired import PairedOperator
@@ -31,8 +30,8 @@ def _frame_index(word: str) -> int | None:
     return None
 
 # Bounds on an algebroid declaration, each a ParseError at the offending
-# token: parsing allocates rank^2 (rank - 1) / 2 structure entries, and the
-# checks enumerate frame pairs and triples.  The shipped corpus stays at rank
+# token: parsing allocates rank x coordinates anchor entries, and the checks
+# enumerate frame pairs and triples.  The shipped corpus stays at rank
 # 4 with 4 coordinates.
 MAX_RANK = 32
 MAX_COORDS = 32
@@ -226,17 +225,15 @@ class _Parser:
         coords = tuple(coords)
         zero = RationalFunction.zero(coords)
         anchor = [[zero for _ in coords] for _ in range(rank)]
-        npairs = rank * (rank - 1) // 2
-        structure = [[zero for _ in range(rank)] for _ in range(npairs)]
+        structure = {}
 
         def bracket(idx, first):
             i, j = sorted(idx)
             if i == j:
                 message = f"bracket[{i + 1},{j + 1}] needs two different indices"
                 raise SemanticError(message, first.line, first.column)
-            row = structure[_pair_index(i, j, rank)]
-            for k, c in self._lincomb(coords, rank).items():
-                row[k] = c if idx == (i, j) else -c
+            entries = self._lincomb(coords, rank).items()
+            structure[(i, j)] = tuple((k, c if idx == (i, j) else -c) for k, c in entries)
             return i, j
 
         anchor_entry = self._into(anchor, coords)
@@ -245,7 +242,7 @@ class _Parser:
             coords,
             rank,
             tuple(tuple(r) for r in anchor),
-            tuple(tuple(r) for r in structure),
+            structure,
             name=name,
         )
 

@@ -17,8 +17,9 @@ Sign conventions, fixed once for the whole package:
   * Schouten bracket graded so that [P, Q wedge R] =
     [P,Q] wedge R + (-1)^{(p-1)q} Q wedge [P,R].
 
-Schouten and d read the structure and anchor data through one memoized
-frame table per presentation (``_frame_table``), in closed form:
+Schouten and d read a presentation's ``structure`` (the nonzero c_ij^k,
+keyed by frame pair) and ``anchored`` (the frame indices with a nonzero
+anchor) directly, in closed form:
 
     [e_I, e_J] = sum_{a,b} (-1)^{a+b} [e_{I_a}, e_{J_b}] ^ e_{I-I_a} ^ e_{J-J_b}
     d eps^I    = sum_a (-1)^a d eps^{I_a} ^ eps^{I-I_a}
@@ -57,32 +58,40 @@ FORM = "form"
 Idx = tuple[int, ...]
 
 
-def _pair_index(i: int, j: int, rank: int) -> int:
-    # position of (i, j), i < j, in lexicographic order over all such pairs
-    return i * rank - i * (i + 1) // 2 + (j - i - 1)
-
-
 class AlgebroidPresentation:
     """Anchored bracket data on a chart.
 
     ``anchor[i][a]`` is the a-th base component of rho(e_i); ``structure``
-    holds, for each pair i < j in lex order, the frame coefficients of
-    [e_i, e_j].  The data need not satisfy the Lie algebroid axioms (deformed
-    and dual structures reuse this shape); ``check_axioms`` decides that.
-    Equality and hash read the data only, not ``name`` or the memo cache.
+    maps a frame pair (i, j), i < j, to the entries ((k, c_ij^k), ...) of
+    [e_i, e_j].  The constructor keeps the nonzero entries only, sorted by k,
+    and the pairs with at least one, sorted; ``anchored`` lists the frame
+    indices whose anchor is nonzero.  Every bracket reads these two.  The
+    data need not satisfy the Lie algebroid axioms (deformed and dual
+    structures reuse this shape); ``check_axioms`` decides that.  Equality
+    and hash read the data only, not ``name`` or the memo cache.
     """
 
-    __slots__ = ("coords", "rank", "anchor", "structure", "name", "_cache", "_hash")
+    __slots__ = ("coords", "rank", "anchor", "structure", "anchored", "name", "_cache", "_hash")
 
-    def __init__(self, coords: tuple[str, ...], rank: int, anchor, structure, name: str = ""):
+    def __init__(self, coords: tuple[str, ...], rank: int, anchor, structure: dict, name: str = ""):
         n = len(coords)
         if rank < 1:
             raise MalformedPresentation("rank must be at least 1")
         if len(anchor) != rank or any(len(row) != n for row in anchor):
             raise MalformedPresentation("anchor must be rank x dim(base)")
-        if len(structure) != rank * (rank - 1) // 2 or any(len(row) != rank for row in structure):
-            raise MalformedPresentation("structure table must list rank coefficients per frame pair")
-        self.coords, self.rank, self.anchor, self.structure = coords, rank, anchor, structure
+        table = {}
+        for pair, row in structure.items():
+            if len(pair) != 2 or not 0 <= pair[0] < pair[1] < rank:
+                raise MalformedPresentation(f"structure key {pair} is not a frame pair i < j below rank {rank}")
+            ks = [k for k, _ in row]
+            if len(set(ks)) != len(ks) or not all(0 <= k < rank for k in ks):
+                raise MalformedPresentation(f"structure row {pair} must list distinct k below rank {rank}")
+            entries = tuple(sorted((k, c) for k, c in row if not c.is_zero()))
+            if entries:
+                table[pair] = entries
+        self.coords, self.rank, self.anchor = coords, rank, anchor
+        self.structure = dict(sorted(table.items()))
+        self.anchored = tuple(i for i, row in enumerate(anchor) if any(not c.is_zero() for c in row))
         self.name = name
         self._cache = {}
         self._hash = None
@@ -96,7 +105,7 @@ class AlgebroidPresentation:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.coords, self.rank, self.anchor, self.structure))
+            self._hash = hash((self.coords, self.rank, self.anchor, tuple(self.structure.items())))
         return self._hash
 
     def memo(self, key, compute, *args):
@@ -142,7 +151,7 @@ class AlgebroidPresentation:
 
     def bracket_frame(self, i: int, j: int) -> "GradedSection":
         """[e_i, e_j] with the antisymmetric sign convention."""
-        row = _frame_table(self)[0].get((min(i, j), max(i, j)), ())
+        row = self.structure.get((min(i, j), max(i, j)), ())
         return self.section(MULTIVECTOR, 1, {(k,): c if i < j else -c for k, c in row})
 
     # -- section constructors --------------------------------------------------
@@ -429,26 +438,6 @@ def _compute_d_function(A: AlgebroidPresentation, f: RationalFunction) -> Graded
     return A.section(FORM, 1, {(i,): A.rho_apply(i, f) for i in range(A.rank)})
 
 
-def _frame_table(A: AlgebroidPresentation) -> tuple:
-    """(brackets, anchored), memoized on A: ``brackets`` maps each pair
-    (i, j), i < j, with a nonzero row to its entries ((k, c_ij^k), ...), and
-    ``anchored`` lists the frame indices whose anchor is nonzero.  The one
-    reading of the structure and anchor data behind Schouten, d and the
-    Dorfman kernel."""
-    return A.memo(("frame_table",), _compute_frame_table, A)
-
-
-def _compute_frame_table(A: AlgebroidPresentation) -> tuple:
-    brackets = {}
-    for i, j in combinations(range(A.rank), 2):
-        row = A.structure[_pair_index(i, j, A.rank)]
-        entries = tuple((k, c) for k, c in enumerate(row) if not c.is_zero())
-        if entries:
-            brackets[(i, j)] = entries
-    anchored = tuple(i for i, row in enumerate(A.anchor) if any(not c.is_zero() for c in row))
-    return brackets, anchored
-
-
 def _d_basis_form(A: AlgebroidPresentation, idx: Idx) -> GradedSection:
     """d eps^idx for a pure coframe wedge, memoized on A."""
     return A.memo(("d_basis_form", idx), _compute_d_basis_form, A, idx)
@@ -458,7 +447,7 @@ def _compute_d_basis_form(A: AlgebroidPresentation, idx: Idx) -> GradedSection:
     # d eps^I = sum_a (-1)^a d eps^{I_a} ^ eps^{I minus I_a}, with
     # d eps^k = -sum_{i<j} c_ij^k eps^i ^ eps^j
     out: dict[Idx, RationalFunction] = {}
-    for (i, j), row in _frame_table(A)[0].items():
+    for (i, j), row in A.structure.items():
         for k, c in row:
             if k in idx:
                 a = idx.index(k)
@@ -489,12 +478,12 @@ def _compute_differential(mu: GradedSection) -> GradedSection:
     return GradedSection._make(A, FORM, mu.degree + 1, out)
 
 
-def _frames_into(acc: dict, brackets: dict, I: Idx, J: Idx, fg: RationalFunction) -> None:
+def _frames_into(acc: dict, structure: dict, I: Idx, J: Idx, fg: RationalFunction) -> None:
     """acc += fg [e_I, e_J], by the closed form of the module docstring."""
     for a, i in enumerate(I):
         rest_i = I[:a] + I[a + 1 :]
         for b, j in enumerate(J):
-            row = brackets.get((i, j) if i < j else (j, i))
+            row = structure.get((i, j) if i < j else (j, i))
             merged = row and _merge_indices(rest_i, J[:b] + J[b + 1 :])
             if not merged:
                 continue
@@ -506,14 +495,12 @@ def _frames_into(acc: dict, brackets: dict, I: Idx, J: Idx, fg: RationalFunction
                     _accumulate(acc, term[1], t if sign * term[0] > 0 else -t)
 
 
-def _function_into(
-    acc: dict, A: AlgebroidPresentation, anchored: tuple, I: Idx, g, f, J: Idx, sign: int
-) -> None:
+def _function_into(acc: dict, A: AlgebroidPresentation, I: Idx, g, f, J: Idx, sign: int) -> None:
     """acc += sign f [e_I, g] ^ e_J, where [e_I, g] =
     sum_a (-1)^{p-1-a} rho(e_{I_a})(g) e_{I minus I_a} (a from 0, p = |I|)."""
     p = len(I)
     for a, i in enumerate(I):
-        if i not in anchored:
+        if i not in A.anchored:
             continue
         t = A.rho_apply(i, g)
         merged = not t.is_zero() and _merge_indices(I[:a] + I[a + 1 :], J)
@@ -536,16 +523,15 @@ def schouten(P: GradedSection, Q: GradedSection) -> GradedSection:
         # [f, Q] = (-1)^q [Q, f]
         flipped = schouten(Q, P)
         return flipped if q % 2 == 0 else -flipped
-    brackets, anchored = _frame_table(A)
     trail = 1 if ((p - 1) * (q - 1)) % 2 else -1
     out: dict[Idx, RationalFunction] = {}
     for I, f in P.coeffs.items():
         for J, g in Q.coeffs.items():
             # [f e_I, g e_J] = fg [e_I, e_J] + f [e_I, g] ^ e_J
             #                  - (-1)^{(p-1)(q-1)} g [e_J, f] ^ e_I
-            _frames_into(out, brackets, I, J, f * g)
-            _function_into(out, A, anchored, I, g, f, J, 1)
-            _function_into(out, A, anchored, J, f, g, I, trail)
+            _frames_into(out, A.structure, I, J, f * g)
+            _function_into(out, A, I, g, f, J, 1)
+            _function_into(out, A, J, f, g, I, trail)
     return GradedSection._make(A, MULTIVECTOR, p + q - 1, out)
 
 
@@ -771,18 +757,14 @@ def tangent_algebroid(n: int, prefix: str = "x") -> AlgebroidPresentation:
     one = RationalFunction.one(coords)
     zero = RationalFunction.zero(coords)
     anchor = tuple(tuple(one if a == i else zero for a in range(n)) for i in range(n))
-    npairs = n * (n - 1) // 2
-    structure = tuple(tuple(zero for _ in range(n)) for _ in range(npairs))
-    return AlgebroidPresentation(coords, n, anchor, structure, name=f"TR{n}")
+    return AlgebroidPresentation(coords, n, anchor, {})
 
 
 def null_presentation(A: AlgebroidPresentation) -> AlgebroidPresentation:
     """Same chart and rank as A, zero anchor and brackets (the null structure)."""
     zero = A.zero_rf()
     anchor = tuple(tuple(zero for _ in range(A.n)) for _ in range(A.rank))
-    npairs = A.rank * (A.rank - 1) // 2
-    structure = tuple(tuple(zero for _ in range(A.rank)) for _ in range(npairs))
-    return AlgebroidPresentation(A.coords, A.rank, anchor, structure)
+    return AlgebroidPresentation(A.coords, A.rank, anchor, {})
 
 
 def derived_presentation(
@@ -795,16 +777,16 @@ def derived_presentation(
     The new anchor is rho o M: column i of ``matrix`` lists the A-frame
     components that the i-th new frame element is sent to.  ``bracket(i, j)``
     returns [e_i, e_j] for i < j as a degree-1 section of either variance,
-    whose coefficients become the structure row.  Dual, deformed and prime
-    structures are all built this way; the axioms are not implied.
+    whose nonzero coefficients become the entries of the pair.  Dual,
+    deformed and prime structures are all built this way; the axioms are
+    not implied.
     """
     anchor = tuple(vector_field(mat_apply(matrix, A.frame(i))) for i in range(A.rank))
-    rows = []
-    for i in range(A.rank):
-        for j in range(i + 1, A.rank):
-            br = bracket(i, j)
-            rows.append(tuple(br.coefficient((k,)) for k in range(A.rank)))
-    return AlgebroidPresentation(A.coords, A.rank, anchor, tuple(rows))
+    structure = {
+        (i, j): tuple((k, c) for (k,), c in bracket(i, j).coeffs.items())
+        for i, j in combinations(range(A.rank), 2)
+    }
+    return AlgebroidPresentation(A.coords, A.rank, anchor, structure)
 
 
 # ---------------------------------------------------------------------------

@@ -54,8 +54,6 @@ from .calculus import (
     GradedSection,
     SeededRng,
     _accumulate,
-    _frame_table,
-    _pair_index,
     _single_contract,
     apply_field,
     d_function,
@@ -186,19 +184,12 @@ def qlb_double(Q: QuasiLieBialgebroid) -> CourantDouble:
 
 
 def negate_presentation(P: AlgebroidPresentation) -> AlgebroidPresentation:
-    """P with every anchor and structure entry negated: the nonzero ones,
-    read from its frame table."""
-    brackets, anchored = _frame_table(P)
-    zero = P.zero_rf()
+    """P with every anchor and structure entry negated: the nonzero ones."""
     anchor = list(P.anchor)
-    for i in anchored:
+    for i in P.anchored:
         anchor[i] = tuple(-c for c in anchor[i])
-    rows = [[zero] * P.rank for _ in range(P.rank * (P.rank - 1) // 2)]
-    for (i, j), entries in brackets.items():
-        row = rows[_pair_index(i, j, P.rank)]
-        for k, c in entries:
-            row[k] = -c
-    return AlgebroidPresentation(P.coords, P.rank, tuple(anchor), tuple(map(tuple, rows)))
+    structure = {pair: tuple((k, -c) for k, c in row) for pair, row in P.structure.items()}
+    return AlgebroidPresentation(P.coords, P.rank, tuple(anchor), structure)
 
 
 def conjugate(E: CourantDouble) -> CourantDouble:
@@ -258,21 +249,20 @@ def product_with_renaming(
     renames1 = {c: c for c in E1.base.coords}
 
     def combine(p1: AlgebroidPresentation, p2: AlgebroidPresentation) -> AlgebroidPresentation:
-        # each factor's block from its frame table: nonzero entries only
+        # each factor's block: nonzero entries only
         rank, zero = p1.rank + p2.rank, RationalFunction.zero(coords)
         anchor = [[zero] * len(coords) for _ in range(rank)]
-        rows = [[zero] * rank for _ in range(rank * (rank - 1) // 2)]
+        structure = {}
         for P, offset, shift, renames in ((p1, 0, 0, renames1), (p2, p1.rank, p1.n, renames2)):
-            brackets, anchored = _frame_table(P)
-            for i in anchored:
+            for i in P.anchored:
                 for a, c in enumerate(P.anchor[i]):
                     if not c.is_zero():
                         anchor[offset + i][shift + a] = _transport(c, renames, coords)
-            for (i, j), entries in brackets.items():
-                row = rows[_pair_index(offset + i, offset + j, rank)]
-                for k, c in entries:
-                    row[offset + k] = _transport(c, renames, coords)
-        return AlgebroidPresentation(coords, rank, tuple(map(tuple, anchor)), tuple(map(tuple, rows)))
+            for (i, j), row in P.structure.items():
+                structure[(offset + i, offset + j)] = tuple(
+                    (offset + k, _transport(c, renames, coords)) for k, c in row
+                )
+        return AlgebroidPresentation(coords, rank, tuple(map(tuple, anchor)), structure)
 
     base = combine(E1.base, E2.base)
     dual = combine(E1.dual, E2.dual)
@@ -342,21 +332,21 @@ def dorfman(E: CourantDouble, e1: CourantSection, e2: CourantSection) -> Courant
 def _compute_dorfman(E: CourantDouble, e1: CourantSection, e2: CourantSection) -> CourantSection:
     X, a = _frame_coefficients(e1.vec, MULTIVECTOR), _frame_coefficients(e1.cov, FORM)
     Y, b = _frame_coefficients(e2.vec, MULTIVECTOR), _frame_coefficients(e2.cov, FORM)
-    base_table, dual_table, x3_pairs, psi_pairs = _frame_tables(E)
+    x3_pairs, psi_pairs = _frame_tables(E)
     vec: dict[int, RationalFunction] = {}
-    _bracket_into(vec, E.base, base_table, X, Y)
+    _bracket_into(vec, E.base, X, Y)
     if a and Y:
         _contract_into(vec, a, d_star(E, e2.vec), False)
-        _gradient_into(vec, E.dual, dual_table[1], a, Y)
+        _gradient_into(vec, E.dual, a, Y)
     if b and X:
         _contract_into(vec, b, d_star(E, e1.vec), True)
     if a and b:
         _pairs_into(vec, x3_pairs, a, b)
     cov: dict[int, RationalFunction] = {}
-    _bracket_into(cov, E.dual, dual_table, a, b)
+    _bracket_into(cov, E.dual, a, b)
     if X and b:
         _contract_into(cov, X, differential(e2.cov), False)
-        _gradient_into(cov, E.base, base_table[1], b, X)
+        _gradient_into(cov, E.base, b, X)
     if Y and a:
         _contract_into(cov, Y, differential(e1.cov), True)
     if X and Y:
@@ -382,15 +372,15 @@ def _degree_one(parent: AlgebroidPresentation, variance: str, acc: dict) -> Grad
 
 
 def _frame_tables(E: CourantDouble) -> tuple:
-    """Per-double frame tables: ``calculus._frame_table`` of E.base and of
-    E.dual, and the pairs of E.x3 and of E.psi; see ``_compute_frame_tables``."""
+    """Per-double pair tables of E.x3 and of E.psi, after checking that
+    E.dual shares E.base's chart and rank; see ``_compute_frame_tables``."""
     return E.memo(("frame_tables",), _compute_frame_tables, E)
 
 
 def _compute_frame_tables(E: CourantDouble) -> tuple:
-    """A pair table maps (i, j), i < j, with a nonzero row to ((k, t_ij^k), ...):
-    the structure entries c_ij^k of a side, or the components of i_j i_i T
-    for the three-tensors."""
+    """A pair table maps (i, j), i < j, with a nonzero row to ((k, t_ij^k), ...),
+    the components of i_j i_i T for a three-tensor T: the shape of a side's
+    ``structure``, which the Dorfman kernel reads directly."""
     base, dual = E.base, E.dual
     if dual.rank != base.rank or dual.coords != base.coords:
         raise ParentMismatch("the dual side must share the base's chart and rank")
@@ -411,7 +401,7 @@ def _compute_frame_tables(E: CourantDouble) -> tuple:
                 pairs[(i, j)] = tuple((k, c) for (k,), c in row.items())
         return pairs
 
-    return _frame_table(base), _frame_table(dual), contractions(E.x3, MULTIVECTOR), contractions(E.psi, FORM)
+    return contractions(E.x3, MULTIVECTOR), contractions(E.psi, FORM)
 
 
 def _pairs_into(acc: dict, pairs: dict, u: dict, v: dict) -> None:
@@ -427,12 +417,11 @@ def _pairs_into(acc: dict, pairs: dict, u: dict, v: dict) -> None:
             _accumulate(acc, k, w * c)
 
 
-def _bracket_into(acc: dict, P: AlgebroidPresentation, table: tuple, u: dict, v: dict) -> None:
+def _bracket_into(acc: dict, P: AlgebroidPresentation, u: dict, v: dict) -> None:
     """[u, v]_k on the side P: its structure part, then its anchor part
     sum_i (u_i rho_i(v_k) - v_i rho_i(u_k))."""
-    pairs, anchored = table
-    _pairs_into(acc, pairs, u, v)
-    for i in anchored:
+    _pairs_into(acc, P.structure, u, v)
+    for i in P.anchored:
         ui, vi = u.get(i), v.get(i)
         if ui is not None:
             for k, vk in v.items():
@@ -459,7 +448,7 @@ def _contract_into(acc: dict, u: dict, W: GradedSection, negate: bool) -> None:
             _accumulate(acc, j, t if negate else -t)
 
 
-def _gradient_into(acc: dict, P: AlgebroidPresentation, anchored: tuple, u: dict, v: dict) -> None:
+def _gradient_into(acc: dict, P: AlgebroidPresentation, u: dict, v: dict) -> None:
     """(d_P <u, v>)_k = rho_k(sum_i u_i v_i) on the side P."""
     f = None
     for i, ui in u.items():
@@ -468,7 +457,7 @@ def _gradient_into(acc: dict, P: AlgebroidPresentation, anchored: tuple, u: dict
             f = ui * vi if f is None else f + ui * vi
     if f is None or f.is_zero():
         return
-    for k in anchored:
+    for k in P.anchored:
         t = P.rho_apply(k, f)
         if not t.is_zero():
             _accumulate(acc, k, t)

@@ -121,10 +121,15 @@ def bivector_from_sharp(A: AlgebroidPresentation, sharp: Matrix) -> GradedSectio
 
 
 def intertwining(A: AlgebroidPresentation, pi: GradedSection, n_matrix: Matrix) -> Matrix:
-    """N pi# - pi# N*.  Since pi# is antisymmetric, entry [k][j] is also
-    (N pi#)[k][j] + (N pi#)[j][k]: it vanishes iff N pi is a bivector."""
-    nsharp = matrix_compose(A, n_matrix, contraction_matrix(pi))
-    return tuple(tuple(nsharp[k][j] + nsharp[j][k] for j in range(A.rank)) for k in range(A.rank))
+    """N pi# - pi# N*, read from N o pi#; see ``_plus_transpose``."""
+    return _plus_transpose(matrix_compose(A, n_matrix, contraction_matrix(pi)))
+
+
+def _plus_transpose(nsharp: Matrix) -> Matrix:
+    """nsharp + nsharp^T.  For nsharp = N o pi#, since pi# is antisymmetric,
+    it is N pi# - pi# N*: it vanishes iff N pi is a bivector."""
+    rank = len(nsharp)
+    return tuple(tuple(nsharp[k][j] + nsharp[j][k] for j in range(rank)) for k in range(rank))
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +260,12 @@ def dual_presentation(
 def concomitant(A: AlgebroidPresentation, pi: GradedSection, n_matrix: Matrix):
     """The Magri-Morosi concomitant C(pi, N) as a function of two 1-forms,
     or None when N o pi# is not antisymmetric, so that N pi is no bivector.
-    N pi, N* and A*_pi are built once, for every pair the caller evaluates."""
-    if any(not c.is_zero() for row in intertwining(A, pi, n_matrix) for c in row):
+    N pi, N* and A*_pi are built once, for every pair the caller evaluates;
+    N o pi# is composed once, for the antisymmetry test and for N pi."""
+    nsharp = matrix_compose(A, n_matrix, contraction_matrix(pi))
+    if any(not c.is_zero() for row in _plus_transpose(nsharp) for c in row):
         return None
-    npi = bivector_from_sharp(A, matrix_compose(A, n_matrix, contraction_matrix(pi)))
+    npi = bivector_from_sharp(A, nsharp)
     nstar = nstar_matrix(A, n_matrix)
     dual = dual_presentation(A, pi)
 

@@ -40,7 +40,6 @@ from algebroid_forge.calculus import (
     MULTIVECTOR,
     AlgebroidPresentation,
     BundleMorphism,
-    _pair_index,
     differential,
     evaluate,
     identity_matrix,
@@ -281,15 +280,11 @@ def lie_algebra_presentation(rank, brackets, name=""):
     """A Lie algebra as an algebroid over a point (no coordinates, zero
     anchor); ``brackets`` maps ``(i, j)``, ``i < j``, to ``{k: c_ij^k}``."""
     coords = ()
-    zero = RationalFunction.zero(coords)
-    rows = []
-    for i in range(rank):
-        for j in range(i + 1, rank):
-            row = [zero] * rank
-            for k, c in brackets.get((i, j), {}).items():
-                row[k] = RationalFunction.const(coords, c)
-            rows.append(tuple(row))
-    return AlgebroidPresentation(coords, rank, tuple(() for _ in range(rank)), tuple(rows), name=name)
+    structure = {
+        pair: tuple((k, RationalFunction.const(coords, c)) for k, c in row.items())
+        for pair, row in brackets.items()
+    }
+    return AlgebroidPresentation(coords, rank, tuple(() for _ in range(rank)), structure, name=name)
 
 
 def identity_morphism(A):
@@ -351,11 +346,12 @@ def dorfman_by_calculus(E, e1, e2):
 
 def dense_product(E1, E2):
     """(base, dual, renames2) of the product of two split doubles, built
-    densely: every anchor and structure entry of both factors transported to
-    the product chart, zeros included, with the second factor's coordinates
-    renamed by appending ``_b`` until they are free.  The reference for
+    densely: every anchor entry and every c_ij^k of both factors, zeros
+    included (the entries a factor's ``structure`` omits), transported to
+    the product chart, with the second factor's coordinates renamed by
+    appending ``_b`` until they are free.  The reference for
     ``courant.product_with_renaming``, which transports the nonzero entries
-    of each factor's frame table only."""
+    of each factor only."""
     E1, E2 = transport_plus(E1), transport_plus(E2)
     taken = set(E1.base.coords)
     renames2 = {}
@@ -383,20 +379,19 @@ def dense_product(E1, E2):
             row = [transport(p2.anchor[j][a], renames2) for a in range(p2.n)]
             anchor.append(tuple([zero] * p1.n + row))
         rank = r1 + r2
-        rows = []
-        for i in range(rank):
-            for j in range(i + 1, rank):
-                row = [zero] * rank
-                if j < r1:
-                    src = p1.structure[_pair_index(i, j, r1)]
-                    for k in range(r1):
-                        row[k] = transport(src[k], renames1)
-                elif i >= r1:
-                    src = p2.structure[_pair_index(i - r1, j - r1, r2)]
-                    for k in range(r2):
-                        row[r1 + k] = transport(src[k], renames2)
-                rows.append(tuple(row))
-        return AlgebroidPresentation(coords, rank, tuple(anchor), tuple(rows))
+        structure = {}
+        for i, j in combinations(range(rank), 2):
+            row = [zero] * rank
+            if j < r1:
+                src = dict(p1.structure.get((i, j), ()))
+                for k in range(r1):
+                    row[k] = transport(src.get(k, zero), renames1)
+            elif i >= r1:
+                src = dict(p2.structure.get((i - r1, j - r1), ()))
+                for k in range(r2):
+                    row[r1 + k] = transport(src.get(k, zero), renames2)
+            structure[(i, j)] = tuple(enumerate(row))
+        return AlgebroidPresentation(coords, rank, tuple(anchor), structure)
 
     return combine(E1.base, E2.base), combine(E1.dual, E2.dual), renames2
 
@@ -439,9 +434,10 @@ def apply_by_contraction(op, e):
 
 # -- Schouten and d from raw anchor and structure data ----------------------
 # Nothing below calls the engine: a presentation is read once into sympy
-# expressions (its ``anchor`` rows and its ``structure`` rows, listed over
-# the pairs i < j in lexicographic order), and the brackets follow from the
-# Leibniz rules and the Cartan formula alone.  No Jacobi identity is assumed.
+# expressions (its ``anchor`` rows and its ``structure`` entries, spread into
+# a dense row of c_ij^k per pair i < j, zeros included), and the brackets
+# follow from the Leibniz rules and the Cartan formula alone.  No Jacobi
+# identity is assumed.
 
 
 def sympy_rf(rf, symbols):
@@ -464,8 +460,10 @@ class RawAlgebroid:
         self.rank = A.rank
         self.symbols = tuple(sympy.Symbol(name) for name in A.coords)
         self.anchor = [[sympy_rf(c, self.symbols) for c in row] for row in A.anchor]
-        pairs = combinations(range(A.rank), 2)
-        self.brackets = {ij: [sympy_rf(c, self.symbols) for c in row] for ij, row in zip(pairs, A.structure)}
+        self.brackets = {ij: [sympy.Integer(0)] * A.rank for ij in combinations(range(A.rank), 2)}
+        for ij, row in A.structure.items():
+            for k, c in row:
+                self.brackets[ij][k] = sympy_rf(c, self.symbols)
 
     def rho(self, i, f):
         """rho(e_i) f = sum_a rho_i^a df/dx_a."""

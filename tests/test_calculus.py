@@ -102,7 +102,17 @@ class TestCheckAxioms:
 
     def test_shape_validation(self):
         with pytest.raises(MalformedPresentation):
-            AlgebroidPresentation(("x1",), 2, ((TR2.zero_rf(),),), ())
+            AlgebroidPresentation(("x1",), 2, ((TR2.zero_rf(),),), {})
+        one = TR3.one_rf()
+        for structure in (
+            {(1, 0): ((2, one),)},  # reversed pair
+            {(0, 3): ((2, one),)},  # j out of range
+            {(-1, 1): ((2, one),)},  # i out of range
+            {(0, 1): ((3, one),)},  # k out of range
+            {(0, 1): ((2, one), (2, -one))},  # k twice in one row
+        ):
+            with pytest.raises(MalformedPresentation):
+                AlgebroidPresentation(TR3.coords, 3, TR3.anchor, structure)
 
 
 class TestWedge:
@@ -386,6 +396,17 @@ class TestValueSemantics:
         assert A == B and hash(A) == before == hash(B)
         null = null_presentation(A)
         assert A != AlgebroidPresentation(A.coords, A.rank, null.anchor, null.structure, name=A.name)
+        # the same data with and without an explicit zero entry or empty row
+        zero, x = TR3.zero_rf(), TR3.coord_rf("x1")
+        bare = AlgebroidPresentation(TR3.coords, 3, TR3.anchor, {(1, 2): ((0, x),)})
+        for padded in (
+            {(1, 2): ((0, x), (1, zero))},
+            {(1, 2): ((2, zero), (0, x))},
+            {(0, 1): (), (1, 2): ((0, x),)},
+            {(0, 2): ((1, zero),), (1, 2): ((0, x),)},
+        ):
+            P = AlgebroidPresentation(TR3.coords, 3, TR3.anchor, padded)
+            assert P == bare and hash(P) == hash(bare)
 
     def test_morphism_equality_ignores_name(self):
         phi = identity_morphism(TR2)
@@ -456,8 +477,7 @@ class TestMorphisms:
         anchor = tuple(
             tuple(xs[i] if a == i else zero for a in range(3)) for i in range(3)
         )
-        structure = tuple((zero, zero, zero) for _ in range(3))
-        AN = AlgebroidPresentation(TR3.coords, 3, anchor, structure, name="AN")
+        AN = AlgebroidPresentation(TR3.coords, 3, anchor, {}, name="AN")
         assert check_axioms(AN).passed
         matrix = tuple(
             tuple(xs[j] if i == j else zero for i in range(3)) for j in range(3)

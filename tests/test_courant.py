@@ -15,7 +15,6 @@ from algebroid_forge.calculus import (
     AlgebroidPresentation,
     BundleMorphism,
     GradedSection,
-    _frame_table,
     _partial,
     differential,
     null_presentation,
@@ -537,7 +536,7 @@ def memoized_calls(E, inputs):
     calls += [partial(_partial, A, g, x) for x in A.coords for g in (f, f * f)]
     calls += [partial(d_star, E, s) for s in (f, X, Y, wedge(X, Y), A.zero_section(MULTIVECTOR, 2))]
     calls += [partial(differential, s) for s in (a, b, wedge(a, b), A.zero_section(FORM, 2))]
-    calls += [partial(_frame_tables, E), partial(_frame_table, A), partial(_frame_table, E.dual)]
+    calls += [partial(_frame_tables, E)]
     return calls
 
 

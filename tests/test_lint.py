@@ -12,11 +12,9 @@ that would break traced benchmark runs fails here first.  For the same
 reason every gcd of two multi-term polynomials enters through
 ``rational.poly_gcd``, the span the tracer times and counts: no other
 function reaches GCDHEU or the PRS.
-Likewise, structure rows are read in ``calculus._compute_frame_table``
-only (besides the presentation's own constructor, equality and hash), never
-by a bracket, a product or a negation of its own, and the seeded generator
-and polynomial draw are read in ``calculus`` and ``courant.SectionFamily``
-only, so every random section comes from ``calculus.random_sections``."""
+Likewise, the seeded generator and polynomial draw are read in
+``calculus`` and ``courant.SectionFamily`` only, so every random section
+comes from ``calculus.random_sections``."""
 
 import ast
 import importlib
@@ -230,56 +228,6 @@ def test_every_gcd_enters_through_poly_gcd():
         else:
             problems += [f"{path.name} reads {name}" for name in sorted(GCD_CALLERS.keys() & reads([tree]))]
     assert not problems, "a gcd bypasses rational.poly_gcd: " + "; ".join(problems)
-
-
-# the only readers of a presentation's structure rows: its constructor,
-# equality and hash, and the frame-table builder that every bracket, the
-# product's transport and the negation share
-STRUCTURE_READERS = {
-    "AlgebroidPresentation.__init__",
-    "AlgebroidPresentation.__eq__",
-    "AlgebroidPresentation.__hash__",
-    "_compute_frame_table",
-}
-
-
-def structure_reads(tree: ast.Module) -> list[str]:
-    """Loads of ``.structure`` outside STRUCTURE_READERS: a subscript, an
-    iteration or any other read."""
-    return [
-        f"line {node.lineno}: {owner or 'module level'} reads .structure"
-        for node, owner in owned_nodes(tree)
-        if isinstance(node, ast.Attribute)
-        and node.attr == "structure"
-        and isinstance(node.ctx, ast.Load)
-        and owner not in STRUCTURE_READERS
-    ]
-
-
-def test_structure_is_read_through_the_frame_table():
-    problems = []
-    for path in MODULES:
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        problems += [f"{path.name} {p}" for p in structure_reads(tree)]
-    assert not problems, "a structure read bypasses calculus._frame_table: " + "; ".join(problems)
-
-
-def test_structure_lint_flags_a_second_reader():
-    # a d that reads its structure constants itself again
-    text = (SRC / "calculus.py").read_text(encoding="utf-8")
-    head = "def _compute_d_basis_form(A: AlgebroidPresentation, idx: Idx) -> GradedSection:\n"
-    assert text.count(head) == 1
-    copy = text.replace(head, head + "    A.structure[_pair_index(0, 1, A.rank)][idx[0]]\n")
-    assert [p.split(": ", 1)[1] for p in structure_reads(ast.parse(copy))] == [
-        "_compute_d_basis_form reads .structure"
-    ]
-
-
-def test_structure_lint_flags_an_iteration():
-    # a negation that walks the rows itself again, subscripting none of them
-    text = (SRC / "courant.py").read_text(encoding="utf-8")
-    copy = text + "\n\ndef _negated_rows(P):\n    return [[-c for c in row] for row in P.structure]\n"
-    assert [p.split(": ", 1)[1] for p in structure_reads(ast.parse(copy))] == ["_negated_rows reads .structure"]
 
 
 # the sampler's generator and polynomial draw; besides calculus, which defines

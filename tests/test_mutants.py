@@ -68,8 +68,9 @@ def seeded_data(seed: int, rank: int = 3):
     """(anchor, structure) with every entry nonzero."""
     rng = random.Random(seed)
     anchor = tuple(tuple(seeded_coefficient(rng) for _ in COORDS) for _ in range(rank))
-    pairs = rank * (rank - 1) // 2
-    structure = tuple(tuple(seeded_coefficient(rng) for _ in range(rank)) for _ in range(pairs))
+    structure = {
+        pair: tuple((k, seeded_coefficient(rng)) for k in range(rank)) for pair in combinations(range(rank), 2)
+    }
     return anchor, structure
 
 
@@ -125,6 +126,23 @@ def calculus_property(calc) -> list[str]:
         if not matches_oracle(raw, calc.differential(mu), expected):
             return [f"d in degree {mu.degree}"]
     return []
+
+
+def presentation_equality_property(calc) -> list[str]:
+    """A presentation's structure spelled with an explicit zero entry or an
+    empty row equals, with an equal hash, the one spelled without."""
+    x, zero = RationalFunction.coord(COORDS, "x1"), RationalFunction.zero(COORDS)
+    anchor = tuple(tuple(seeded_coefficient(random.Random(i)) for _ in COORDS) for i in range(3))
+    bare = calc.AlgebroidPresentation(COORDS, 3, anchor, {(0, 2): ((1, x),)})
+    failures = []
+    for label, structure in (
+        ("an explicit zero entry", {(0, 2): ((1, x), (2, zero))}),
+        ("an empty row", {(0, 1): (), (0, 2): ((1, x),)}),
+    ):
+        P = calc.AlgebroidPresentation(COORDS, 3, anchor, structure)
+        if P != bare or hash(P) != hash(bare):
+            failures.append(f"structure with {label}")
+    return failures
 
 
 DORFMAN_SEEDS = (2, 3)
@@ -279,21 +297,21 @@ def gcd_property(rat) -> list[str]:
 
 # the ten terms of the Dorfman kernel, each as (label, call, sign-flipped call)
 DORFMAN_TERMS = (
-    ("XY", "_bracket_into(vec, E.base, base_table, X, Y)", "_bracket_into(vec, E.base, base_table, Y, X)"),
+    ("XY", "_bracket_into(vec, E.base, X, Y)", "_bracket_into(vec, E.base, Y, X)"),
     ("ia-dstarY", "_contract_into(vec, a, d_star(E, e2.vec), False)", "_contract_into(vec, a, d_star(E, e2.vec), True)"),
     (
         "dstar-aY",
-        "_gradient_into(vec, E.dual, dual_table[1], a, Y)",
-        "_gradient_into(vec, E.dual, dual_table[1], {i: -c for i, c in a.items()}, Y)",
+        "_gradient_into(vec, E.dual, a, Y)",
+        "_gradient_into(vec, E.dual, {i: -c for i, c in a.items()}, Y)",
     ),
     ("ib-dstarX", "_contract_into(vec, b, d_star(E, e1.vec), True)", "_contract_into(vec, b, d_star(E, e1.vec), False)"),
     ("x3", "_pairs_into(vec, x3_pairs, a, b)", "_pairs_into(vec, x3_pairs, b, a)"),
-    ("ab-star", "_bracket_into(cov, E.dual, dual_table, a, b)", "_bracket_into(cov, E.dual, dual_table, b, a)"),
+    ("ab-star", "_bracket_into(cov, E.dual, a, b)", "_bracket_into(cov, E.dual, b, a)"),
     ("iX-db", "_contract_into(cov, X, differential(e2.cov), False)", "_contract_into(cov, X, differential(e2.cov), True)"),
     (
         "d-bX",
-        "_gradient_into(cov, E.base, base_table[1], b, X)",
-        "_gradient_into(cov, E.base, base_table[1], {i: -c for i, c in b.items()}, X)",
+        "_gradient_into(cov, E.base, b, X)",
+        "_gradient_into(cov, E.base, {i: -c for i, c in b.items()}, X)",
     ),
     ("iY-da", "_contract_into(cov, Y, differential(e1.cov), True)", "_contract_into(cov, Y, differential(e1.cov), False)"),
     ("psi", "_pairs_into(cov, psi_pairs, X, Y)", "_pairs_into(cov, psi_pairs, Y, X)"),
@@ -362,9 +380,18 @@ MUTANTS.update(
         ),
         "frame-table-no-anchored": (
             "calculus",
-            "anchored = tuple(i for i, row in enumerate(A.anchor) if any(not c.is_zero() for c in row))",
-            "anchored = ()",
+            "self.anchored = tuple(i for i, row in enumerate(anchor) if any(not c.is_zero() for c in row))",
+            "self.anchored = ()",
             calculus_property,
+        ),
+        "structure-keeps-zero-entries": (
+            "calculus",
+            "for k, c in row if not c.is_zero())",
+            "for k, c in row)",
+            presentation_equality_property,
+        ),
+        "structure-keeps-empty-rows": (
+            "calculus", "            if entries:\n", "            if True:\n", presentation_equality_property,
         ),
         "paired-nstar-sign": (
             "paired", "tuple(-c for c in row)", "tuple(c for c in row)", paired_property,
@@ -389,7 +416,7 @@ MUTANTS.update(
             sampler_property,
         ),
         "product-drops-block-offset": (
-            "courant", "row[offset + k] = ", "row[k] = ", product_property,
+            "courant", "(offset + k, _transport(", "(k, _transport(", product_property,
         ),
         "bracket-agrees-images-l2-for-e1": (
             "paired",
@@ -426,6 +453,7 @@ MUTANTS.update(
 
 PROPERTIES = {
     calculus_property: calculus,
+    presentation_equality_property: calculus,
     dorfman_property: courant,
     d_star_property: pn,
     courant_axioms_property: courant,

@@ -99,8 +99,7 @@ def an_presentation():
     xs = [TR3.coord_rf(c) for c in TR3.coords]
     zero = TR3.zero_rf()
     anchor = tuple(tuple(xs[i] if a == i else zero for a in range(3)) for i in range(3))
-    structure = tuple((zero, zero, zero) for _ in range(3))
-    return AlgebroidPresentation(TR3.coords, 3, anchor, structure, name="AN")
+    return AlgebroidPresentation(TR3.coords, 3, anchor, {}, name="AN")
 
 
 def e3_structure():
@@ -535,7 +534,7 @@ class TestQlb:
         # is -rho(d_* x1)(x1) - rho(d_* x1)(x1) = -2; every frame pair and
         # frame-by-coordinate pair passes, so only the random pairs can see it
         one, zero = TR2.one_rf(), TR2.zero_rf()
-        dual = AlgebroidPresentation(TR2.coords, 2, ((one, zero), (zero, zero)), ((zero, zero),))
+        dual = AlgebroidPresentation(TR2.coords, 2, ((one, zero), (zero, zero)), {})
         Q = QuasiLieBialgebroid(TR2, dual, TR2.zero_section(MULTIVECTOR, 3))
         accepted = [seed for seed in range(30) if check_qlb(Q, seed=seed, samples=10).passed]
         assert not accepted, f"the non-qLB passes check-qlb at seeds {accepted}"

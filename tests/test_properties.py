@@ -251,8 +251,8 @@ def test_random_sections_replay_the_documented_draws(seed, rank, n, samples, max
     # every sampled family (Courant sections, check-qlb's vector pairs) reads
     # random_sections, so its draws are the records' draws
     coords = tuple(f"x{a + 1}" for a in range(n))
-    zero, pairs = RationalFunction.zero(coords), rank * (rank - 1) // 2
-    A = AlgebroidPresentation(coords, rank, ((zero,) * n,) * rank, ((zero,) * rank,) * pairs)
+    zero = RationalFunction.zero(coords)
+    A = AlgebroidPresentation(coords, rank, ((zero,) * n,) * rank, {})
     got = random_sections(A, seed, samples, max_degree)
     assert got == random_sections_reference(A, seed, samples, max_degree)
 
@@ -281,8 +281,10 @@ def anchored_brackets(draw, coords, rank):
     """Anchor and structure functions drawn freely: the bracket formula is
     an identity of the data, so no axiom is needed for the comparison."""
     anchor = tuple(tuple(draw(chart_coefficients(coords)) for _ in coords) for _ in range(rank))
-    pairs = rank * (rank - 1) // 2
-    structure = tuple(tuple(draw(chart_coefficients(coords)) for _ in range(rank)) for _ in range(pairs))
+    structure = {
+        pair: tuple(enumerate(draw(chart_coefficients(coords)) for _ in range(rank)))
+        for pair in combinations(range(rank), 2)
+    }
     return AlgebroidPresentation(coords, rank, anchor, structure)
 
 
