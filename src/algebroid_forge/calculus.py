@@ -49,7 +49,7 @@ from .errors import (
     ParentMismatch,
     VarianceMismatch,
 )
-from .rational import RationalFunction, parse_scalar
+from .rational import RationalFunction, fraction_sum, parse_scalar, term_product
 from .reporting import PROOF_GENERATORS, PROOF_TENSORIAL, Report
 
 MULTIVECTOR = "multivector"
@@ -209,10 +209,16 @@ class GradedSection:
     @classmethod
     def _make(cls, parent, variance: str, degree: int, coeffs: dict) -> "GradedSection":
         """A section from index tuples already valid for ``degree`` on
-        ``parent``; zero coefficients are still dropped."""
+        ``parent``; zero coefficients are still dropped.  The one place where
+        an ``_accumulate`` term list becomes a coefficient, by fraction_sum."""
         s = object.__new__(cls)
         s.parent, s.variance, s.degree = parent, variance, degree
-        s.coeffs = {idx: rf for idx, rf in coeffs.items() if not rf.is_zero()}
+        s.coeffs = clean = {}
+        for idx, rf in coeffs.items():
+            if rf.__class__ is not RationalFunction:
+                rf = fraction_sum(rf if rf.__class__ is list else [rf])
+            if rf.num.prim:
+                clean[idx] = rf
         s._key = s._hash = None
         return s
 
@@ -337,10 +343,21 @@ def _merge_indices(a: Idx, b: Idx) -> tuple[int, Idx] | None:
     return (-1 if inversions % 2 else 1), merged
 
 
-def _accumulate(acc: dict, key, term: RationalFunction) -> None:
-    """acc[key] += term.  A zero sum stays; GradedSection._make drops it."""
+def _accumulate(acc: dict, key, term) -> None:
+    """acc[key] += term, for a RationalFunction or ``term_product`` term.
+    Polynomial and Laurent values are summed at once.  Once a term or the
+    sum has a general denominator, the terms are kept in a list, which
+    GradedSection._make sums once by ``fraction_sum``; a bare
+    ``term_product`` pair waits there too.  A zero sum stays; _make drops it."""
     s = acc.get(key)
-    acc[key] = term if s is None else s + term
+    if s is None:
+        acc[key] = term
+    elif s.__class__ is list:
+        s.append(term)
+    elif s.__class__ is term.__class__ is RationalFunction and len(s.den.prim) == len(term.den.prim) == 1:
+        acc[key] = s + term
+    else:
+        acc[key] = [s, term]
 
 
 def wedge(a: GradedSection, b: GradedSection) -> GradedSection:
@@ -357,8 +374,7 @@ def wedge(a: GradedSection, b: GradedSection) -> GradedSection:
                 if merged is None:
                     continue
                 sign, idx = merged
-                term = ca * cb
-                _accumulate(coeffs, idx, term if sign > 0 else -term)
+                _accumulate(coeffs, idx, term_product(ca, cb, sign))
     return GradedSection._make(a.parent, a.variance, degree, coeffs)
 
 
@@ -409,7 +425,7 @@ def insert(target: GradedSection, arg: GradedSection) -> GradedSection:
             if not coeffs:
                 break
         for idx, c in coeffs.items():
-            _accumulate(result, idx, g * c)
+            _accumulate(result, idx, term_product(g, c))
     return GradedSection._make(target.parent, target.variance, target.degree - arg.degree, result)
 
 
@@ -474,7 +490,7 @@ def _compute_differential(mu: GradedSection) -> GradedSection:
             if merged is not None:
                 _accumulate(out, merged[1], c if merged[0] > 0 else -c)
         for key, c in _d_basis_form(A, idx).coeffs.items():
-            _accumulate(out, key, f * c)
+            _accumulate(out, key, term_product(f, c))
     return GradedSection._make(A, FORM, mu.degree + 1, out)
 
 
@@ -491,8 +507,7 @@ def _frames_into(acc: dict, structure: dict, I: Idx, J: Idx, fg: RationalFunctio
             for k, c in row:
                 term = _merge_indices((k,), merged[1])
                 if term is not None:
-                    t = fg * c
-                    _accumulate(acc, term[1], t if sign * term[0] > 0 else -t)
+                    _accumulate(acc, term[1], term_product(fg, c, sign * term[0]))
 
 
 def _function_into(acc: dict, A: AlgebroidPresentation, I: Idx, g, f, J: Idx, sign: int) -> None:
@@ -505,8 +520,7 @@ def _function_into(acc: dict, A: AlgebroidPresentation, I: Idx, g, f, J: Idx, si
         t = A.rho_apply(i, g)
         merged = not t.is_zero() and _merge_indices(I[:a] + I[a + 1 :], J)
         if merged:
-            t = f * t
-            _accumulate(acc, merged[1], t if sign * merged[0] * (-1) ** (p - 1 - a) > 0 else -t)
+            _accumulate(acc, merged[1], term_product(f, t, sign * merged[0] * (-1) ** (p - 1 - a)))
 
 
 def schouten(P: GradedSection, Q: GradedSection) -> GradedSection:
@@ -615,7 +629,7 @@ def mat_apply(matrix, X: GradedSection) -> GradedSection:
             entry = matrix[k][i]
             if entry.is_zero():
                 continue
-            _accumulate(coeffs, (k,), entry * c)
+            _accumulate(coeffs, (k,), term_product(entry, c))
     return GradedSection._make(A, X.variance, 1, coeffs)
 
 

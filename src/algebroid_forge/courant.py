@@ -70,7 +70,7 @@ from .calculus import (
 )
 from .errors import DegreeMismatch, MalformedMorphism, ParentMismatch, VarianceMismatch
 from .pn import QuasiLieBialgebroid, d_star, dual_anchor, dual_bracket
-from .rational import RationalFunction
+from .rational import RationalFunction, term_product
 from .reporting import EVIDENCE_SAMPLED, PROOF_TENSORIAL, Report
 
 
@@ -414,7 +414,7 @@ def _pairs_into(acc: dict, pairs: dict, u: dict, v: dict) -> None:
         if w is None or w.is_zero():
             continue
         for k, c in row:
-            _accumulate(acc, k, w * c)
+            _accumulate(acc, k, term_product(w, c))
 
 
 def _bracket_into(acc: dict, P: AlgebroidPresentation, u: dict, v: dict) -> None:
@@ -427,12 +427,12 @@ def _bracket_into(acc: dict, P: AlgebroidPresentation, u: dict, v: dict) -> None
             for k, vk in v.items():
                 t = P.rho_apply(i, vk)
                 if not t.is_zero():
-                    _accumulate(acc, k, ui * t)
+                    _accumulate(acc, k, term_product(ui, t))
         if vi is not None:
             for k, uk in u.items():
                 t = P.rho_apply(i, uk)
                 if not t.is_zero():
-                    _accumulate(acc, k, -(vi * t))
+                    _accumulate(acc, k, term_product(vi, t, -1))
 
 
 def _contract_into(acc: dict, u: dict, W: GradedSection, negate: bool) -> None:
@@ -441,11 +441,9 @@ def _contract_into(acc: dict, u: dict, W: GradedSection, negate: bool) -> None:
     for (j, k), w in W.coeffs.items():
         uj, uk = u.get(j), u.get(k)
         if uj is not None:
-            t = uj * w
-            _accumulate(acc, k, -t if negate else t)
+            _accumulate(acc, k, term_product(uj, w, -1 if negate else 1))
         if uk is not None:
-            t = uk * w
-            _accumulate(acc, j, t if negate else -t)
+            _accumulate(acc, j, term_product(uk, w, 1 if negate else -1))
 
 
 def _gradient_into(acc: dict, P: AlgebroidPresentation, u: dict, v: dict) -> None:
@@ -598,8 +596,8 @@ def verify_courant_axioms(
 
 def _residue(E: CourantDouble, terms) -> CourantSection:
     """sum sign * w * s over the terms (sign, w, s), w a function or None
-    for 1, summed in frame components into one accumulator per half; a
-    section is built only for a nonzero sum."""
+    for 1, summed in frame components into one accumulator per half; the
+    zero pair for a zero sum, whose test reads the finished halves."""
     vec: dict[int, RationalFunction] = {}
     cov: dict[int, RationalFunction] = {}
     for sign, w, s in terms:
@@ -607,12 +605,9 @@ def _residue(E: CourantDouble, terms) -> CourantSection:
             continue
         for acc, half in ((vec, s.vec), (cov, s.cov)):
             for (i,), c in half.coeffs.items():
-                if w is not None:
-                    c = c * w
-                _accumulate(acc, i, c if sign > 0 else -c)
-    if all(c.is_zero() for c in vec.values()) and all(c.is_zero() for c in cov.values()):
-        return E.zero_section()
-    return CourantSection(_degree_one(E.base, MULTIVECTOR, vec), _degree_one(E.base, FORM, cov))
+                _accumulate(acc, i, (c if sign > 0 else -c) if w is None else term_product(c, w, sign))
+    out = CourantSection(_degree_one(E.base, MULTIVECTOR, vec), _degree_one(E.base, FORM, cov))
+    return E.zero_section() if out.is_zero() else out
 
 
 # ---------------------------------------------------------------------------

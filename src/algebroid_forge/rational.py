@@ -38,6 +38,11 @@ shapes of its operands' denominators once:
   trivial shapes (zero, equal or single-term arguments), the variable
   support, trial division, GCDHEU, and the subresultant PRS when GCDHEU
   gives up.  It is the one entry for a gcd of two multi-term polynomials.
+
+A sum built term by term need not be reduced term by term: term_product
+keeps a product with a general-denominator factor as its unreduced
+numerator and denominator, and fraction_sum brings a list of terms to one
+common denominator and normalizes it once.
 """
 
 from __future__ import annotations
@@ -1153,6 +1158,63 @@ def _laurent_derivative(num: Polynomial, den: Polynomial, index: int) -> Rationa
     else:
         top = num.derivative(index)
     return _over_monomial(top, key) if top.prim else RationalFunction.zero(vars)
+
+
+# -- sums of general-denominator terms, normalized once ------------------------
+# A sum that a caller builds term by term, such as a frame component of a
+# section, need not be in lowest terms until it is read.  Once a term has a
+# general denominator, its terms are kept in a list and fraction_sum brings
+# the whole list to one common denominator and one reduction, in place of a
+# Henrici reduction per term (Knuth, TAOCP vol. 2, 4.5.1).
+
+
+def term_product(a: RationalFunction, b: RationalFunction, sign: int = 1):
+    """sign * a * b as a term for fraction_sum: the product itself when
+    neither factor has a general denominator or one is a constant, else the
+    pair (sign * a.num * b.num, a.den * b.den) with no gcd taken.  The pair
+    may pass MAX_DEGREE or MAX_TERMS where the reduced product does not;
+    then it is the product itself."""
+    n1, d1, n2, d2 = a.num, a.den, b.num, b.den
+    if (len(d1.prim) > 1 or len(d2.prim) > 1) and not (a.is_constant() or b.is_constant()):
+        try:
+            num = n1 * n2
+            return (num if sign > 0 else -num), d1 * d2
+        except (DegreeOverflow, TermOverflow):
+            pass
+    p = a * b
+    return p if sign > 0 else -p
+
+
+def fraction_sum(terms: list) -> RationalFunction:
+    """The sum of ``terms``, each a RationalFunction or a term_product pair
+    (num, den), in lowest terms.  The numerators over equal denominators are
+    summed first; the distinct denominators are brought to their lcm through
+    poly_gcd, and the sum is normalized once.  Should the common numerator or
+    denominator pass MAX_DEGREE or MAX_TERMS, the terms are summed one by one
+    in lowest terms instead, as the values they stand for."""
+    groups: dict[Polynomial, Polynomial] = {}
+    for t in terms:
+        num, den = (t.num, t.den) if t.__class__ is RationalFunction else t
+        s = groups.get(den)
+        groups[den] = num if s is None else s + num
+    parts = [(num, den) for den, num in groups.items() if num.prim]
+    if not parts:
+        return RationalFunction.zero(next(iter(groups)).vars)
+    try:
+        num, den = parts[0]
+        for n, d in parts[1:]:
+            g = poly_gcd(den, d)
+            if _is_unit(g):
+                num, den = num * d + n * den, den * d
+            else:
+                m = exact_div(d, g)
+                num, den = num * m + n * exact_div(den, g), den * m
+    except (DegreeOverflow, TermOverflow):
+        total = RationalFunction.zero(den.vars)
+        for t in terms:
+            total = total + (t if t.__class__ is RationalFunction else RationalFunction(*t))
+        return total
+    return RationalFunction(num, den) if num.prim else RationalFunction.zero(num.vars)
 
 
 def _poly_subs(

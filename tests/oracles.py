@@ -22,10 +22,12 @@ densely from every anchor and structure entry, the seeded random sections
 replayed from ``random.Random``, and a paired operator applied by
 contraction with pi and sigma rather than through its block matrices.
 
-Last comes a reference for Schouten and d that makes no engine call at all:
-sympy expressions read from a presentation's raw anchor and structure
-rows, the Schouten bracket expanded by the graded Leibniz rule and
-antisymmetry alone, and d by the Cartan formula.
+Last come references for Schouten, d and Dorfman that make no engine call
+at all: sympy expressions read from a presentation's raw anchor and
+structure rows, the Schouten bracket expanded by the graded Leibniz rule
+and antisymmetry alone, d by the Cartan formula, and the Dorfman bracket of
+a double by the ten component terms of the ``courant`` module docstring,
+from both sides' raw data and the raw x3 and psi.
 """
 
 import math
@@ -453,24 +455,49 @@ def sympy_rf(rf, symbols):
     return poly(rf.num) / poly(rf.den)
 
 
-class RawAlgebroid:
-    """Anchor and structure functions of a presentation as sympy expressions."""
+def field_rf(rf, field):
+    """A RationalFunction as an element of sympy's field ``QQ.frac_field``
+    on its coordinates, from its terms."""
 
-    def __init__(self, A):
+    def poly(p):
+        out = field.zero
+        for m, c in p.terms.items():
+            term = field(c.numerator) / c.denominator
+            for x, e in zip(field.gens, m):
+                term *= x**e
+            out += term
+        return out
+
+    return poly(rf.num) / poly(rf.den)
+
+
+class RawAlgebroid:
+    """Anchor and structure functions of a presentation as sympy expressions
+    or, with ``field``, as elements of sympy's field ``QQ.frac_field`` on
+    the same coordinates, which keeps them in lowest terms."""
+
+    def __init__(self, A, field=None):
         self.rank = A.rank
         self.symbols = tuple(sympy.Symbol(name) for name in A.coords)
-        self.anchor = [[sympy_rf(c, self.symbols) for c in row] for row in A.anchor]
-        self.brackets = {ij: [sympy.Integer(0)] * A.rank for ij in combinations(range(A.rank), 2)}
+        self.field = field
+        self.zero = sympy.Integer(0) if field is None else field.zero
+        self.anchor = [[self.value(c) for c in row] for row in A.anchor]
+        self.brackets = {ij: [self.zero] * A.rank for ij in combinations(range(A.rank), 2)}
         for ij, row in A.structure.items():
             for k, c in row:
-                self.brackets[ij][k] = sympy_rf(c, self.symbols)
+                self.brackets[ij][k] = self.value(c)
+
+    def value(self, rf):
+        return sympy_rf(rf, self.symbols) if self.field is None else field_rf(rf, self.field)
 
     def rho(self, i, f):
         """rho(e_i) f = sum_a rho_i^a df/dx_a."""
-        return sum((c * sympy.diff(f, x) for c, x in zip(self.anchor[i], self.symbols)), sympy.Integer(0))
+        if self.field is None:
+            return sum((c * sympy.diff(f, x) for c, x in zip(self.anchor[i], self.symbols)), self.zero)
+        return sum((c * f.diff(x) for c, x in zip(self.anchor[i], self.field.gens) if c), self.zero)
 
     def coefficients(self, section):
-        return {idx: sympy_rf(c, self.symbols) for idx, c in section.coeffs.items()}
+        return {idx: self.value(c) for idx, c in section.coeffs.items()}
 
 
 def _sorted_frames(word):
@@ -508,13 +535,13 @@ def _bracket_words(raw, u, v):
     if len(v) > 1:
         # [u, v0 ^ w] = [u, v0] ^ w + (-1)^{(p-1) deg v0} v0 ^ [u, w]
         v0, w = v[:1], v[1:]
-        sign = (-1) ** ((p - 1) * _degree(v0))
+        sign = -1 if (p - 1) * _degree(v0) % 2 else 1
         return [(c, t + w) for c, t in _bracket_words(raw, u, v0)] + [
             (sign * c, v0 + t) for c, t in _bracket_words(raw, u, w)
         ]
     if len(u) > 1:
         # [u, v] = -(-1)^{(p-1)(q-1)} [v, u]
-        sign = -((-1) ** ((p - 1) * (q - 1)))
+        sign = 1 if (p - 1) * (q - 1) % 2 else -1
         return [(sign * c, t) for c, t in _bracket_words(raw, v, u)]
     return _bracket_atoms(raw, u[0], v[0])
 
@@ -561,3 +588,77 @@ def matches_oracle(raw, section, expected):
     """Whether an engine section has exactly the oracle's coefficients."""
     got = raw.coefficients(section)
     return all(sympy.cancel(got.get(idx, 0) - expected.get(idx, 0)) == 0 for idx in set(got) | set(expected))
+
+
+# -- the Dorfman bracket from raw data ------------------------------------------
+# The ten component terms of the ``courant`` module docstring, five per half,
+# on RawAlgebroid data of both sides, read into sympy's rational function
+# field; d*Y, d*X, da and db are the Chevalley-Eilenberg d of the side they
+# belong to.  No engine call.
+
+
+def _triple(T, i, j, k):
+    """T(i, j, k) for a three-tensor {increasing I: value}, antisymmetric:
+    the component k of i_{j} i_{i} T."""
+    normal = _sorted_frames((i, j, k))
+    return 0 if normal is None else normal[0] * T.get(normal[1], 0)
+
+
+def _side_bracket(raw, u, v, k):
+    """[u, v]_k = sum_{i<j} (u_i v_j - u_j v_i) c_ij^k
+    + sum_i (u_i rho_i(v_k) - v_i rho_i(u_k))."""
+    out = sum(
+        ((u[i] * v[j] - u[j] * v[i]) * raw.brackets[(i, j)][k] for i, j in combinations(range(raw.rank), 2)),
+        raw.zero,
+    )
+    return out + sum(u[i] * raw.rho(i, v[k]) - v[i] * raw.rho(i, u[k]) for i in range(raw.rank))
+
+
+def _two_form(raw, u):
+    """d u on the side ``raw`` as W(j, k) = rho_j(u_k) - rho_k(u_j) -
+    sum_m c_jk^m u_m, with W(k, j) = -W(j, k)."""
+    W = {
+        (j, k): raw.rho(j, u[k])
+        - raw.rho(k, u[j])
+        - sum((c * u[m] for m, c in enumerate(raw.brackets[(j, k)])), raw.zero)
+        for j, k in combinations(range(raw.rank), 2)
+    }
+    return lambda j, k: 0 if j == k else W[(j, k)] if j < k else -W[(k, j)]
+
+
+def dorfman_oracle(base, dual, x3, psi, e1, e2):
+    """(X+a) o (Y+b) as its ({(k,): vec_k}, {(k,): cov_k}) components, from
+    the RawAlgebroid data of the vector side ``base`` and of the covector
+    side ``dual``, the three-tensors ``x3`` and ``psi`` as {I: expression},
+    and each section as its (vector, covector) halves {(i,): expression}."""
+    n = base.rank
+    (X, a), (Y, b) = ([[h.get((i,), base.zero) for i in range(n)] for h in e] for e in (e1, e2))
+    dsY, dsX, da, db = _two_form(dual, Y), _two_form(dual, X), _two_form(base, a), _two_form(base, b)
+    aY = sum((a[i] * Y[i] for i in range(n)), base.zero)
+    bX = sum((b[i] * X[i] for i in range(n)), base.zero)
+    pairs = list(combinations(range(n), 2))
+    vec, cov = {}, {}
+    for k in range(n):
+        vec[(k,)] = (
+            _side_bracket(base, X, Y, k)
+            + sum(a[j] * dsY(j, k) for j in range(n))
+            + dual.rho(k, aY)
+            - sum(b[j] * dsX(j, k) for j in range(n))
+            + sum((a[i] * b[j] - a[j] * b[i]) * _triple(x3, i, j, k) for i, j in pairs)
+        )
+        cov[(k,)] = (
+            _side_bracket(dual, a, b, k)
+            + sum(X[j] * db(j, k) for j in range(n))
+            + base.rho(k, bX)
+            - sum(Y[j] * da(j, k) for j in range(n))
+            + sum((X[i] * Y[j] - X[j] * Y[i]) * _triple(psi, i, j, k) for i, j in pairs)
+        )
+    return vec, cov
+
+
+def raw_double(E):
+    """(base, dual, x3, psi) of a double's stored normal form, read raw into
+    sympy's rational function field on the base chart."""
+    field = sympy.QQ.frac_field(*sympy.symbols(E.base.coords))
+    base, dual = RawAlgebroid(E.base, field), RawAlgebroid(E.dual, field)
+    return base, dual, base.coefficients(E.x3), base.coefficients(E.psi)

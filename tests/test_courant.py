@@ -670,3 +670,26 @@ def test_residues_take_no_section_arithmetic(monkeypatch):
     monkeypatch.setattr(GradedSection, "_plus", forbidden)
     for kappa, expected in TR2_REPORTS.items():
         assert verify_courant_axioms(standard_double(A), kappa=kappa, seed=0).to_text() == expected
+
+
+def test_cancelling_general_denominator_residue_is_the_zero_pair():
+    # the residue's terms stay unreduced until the halves are built, and
+    # the zero test reads the finished halves: a sum that cancels only over
+    # a common denominator is still the double's one zero pair
+    E = standard_double(tangent_algebroid(2))
+    A = E.base
+    L = A.scalar("2 + 3*x1")
+    s = CourantSection(
+        A.section(MULTIVECTOR, 1, {(0,): 1 / L**2, (1,): A.scalar("x2") / L}),
+        A.section(FORM, 1, {(1,): A.scalar("x1") / (L * A.scalar("1 + x2"))}),
+    )
+    w, v = A.scalar("x2") / L, 1 / (L * A.scalar("1 + x2"))
+    twice = s.scale(A.scalar(2) / L)
+    for terms in (
+        ((1, None, s), (-1, None, s)),
+        ((1, w, s), (-1, w, s)),
+        ((1, w, s), (1, v, s), (-1, w + v, s)),
+        ((1, None, twice), (-1, 1 / L, s), (-1, 1 / L, s)),
+    ):
+        assert courant._residue(E, terms) is E.zero_section()
+    assert courant._residue(E, ((1, w, s), (-1, v, s))).key == s.scale(w - v).key

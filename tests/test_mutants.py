@@ -32,12 +32,14 @@ from oracles import (
     cartan_d_oracle,
     dense_product,
     dorfman_by_calculus,
+    dorfman_oracle,
     lie_algebra_presentation,
     matches_oracle,
     random_sections_reference,
+    raw_double,
     schouten_oracle,
 )
-from test_rational import shape_property
+from test_rational import deferred_sum_property, shape_property
 
 SRC = pathlib.Path(calculus.__file__).resolve().parent
 COORDS = ("x1", "x2")
@@ -176,6 +178,73 @@ def dorfman_property(mod) -> list[str]:
         E, e1, e2 = dorfman_case(seed, mod.CourantDouble)
         if [mod.dorfman(E, e1, e2), mod.dorfman(E, e2, e1)] != _DORFMAN_EXPECTED[seed]:
             failures.append(f"dorfman at seed {seed}")
+    return failures
+
+
+def chart_case(seed: int, double_type):
+    """A rank-3 double and two sections as ``dorfman_case``, with each
+    anchor, structure, x3 and psi entry and each section coefficient divided
+    by L^k, L = 2 + 3*x1 and k in 0..2 seeded: the poles of the rational
+    charts."""
+    rng = random.Random(seed + 600)
+    L = RationalFunction.coord(COORDS, "x1") * 3 + 2
+
+    def poled(c):
+        return c / L ** rng.randrange(3)
+
+    def presentation(anchor, structure):
+        anchor = tuple(tuple(poled(c) for c in row) for row in anchor)
+        structure = {pair: tuple((k, poled(c)) for k, c in row) for pair, row in structure.items()}
+        return calculus.AlgebroidPresentation(COORDS, 3, anchor, structure)
+
+    def section(variance, degree, s):
+        plain = seeded_section(base, variance, degree, s)
+        return base.section(variance, degree, {I: poled(c) for I, c in plain.coeffs.items()})
+
+    base, dual = presentation(*seeded_data(seed)), presentation(*seeded_data(seed + 100))
+    x3, psi = section(MULTIVECTOR, 3, seed + 200), section(FORM, 3, seed + 300)
+    e1, e2 = (
+        courant.CourantSection(section(MULTIVECTOR, 1, s), section(FORM, 1, s + 1)) for s in (seed + 400, seed + 500)
+    )
+    return double_type(base, dual, x3, psi), e1, e2
+
+
+_ORACLE_EXPECTED = {}
+
+
+def dorfman_oracle_property(mod) -> list[str]:
+    """Both orders of the Dorfman bracket on ``chart_case`` data agree with
+    the raw-data oracle (``oracles.dorfman_oracle``)."""
+    failures = []
+    for seed in DORFMAN_SEEDS:
+        E, e1, e2 = chart_case(seed, mod.CourantDouble)
+        raw = raw_double(E)
+        if seed not in _ORACLE_EXPECTED:
+            halves = [(raw[0].coefficients(e.vec), raw[0].coefficients(e.cov)) for e in (e1, e2)]
+            _ORACLE_EXPECTED[seed] = [
+                [{k: c for k, c in half.items() if c} for half in dorfman_oracle(*raw, *order)]
+                for order in (halves, halves[::-1])
+            ]
+        for (x, y), expected in zip(((e1, e2), (e2, e1)), _ORACLE_EXPECTED[seed]):
+            got = mod.dorfman(E, x, y)
+            if [raw[0].coefficients(got.vec), raw[0].coefficients(got.cov)] != expected:
+                failures.append(f"dorfman at seed {seed}")
+    return failures
+
+
+def residue_property(mod) -> list[str]:
+    """``_residue``'s component sums equal section arithmetic on
+    ``chart_case`` sections, unweighted and weighted by a general-denominator
+    function, and a sum that cancels is the double's zero pair."""
+    E, e1, e2 = chart_case(2, mod.CourantDouble)
+    w = 1 / (RationalFunction.coord(COORDS, "x2") * 3 + 2)
+    cases = (
+        (((1, None, e1), (-1, None, e2)), e1 - e2),
+        (((1, w, e1), (-1, None, e2), (-1, w, e2)), e1.scale(w) - e2 - e2.scale(w)),
+    )
+    failures = [f"residue {k}" for k, (terms, want) in enumerate(cases) if mod._residue(E, terms).key != want.key]
+    if mod._residue(E, ((1, w, e1), (-1, w, e1))) is not E.zero_section():
+        failures.append("a cancelling residue is not the zero pair")
     return failures
 
 
@@ -330,6 +399,12 @@ MUTANTS.update(
         "dorfman-no-psi-table": (
             "courant", "contractions(E.psi, FORM)", "{}", dorfman_property,
         ),
+        "dorfman-drops-an-anchor-term": (
+            "courant",
+            "        if vi is not None:\n            for k, uk in u.items():",
+            "        if False:\n            for k, uk in u.items():",
+            dorfman_oracle_property,
+        ),
         "d_star-sign": (
             "pn",
             "return retag(differential(retag(s, D.dual, FORM)), D.base, MULTIVECTOR)",
@@ -340,7 +415,16 @@ MUTANTS.update(
             "courant", "factor = E.base.scalar(kappa)", "factor = E.base.scalar(1)", courant_axioms_property,
         ),
         "residue-ignores-sign": (
-            "courant", "_accumulate(acc, i, c if sign > 0 else -c)", "_accumulate(acc, i, c)", courant_axioms_property,
+            "courant",
+            "(c if sign > 0 else -c) if w is None else term_product(c, w, sign)",
+            "c if w is None else term_product(c, w)",
+            courant_axioms_property,
+        ),
+        "residue-unweighted-ignores-sign": (
+            "courant", "(c if sign > 0 else -c) if w is None else", "c if w is None else", residue_property,
+        ),
+        "residue-zero-is-not-the-zero-pair": (
+            "courant", "return E.zero_section() if out.is_zero() else out", "return out", residue_property,
         ),
         "C5-scaled-keyed-by-f": (
             "courant", "key = (l2, fname)", "key = fname", courant_axioms_property,
@@ -356,8 +440,8 @@ MUTANTS.update(
         ),
         "schouten-anchor-sign": (
             "calculus",
-            "sign * merged[0] * (-1) ** (p - 1 - a) > 0",
-            "sign * merged[0] > 0",
+            "term_product(f, t, sign * merged[0] * (-1) ** (p - 1 - a))",
+            "term_product(f, t, sign * merged[0])",
             calculus_property,
         ),
         "d-closed-form-sign": (
@@ -442,6 +526,22 @@ MUTANTS.update(
         "unit-test-on-the-shared-dict": (
             "rational", "    if den is unit:\n", "    if den.prim is unit.prim:\n", shape_property,
         ),
+        "term-sum-not-normalized": (
+            "rational",
+            "return RationalFunction(num, den) if num.prim else",
+            "return RationalFunction(num, den, _normalized=True) if num.prim else",
+            deferred_sum_property,
+        ),
+        "term-product-drops-sign": (
+            "rational", "return (num if sign > 0 else -num), d1 * d2", "return num, d1 * d2", deferred_sum_property,
+        ),
+        "term-sum-groups-by-leading-monomial": (
+            "rational",
+            "        s = groups.get(den)\n",
+            "        den = next((d for d in groups if max(d.prim) == max(den.prim)), den)\n"
+            "        s = groups.get(den)\n",
+            deferred_sum_property,
+        ),
         "paired-theorem-intertwines-n": (
             "paired",
             "residue = _block_product(A, n, p, p, m)",
@@ -455,6 +555,8 @@ PROPERTIES = {
     calculus_property: calculus,
     presentation_equality_property: calculus,
     dorfman_property: courant,
+    dorfman_oracle_property: courant,
+    residue_property: courant,
     d_star_property: pn,
     courant_axioms_property: courant,
     gcd_property: rational,
@@ -462,6 +564,7 @@ PROPERTIES = {
     sampler_property: calculus,
     product_property: courant,
     shape_property: rational,
+    deferred_sum_property: rational,
 }
 
 

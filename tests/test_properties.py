@@ -49,8 +49,10 @@ from oracles import (
     cartan_d_oracle,
     dense_product,
     dorfman_by_calculus,
+    dorfman_oracle,
     matches_oracle,
     random_sections_reference,
+    raw_double,
     schouten_oracle,
     sympy_poly,
     sympy_terms,
@@ -277,33 +279,46 @@ def chart_coefficients(draw, coords, nonzero=False):
 
 
 @st.composite
-def anchored_brackets(draw, coords, rank):
+def chart_poles(draw, coords, nonzero=False):
+    """A ``chart_coefficients`` draw, or m / L^k as on the rational charts:
+    L = c + a*x1 with c in 1..3 and a in +-1..3, k in 1..3, m in -3..3
+    (nonzero if asked)."""
+    if draw(st.booleans()):
+        return draw(chart_coefficients(coords, nonzero))
+    x1 = RationalFunction.coord(coords, "x1")
+    L = x1 * draw(st.sampled_from((-3, -2, -1, 1, 2, 3))) + draw(st.integers(1, 3))
+    m = draw(st.sampled_from((-3, -2, -1, 1, 2, 3)) if nonzero else st.integers(-3, 3))
+    return m / L ** draw(st.integers(1, 3))
+
+
+@st.composite
+def anchored_brackets(draw, coords, rank, coefficients=chart_coefficients):
     """Anchor and structure functions drawn freely: the bracket formula is
     an identity of the data, so no axiom is needed for the comparison."""
-    anchor = tuple(tuple(draw(chart_coefficients(coords)) for _ in coords) for _ in range(rank))
+    anchor = tuple(tuple(draw(coefficients(coords)) for _ in coords) for _ in range(rank))
     structure = {
-        pair: tuple(enumerate(draw(chart_coefficients(coords)) for _ in range(rank)))
+        pair: tuple(enumerate(draw(coefficients(coords)) for _ in range(rank)))
         for pair in combinations(range(rank), 2)
     }
     return AlgebroidPresentation(coords, rank, anchor, structure)
 
 
 @st.composite
-def split_doubles(draw, coords, rank):
-    base = draw(anchored_brackets(coords, rank))
-    dual = draw(anchored_brackets(coords, rank))
+def split_doubles(draw, coords, rank, coefficients=chart_coefficients):
+    base = draw(anchored_brackets(coords, rank, coefficients))
+    dual = draw(anchored_brackets(coords, rank, coefficients))
     top = [(0, 1, 2)] if rank == 3 else []
-    x3 = base.section(MULTIVECTOR, 3, {idx: draw(chart_coefficients(coords, True)) for idx in top})
-    psi = base.section(FORM, 3, {idx: draw(chart_coefficients(coords, True)) for idx in top})
+    x3 = base.section(MULTIVECTOR, 3, {idx: draw(coefficients(coords, True)) for idx in top})
+    psi = base.section(FORM, 3, {idx: draw(coefficients(coords, True)) for idx in top})
     return CourantDouble(base, dual, x3, psi)
 
 
 @st.composite
-def courant_halves(draw, E, variance):
+def courant_halves(draw, E, variance, coefficients=chart_coefficients):
     if draw(st.integers(0, 3)) == 0:
         return E.base.zero_section(variance, 1)
     coords = E.base.coords
-    return E.base.section(variance, 1, {(i,): draw(chart_coefficients(coords)) for i in range(E.rank)})
+    return E.base.section(variance, 1, {(i,): draw(coefficients(coords)) for i in range(E.rank)})
 
 
 @st.composite
@@ -360,6 +375,34 @@ def test_dorfman_kernel_matches_the_calculus(case):
     got, want = dorfman(E, e1, e2), dorfman_by_calculus(E, e1, e2)
     assert exact_section(got.vec) == exact_section(want.vec)
     assert exact_section(got.cov) == exact_section(want.cov)
+
+
+@st.composite
+def oracle_cases(draw):
+    """A split double of rank 1-3, conjugated or not, and two sections, with
+    every coefficient a ``chart_poles`` draw."""
+    coords = draw(st.sampled_from((("x1",), ("x1", "x2"))))
+    E = draw(split_doubles(coords, draw(st.integers(1, 3)), chart_poles))
+    if draw(st.booleans()):
+        E = conjugate(E)
+    e1, e2 = (
+        CourantSection(draw(courant_halves(E, MULTIVECTOR, chart_poles)), draw(courant_halves(E, FORM, chart_poles)))
+        for _ in range(2)
+    )
+    return E, e1, e2
+
+
+@settings(max_examples=40, deadline=None)
+@given(oracle_cases())
+def test_dorfman_matches_the_raw_data_oracle(case):
+    # the stored normal form is read raw; a conjugated double keeps it
+    E, e1, e2 = case
+    raw = raw_double(E)
+    halves = [(raw[0].coefficients(e.vec), raw[0].coefficients(e.cov)) for e in (e1, e2)]
+    vec, cov = dorfman_oracle(*raw, *halves)
+    got = dorfman(E, e1, e2)
+    assert raw[0].coefficients(got.vec) == {k: c for k, c in vec.items() if c}
+    assert raw[0].coefficients(got.cov) == {k: c for k, c in cov.items() if c}
 
 
 @st.composite

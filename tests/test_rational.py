@@ -498,6 +498,85 @@ def test_denominator_shapes_match_sympy():
     assert shape_property(rational) == []
 
 
+# -- term lists summed once ---------------------------------------------------
+# A term is a value spec or a product of two, with a sign; a product enters
+# as term_product forms it.  A third of the lists are cut to at most four
+# terms and followed by those terms negated, in reverse order and with each
+# product entering as the reduced value a * b, so that they cancel to zero
+# only over a common denominator.
+
+SUM_SEED, SUM_DRAWS = 21, 80
+
+
+def sum_specs(seed, draws):
+    """Per draw: the number of coordinates (1-3) and a list of 1-8 terms
+    (sign, spec, spec or None, whether a product enters reduced)."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(draws):
+        n = rng.randrange(1, 4)
+        terms = [
+            (rng.choice((1, -1)), shape_spec(rng, n), shape_spec(rng, n) if rng.random() < 0.6 else None, False)
+            for _ in range(rng.randrange(1, 9))
+        ]
+        if rng.random() < 1 / 3:
+            terms = terms[:4]
+            terms += [(-sign, a, b, True) for sign, a, b, _ in reversed(terms)]
+        out.append((n, terms))
+    return out
+
+
+_SUM_EXPECTED = {}
+
+
+def sum_expected(seed, draws):
+    """The oracle's canonical parts of every drawn list's sum."""
+    if (seed, draws) not in _SUM_EXPECTED:
+        expected = []
+        for n, terms in sum_specs(seed, draws):
+            field = sympy.QQ.frac_field(*sympy.symbols(VARS[:n]))
+            total = field.zero
+            for sign, a, b, _ in terms:
+                total += sign * shape_element(field, a) * (field.one if b is None else shape_element(field, b))
+            expected.append(canonical_parts(total))
+        _SUM_EXPECTED[(seed, draws)] = expected
+    return _SUM_EXPECTED[(seed, draws)]
+
+
+def deferred_sum_property(rat, seed=SUM_SEED, draws=SUM_DRAWS) -> list[str]:
+    """Each drawn term list, a product entering as ``term_product(a, b,
+    sign)`` or as the reduced value, sums by ``fraction_sum`` to the
+    oracle's canonical parts and to the pairwise sum of the same values, and
+    a zero sum is the interned zero.  Stops at the first failure; an
+    exception is one."""
+    for (n, specs), parts in zip(sum_specs(seed, draws), sum_expected(seed, draws)):
+        vars_ = VARS[:n]
+        RF = rat.RationalFunction
+        try:
+            terms, eager = [], RF.zero(vars_)
+            for sign, a, b, reduced in specs:
+                a = shape_value(rat, vars_, a)
+                if b is not None:
+                    b = shape_value(rat, vars_, b)
+                    pair = None if reduced else rat.term_product(a, b, sign)
+                    a = a * b
+                value = a if sign > 0 else -a
+                terms.append(value if b is None or reduced else pair)
+                eager = eager + value
+            got = rat.fraction_sum(terms)
+        except Exception as err:
+            return [f"{specs}: {type(err).__name__}: {err}"]
+        if (stored_parts(got.num), stored_parts(got.den)) != parts or got != eager:
+            return [f"{specs}: got {got}, pairwise {eager}"]
+        if got.is_zero() and got is not RF.zero(vars_):
+            return [f"{specs}: a zero sum that is not the interned zero"]
+    return []
+
+
+def test_term_lists_sum_as_sympy_and_pairwise():
+    assert deferred_sum_property(rational) == []
+
+
 class TestShapeBounds:
     # the unit and Laurent paths keep the bounds of the products they skip
 
@@ -518,6 +597,38 @@ class TestShapeBounds:
         for a, b in ((p, p), (p / rf("x1"), p / rf("x2^2"))):
             with pytest.raises(TermOverflow):
                 a * b
+
+    # a deferred product or sum is unreduced, so it may pass a bound that
+    # the reduced value keeps: then it is formed as the values themselves
+
+    def test_deferred_product_past_the_degree_bound(self):
+        a, b = rf("x1^20000 / (1 + x2^20000)"), rf("(1 + x2^20000) / (1 + x1)")
+        for sign in (1, -1):
+            expected = sign * rf("x1^20000 / (1 + x1)")
+            assert rational.term_product(a, b, sign) == (a * b if sign > 0 else -(a * b)) == expected
+        with pytest.raises(DegreeOverflow):
+            rational.term_product(a, rf("x2^20000 / (1 + x3)"))
+
+    def test_deferred_product_past_the_term_bound(self):
+        # p has 400 terms and q = p + x3 401, so the pair's bound is 160,400
+        terms = {(i, j, 0): Fraction(1) for i in range(20) for j in range(20)}
+        p = RationalFunction(Polynomial(VARS, terms), Polynomial.const(VARS, 1))
+        q = p + rf("x3")
+        assert rational.term_product(p / q, q / p) == RationalFunction.one(VARS)
+        with pytest.raises(TermOverflow):
+            rational.term_product(p / rf("1 + x3"), q / rf("2 + x2"))
+
+    def test_deferred_sum_past_the_degree_bound(self):
+        # the pair (h, h (1 + x2)) stands for 1/(1 + x2); over a common
+        # denominator with 1/(1 + x1^30000) it passes MAX_DEGREE, summed
+        # pairwise it does not
+        h = rf("1 + x3^3000")
+        pair = rational.term_product(h / rf("1 + x2"), 1 / h)
+        assert isinstance(pair, tuple)
+        c = rf("1 / (1 + x1^30000)")
+        assert rational.fraction_sum([pair, c]) == rf("1 / (1 + x2)") + c
+        with pytest.raises(DegreeOverflow):
+            rational.fraction_sum([1 / h, rf("1 / (1 + x1^30000)")])
 
 
 class TestParser:
