@@ -354,7 +354,7 @@ def _accumulate(acc: dict, key, term) -> None:
         acc[key] = term
     elif s.__class__ is list:
         s.append(term)
-    elif s.__class__ is term.__class__ is RationalFunction and len(s.den.prim) == len(term.den.prim) == 1:
+    elif s.__class__ is term.__class__ is RationalFunction and not (s.factors or term.factors):
         acc[key] = s + term
     else:
         acc[key] = [s, term]

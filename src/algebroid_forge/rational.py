@@ -21,28 +21,38 @@ number whose ``numerator`` and ``denominator`` are ints, such as an int or a
 Fractions back.
 
 Values are immutable and normalized on construction: numerator and
-denominator are reduced by their polynomial gcd and the denominator is made
-monic under grlex order, so equal values have identical representations
-(and identical serializations).  A monic denominator has one of three
-shapes, and a sum, difference, product or partial derivative looks at the
-shapes of its operands' denominators once:
+denominator are coprime and the denominator is made monic under grlex
+order, so equal values have identical representations (and identical
+serializations).  Beside its expansion, a value holds its denominator
+factored as x^mono * prod f^e: mono a packed monomial key, the f primitive,
+pairwise coprime and divisible by no coordinate.  A sum, difference,
+product or partial derivative reads the shapes of its operands'
+denominators from that form once:
 
-- the unit: every constant denominator is one interned object per
-  coordinate tuple, so two polynomial values combine by one Polynomial
-  operation, with no denominator arithmetic;
-- a single term x^E (a Laurent value; the unit is x^0): a gcd against a
+- the unit (neither part): every constant denominator is one interned
+  object per coordinate tuple, so two polynomial values combine by one
+  Polynomial operation, with no denominator arithmetic;
+- a single term x^E (a Laurent value, no factors): a gcd against a
   monomial is an exponent minimum and an lcm an exponent maximum, field by
   field on the packed key, so Laurent values combine with no polynomial
   gcd at all;
-- anything else: the gcds go through poly_gcd, which tries in order: the
-  trivial shapes (zero, equal or single-term arguments), the variable
-  support, trial division, GCDHEU, and the subresultant PRS when GCDHEU
-  gives up.  It is the one entry for a gcd of two multi-term polynomials.
+- anything else (a general denominator): an lcm takes exponent maxima and
+  a product adds exponents, and a numerator is reduced factor by factor:
+  by trial division against a factor of total degree 1, which is complete
+  because such a factor is irreducible, and through poly_gcd only against
+  a nonlinear one.  Distinct nonlinear factors with a common divisor are
+  refined to a coprime set.
+
+poly_gcd tries in order: the trivial shapes (zero, equal or single-term
+arguments), the variable support, trial division, GCDHEU, and the
+subresultant PRS when GCDHEU gives up.  It is the one entry for a gcd of
+two multi-term polynomials.
 
 A sum built term by term need not be reduced term by term: term_product
 keeps a product with a general-denominator factor as its unreduced
-numerator and denominator, and fraction_sum brings a list of terms to one
-common denominator and normalizes it once.
+numerator over the product of the factored denominators, and fraction_sum
+brings a list of terms to the lcm of their denominators, by exponent
+maxima, and reduces it once.
 """
 
 from __future__ import annotations
@@ -321,15 +331,15 @@ class Polynomial:
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
             raise ValueError("negative power on Polynomial")
-        result = Polynomial.const(self.vars, 1)
+        result = None
         base = self
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             k >>= 1
             if k:
                 base = base * base
-        return result
+        return Polynomial.const(self.vars, 1) if result is None else result
 
     def derivative(self, index: int) -> "Polynomial":
         n = len(self.vars)
@@ -801,26 +811,47 @@ class RationalFunction:
 
     Invariants: the denominator is nonzero and monic under grlex order, the
     gcd of numerator and denominator is 1, and zero is 0/1.  Two values are
-    equal iff their representations are equal.
+    equal iff their representations are equal.  Beside ``den`` a value
+    holds it factored, as the packed key ``mono`` of a monomial x^mono
+    times the pairs (f, e) of ``factors`` (see the section on general
+    denominators): the unit has mono 0 and a Laurent denominator x^mono no
+    factors.  ``num``, ``den`` and so equality, hashing and rendering never
+    read the factored form.
     """
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den", "mono", "factors", "_hash")
 
-    def __init__(self, num: Polynomial, den: Polynomial, _normalized=False):
-        if not _normalized:
-            num, den = _normalize(num, den)
-        self.num = num
-        self.den = den
+    def __init__(self, num: Polynomial, den: Polynomial):
+        """num / den in lowest terms."""
+        if not den.prim:
+            raise DivisionByZero("zero denominator")
+        if num.prim:
+            value = _settle(_by_content(num, den), *_split(den))
+        else:
+            value = RationalFunction.zero(num.vars)
+        self.num, self.den, self.mono, self.factors = value.num, value.den, value.mono, value.factors
         self._hash = None
 
     # -- constructors ---------------------------------------------------------
+
+    @classmethod
+    def _make(cls, num: Polynomial, den: Polynomial, mono: int = 0, factors: tuple = ()) -> "RationalFunction":
+        """Wrap parts already in lowest terms and canonical form, den factored
+        as x^mono * prod f^e over ``factors``."""
+        v = object.__new__(cls)
+        v.num = num
+        v.den = den
+        v.mono = mono
+        v.factors = factors
+        v._hash = None
+        return v
 
     @classmethod
     def zero(cls, vars: tuple[str, ...]) -> "RationalFunction":
         try:
             return _ZEROS[vars]
         except KeyError:
-            zero = _ZEROS[vars] = cls(Polynomial.zero(vars), _unit(vars), _normalized=True)
+            zero = _ZEROS[vars] = cls._make(Polynomial.zero(vars), _unit(vars))
             return zero
 
     @classmethod
@@ -829,16 +860,16 @@ class RationalFunction:
             return _ONES[vars]
         except KeyError:
             unit = Polynomial.const(vars, 1)
-            one = _ONES[vars] = cls(unit, unit, _normalized=True)
+            one = _ONES[vars] = cls._make(unit, unit)
             return one
 
     @classmethod
     def const(cls, vars: tuple[str, ...], value) -> "RationalFunction":
-        return cls(Polynomial.const(vars, value), _unit(vars), _normalized=True)
+        return cls._make(Polynomial.const(vars, value), _unit(vars))
 
     @classmethod
     def coord(cls, vars: tuple[str, ...], name: str) -> "RationalFunction":
-        return cls(Polynomial.coord(vars, name), _unit(vars), _normalized=True)
+        return cls._make(Polynomial.coord(vars, name), _unit(vars))
 
     # -- predicates -----------------------------------------------------------
 
@@ -857,6 +888,8 @@ class RationalFunction:
         return self.num.constant_value() / self.den.constant_value()
 
     # -- field operations -------------------------------------------------------
+    # Each reads its operands' denominator shapes from mono and factors once:
+    # the unit (neither), a Laurent denominator (mono only) or a general one.
 
     def _coerce(self, other) -> "RationalFunction":
         if isinstance(other, RationalFunction):
@@ -877,31 +910,17 @@ class RationalFunction:
             return self
         if not n1.prim:
             return other
-        d1, d2 = self.den, other.den
-        if d1 is d2 and d1 is _unit(n1.vars):
-            t = n1 + n2
-            return RationalFunction(t, d1, _normalized=True) if t.prim else RationalFunction.zero(n1.vars)
-        if len(d1.prim) == 1 and len(d2.prim) == 1:
-            return _laurent_sum(n1, d1, n2, d2)
-        if d1 == d2:
-            return RationalFunction(n1 + n2, d1)
-        g = poly_gcd(d1, d2)
-        if _is_unit(g):
-            return _reduced(self.num * d2 + other.num * d1, d1 * d2)
-        d1r = exact_div(d1, g)
-        d2r = exact_div(d2, g)
-        t = self.num * d2r + other.num * d1r
-        if t.is_zero():
-            return RationalFunction.zero(self.vars)
-        g2 = poly_gcd(t, g)
-        if _is_unit(g2):
-            return _reduced(t, d1 * d2r)
-        return _reduced(exact_div(t, g2), exact_div(d1, g2) * d2r)
+        if self.factors or other.factors:
+            return _common_sum((self, other))
+        if self.mono or other.mono:
+            return _laurent_sum(n1, self.den, n2, other.den)
+        t = n1 + n2
+        return RationalFunction._make(t, self.den) if t.prim else RationalFunction.zero(n1.vars)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den, _normalized=True)
+        return RationalFunction._make(-self.num, self.den, self.mono, self.factors)
 
     def __sub__(self, other) -> "RationalFunction":
         if other.__class__ is not RationalFunction or other.num.vars is not self.num.vars:
@@ -918,26 +937,16 @@ class RationalFunction:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        n1, d1 = self.num, self.den
-        n2, d2 = other.num, other.den
-        unit = _unit(n1.vars)
-        if d2 is unit and n2.is_constant():
+        n1, n2 = self.num, other.num
+        if not (other.mono or other.factors) and n2.is_constant():
             return self._scaled(other)
-        if d1 is unit and n1.is_constant():
+        if not (self.mono or self.factors) and n1.is_constant():
             return other._scaled(self)
-        if d1 is unit and d2 is unit:
-            return RationalFunction(n1 * n2, unit, _normalized=True)
-        if len(d1.prim) == 1 and len(d2.prim) == 1:
-            return _laurent_product(n1, d1, n2, d2)
-        if d2 is not unit:
-            g = poly_gcd(n1, d2)
-            if not _is_unit(g):
-                n1, d2 = exact_div(n1, g), exact_div(d2, g)
-        if d1 is not unit:
-            g = poly_gcd(n2, d1)
-            if not _is_unit(g):
-                n2, d1 = exact_div(n2, g), exact_div(d1, g)
-        return _reduced(n1 * n2, d1 * d2)
+        if self.factors or other.factors:
+            return _general_product(self, other)
+        if self.mono or other.mono:
+            return _laurent_product(n1, self.den, n2, other.den)
+        return RationalFunction._make(n1 * n2, self.den)
 
     __rmul__ = __mul__
 
@@ -954,7 +963,12 @@ class RationalFunction:
         if num.cnum == num.cden == 1 and self.is_constant():
             return c
         scaled = Polynomial._make(num.vars, *_qmul(num.cnum, num.cden, k.cnum, k.cden), num.prim)
-        return RationalFunction(scaled, self.den, _normalized=True)
+        return RationalFunction._make(scaled, self.den, self.mono, self.factors)
+
+    def _reciprocal(self) -> "RationalFunction":
+        """1 / self for nonzero self: den over num, whose monomial part and
+        rest come in as _split reads them; a value in lowest terms stays so."""
+        return _build(_by_content(self.den, self.num), *_split(self.num))
 
     def __truediv__(self, other) -> "RationalFunction":
         other = self._coerce(other)
@@ -962,8 +976,7 @@ class RationalFunction:
             return NotImplemented
         if other.is_zero():
             raise DivisionByZero("division by zero rational function")
-        # the reciprocal of a value in lowest terms is in lowest terms
-        return self * _reduced(other.den, other.num)
+        return self * other._reciprocal()
 
     def __rtruediv__(self, other) -> "RationalFunction":
         return self._coerce(other) / self
@@ -972,26 +985,28 @@ class RationalFunction:
         if k < 0:
             if self.is_zero():
                 raise DivisionByZero("zero to a negative power")
-            return _reduced(self.den ** (-k), self.num ** (-k))
-        return _reduced(self.num**k, self.den**k)
+            return self._reciprocal() ** -k
+        if not k:
+            return RationalFunction.one(self.vars)
+        # a power of a value in lowest terms is in lowest terms
+        if self.factors:
+            factors = tuple((f, e * k) for f, e in self.factors)
+            return RationalFunction._make(self.num**k, self.den**k, self.mono * k, factors)
+        den = _monomial(self.vars, self.mono * k)
+        return RationalFunction._make(self.num**k, den, self.mono * k)
 
     def differentiate(self, coord: str) -> "RationalFunction":
         """Exact partial derivative by coordinate name (quotient rule)."""
         if coord not in self.vars:
             raise UnknownCoordinate(f"unknown coordinate {clip(coord)!r}")
-        n, d = self.num, self.den
+        n = self.num
         i = n.vars.index(coord)
-        if d is _unit(n.vars):
-            dn = n.derivative(i)
-            return RationalFunction(dn, d, _normalized=True) if dn.prim else RationalFunction.zero(n.vars)
-        if len(d.prim) == 1:
-            return _laurent_derivative(n, d, i)
-        dd = d.derivative(i)
-        e = poly_gcd(d, dd)
-        u = exact_div(d, e)
-        w = exact_div(dd, e)
-        num = self.num.derivative(i) * u - self.num * w
-        return RationalFunction(num, d * u)
+        if self.factors:
+            return _general_derivative(self, i)
+        if self.mono:
+            return _laurent_derivative(n, self.den, i)
+        dn = n.derivative(i)
+        return RationalFunction._make(dn, self.den) if dn.prim else RationalFunction.zero(n.vars)
 
     def subs(
         self, values: dict[str, "RationalFunction"], target: tuple[str, ...] | None = None
@@ -1051,47 +1066,6 @@ def _unit(vars: tuple[str, ...]) -> Polynomial:
     return RationalFunction.one(vars).num
 
 
-def _normalize(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
-    if den.is_zero():
-        raise DivisionByZero("zero denominator")
-    if num.is_zero():
-        return num, _unit(num.vars)
-    if not den.is_constant():
-        g = poly_gcd(num, den)
-        if not g.is_constant():
-            num = exact_div(num, g)
-            den = exact_div(den, g)
-    return _monic(num, den)
-
-
-def _monic(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Scale num/den so that den's grlex leading coefficient is 1; a constant
-    den becomes the interned unit, so every constant denominator is that one
-    object.  The test is on the object: a constant 2 may share the unit's
-    primitive part."""
-    unit = _unit(num.vars)
-    if den is unit:
-        return num, den
-    prim = den.prim
-    top = max(prim)
-    lc = prim[top]
-    if lc != 1 or den.cnum != 1 or den.cden != 1:
-        # den leads with lc * cnum / cden: divide both by that
-        lead = _qmul(lc, 1, den.cnum, den.cden)
-        num = Polynomial._make(num.vars, *_qdiv(num.cnum, num.cden, *lead), num.prim)
-        den = Polynomial._make(den.vars, 1, lc, prim)
-    return num, den if top else unit
-
-
-def _reduced(num: Polynomial, den: Polynomial) -> RationalFunction:
-    """Build a value already known to be in lowest terms (monic-scale only)."""
-    if den.is_zero():
-        raise DivisionByZero("zero denominator")
-    if num.is_zero():
-        return RationalFunction.zero(num.vars)
-    return RationalFunction(*_monic(num, den), _normalized=True)
-
-
 # -- Laurent values: denominators that are single terms ------------------------
 # A monic single-term denominator is a monomial x^E (the unit is x^0), held
 # as its packed key.  gcd(p, x^E) is then x^min: per variable, the smaller of
@@ -1106,6 +1080,11 @@ def _monomial(vars: tuple[str, ...], key: int) -> Polynomial:
     return Polynomial._make(vars, 1, 1, {key: 1}) if key else _unit(vars)
 
 
+def _monomial_lcm(a: int, b: int, n: int) -> int:
+    """The packed key of lcm(x^a, x^b): exponent maxima."""
+    return _pack([max(e, f) for e, f in zip(_unpack(a, n), _unpack(b, n))])
+
+
 def _unshifted(p: Polynomial, key: int) -> Polynomial:
     """p / x^key for a monomial dividing every term: the keys move down,
     their order and the content stay."""
@@ -1117,7 +1096,7 @@ def _unshifted(p: Polynomial, key: int) -> Polynomial:
 def _over_monomial(num: Polynomial, key: int) -> RationalFunction:
     """num / x^key in lowest terms, for nonzero num: one exponent minimum."""
     g = _monomial_gcd_key(num.prim, key, len(num.vars))
-    return RationalFunction(_unshifted(num, g), _monomial(num.vars, key - g), _normalized=True)
+    return RationalFunction._make(_unshifted(num, g), _monomial(num.vars, key - g), key - g)
 
 
 def _laurent_sum(n1: Polynomial, d1: Polynomial, n2: Polynomial, d2: Polynomial) -> RationalFunction:
@@ -1127,7 +1106,7 @@ def _laurent_sum(n1: Polynomial, d1: Polynomial, n2: Polynomial, d2: Polynomial)
     if a == b:
         t, lcm = n1 + n2, a
     else:
-        lcm = _pack([max(e, f) for e, f in zip(_unpack(a, len(vars)), _unpack(b, len(vars)))])
+        lcm = _monomial_lcm(a, b, len(vars))
         t = n1 * _monomial(vars, lcm - a) + n2 * _monomial(vars, lcm - b)
     return _over_monomial(t, lcm) if t.prim else RationalFunction.zero(vars)
 
@@ -1141,7 +1120,8 @@ def _laurent_product(n1: Polynomial, d1: Polynomial, n2: Polynomial, d2: Polynom
     g1 = _monomial_gcd_key(n1.prim, b, n)
     g2 = _monomial_gcd_key(n2.prim, a, n)
     num = _unshifted(n1, g1) * _unshifted(n2, g2)
-    return RationalFunction(num, _monomial(vars, a - g2 + b - g1), _normalized=True)
+    key = a - g2 + b - g1
+    return RationalFunction._make(num, _monomial(vars, key), key)
 
 
 def _laurent_derivative(num: Polynomial, den: Polynomial, index: int) -> RationalFunction:
@@ -1160,6 +1140,246 @@ def _laurent_derivative(num: Polynomial, den: Polynomial, index: int) -> Rationa
     return _over_monomial(top, key) if top.prim else RationalFunction.zero(vars)
 
 
+# -- general denominators, kept factored ----------------------------------------
+# A denominator of more than one term is held, beside its expansion, as
+# x^mono * prod f^e over ``factors``, a tuple of pairs (f, e): each f a
+# primitive Polynomial with a positive leading coefficient, not constant,
+# divisible by no coordinate, and the f pairwise coprime (the module
+# docstring says how each operation uses them).  Their product P leads with
+# lc(P) = prod lc(f)^e, and den = P / lc(P).  Inside an operation a value
+# num/den is carried as its numerator over P, that is num * lc(P)
+# (_lifted).
+
+
+def _is_linear(f: Polynomial, n: int) -> bool:
+    return max(f.prim) >> (FIELD_BITS * n) == 1
+
+
+def _lifted(v: RationalFunction) -> Polynomial:
+    """v's numerator over the product P of its denominator factors."""
+    num, lc = v.num, v.den.cden
+    return num if lc == 1 else Polynomial._make(num.vars, *_qmul(num.cnum, num.cden, lc, 1), num.prim)
+
+
+def _linear_root(f: Polynomial) -> tuple[Polynomial, int]:
+    """(L, d) when f = L^d for a linear L, else (f, 1).  If f = L^d, then
+    the (d-1)-th partial of f by a variable of degree d in f is a multiple
+    of L, so one candidate and one power decide."""
+    d = f.total_degree()
+    full = [i for i in range(len(f.vars)) if _deg_in(f, i) == d]
+    if d > 1 and full:
+        r = f
+        for _ in range(d - 1):
+            r = r.derivative(full[0])
+        root = Polynomial._make(f.vars, 1, 1, _primitive_ints(r.prim))
+        if root.total_degree() == 1 and (root**d).prim == f.prim:
+            return root, d
+    return f, 1
+
+
+def _by_content(p: Polynomial, q: Polynomial) -> Polynomial:
+    """p divided by the content of q: with q = c * x^mono * F, p / q is
+    that quotient over x^mono * F."""
+    return Polynomial._make(p.vars, *_qdiv(p.cnum, p.cden, q.cnum, q.cden), p.prim)
+
+
+def _split(p: Polynomial) -> tuple[int, tuple]:
+    """(mono, factors) of a new denominator p: its primitive part is x^mono
+    times F, F divisible by no coordinate, which is one factor (or none when
+    F is 1), read as L^d when F is a power of a linear L."""
+    prim = p.prim
+    mono = _monomial_gcd_key(prim, max(prim), len(p.vars))
+    if len(prim) == 1:
+        return mono, ()
+    return mono, (_linear_root(_unshifted(Polynomial._make(p.vars, 1, 1, prim), mono)),)
+
+
+def _quotient(f: Polynomial, g: Polynomial) -> Polynomial:
+    """f / g for primitive f and a primitive divisor g."""
+    return Polynomial._make(f.vars, 1, 1, _divide(f.prim, g.prim, len(f.vars)))
+
+
+def _coprime_base(keys: list[tuple], n: int) -> list[tuple[Polynomial, list[int]]]:
+    """The factors of every tuple in ``keys`` refined to a coprime set
+    (Bach, Driscoll and Shallit, "Factor refinement", J. Algorithms 15
+    (1993)): pairs (p, v), the p pairwise coprime and the factors of
+    keys[i] the product of the p^v[i].  Equal factors merge and two
+    distinct linear ones are coprime with no gcd; two others with a common
+    factor h become f/h, h and g/h, until no two have one."""
+    base: list[tuple[Polynomial, list[int]]] = []
+    for i, factors in enumerate(keys):
+        for f, e in factors:
+            v = [0] * len(keys)
+            v[i] = e
+            work = [(f, v)]
+            while work:
+                f, v = work.pop()
+                for j, (g, w) in enumerate(base):
+                    if g is f or g.prim == f.prim:
+                        base[j] = (g, [a + b for a, b in zip(w, v)])
+                        break
+                    if _is_linear(f, n) and _is_linear(g, n):
+                        continue
+                    h = poly_gcd(f, g)
+                    if not h.is_constant():
+                        del base[j]
+                        # g^w f^v = (g/h)^w h^(w+v) (f/h)^v
+                        pieces = ((_quotient(g, h), w), (h, [a + b for a, b in zip(w, v)]), (_quotient(f, h), v))
+                        work += [(p, u) for p, u in pieces if not p.is_constant()]
+                        break
+                else:
+                    base.append((f, v))
+    return base
+
+
+def _product_factors(f1: tuple, f2: tuple, n: int) -> tuple:
+    """The factors of the product of two factored denominators."""
+    if not f1 or not f2:
+        return f1 or f2
+    if len(f1) == len(f2) == 1 and f1[0][0].prim == f2[0][0].prim:
+        return ((f1[0][0], f1[0][1] + f2[0][1]),)
+    return tuple((p, v[0] + v[1]) for p, v in _coprime_base([f1, f2], n))
+
+
+def _cancel(num: Polynomial, mono: int, factors: tuple, start: int = 0) -> tuple[Polynomial, int, tuple]:
+    """(num, mono, factors) with the common factors of num and x^mono *
+    prod f^e removed; the same factors tuple when none of them changed.
+    factors[:start] are known to be prime to num."""
+    vars = num.vars
+    n = len(vars)
+    prim = num.prim
+    if mono:
+        g = _monomial_gcd_key(prim, mono, n)
+        if g:
+            prim = {k - g: c for k, c in prim.items()}
+            mono -= g
+    if len(prim) == 1:  # no f, as it is not a monomial, divides a single term
+        start = len(factors)
+    kept = list(factors[:start])
+    changed = False
+    for f, e in factors[start:]:
+        if _is_linear(f, n):
+            # f is irreducible, so trial division finds gcd(num, f^e)
+            k = e
+            while k:
+                q = _divide(prim, f.prim, n)
+                if q is None:
+                    break
+                prim, k = q, k - 1
+            changed |= k != e
+            if k:
+                kept.append((f, k))
+            continue
+        power = f if e == 1 else f**e
+        g = poly_gcd(Polynomial._make(vars, 1, 1, prim), power)
+        if g.is_constant():
+            kept.append((f, e))
+            continue
+        changed = True
+        prim = _divide(prim, g.prim, n)
+        k, h = 0, g.prim
+        while h is not None and h != {0: 1}:
+            h = _divide(h, f.prim, n)
+            k += 1
+        if h is None:  # g is not a power of f: f^e / g is one factor
+            kept.append((_quotient(power, g), 1))
+        elif k < e:
+            kept.append((f, e - k))
+    if changed:
+        factors = tuple(kept)
+    if prim is not num.prim:
+        num = Polynomial._make(vars, num.cnum, num.cden, prim)
+    return num, mono, factors
+
+
+def _expand(vars: tuple[str, ...], mono: int, factors: tuple) -> Polynomial:
+    """The monic denominator x^mono * prod f^e / (its leading coefficient)."""
+    p = None
+    for f, e in factors:
+        f = f if e == 1 else f**e
+        p = f if p is None else p * f
+    if mono:
+        p = p * _monomial(vars, mono)
+    prim = p.prim
+    return Polynomial._make(vars, 1, prim[max(prim)], prim)
+
+
+def _build(num: Polynomial, mono: int, factors: tuple, den: Polynomial | None = None) -> RationalFunction:
+    """The value num / (x^mono * prod f^e), for a nonzero num prime to that
+    product; ``den`` is its expansion when the caller has it."""
+    vars = num.vars
+    if not factors:
+        return RationalFunction._make(num, _monomial(vars, mono), mono)
+    if den is None:
+        den = _expand(vars, mono, factors)
+    lc = den.cden
+    if lc != 1:
+        num = Polynomial._make(vars, *_qdiv(num.cnum, num.cden, lc, 1), num.prim)
+    return RationalFunction._make(num, den, mono, factors)
+
+
+def _settle(num: Polynomial, mono: int, factors: tuple, den: Polynomial | None = None, start: int = 0) -> RationalFunction:
+    """num / (x^mono * prod f^e) in lowest terms; ``den`` and ``start`` as
+    for _build and _cancel."""
+    if not num.prim:
+        return RationalFunction.zero(num.vars)
+    reduced = _cancel(num, mono, factors, start)
+    if reduced[1] != mono or reduced[2] is not factors:
+        den = None
+    return _build(*reduced, den)
+
+
+def _general_product(a: RationalFunction, b: RationalFunction) -> RationalFunction:
+    """a * b with a general denominator on either side: each numerator first
+    cancels against the other's denominator, which leaves the product in
+    lowest terms (Knuth, TAOCP vol. 2, 4.5.1)."""
+    n1, m2, f2 = _cancel(a.num, b.mono, b.factors)
+    n2, m1, f1 = _cancel(b.num, a.mono, a.factors)
+    factors = _product_factors(f1, f2, len(n1.vars))
+    if f1 is a.factors and f2 is b.factors and m1 == a.mono and m2 == b.mono:
+        return RationalFunction._make(n1 * n2, a.den * b.den, m1 + m2, factors)
+    return _build((n1 * n2).scale(a.den.cden * b.den.cden), m1 + m2, factors)
+
+
+def _general_derivative(v: RationalFunction, i: int) -> RationalFunction:
+    """d(N/P)/dx_i for P = x^E prod f^e.  With X = x_i if E_i > 0, else 1,
+    and G the product of the f that involve x_i,
+
+        d(N/P)/dx_i = (N' X G - N (E_i G X/x_i + X sum e f' G/f)) / (P X G).
+
+    A linear f that involves x_i does not divide that numerator: mod f it
+    is -N X e f' G/f, and N, X, f' and the other factors are prime to f.
+    So only x^E and the other factors are cancelled."""
+    num = _lifted(v)
+    vars = num.vars
+    n = len(vars)
+    raised, others = [], []
+    g = s = None
+    for f, e in v.factors:
+        df = f.derivative(i)
+        if not df.prim:
+            others.append((f, e))
+            continue
+        (raised if _is_linear(f, n) else others).append((f, e + 1))
+        term = df.scale(e)
+        s = term if s is None else s * f + g * term
+        g = f if g is None else g * f
+    top = num.derivative(i)
+    if g is not None:
+        top = top * g - num * s
+    mono, xg = v.mono, g
+    e_i = (mono >> _exponent_shift(n, i)) & _FIELD_MASK
+    if e_i:
+        x = _monomial(vars, _var_key(n, i))
+        top = top * x - num * (Polynomial.const(vars, e_i) if g is None else g.scale(e_i))
+        xg = x if g is None else g * x
+        mono += _var_key(n, i)
+    den = v.den
+    if xg is not None:
+        den = den * Polynomial._make(vars, 1, xg.prim[max(xg.prim)], xg.prim)
+    return _settle(top, mono, tuple(raised + others), den, len(raised))
+
+
 # -- sums of general-denominator terms, normalized once ------------------------
 # A sum that a caller builds term by term, such as a frame component of a
 # section, need not be in lowest terms until it is read.  Once a term has a
@@ -1171,50 +1391,96 @@ def _laurent_derivative(num: Polynomial, den: Polynomial, index: int) -> Rationa
 def term_product(a: RationalFunction, b: RationalFunction, sign: int = 1):
     """sign * a * b as a term for fraction_sum: the product itself when
     neither factor has a general denominator or one is a constant, else the
-    pair (sign * a.num * b.num, a.den * b.den) with no gcd taken.  The pair
-    may pass MAX_DEGREE or MAX_TERMS where the reduced product does not;
-    then it is the product itself."""
-    n1, d1, n2, d2 = a.num, a.den, b.num, b.den
-    if (len(d1.prim) > 1 or len(d2.prim) > 1) and not (a.is_constant() or b.is_constant()):
+    triple (num, mono, factors) of the numerator over the product of the
+    two factored denominators, as _lifted carries it, with no cancellation.
+    The numerator may pass MAX_DEGREE or MAX_TERMS where the reduced product
+    does not; then it is the product itself."""
+    if (a.factors or b.factors) and not (a.is_constant() or b.is_constant()):
         try:
-            num = n1 * n2
-            return (num if sign > 0 else -num), d1 * d2
+            num = a.num * b.num
         except (DegreeOverflow, TermOverflow):
             pass
+        else:
+            num = num.scale(a.den.cden * b.den.cden)
+            factors = _product_factors(a.factors, b.factors, len(num.vars))
+            return (num if sign > 0 else -num), a.mono + b.mono, factors
     p = a * b
     return p if sign > 0 else -p
 
 
-def fraction_sum(terms: list) -> RationalFunction:
-    """The sum of ``terms``, each a RationalFunction or a term_product pair
-    (num, den), in lowest terms.  The numerators over equal denominators are
-    summed first; the distinct denominators are brought to their lcm through
-    poly_gcd, and the sum is normalized once.  Should the common numerator or
-    denominator pass MAX_DEGREE or MAX_TERMS, the terms are summed one by one
-    in lowest terms instead, as the values they stand for."""
-    groups: dict[Polynomial, Polynomial] = {}
+def _common_sum(terms) -> RationalFunction:
+    """The sum of ``terms``, values or term_product triples: the numerators
+    over equal denominators summed, then each brought to the lcm of the
+    denominators, exponent maxima over a coprime base, and the total reduced
+    once.  Raises DegreeOverflow or TermOverflow past the bounds."""
+    # factored denominator -> [numerator sum, expanded denominator or None]
+    groups: dict[tuple, list] = {}
     for t in terms:
-        num, den = (t.num, t.den) if t.__class__ is RationalFunction else t
+        if t.__class__ is RationalFunction:
+            num, den, expanded = _lifted(t), (t.mono, t.factors), t.den
+        else:
+            num, mono, factors = t
+            den, expanded = (mono, factors), None
         s = groups.get(den)
-        groups[den] = num if s is None else s + num
-    parts = [(num, den) for den, num in groups.items() if num.prim]
+        if s is None:
+            groups[den] = [num, expanded]
+        else:
+            s[0] = s[0] + num
+            s[1] = s[1] or expanded
+    parts = [(den, num, expanded) for den, (num, expanded) in groups.items() if num.prim]
     if not parts:
-        return RationalFunction.zero(next(iter(groups)).vars)
+        return RationalFunction.zero(next(iter(groups.values()))[0].vars)
+    if len(parts) == 1:
+        (((mono, factors), num, den),) = parts
+    else:
+        num, mono, factors, den = _over_lcm(parts)
+    return _settle(num, mono, factors, den)
+
+
+def _over_lcm(parts: list) -> tuple:
+    """(num, mono, factors, den): the sum of the parts (factored
+    denominator, numerator, its expansion or None) over the lcm of their
+    denominators, x^mono * prod f^e with exponent maxima over a coprime
+    base; den is the lcm's expansion when a part has it."""
+    vars = parts[0][1].vars
+    n = len(vars)
+    base = _coprime_base([factors for (_, factors), _, _ in parts], n)
+    tops = [max(v) for _, v in base]
+    mono = parts[0][0][0]
+    for (m, _), _, _ in parts:
+        if m != mono:
+            mono = _monomial_lcm(mono, m, n)
+    powers: dict[tuple[int, int], Polynomial] = {}
+    num = den = None
+    for g, ((m, _), t, expanded) in enumerate(parts):
+        cofactor = _monomial(vars, mono - m) if m != mono else None
+        for j, (f, v) in enumerate(base):
+            k = tops[j] - v[g]
+            if k:
+                if (j, k) not in powers:
+                    powers[j, k] = f**k
+                cofactor = powers[j, k] if cofactor is None else cofactor * powers[j, k]
+        if cofactor is None:  # this part's denominator is the lcm
+            den = den or expanded
+        else:
+            t = t * cofactor
+        num = t if num is None else num + t
+    return num, mono, tuple((f, e) for (f, _), e in zip(base, tops)), den
+
+
+def fraction_sum(terms: list) -> RationalFunction:
+    """The sum of ``terms``, each a RationalFunction or a term_product
+    triple, in lowest terms, by _common_sum.  Should the common numerator or
+    denominator pass MAX_DEGREE or MAX_TERMS, the terms are summed one by
+    one in lowest terms instead, as the values they stand for."""
     try:
-        num, den = parts[0]
-        for n, d in parts[1:]:
-            g = poly_gcd(den, d)
-            if _is_unit(g):
-                num, den = num * d + n * den, den * d
-            else:
-                m = exact_div(d, g)
-                num, den = num * m + n * exact_div(den, g), den * m
+        return _common_sum(terms)
     except (DegreeOverflow, TermOverflow):
-        total = RationalFunction.zero(den.vars)
+        total = None
         for t in terms:
-            total = total + (t if t.__class__ is RationalFunction else RationalFunction(*t))
+            t = t if t.__class__ is RationalFunction else _settle(*t)
+            total = t if total is None else total + t
         return total
-    return RationalFunction(num, den) if num.prim else RationalFunction.zero(num.vars)
 
 
 def _poly_subs(
@@ -1223,8 +1489,7 @@ def _poly_subs(
     total = RationalFunction.zero(target)
     n = len(p.vars)
     for k, c in p.prim.items():
-        coeff = Polynomial._from_ints(target, p.cnum, p.cden, {0: c})
-        term = RationalFunction(coeff, _unit(target), _normalized=True)
+        term = RationalFunction._make(Polynomial._from_ints(target, p.cnum, p.cden, {0: c}), _unit(target))
         for rf, e in zip(image, _unpack(k, n)):
             if e:
                 term = term * rf**e

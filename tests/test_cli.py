@@ -11,10 +11,11 @@ import time
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algebroid_forge import algfile, cli, tangent_algebroid
+from algebroid_forge import algfile, cli, rational, tangent_algebroid
 from algebroid_forge.algfile import MAX_COORDS, MAX_RANK
 from algebroid_forge.cli import MAX_SAMPLES, OPTIONS, SLOTS, TASKS, RunConfig, main
 from algebroid_forge.errors import CLIP
@@ -137,6 +138,66 @@ class TestRecords:
         main(["check", *args, "--format", "records", "--seed", str(seed)])
         records = capsys.readouterr().out.encode("utf-8")
         assert hashlib.sha256(records).hexdigest() == table[f"{key}@{seed}"]
+
+    @pytest.mark.parametrize("key", [label for label, *_ in ratchart.SPECS])
+    def test_rational_chart_takes_no_gcd(self, monkeypatch, capsys, tmp_path, key):
+        # every denominator there is a power of one linear form, which the
+        # factored denominators reduce by trial division alone
+        def refuse(*args):
+            raise AssertionError("poly_gcd ran")
+
+        monkeypatch.setattr(rational, "poly_gcd", refuse)
+        table = json.loads(FINGERPRINTS.read_text(encoding="utf-8"))["records_sha256"]
+        main(["check", str(dict(ratchart.write_inputs(tmp_path, 0))[key]), "--format", "records", "--seed", "0"])
+        records = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(records).hexdigest() == table[f"{key}@0"]
+
+
+# poles Q of frames e_i = g d/dx_i, g = 1/Q, whose denominators are not all
+# powers of one linear form: irreducible, linear in two coordinates, and a
+# product that the parser expands
+NONLINEAR_POLES = ("1 + x1^2", "2 + x1 + x2", "(1 + x1)*(2 + x2)")
+
+
+def pole_frame_text(q: str, rank: int, broken: bool) -> str:
+    """The .alg file of the frame e_i = g d/dx_i on R^rank, g = 1/Q, with
+    [e_i, e_j] = (d_i g) e_j - (d_j g) e_i and d_i g = -(d_i Q)/Q^2, the
+    partials taken by sympy.  Where Q != 0 the anchor is injective and this
+    is TR^rank in another frame, so the axioms and the Courant double hold;
+    ``broken`` doubles the first nonzero bracket coefficient, which breaks
+    anchor compatibility."""
+    coords = [f"x{i + 1}" for i in range(rank)]
+    pole = sympy.sympify(q.replace("^", "**"))
+    partials = [str(sympy.expand(sympy.diff(pole, sympy.Symbol(x)))).replace("**", "^") for x in coords]
+    lines = ["algebroid P {", f"  base = [{', '.join(coords)}];", f"  rank = {rank};"]
+    lines += [f"  anchor[{i + 1},{x}] = 1/({q});" for i, x in enumerate(coords)]
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            # the coefficient of e_i is -d_j g, of e_j it is d_i g
+            terms = []
+            for k, sign, partial in ((i, "", partials[j]), (j, "-", partials[i])):
+                if partial != "0":
+                    scale, broken = ("2*" if broken else ""), False
+                    terms.append(f"{sign}({scale}({partial}))/({q})^2*e{k + 1}")
+            if terms:
+                lines.append(f"  bracket[{i + 1},{j + 1}] = {' + '.join(terms)};")
+    lines += ["}", "task check-axioms P;", "task verify-courant standard P;"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("rank", (2, 3))
+@pytest.mark.parametrize("q", NONLINEAR_POLES)
+def test_nonlinear_pole_verdicts(capsys, tmp_path, q, rank):
+    failing = {}
+    for broken in (False, True):
+        path = tmp_path / f"{'broken' if broken else 'frame'}.alg"
+        path.write_text(pole_frame_text(q, rank, broken), encoding="utf-8")
+        code = main(["check", str(path), "--format", "records", "--seed", "0"])
+        records = [dict(field.split("=", 1) for field in line.split()) for line in capsys.readouterr().out.splitlines()]
+        failing[broken] = (code, {r["clause"] for r in records if r["verdict"] != "pass"})
+    assert failing[False] == (0, set())
+    code, clauses = failing[True]
+    assert code == 1 and {"anchor-compatibility", "C4-anchor-morphism"} <= clauses
 
 
 # stdlib modules that no check may load: each costs every run its import

@@ -523,24 +523,44 @@ MUTANTS.update(
             "num.derivative(index) * x",
             shape_property,
         ),
-        "unit-test-on-the-shared-dict": (
-            "rational", "    if den is unit:\n", "    if den.prim is unit.prim:\n", shape_property,
+        "constant-denominator-not-the-unit": (
+            "rational",
+            "Polynomial._make(vars, 1, 1, {key: 1}) if key else _unit(vars)",
+            "Polynomial._make(vars, 1, 1, {key: 1}) if key else Polynomial.const(vars, 1)",
+            shape_property,
         ),
         "term-sum-not-normalized": (
             "rational",
-            "return RationalFunction(num, den) if num.prim else",
-            "return RationalFunction(num, den, _normalized=True) if num.prim else",
+            "    return _settle(num, mono, factors, den)\n",
+            "    return _build(num, mono, factors, den)\n",
             deferred_sum_property,
         ),
         "term-product-drops-sign": (
-            "rational", "return (num if sign > 0 else -num), d1 * d2", "return num, d1 * d2", deferred_sum_property,
+            "rational",
+            "return (num if sign > 0 else -num), a.mono + b.mono, factors",
+            "return num, a.mono + b.mono, factors",
+            deferred_sum_property,
         ),
         "term-sum-groups-by-leading-monomial": (
             "rational",
             "        s = groups.get(den)\n",
-            "        den = next((d for d in groups if max(d.prim) == max(den.prim)), den)\n"
+            # the leading monomial of x^mono * prod f^e is mono + sum e * lead(f)
+            "        den = next((d for d in groups if d[0] + sum(e * max(f.prim) for f, e in d[1])"
+            " == den[0] + sum(e * max(f.prim) for f, e in den[1])), den)\n"
             "        s = groups.get(den)\n",
             deferred_sum_property,
+        ),
+        "factored-lcm-takes-the-minimum": (
+            "rational", "tops = [max(v) for _, v in base]", "tops = [min(v) for _, v in base]", shape_property,
+        ),
+        "trial-division-stops-one-short": (
+            "rational", "k = e\n            while k:\n", "k = e\n            while k > 1:\n", shape_property,
+        ),
+        "nonlinear-factors-merged-unchecked": (
+            "rational",
+            "                    if _is_linear(f, n) and _is_linear(g, n):\n",
+            "                    if True:\n",
+            shape_property,
         ),
         "paired-theorem-intertwines-n": (
             "paired",

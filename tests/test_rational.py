@@ -1,5 +1,7 @@
+import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 import sympy
@@ -352,40 +354,73 @@ def test_arith_matches_sympy():
             assert sympy.simplify(got - theirs) == 0
 
 
-# -- the three denominator shapes ---------------------------------------------
+# -- the denominator shapes ----------------------------------------------------
 # A denominator is the unit, a single term (a Laurent value) or anything
-# else, and each pair of shapes takes its own path through the field
-# operations.  The draws and their sympy expectations depend on the seed
-# alone, so tests/test_mutants.py runs the same property on its mutants.
+# else, held factored, and each pair of shapes takes its own path through
+# the field operations.  The draws and their sympy expectations depend on
+# the seed alone, so tests/test_mutants.py runs the same property on its
+# mutants.
 
 SHAPE_SEED, SHAPE_DRAWS = 20, 150
 SHAPE_OPS = (
-    ("a", lambda a, b, d: a),
-    ("b", lambda a, b, d: b),
-    ("a + b", lambda a, b, d: a + b),
-    ("a - b", lambda a, b, d: a - b),
-    ("a * b", lambda a, b, d: a * b),
-    ("a / b", lambda a, b, d: a / b),
-    ("d a", lambda a, b, d: d(a)),
-    ("d (a / b)", lambda a, b, d: d(a / b)),
+    ("a", lambda a, b, d, s: a),
+    ("b", lambda a, b, d, s: b),
+    ("a + b", lambda a, b, d, s: a + b),
+    ("a - b", lambda a, b, d, s: a - b),
+    ("a * b", lambda a, b, d, s: a * b),
+    ("a / b", lambda a, b, d, s: a / b),
+    ("d a", lambda a, b, d, s: d(a)),
+    ("d (a / b)", lambda a, b, d, s: d(a / b)),
+    ("a(x1 -> xn / (1 + x1))", lambda a, b, d, s: s(a)),
 )
+
+
+def factor_pool(vars_):
+    """Denominator factors on the coordinates ``vars_`` as expression text,
+    the same number for 1-3 coordinates: linear in one, two and all of
+    them; 1 + x1^2; (1 + x1)(2 + xn), expanded when parsed; x1^2 - 1, which
+    shares x1 - 1 with the second; and Q = (1 + x1)^2 (2 + xn) with
+    2 (1 + x1)(2 + xn), its partial by x1."""
+    x, last = vars_[0], vars_[-1]
+    return (
+        f"1 + 2*{x}",
+        f"{x} - 1",
+        f"2*{x} - 3*{last} + 1" if len(vars_) > 1 else f"3*{x} + 2",
+        " + ".join(vars_) + " + 1",
+        f"1 + {x}^2",
+        f"(1 + {x})*(2 + {last})",
+        f"{x}^2 - 1",
+        f"(1 + {x})^2*(2 + {last})",
+        f"2*(1 + {x})*(2 + {last})",
+    )
+
+
+POOL_SIZE = len(factor_pool(VARS))
 
 
 def shape_spec(rng, n):
     """(terms, factor, kind, den): a sum of coefficient * monomial terms
     with distinct exponents up to 2, times the monomial ``factor``, over a
     denominator of ``kind``: "unit"; "term", a content 1, 2 or 1/3 times a
-    monomial with exponents up to 3; "general", (1 + 2*x_j)^k; or
-    "content", a constant 2, 1/3 or -1."""
+    monomial with exponents up to 3; "general", (1 + 2*x_j)^k; "content", a
+    constant 2, 1/3 or -1; or "factored", (powers, separate, extra): the
+    product of factor_pool powers (index, 1 or 2), divided out one power
+    at a time when ``separate``, else as one expanded polynomial, with the
+    numerator times the pool power ``extra`` or 1."""
     exponents = {tuple(rng.randrange(3) for _ in range(n)) for _ in range(rng.randrange(1, 4))}
     terms = [(rng.choice((-3, -2, -1, 1, 2, 5)), e) for e in sorted(exponents)]
     factor = tuple(rng.randrange(2) for _ in range(n)) if rng.random() < 0.4 else (0,) * n
-    kind = rng.choice(("unit", "term", "general", "content"))
+    kind = rng.choice(("unit", "term", "general", "content", "factored", "factored"))
     den = {
         "unit": None,
         "term": (rng.choice((1, 2, Fraction(1, 3))), tuple(rng.randrange(4) for _ in range(n))),
         "general": (rng.randrange(n), rng.randrange(1, 3)),
         "content": rng.choice((2, Fraction(1, 3), -1)),
+        "factored": (
+            tuple((rng.randrange(POOL_SIZE), rng.randrange(1, 3)) for _ in range(rng.randrange(1, 3))),
+            rng.random() < 0.5,
+            (rng.randrange(POOL_SIZE), rng.randrange(1, 3)) if rng.random() < 0.5 else None,
+        ),
     }[kind]
     return terms, factor, kind, den
 
@@ -425,6 +460,19 @@ def shape_value(rat, vars_, spec):
         return num / (RF.coord(vars_, vars_[j]) * 2 + 1) ** k
     if kind == "content":
         return num / (RF.one(vars_) * den)
+    if kind == "factored":
+        pool = [rat.parse_scalar(text, vars_) for text in factor_pool(vars_)]
+        powers, separate, extra = den
+        if extra is not None:
+            num = num * pool[extra[0]] ** extra[1]
+        if separate:
+            for i, e in powers:
+                num = num / pool[i] ** e
+            return num
+        product = RF.one(vars_)
+        for i, e in powers:
+            product = product * pool[i] ** e
+        return num / product
     return num
 
 
@@ -447,6 +495,14 @@ def shape_element(field, spec):
         return num / (1 + 2 * field.gens[j]) ** k
     if kind == "content":
         return num / monomial(den, ())
+    if kind == "factored":
+        names = tuple(str(x) for x in field.gens)
+        pool = [field.from_sympy(sympy.sympify(text.replace("^", "**"))) for text in factor_pool(names)]
+        powers, _, extra = den
+        if extra is not None:
+            num *= pool[extra[0]] ** extra[1]
+        for i, e in powers:
+            num /= pool[i] ** e
     return num
 
 
@@ -460,7 +516,12 @@ def shape_expected(seed, draws):
         for n, spec_a, spec_b, x in shape_specs(seed, draws):
             field = sympy.QQ.frac_field(*sympy.symbols(VARS[:n]))
             a, b = shape_element(field, spec_a), shape_element(field, spec_b)
-            results = [op(a, b, lambda f: f.diff(field.gens[x])) for _, op in SHAPE_OPS]
+            first, last = field.gens[0].as_expr(), field.gens[-1].as_expr()
+
+            def substituted(f):
+                return field.from_sympy(f.as_expr().subs(first, last / (1 + first)))
+
+            results = [op(a, b, lambda f: f.diff(field.gens[x]), substituted) for _, op in SHAPE_OPS]
             expected.append([canonical_parts(r) for r in results])
         _SHAPE_EXPECTED[(seed, draws)] = expected
     return _SHAPE_EXPECTED[(seed, draws)]
@@ -473,16 +534,51 @@ def stored_parts(p):
     return p.cnum, p.cden, {m: c / content for m, c in p.terms.items()}
 
 
+def factored_problem(v) -> str | None:
+    """What breaks the invariants of v's factored denominator, or None: den
+    is x^mono * prod f^e over v.factors, made monic; every e is positive;
+    every f is primitive with a positive leading coefficient, neither
+    constant nor divisible by a coordinate; and the f are pairwise coprime
+    (by sympy's gcd)."""
+    den, n = v.den, len(v.vars)
+    product = den._make(v.vars, 1, 1, {v.mono: 1})
+    for f, e in v.factors:
+        if e < 1 or (f.cnum, f.cden) != (1, 1) or f.is_constant():
+            return f"factor ({f})^{e}"
+        if math.gcd(*f.prim.values()) != 1 or f.prim[max(f.prim)] < 0:
+            return f"factor {f} is not primitive with a positive leading coefficient"
+        if any(all(m[j] for m in f.terms) for j in range(n)):
+            return f"factor {f} is divisible by a coordinate"
+        product = product * f**e
+    if product.prim != den.prim or (den.cnum, den.cden) != (1, product.prim[max(product.prim)]):
+        return f"den {den} is not the monic product of x^mono and {v.factors}"
+    for (f, _), (g, _) in combinations(v.factors, 2):
+        key = (n, *sorted((tuple(sorted(f.prim.items())), tuple(sorted(g.prim.items())))))
+        if key not in _SHARED:
+            _SHARED[key] = sympy.gcd(sympy_poly(f.terms, n), sympy_poly(g.terms, n)).total_degree() > 0
+        if _SHARED[key]:
+            return f"factors {f} and {g} share a factor"
+    return None
+
+
+# (coordinates, factor, factor) -> whether sympy finds a common factor
+_SHARED: dict[tuple, bool] = {}
+
+
 def shape_property(rat, seed=SHAPE_SEED, draws=SHAPE_DRAWS) -> list[str]:
     """Every SHAPE_OPS result on the drawn pairs, built by the module
-    ``rat``, has the oracle's canonical parts, and every constant
-    denominator is the interned unit.  Stops at the first failure; an
-    exception is one."""
+    ``rat``, has the oracle's canonical parts and a factored denominator
+    that keeps its invariants, and every constant denominator is the
+    interned unit.  Stops at the first failure; an exception is one."""
     for (n, spec_a, spec_b, x), expected in zip(shape_specs(seed, draws), shape_expected(seed, draws)):
         vars_ = VARS[:n]
         try:
             a, b = shape_value(rat, vars_, spec_a), shape_value(rat, vars_, spec_b)
-            results = [op(a, b, lambda f: f.differentiate(vars_[x])) for _, op in SHAPE_OPS]
+            RF = rat.RationalFunction
+            image = {vars_[0]: RF.coord(vars_, vars_[-1]) / (RF.coord(vars_, vars_[0]) + 1)}
+            results = [
+                op(a, b, lambda f: f.differentiate(vars_[x]), lambda f: f.subs(image)) for _, op in SHAPE_OPS
+            ]
         except Exception as err:
             return [f"{spec_a}, {spec_b}: {type(err).__name__}: {err}"]
         unit = rat.RationalFunction.one(vars_).den
@@ -491,6 +587,9 @@ def shape_property(rat, seed=SHAPE_SEED, draws=SHAPE_DRAWS) -> list[str]:
                 return [f"{label} for a = {a}, b = {b}: got {got}"]
             if got.den.is_constant() and got.den is not unit:
                 return [f"{label} for a = {a}, b = {b}: a constant denominator that is not the unit"]
+            problem = factored_problem(got)
+            if problem is not None:
+                return [f"{label} for a = {a}, b = {b}: {problem}"]
     return []
 
 
@@ -568,6 +667,9 @@ def deferred_sum_property(rat, seed=SUM_SEED, draws=SUM_DRAWS) -> list[str]:
             return [f"{specs}: {type(err).__name__}: {err}"]
         if (stored_parts(got.num), stored_parts(got.den)) != parts or got != eager:
             return [f"{specs}: got {got}, pairwise {eager}"]
+        problem = factored_problem(got)
+        if problem is not None:
+            return [f"{specs}: {problem}"]
         if got.is_zero() and got is not RF.zero(vars_):
             return [f"{specs}: a zero sum that is not the interned zero"]
     return []
