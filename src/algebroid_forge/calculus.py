@@ -494,8 +494,12 @@ def _compute_differential(mu: GradedSection) -> GradedSection:
     return GradedSection._make(A, FORM, mu.degree + 1, out)
 
 
-def _frames_into(acc: dict, structure: dict, I: Idx, J: Idx, fg: RationalFunction) -> None:
-    """acc += fg [e_I, e_J], by the closed form of the module docstring."""
+def _frames_into(
+    acc: dict, structure: dict, I: Idx, J: Idx, f: RationalFunction, g: RationalFunction
+) -> None:
+    """acc += fg [e_I, e_J], by the closed form of the module docstring; fg
+    is formed at the first structure row that applies, if any does."""
+    fg = None
     for a, i in enumerate(I):
         rest_i = I[:a] + I[a + 1 :]
         for b, j in enumerate(J):
@@ -503,6 +507,8 @@ def _frames_into(acc: dict, structure: dict, I: Idx, J: Idx, fg: RationalFunctio
             merged = row and _merge_indices(rest_i, J[:b] + J[b + 1 :])
             if not merged:
                 continue
+            if fg is None:
+                fg = f * g
             sign = merged[0] * (-1) ** (a + b) * (1 if i < j else -1)
             for k, c in row:
                 term = _merge_indices((k,), merged[1])
@@ -543,7 +549,7 @@ def schouten(P: GradedSection, Q: GradedSection) -> GradedSection:
         for J, g in Q.coeffs.items():
             # [f e_I, g e_J] = fg [e_I, e_J] + f [e_I, g] ^ e_J
             #                  - (-1)^{(p-1)(q-1)} g [e_J, f] ^ e_I
-            _frames_into(out, A.structure, I, J, f * g)
+            _frames_into(out, A.structure, I, J, f, g)
             _function_into(out, A, I, g, f, J, 1)
             _function_into(out, A, J, f, g, I, trail)
     return GradedSection._make(A, MULTIVECTOR, p + q - 1, out)

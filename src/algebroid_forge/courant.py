@@ -14,30 +14,35 @@ The Dorfman bracket in this normal form is flip-symmetric:
     (X+a) o (Y+b) = [X,Y] + L*_a Y - i_b d* X + X3(a, b, -)
                   + [a,b]* + L_X b - i_Y d a + psi(X, Y, -),
 
-where L*_a Y = i_a d*Y + d*<a,Y> and L_X b = i_X db + d<b,X>.  ``dorfman``
-evaluates it in frame components: ten terms, five per half.  Write
-X = X_i e_i and a = a_i eps^i (likewise Y and b), [e_i, e_j] = c_ij^k e_k
-and rho_i = rho(e_i); c* and rho* are the same data of the dual side, and
-a degree-2 W has W_jk = -W_kj for j > k.  Then
+where L*_a Y = i_a d*Y + d*<a,Y> and L_X b = i_X db + d<b,X>.  Each side of
+the double gives its bracket to its own half and a Lie derivative minus a
+contraction to the other: the vector side [X,Y] and L_X b - i_Y da, the
+covector side [a,b]* and L*_a Y - i_b d*X.  ``dorfman`` evaluates one side
+at a time in frame components, for (u, v; s, t) = (X, Y; a, b) on the
+vector side and (a, b; X, Y) on the covector side, each with its own data:
+[e_i, e_j] = c_ij^k e_k (c_ji = -c_ij) and rho_i = rho(e_i), or c* and
+rho* of the dual frame.  Five terms per side:
 
-    [X,Y]_k      = sum_{i<j} (X_i Y_j - X_j Y_i) c_ij^k
-                   + sum_i (X_i rho_i(Y_k) - Y_i rho_i(X_k))
-    (i_a d*Y)_k  = sum_j a_j (d*Y)_jk
-    (d*<a,Y>)_k  = rho*_k(<a,Y>),   <a,Y> = sum_i a_i Y_i
-    -(i_b d*X)_k = -sum_j b_j (d*X)_jk
+    [u,v]_k             = sum_{i<j} (u_i v_j - u_j v_i) c_ij^k     (1)
+                        + sum_i (u_i rho_i(v_k) - v_i rho_i(u_k))  (2)
+    (L_u t - i_v ds)_k  = sum_j (u_j rho_j(t_k) - v_j rho_j(s_k))  (3)
+                        + sum_j (t_j rho_k(u_j) + v_j rho_k(s_j))  (4)
+                        - sum_{j,m} c_jk^m (u_j t_m - v_j s_m)     (5)
+
+Terms (3)-(5) are i_u dt + d<t,u> - i_v ds, with (dt)_jk = rho_j(t_k) -
+rho_k(t_j) - c_jk^m t_m and (i_u W)_k = sum_j u_j W_jk for a degree-2 W (the
+conventions of ``calculus``), and with each rho_k a derivation: the terms
+u_j rho_k(t_j) of i_u dt and of d<t,u> cancel, so neither is formed, and no
+d or d_* section is built.  rho_i(f) is the memoized ``rho_apply``.  The
+three-tensors add
+
     X3(a,b,-)_k  = sum_{i<j} (a_i b_j - a_j b_i) (i_{eps^j} i_{eps^i} X3)_k
-
-    [a,b]*_k     = [X,Y]_k with a, b for X, Y and c*, rho* for c, rho
-    (i_X db)_k   = sum_j X_j (db)_jk
-    (d<b,X>)_k   = rho_k(<b,X>)
-    -(i_Y da)_k  = -sum_j Y_j (da)_jk
     psi(X,Y,-)_k = sum_{i<j} (X_i Y_j - X_j Y_i) (i_{e_j} i_{e_i} psi)_k
 
-in the conventions of ``calculus`` (i_{e_j} eps^I = (-1)^t eps^{I minus j},
-t the position of j in I).  d*Y and da are the memoized ``d_star`` and
-``differential``, rho_i(f) the memoized ``rho_apply``.  The C1, C2 and C5
-residues of ``verify_courant_axioms`` are evaluated in the same components
-(``_residue``); a section is built only for a nonzero residue.
+with i_{e_j} eps^I = (-1)^t eps^{I minus j}, t the position of j in I.  The
+C1, C2 and C5 residues of ``verify_courant_axioms`` are evaluated in the
+same components (``_residue``); a section is built only for a nonzero
+residue.
 """
 
 from __future__ import annotations
@@ -57,7 +62,6 @@ from .calculus import (
     _single_contract,
     apply_field,
     d_function,
-    differential,
     null_presentation,
     pairing,
     pullback,
@@ -334,21 +338,11 @@ def _compute_dorfman(E: CourantDouble, e1: CourantSection, e2: CourantSection) -
     Y, b = _frame_coefficients(e2.vec, MULTIVECTOR), _frame_coefficients(e2.cov, FORM)
     x3_pairs, psi_pairs = _frame_tables(E)
     vec: dict[int, RationalFunction] = {}
-    _bracket_into(vec, E.base, X, Y)
-    if a and Y:
-        _contract_into(vec, a, d_star(E, e2.vec), False)
-        _gradient_into(vec, E.dual, a, Y)
-    if b and X:
-        _contract_into(vec, b, d_star(E, e1.vec), True)
+    cov: dict[int, RationalFunction] = {}
+    _side_into(vec, cov, E.base, X, Y, a, b)
+    _side_into(cov, vec, E.dual, a, b, X, Y)
     if a and b:
         _pairs_into(vec, x3_pairs, a, b)
-    cov: dict[int, RationalFunction] = {}
-    _bracket_into(cov, E.dual, a, b)
-    if X and b:
-        _contract_into(cov, X, differential(e2.cov), False)
-        _gradient_into(cov, E.base, b, X)
-    if Y and a:
-        _contract_into(cov, Y, differential(e1.cov), True)
     if X and Y:
         _pairs_into(cov, psi_pairs, X, Y)
     return CourantSection(_degree_one(E.base, MULTIVECTOR, vec), _degree_one(E.base, FORM, cov))
@@ -417,48 +411,38 @@ def _pairs_into(acc: dict, pairs: dict, u: dict, v: dict) -> None:
             _accumulate(acc, k, term_product(w, c))
 
 
-def _bracket_into(acc: dict, P: AlgebroidPresentation, u: dict, v: dict) -> None:
-    """[u, v]_k on the side P: its structure part, then its anchor part
-    sum_i (u_i rho_i(v_k) - v_i rho_i(u_k))."""
-    _pairs_into(acc, P.structure, u, v)
+def _side_into(own: dict, other: dict, P: AlgebroidPresentation, u: dict, v: dict, s: dict, t: dict) -> None:
+    """The share of the side P: [u, v] into its own half and L_u t - i_v ds
+    into the other half, by terms (1)-(5) of the module docstring, read from
+    P.structure, P.anchored and the memoized P.rho_apply."""
+    _pairs_into(own, P.structure, u, v)
     for i in P.anchored:
         ui, vi = u.get(i), v.get(i)
-        if ui is not None:
-            for k, vk in v.items():
-                t = P.rho_apply(i, vk)
-                if not t.is_zero():
-                    _accumulate(acc, k, term_product(ui, t))
-        if vi is not None:
-            for k, uk in u.items():
-                t = P.rho_apply(i, uk)
-                if not t.is_zero():
-                    _accumulate(acc, k, term_product(vi, t, -1))
-
-
-def _contract_into(acc: dict, u: dict, W: GradedSection, negate: bool) -> None:
-    """(i_u W)_k = sum_j u_j W_jk for a degree-2 W (W_jk = -W_kj), negated
-    if asked."""
-    for (j, k), w in W.coeffs.items():
-        uj, uk = u.get(j), u.get(k)
-        if uj is not None:
-            _accumulate(acc, k, term_product(uj, w, -1 if negate else 1))
-        if uk is not None:
-            _accumulate(acc, j, term_product(uk, w, 1 if negate else -1))
-
-
-def _gradient_into(acc: dict, P: AlgebroidPresentation, u: dict, v: dict) -> None:
-    """(d_P <u, v>)_k = rho_k(sum_i u_i v_i) on the side P."""
-    f = None
-    for i, ui in u.items():
-        vi = v.get(i)
-        if vi is not None:
-            f = ui * vi if f is None else f + ui * vi
-    if f is None or f.is_zero():
-        return
-    for k in P.anchored:
-        t = P.rho_apply(k, f)
-        if not t.is_zero():
-            _accumulate(acc, k, t)
+        # (2) and (3): w rho_i(z_k) for w = u_i, -v_i
+        for acc, w, z, sign in ((own, ui, v, 1), (own, vi, u, -1), (other, ui, t, 1), (other, vi, s, -1)):
+            if w is not None:
+                for k, zk in z.items():
+                    r = P.rho_apply(i, zk)
+                    if not r.is_zero():
+                        _accumulate(acc, k, term_product(w, r, sign))
+        # (4): w_j rho_i(z_j) into k = i
+        for w, z in ((t, u), (v, s)):
+            for j, wj in w.items():
+                zj = z.get(j)
+                if zj is not None:
+                    r = P.rho_apply(i, zj)
+                    if not r.is_zero():
+                        _accumulate(other, i, term_product(wj, r))
+    # (5): -c_jk^m p_j z_m for (p, z) = (u, t) and, negated, (v, s); a row
+    # (i, j) gives k = j from p_i and, as c_ji = -c_ij, k = i from p_j
+    for (i, j), row in P.structure.items():
+        for p, z, sign in ((u, t, 1), (v, s, -1)):
+            for k, pk, sk in ((j, p.get(i), -sign), (i, p.get(j), sign)):
+                if pk is not None:
+                    for m, c in row:
+                        zm = z.get(m)
+                        if zm is not None:
+                            _accumulate(other, k, term_product(c, pk * zm, sk))
 
 
 def skew_bracket(E: CourantDouble, e1: CourantSection, e2: CourantSection) -> CourantSection:

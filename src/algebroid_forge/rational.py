@@ -1241,10 +1241,13 @@ def _product_factors(f1: tuple, f2: tuple, n: int) -> tuple:
     return tuple((p, v[0] + v[1]) for p, v in _coprime_base([f1, f2], n))
 
 
-def _cancel(num: Polynomial, mono: int, factors: tuple, start: int = 0) -> tuple[Polynomial, int, tuple]:
+def _cancel(
+    num: Polynomial, mono: int, factors: tuple, start: int = 0, coprime: tuple = ()
+) -> tuple[Polynomial, int, tuple]:
     """(num, mono, factors) with the common factors of num and x^mono *
     prod f^e removed; the same factors tuple when none of them changed.
-    factors[:start] are known to be prime to num."""
+    factors[:start], and each factor that also occurs in the factors tuple
+    ``coprime``, are known to be prime to num."""
     vars = num.vars
     n = len(vars)
     prim = num.prim
@@ -1258,6 +1261,9 @@ def _cancel(num: Polynomial, mono: int, factors: tuple, start: int = 0) -> tuple
     kept = list(factors[:start])
     changed = False
     for f, e in factors[start:]:
+        if any(f.prim == g.prim for g, _ in coprime):
+            kept.append((f, e))
+            continue
         if _is_linear(f, n):
             # f is irreducible, so trial division finds gcd(num, f^e)
             k = e
@@ -1332,9 +1338,10 @@ def _settle(num: Polynomial, mono: int, factors: tuple, den: Polynomial | None =
 def _general_product(a: RationalFunction, b: RationalFunction) -> RationalFunction:
     """a * b with a general denominator on either side: each numerator first
     cancels against the other's denominator, which leaves the product in
-    lowest terms (Knuth, TAOCP vol. 2, 4.5.1)."""
-    n1, m2, f2 = _cancel(a.num, b.mono, b.factors)
-    n2, m1, f1 = _cancel(b.num, a.mono, a.factors)
+    lowest terms (Knuth, TAOCP vol. 2, 4.5.1).  A numerator is prime to its
+    own denominator, so a factor the two denominators share is skipped."""
+    n1, m2, f2 = _cancel(a.num, b.mono, b.factors, coprime=a.factors)
+    n2, m1, f1 = _cancel(b.num, a.mono, a.factors, coprime=b.factors)
     factors = _product_factors(f1, f2, len(n1.vars))
     if f1 is a.factors and f2 is b.factors and m1 == a.mono and m2 == b.mono:
         return RationalFunction._make(n1 * n2, a.den * b.den, m1 + m2, factors)

@@ -17,7 +17,8 @@ The test references after them are constructions the package itself
 never needs: a Lie algebra as an algebroid over a point, the identity
 bundle map and the composite of two, the B <-> B* swap of a split double, the Dorfman
 bracket composed from the calculus operations, term by term of the formula
-in the ``courant`` module docstring, the product of two doubles built
+in the ``courant`` module docstring, a presentation and a double rebuilt in
+a constant change of frame, the product of two doubles built
 densely from every anchor and structure entry, the seeded random sections
 replayed from ``random.Random``, and a paired operator applied by
 contraction with pi and sigma rather than through its block matrices.
@@ -26,8 +27,10 @@ Last come references for Schouten, d and Dorfman that make no engine call
 at all: sympy expressions read from a presentation's raw anchor and
 structure rows, the Schouten bracket expanded by the graded Leibniz rule
 and antisymmetry alone, d by the Cartan formula, and the Dorfman bracket of
-a double by the ten component terms of the ``courant`` module docstring,
-from both sides' raw data and the raw x3 and psi.
+a double by the ten terms of the normal form at the top of the ``courant``
+module docstring, five per half, with d*Y, d*X, da and db formed as
+two-forms (the kernel expands them into five terms per side instead), from
+both sides' raw data and the raw x3 and psi.
 """
 
 import math
@@ -42,6 +45,7 @@ from algebroid_forge.calculus import (
     MULTIVECTOR,
     AlgebroidPresentation,
     BundleMorphism,
+    derived_presentation,
     differential,
     evaluate,
     identity_matrix,
@@ -346,6 +350,63 @@ def dorfman_by_calculus(E, e1, e2):
     return CourantSection(vec, cov)
 
 
+def inverse(rows):
+    """The inverse of an invertible square Fraction matrix, by the adjugate."""
+    n = len(rows)
+    d = det(rows)
+
+    def minor(i, j):
+        return [[rows[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
+
+    return [[(-1) ** (i + j) * det(minor(j, i)) / d for j in range(n)] for i in range(n)]
+
+
+def _scalars(P, rows):
+    return tuple(tuple(P.scalar(c) for c in row) for row in rows)
+
+
+def reframe_presentation(P, M):
+    """P in the frame e'_i = sum_j M[j][i] e_j, for a constant invertible
+    Fraction matrix M, by ``derived_presentation``: anchor rho o M, and
+    [e'_i, e'_j] the Schouten bracket of the two old sections, read in the
+    new frame through M^-1."""
+    frames = [mat_apply(_scalars(P, M), P.frame(i)) for i in range(P.rank)]
+    back = _scalars(P, inverse(M))
+    return derived_presentation(P, _scalars(P, M), lambda i, j: mat_apply(back, schouten(frames[i], frames[j])))
+
+
+def reframe_double(E, M):
+    """(E', to_new): the double E in the frame e'_i = sum_j M[j][i] e_j of
+    its vector side and the dual frame eps'^i = sum_j M^-1[i][j] eps^j of its
+    covector side, x3 and psi evaluated on the new (co)frames as
+    three-tensors, and the map of E's sections into E'."""
+    n = E.rank
+    Minv = inverse(M)
+    transpose = [[Minv[j][i] for j in range(n)] for i in range(n)]
+    base, dual = reframe_presentation(E.base, M), reframe_presentation(E.dual, transpose)
+    frames = [mat_apply(_scalars(E.base, M), E.base.frame(i)) for i in range(n)]
+    coframes = [mat_apply(_scalars(E.base, transpose), E.base.coframe(i)) for i in range(n)]
+
+    def tensor(T, basis):
+        coeffs = {}
+        for I in combinations(range(n), T.degree):
+            w = basis[I[0]]
+            for i in I[1:]:
+                w = wedge(w, basis[i])
+            coeffs[I] = pairing(T, w)
+        return base.section(T.variance, T.degree, coeffs)
+
+    vec_map = _scalars(E.base, Minv)
+    cov_map = _scalars(E.base, [[M[j][i] for j in range(n)] for i in range(n)])
+
+    def to_new(e):
+        return CourantSection(
+            retag(mat_apply(vec_map, e.vec), base, MULTIVECTOR), retag(mat_apply(cov_map, e.cov), base, FORM)
+        )
+
+    return CourantDouble(base, dual, tensor(E.x3, coframes), tensor(E.psi, frames), E.conjugated), to_new
+
+
 def dense_product(E1, E2):
     """(base, dual, renames2) of the product of two split doubles, built
     densely: every anchor entry and every c_ij^k of both factors, zeros
@@ -591,8 +652,8 @@ def matches_oracle(raw, section, expected):
 
 
 # -- the Dorfman bracket from raw data ------------------------------------------
-# The ten component terms of the ``courant`` module docstring, five per half,
-# on RawAlgebroid data of both sides, read into sympy's rational function
+# The ten terms of the normal form in the ``courant`` module docstring, five
+# per half, on RawAlgebroid data of both sides, read into sympy's rational function
 # field; d*Y, d*X, da and db are the Chevalley-Eilenberg d of the side they
 # belong to.  No engine call.
 

@@ -14,7 +14,10 @@ reason every gcd of two multi-term polynomials enters through
 function reaches GCDHEU or the PRS.
 Likewise, the seeded generator and polynomial draw are read in
 ``calculus`` and ``courant.SectionFamily`` only, so every random section
-comes from ``calculus.random_sections``."""
+comes from ``calculus.random_sections``, and the Dorfman kernel
+(``courant._compute_dorfman`` and ``_side_into``) reads nothing from ``pn``
+and neither ``differential`` nor ``d_function``, so it composes no other
+calculus operation."""
 
 import ast
 import importlib
@@ -265,3 +268,39 @@ def test_sampler_lint_flags_a_third_sampler():
     assert [p.split(": ", 1)[1] for p in sampler_reads(ast.parse(copy), "pn.py")] == [
         "_random_vector reads random_poly"
     ]
+
+
+# the Dorfman kernel evaluates each side from its anchor and structure data:
+# it reads nothing imported from pn and builds no d section
+DORFMAN_KERNEL = ("_compute_dorfman", "_side_into")
+KERNEL_EXCLUDED = {"differential", "d_function"}
+
+
+def kernel_reads(tree: ast.Module) -> list[str]:
+    """Reads, in the functions of DORFMAN_KERNEL, of a name that courant
+    imports from pn or of KERNEL_EXCLUDED; each kernel function must exist."""
+    excluded = KERNEL_EXCLUDED | {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module == "pn"
+        for alias in node.names
+    }
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    out = [f"{name} is missing" for name in DORFMAN_KERNEL if name not in functions]
+    for name in DORFMAN_KERNEL:
+        if name in functions:
+            out += [f"{name} reads {read}" for read in sorted(excluded & reads([functions[name]]))]
+    return out
+
+
+def test_dorfman_kernel_composes_no_calculus_operation():
+    problems = kernel_reads(ast.parse((SRC / "courant.py").read_text(encoding="utf-8")))
+    assert not problems, "the Dorfman kernel composes a calculus operation: " + "; ".join(problems)
+
+
+def test_kernel_lint_flags_a_planted_call():
+    # the d_* of a vector half, as the kernel once built it
+    tree = ast.parse((SRC / "courant.py").read_text(encoding="utf-8"))
+    kernel = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_compute_dorfman")
+    kernel.body.insert(0, ast.parse("d_star(E, e2.vec)").body[0])
+    assert kernel_reads(tree) == ["_compute_dorfman reads d_star"]

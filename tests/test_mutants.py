@@ -364,33 +364,40 @@ def gcd_property(rat) -> list[str]:
 
 # -- the mutants -------------------------------------------------------------------
 
-# the ten terms of the Dorfman kernel, each as (label, call, sign-flipped call)
+# the five terms of the Dorfman kernel's side helper (numbered as in the
+# courant docstring) and the x3 and psi terms, each as (label, snippet,
+# snippet with the term dropped, snippet with the term's sign flipped)
 DORFMAN_TERMS = (
-    ("XY", "_bracket_into(vec, E.base, X, Y)", "_bracket_into(vec, E.base, Y, X)"),
-    ("ia-dstarY", "_contract_into(vec, a, d_star(E, e2.vec), False)", "_contract_into(vec, a, d_star(E, e2.vec), True)"),
+    ("own-structure", "_pairs_into(own, P.structure, u, v)", "pass", "_pairs_into(own, P.structure, v, u)"),
+    ("own-anchor", "(own, ui, v, 1), (own, vi, u, -1), ", "", "(own, ui, v, -1), (own, vi, u, 1), "),
+    ("other-anchor", ", (other, ui, t, 1), (other, vi, s, -1)", "", ", (other, ui, t, -1), (other, vi, s, 1)"),
     (
-        "dstar-aY",
-        "_gradient_into(vec, E.dual, a, Y)",
-        "_gradient_into(vec, E.dual, {i: -c for i, c in a.items()}, Y)",
+        "other-gradient",
+        "_accumulate(other, i, term_product(wj, r))",
+        "pass",
+        "_accumulate(other, i, term_product(wj, r, -1))",
     ),
-    ("ib-dstarX", "_contract_into(vec, b, d_star(E, e1.vec), True)", "_contract_into(vec, b, d_star(E, e1.vec), False)"),
-    ("x3", "_pairs_into(vec, x3_pairs, a, b)", "_pairs_into(vec, x3_pairs, b, a)"),
-    ("ab-star", "_bracket_into(cov, E.dual, a, b)", "_bracket_into(cov, E.dual, b, a)"),
-    ("iX-db", "_contract_into(cov, X, differential(e2.cov), False)", "_contract_into(cov, X, differential(e2.cov), True)"),
     (
-        "d-bX",
-        "_gradient_into(cov, E.base, b, X)",
-        "_gradient_into(cov, E.base, {i: -c for i, c in b.items()}, X)",
+        "other-structure",
+        "((j, p.get(i), -sign), (i, p.get(j), sign))",
+        "()",
+        "((j, p.get(i), sign), (i, p.get(j), -sign))",
     ),
-    ("iY-da", "_contract_into(cov, Y, differential(e1.cov), True)", "_contract_into(cov, Y, differential(e1.cov), False)"),
-    ("psi", "_pairs_into(cov, psi_pairs, X, Y)", "_pairs_into(cov, psi_pairs, Y, X)"),
+    ("x3", "_pairs_into(vec, x3_pairs, a, b)", "pass", "_pairs_into(vec, x3_pairs, b, a)"),
+    ("psi", "_pairs_into(cov, psi_pairs, X, Y)", "pass", "_pairs_into(cov, psi_pairs, Y, X)"),
 )
 
 # name -> (module, snippet, replacement, property)
 MUTANTS = {}
-for label, call, flipped in DORFMAN_TERMS:
-    MUTANTS[f"dorfman-drop-{label}"] = ("courant", call, "pass", dorfman_property)
-    MUTANTS[f"dorfman-flip-{label}"] = ("courant", call, flipped, dorfman_property)
+for label, snippet, dropped, flipped in DORFMAN_TERMS:
+    MUTANTS[f"dorfman-drop-{label}"] = ("courant", snippet, dropped, dorfman_property)
+    MUTANTS[f"dorfman-flip-{label}"] = ("courant", snippet, flipped, dorfman_property)
+# each of the two side calls
+for side, call in (
+    ("base", "_side_into(vec, cov, E.base, X, Y, a, b)"),
+    ("dual", "_side_into(cov, vec, E.dual, a, b, X, Y)"),
+):
+    MUTANTS[f"dorfman-drop-{side}-side"] = ("courant", call, "pass", dorfman_property)
 MUTANTS.update(
     {
         "dorfman-no-x3-table": (
@@ -400,10 +407,7 @@ MUTANTS.update(
             "courant", "contractions(E.psi, FORM)", "{}", dorfman_property,
         ),
         "dorfman-drops-an-anchor-term": (
-            "courant",
-            "        if vi is not None:\n            for k, uk in u.items():",
-            "        if False:\n            for k, uk in u.items():",
-            dorfman_oracle_property,
+            "courant", "(own, vi, u, -1), ", "", dorfman_oracle_property,
         ),
         "d_star-sign": (
             "pn",

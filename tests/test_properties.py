@@ -4,23 +4,27 @@ the scalar field, the content-times-primitive-part representation of
 polynomials, the frame-component Dorfman bracket against its composition
 from the calculus, the component sums of the Courant residues against
 section arithmetic, the product of two doubles against its dense
-transport, the seeded random sections against ``random.Random``, and
-Schouten and d against a sympy reference built from the raw anchor and
-structure data."""
+transport, the seeded random sections against ``random.Random``, Schouten
+and d against a sympy reference built from the raw anchor and structure
+data, and the Dorfman bracket and check-axioms verdicts under a constant
+change of frame."""
 
 import math
+import pathlib
 import random
 from fractions import Fraction
 from itertools import combinations
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from algebroid_forge.algfile import parse
 from algebroid_forge.calculus import (
     FORM,
     MULTIVECTOR,
     AlgebroidPresentation,
     SeededRng,
+    check_axioms,
     differential,
     insert,
     lie_derivative,
@@ -42,23 +46,28 @@ from algebroid_forge.courant import (
     product_with_renaming,
     rho_apply_section,
     transport_plus,
+    twisted_double,
 )
 from algebroid_forge.rational import Polynomial, RationalFunction
 from oracles import (
     RawAlgebroid,
     cartan_d_oracle,
     dense_product,
+    det,
     dorfman_by_calculus,
     dorfman_oracle,
     matches_oracle,
     random_sections_reference,
     raw_double,
+    reframe_double,
+    reframe_presentation,
     schouten_oracle,
     sympy_poly,
     sympy_terms,
 )
 
 TR3 = tangent_algebroid(3)
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
 coeff = st.integers(-3, 3)
 
@@ -403,6 +412,47 @@ def test_dorfman_matches_the_raw_data_oracle(case):
     got = dorfman(E, e1, e2)
     assert raw[0].coefficients(got.vec) == {k: c for k, c in vec.items() if c}
     assert raw[0].coefficients(got.cov) == {k: c for k, c in cov.items() if c}
+
+
+@st.composite
+def frame_changes(draw):
+    """A standard, twisted or general split double of rank 2-3, two
+    sections, and a constant invertible matrix M with entries in -2..2."""
+    coords = draw(st.sampled_from((("x1",), ("x1", "x2"))))
+    rank = draw(st.integers(2, 3))
+    kind = draw(st.sampled_from(("standard", "twisted", "split")))
+    if kind == "split":
+        E = draw(split_doubles(coords, rank))
+    else:
+        A = draw(anchored_brackets(coords, rank))
+        top = {(0, 1, 2): draw(chart_coefficients(coords, True))} if kind == "twisted" and rank == 3 else {}
+        E = twisted_double(A, A.section(FORM, 3, top))
+    e1, e2 = (
+        CourantSection(draw(courant_halves(E, MULTIVECTOR)), draw(courant_halves(E, FORM))) for _ in range(2)
+    )
+    M = [[Fraction(draw(st.integers(-2, 2))) for _ in range(rank)] for _ in range(rank)]
+    assume(det(M) != 0)
+    return E, e1, e2, M
+
+
+@settings(max_examples=30, deadline=None)
+@given(frame_changes())
+def test_dorfman_is_frame_change_equivariant(case):
+    # bracket then map equals map then bracket, in the frame e'_i = sum_j M_ji e_j
+    E, e1, e2, M = case
+    E2, to_new = reframe_double(E, M)
+    assert to_new(dorfman(E, e1, e2)) == dorfman(E2, to_new(e1), to_new(e2))
+
+
+def test_check_axioms_verdicts_survive_a_frame_change():
+    # corrupted_so3 fails jacobi, so a verdict that flips to pass shows too
+    M = {2: [[2, 1], [1, 1]], 3: [[1, 1, 0], [0, 1, 1], [1, 0, 2]]}
+    for name in ("so3", "aff1", "tr2_triangular", "corrupted_so3"):
+        text = (CORPUS / f"{name}.alg").read_text(encoding="utf-8")
+        for A in parse(text).algebroids.values():
+            before = [(c.name, c.passed) for c in check_axioms(A).clauses]
+            after = check_axioms(reframe_presentation(A, [[Fraction(c) for c in row] for row in M[A.rank]]))
+            assert [(c.name, c.passed) for c in after.clauses] == before, name
 
 
 @st.composite
