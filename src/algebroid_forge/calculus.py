@@ -345,8 +345,8 @@ def _merge_indices(a: Idx, b: Idx) -> tuple[int, Idx] | None:
 
 def _accumulate(acc: dict, key, term) -> None:
     """acc[key] += term, for a RationalFunction or ``term_product`` term.
-    Polynomial and Laurent values are summed at once.  Once a term or the
-    sum has a general denominator, the terms are kept in a list, which
+    Polynomial values are summed at once.  Once a term or the sum has a
+    factored denominator, the terms are kept in a list, which
     GradedSection._make sums once by ``fraction_sum``; a bare
     ``term_product`` pair waits there too.  A zero sum stays; _make drops it."""
     s = acc.get(key)

@@ -24,21 +24,18 @@ Values are immutable and normalized on construction: numerator and
 denominator are coprime and the denominator is made monic under grlex
 order, so equal values have identical representations (and identical
 serializations).  Beside its expansion, a value holds its denominator
-factored as x^mono * prod f^e: mono a packed monomial key, the f primitive,
-pairwise coprime and divisible by no coordinate.  A sum, difference,
-product or partial derivative reads the shapes of its operands'
-denominators from that form once:
+factored as prod f^e: the f primitive and pairwise coprime, each a
+coordinate or divisible by none.  A sum, difference, product or partial
+derivative reads the shape of its operands' denominators from that form
+once:
 
-- the unit (neither part): every constant denominator is one interned
+- the unit (no factors): every constant denominator is one interned
   object per coordinate tuple, so two polynomial values combine by one
   Polynomial operation, with no denominator arithmetic;
-- a single term x^E (a Laurent value, no factors): a gcd against a
-  monomial is an exponent minimum and an lcm an exponent maximum, field by
-  field on the packed key, so Laurent values combine with no polynomial
-  gcd at all;
-- anything else (a general denominator): an lcm takes exponent maxima and
-  a product adds exponents, and a numerator is reduced factor by factor:
-  by trial division against a factor of total degree 1, which is complete
+- anything else (a factored denominator, such as x1^2 or (c + a*x1)^k):
+  an lcm takes exponent maxima and a product adds exponents, and a
+  numerator is reduced factor by factor: by trial division against a
+  factor of total degree 1, a coordinate among them, which is complete
   because such a factor is irreducible, and through poly_gcd only against
   a nonlinear one.  Distinct nonlinear factors with a common divisor are
   refined to a coprime set.
@@ -49,7 +46,7 @@ subresultant PRS when GCDHEU gives up.  It is the one entry for a gcd of
 two multi-term polynomials.
 
 A sum built term by term need not be reduced term by term: term_product
-keeps a product with a general-denominator factor as its unreduced
+keeps a product with a factored-denominator factor as its unreduced
 numerator over the product of the factored denominators, and fraction_sum
 brings a list of terms to the lcm of their denominators, by exponent
 maxima, and reduces it once.
@@ -331,6 +328,10 @@ class Polynomial:
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
             raise ValueError("negative power on Polynomial")
+        # bounded as a whole, so an overflow names the power's own degree
+        # and not that of a square on the way to it
+        if self.total_degree() * k > MAX_DEGREE:
+            raise DegreeOverflow(self.total_degree() * k, MAX_DEGREE)
         result = None
         base = self
         while k:
@@ -812,36 +813,33 @@ class RationalFunction:
     Invariants: the denominator is nonzero and monic under grlex order, the
     gcd of numerator and denominator is 1, and zero is 0/1.  Two values are
     equal iff their representations are equal.  Beside ``den`` a value
-    holds it factored, as the packed key ``mono`` of a monomial x^mono
-    times the pairs (f, e) of ``factors`` (see the section on general
-    denominators): the unit has mono 0 and a Laurent denominator x^mono no
-    factors.  ``num``, ``den`` and so equality, hashing and rendering never
-    read the factored form.
+    holds it factored, as the pairs (f, e) of ``factors`` (see the section
+    on factored denominators): the unit has none.  ``num``, ``den`` and so
+    equality, hashing and rendering never read the factored form.
     """
 
-    __slots__ = ("num", "den", "mono", "factors", "_hash")
+    __slots__ = ("num", "den", "factors", "_hash")
 
     def __init__(self, num: Polynomial, den: Polynomial):
         """num / den in lowest terms."""
         if not den.prim:
             raise DivisionByZero("zero denominator")
         if num.prim:
-            value = _settle(_by_content(num, den), *_split(den))
+            value = _settle(_by_content(num, den), _split(den))
         else:
             value = RationalFunction.zero(num.vars)
-        self.num, self.den, self.mono, self.factors = value.num, value.den, value.mono, value.factors
+        self.num, self.den, self.factors = value.num, value.den, value.factors
         self._hash = None
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def _make(cls, num: Polynomial, den: Polynomial, mono: int = 0, factors: tuple = ()) -> "RationalFunction":
+    def _make(cls, num: Polynomial, den: Polynomial, factors: tuple = ()) -> "RationalFunction":
         """Wrap parts already in lowest terms and canonical form, den factored
-        as x^mono * prod f^e over ``factors``."""
+        as prod f^e over ``factors``."""
         v = object.__new__(cls)
         v.num = num
         v.den = den
-        v.mono = mono
         v.factors = factors
         v._hash = None
         return v
@@ -888,8 +886,8 @@ class RationalFunction:
         return self.num.constant_value() / self.den.constant_value()
 
     # -- field operations -------------------------------------------------------
-    # Each reads its operands' denominator shapes from mono and factors once:
-    # the unit (neither), a Laurent denominator (mono only) or a general one.
+    # Each reads its operands' denominator shapes from factors once: the
+    # unit (none) or a factored denominator.
 
     def _coerce(self, other) -> "RationalFunction":
         if isinstance(other, RationalFunction):
@@ -912,15 +910,13 @@ class RationalFunction:
             return other
         if self.factors or other.factors:
             return _common_sum((self, other))
-        if self.mono or other.mono:
-            return _laurent_sum(n1, self.den, n2, other.den)
         t = n1 + n2
         return RationalFunction._make(t, self.den) if t.prim else RationalFunction.zero(n1.vars)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction._make(-self.num, self.den, self.mono, self.factors)
+        return RationalFunction._make(-self.num, self.den, self.factors)
 
     def __sub__(self, other) -> "RationalFunction":
         if other.__class__ is not RationalFunction or other.num.vars is not self.num.vars:
@@ -938,14 +934,12 @@ class RationalFunction:
             if other is NotImplemented:
                 return NotImplemented
         n1, n2 = self.num, other.num
-        if not (other.mono or other.factors) and n2.is_constant():
+        if not other.factors and n2.is_constant():
             return self._scaled(other)
-        if not (self.mono or self.factors) and n1.is_constant():
+        if not self.factors and n1.is_constant():
             return other._scaled(self)
         if self.factors or other.factors:
             return _general_product(self, other)
-        if self.mono or other.mono:
-            return _laurent_product(n1, self.den, n2, other.den)
         return RationalFunction._make(n1 * n2, self.den)
 
     __rmul__ = __mul__
@@ -963,12 +957,12 @@ class RationalFunction:
         if num.cnum == num.cden == 1 and self.is_constant():
             return c
         scaled = Polynomial._make(num.vars, *_qmul(num.cnum, num.cden, k.cnum, k.cden), num.prim)
-        return RationalFunction._make(scaled, self.den, self.mono, self.factors)
+        return RationalFunction._make(scaled, self.den, self.factors)
 
     def _reciprocal(self) -> "RationalFunction":
-        """1 / self for nonzero self: den over num, whose monomial part and
-        rest come in as _split reads them; a value in lowest terms stays so."""
-        return _build(_by_content(self.den, self.num), *_split(self.num))
+        """1 / self for nonzero self: den over num, whose factors come in as
+        _split reads them; a value in lowest terms stays so."""
+        return _build(_by_content(self.den, self.num), _split(self.num))
 
     def __truediv__(self, other) -> "RationalFunction":
         other = self._coerce(other)
@@ -991,9 +985,8 @@ class RationalFunction:
         # a power of a value in lowest terms is in lowest terms
         if self.factors:
             factors = tuple((f, e * k) for f, e in self.factors)
-            return RationalFunction._make(self.num**k, self.den**k, self.mono * k, factors)
-        den = _monomial(self.vars, self.mono * k)
-        return RationalFunction._make(self.num**k, den, self.mono * k)
+            return RationalFunction._make(self.num**k, self.den**k, factors)
+        return RationalFunction._make(self.num**k, self.den)
 
     def differentiate(self, coord: str) -> "RationalFunction":
         """Exact partial derivative by coordinate name (quotient rule)."""
@@ -1003,8 +996,6 @@ class RationalFunction:
         i = n.vars.index(coord)
         if self.factors:
             return _general_derivative(self, i)
-        if self.mono:
-            return _laurent_derivative(n, self.den, i)
         dn = n.derivative(i)
         return RationalFunction._make(dn, self.den) if dn.prim else RationalFunction.zero(n.vars)
 
@@ -1066,85 +1057,11 @@ def _unit(vars: tuple[str, ...]) -> Polynomial:
     return RationalFunction.one(vars).num
 
 
-# -- Laurent values: denominators that are single terms ------------------------
-# A monic single-term denominator is a monomial x^E (the unit is x^0), held
-# as its packed key.  gcd(p, x^E) is then x^min: per variable, the smaller of
-# E's exponent and p's least one; the lcm of two of them takes the larger.
-
-
-def _monomial(vars: tuple[str, ...], key: int) -> Polynomial:
-    """x^key, of degree at most MAX_DEGREE: the interned unit for key 0."""
-    degree = key >> (FIELD_BITS * len(vars))
-    if degree > MAX_DEGREE:
-        raise DegreeOverflow(degree, MAX_DEGREE)
-    return Polynomial._make(vars, 1, 1, {key: 1}) if key else _unit(vars)
-
-
-def _monomial_lcm(a: int, b: int, n: int) -> int:
-    """The packed key of lcm(x^a, x^b): exponent maxima."""
-    return _pack([max(e, f) for e, f in zip(_unpack(a, n), _unpack(b, n))])
-
-
-def _unshifted(p: Polynomial, key: int) -> Polynomial:
-    """p / x^key for a monomial dividing every term: the keys move down,
-    their order and the content stay."""
-    if not key:
-        return p
-    return Polynomial._make(p.vars, p.cnum, p.cden, {k - key: c for k, c in p.prim.items()})
-
-
-def _over_monomial(num: Polynomial, key: int) -> RationalFunction:
-    """num / x^key in lowest terms, for nonzero num: one exponent minimum."""
-    g = _monomial_gcd_key(num.prim, key, len(num.vars))
-    return RationalFunction._make(_unshifted(num, g), _monomial(num.vars, key - g), key - g)
-
-
-def _laurent_sum(n1: Polynomial, d1: Polynomial, n2: Polynomial, d2: Polynomial) -> RationalFunction:
-    """n1/x^a + n2/x^b over the lcm x^max(a, b), then reduced."""
-    vars = n1.vars
-    (a,), (b,) = d1.prim, d2.prim
-    if a == b:
-        t, lcm = n1 + n2, a
-    else:
-        lcm = _monomial_lcm(a, b, len(vars))
-        t = n1 * _monomial(vars, lcm - a) + n2 * _monomial(vars, lcm - b)
-    return _over_monomial(t, lcm) if t.prim else RationalFunction.zero(vars)
-
-
-def _laurent_product(n1: Polynomial, d1: Polynomial, n2: Polynomial, d2: Polynomial) -> RationalFunction:
-    """(n1/x^a) (n2/x^b): each numerator first cancels against the other's
-    denominator, which leaves the product in lowest terms."""
-    vars = n1.vars
-    n = len(vars)
-    (a,), (b,) = d1.prim, d2.prim
-    g1 = _monomial_gcd_key(n1.prim, b, n)
-    g2 = _monomial_gcd_key(n2.prim, a, n)
-    num = _unshifted(n1, g1) * _unshifted(n2, g2)
-    key = a - g2 + b - g1
-    return RationalFunction._make(num, _monomial(vars, key), key)
-
-
-def _laurent_derivative(num: Polynomial, den: Polynomial, index: int) -> RationalFunction:
-    """d(n/x^E)/dx_i = (x_i n' - E_i n) / (x^E x_i), reduced; n'/x^E when
-    E_i = 0."""
-    vars = num.vars
-    n = len(vars)
-    (key,) = den.prim
-    e = (key >> _exponent_shift(n, index)) & _FIELD_MASK
-    if e:
-        x = _monomial(vars, _var_key(n, index))
-        top = num.derivative(index) * x - num * Polynomial.const(vars, e)
-        key = max((den * x).prim)  # x^E x_i, bounded as a product
-    else:
-        top = num.derivative(index)
-    return _over_monomial(top, key) if top.prim else RationalFunction.zero(vars)
-
-
-# -- general denominators, kept factored ----------------------------------------
-# A denominator of more than one term is held, beside its expansion, as
-# x^mono * prod f^e over ``factors``, a tuple of pairs (f, e): each f a
-# primitive Polynomial with a positive leading coefficient, not constant,
-# divisible by no coordinate, and the f pairwise coprime (the module
+# -- factored denominators -----------------------------------------------------
+# A denominator other than the unit is held, beside its expansion, as
+# prod f^e over ``factors``, a tuple of pairs (f, e): each f a primitive
+# Polynomial with a positive leading coefficient, not constant, either a
+# coordinate or divisible by none, and the f pairwise coprime (the module
 # docstring says how each operation uses them).  Their product P leads with
 # lc(P) = prod lc(f)^e, and den = P / lc(P).  Inside an operation a value
 # num/den is carried as its numerator over P, that is num * lc(P)
@@ -1178,20 +1095,21 @@ def _linear_root(f: Polynomial) -> tuple[Polynomial, int]:
 
 
 def _by_content(p: Polynomial, q: Polynomial) -> Polynomial:
-    """p divided by the content of q: with q = c * x^mono * F, p / q is
-    that quotient over x^mono * F."""
+    """p divided by the content of q: with q = c * Q, p / q is that
+    quotient over Q."""
     return Polynomial._make(p.vars, *_qdiv(p.cnum, p.cden, q.cnum, q.cden), p.prim)
 
 
-def _split(p: Polynomial) -> tuple[int, tuple]:
-    """(mono, factors) of a new denominator p: its primitive part is x^mono
-    times F, F divisible by no coordinate, which is one factor (or none when
-    F is 1), read as L^d when F is a power of a linear L."""
-    prim = p.prim
-    mono = _monomial_gcd_key(prim, max(prim), len(p.vars))
+def _split(p: Polynomial) -> tuple:
+    """The factors of a new denominator p: its primitive part is x^E times
+    F, F divisible by no coordinate; each x_i^E_i is one factor, and F one
+    more (none when F is 1), read as L^d when F is a power of a linear L."""
+    vars, prim = p.vars, p.prim
+    key = _monomial_gcd_key(prim, max(prim), len(vars))
+    factors = tuple((_var_power(p, i, 1), e) for i, e in enumerate(_unpack(key, len(vars))) if e)
     if len(prim) == 1:
-        return mono, ()
-    return mono, (_linear_root(_unshifted(Polynomial._make(p.vars, 1, 1, prim), mono)),)
+        return factors
+    return factors + (_linear_root(Polynomial._make(vars, 1, 1, {k - key: c for k, c in prim.items()})),)
 
 
 def _quotient(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -1241,27 +1159,19 @@ def _product_factors(f1: tuple, f2: tuple, n: int) -> tuple:
     return tuple((p, v[0] + v[1]) for p, v in _coprime_base([f1, f2], n))
 
 
-def _cancel(
-    num: Polynomial, mono: int, factors: tuple, start: int = 0, coprime: tuple = ()
-) -> tuple[Polynomial, int, tuple]:
-    """(num, mono, factors) with the common factors of num and x^mono *
-    prod f^e removed; the same factors tuple when none of them changed.
-    factors[:start], and each factor that also occurs in the factors tuple
-    ``coprime``, are known to be prime to num."""
+def _cancel(num: Polynomial, factors: tuple, start: int = 0, coprime: tuple = ()) -> tuple[Polynomial, tuple]:
+    """(num, factors) with the common factors of num and prod f^e removed;
+    the same factors tuple when none of them changed.  factors[:start], and
+    each factor that also occurs in the factors tuple ``coprime``, are known
+    to be prime to num, and a single-term num is prime to every factor but
+    a coordinate."""
     vars = num.vars
     n = len(vars)
     prim = num.prim
-    if mono:
-        g = _monomial_gcd_key(prim, mono, n)
-        if g:
-            prim = {k - g: c for k, c in prim.items()}
-            mono -= g
-    if len(prim) == 1:  # no f, as it is not a monomial, divides a single term
-        start = len(factors)
     kept = list(factors[:start])
     changed = False
     for f, e in factors[start:]:
-        if any(f.prim == g.prim for g, _ in coprime):
+        if len(num.prim) == 1 < len(f.prim) or any(f.prim == g.prim for g, _ in coprime):
             kept.append((f, e))
             continue
         if _is_linear(f, n):
@@ -1295,68 +1205,66 @@ def _cancel(
         factors = tuple(kept)
     if prim is not num.prim:
         num = Polynomial._make(vars, num.cnum, num.cden, prim)
-    return num, mono, factors
+    return num, factors
 
 
-def _expand(vars: tuple[str, ...], mono: int, factors: tuple) -> Polynomial:
-    """The monic denominator x^mono * prod f^e / (its leading coefficient)."""
+def _expand(factors: tuple) -> Polynomial:
+    """The monic denominator prod f^e / (its leading coefficient)."""
     p = None
     for f, e in factors:
         f = f if e == 1 else f**e
         p = f if p is None else p * f
-    if mono:
-        p = p * _monomial(vars, mono)
     prim = p.prim
-    return Polynomial._make(vars, 1, prim[max(prim)], prim)
+    return Polynomial._make(p.vars, 1, prim[max(prim)], prim)
 
 
-def _build(num: Polynomial, mono: int, factors: tuple, den: Polynomial | None = None) -> RationalFunction:
-    """The value num / (x^mono * prod f^e), for a nonzero num prime to that
-    product; ``den`` is its expansion when the caller has it."""
+def _build(num: Polynomial, factors: tuple, den: Polynomial | None = None) -> RationalFunction:
+    """The value num / prod f^e, for a nonzero num prime to that product;
+    ``den`` is its expansion when the caller has it."""
     vars = num.vars
     if not factors:
-        return RationalFunction._make(num, _monomial(vars, mono), mono)
+        return RationalFunction._make(num, _unit(vars))
     if den is None:
-        den = _expand(vars, mono, factors)
+        den = _expand(factors)
     lc = den.cden
     if lc != 1:
         num = Polynomial._make(vars, *_qdiv(num.cnum, num.cden, lc, 1), num.prim)
-    return RationalFunction._make(num, den, mono, factors)
+    return RationalFunction._make(num, den, factors)
 
 
-def _settle(num: Polynomial, mono: int, factors: tuple, den: Polynomial | None = None, start: int = 0) -> RationalFunction:
-    """num / (x^mono * prod f^e) in lowest terms; ``den`` and ``start`` as
-    for _build and _cancel."""
+def _settle(num: Polynomial, factors: tuple, den: Polynomial | None = None, start: int = 0) -> RationalFunction:
+    """num / prod f^e in lowest terms; ``den`` and ``start`` as for _build
+    and _cancel."""
     if not num.prim:
         return RationalFunction.zero(num.vars)
-    reduced = _cancel(num, mono, factors, start)
-    if reduced[1] != mono or reduced[2] is not factors:
+    reduced = _cancel(num, factors, start)
+    if reduced[1] is not factors:
         den = None
     return _build(*reduced, den)
 
 
 def _general_product(a: RationalFunction, b: RationalFunction) -> RationalFunction:
-    """a * b with a general denominator on either side: each numerator first
-    cancels against the other's denominator, which leaves the product in
-    lowest terms (Knuth, TAOCP vol. 2, 4.5.1).  A numerator is prime to its
-    own denominator, so a factor the two denominators share is skipped."""
-    n1, m2, f2 = _cancel(a.num, b.mono, b.factors, coprime=a.factors)
-    n2, m1, f1 = _cancel(b.num, a.mono, a.factors, coprime=b.factors)
+    """a * b with a factored denominator on either side: each numerator
+    first cancels against the other's denominator, which leaves the product
+    in lowest terms (Knuth, TAOCP vol. 2, 4.5.1).  A numerator is prime to
+    its own denominator, so a factor the two denominators share is skipped."""
+    n1, f2 = _cancel(a.num, b.factors, coprime=a.factors)
+    n2, f1 = _cancel(b.num, a.factors, coprime=b.factors)
     factors = _product_factors(f1, f2, len(n1.vars))
-    if f1 is a.factors and f2 is b.factors and m1 == a.mono and m2 == b.mono:
-        return RationalFunction._make(n1 * n2, a.den * b.den, m1 + m2, factors)
-    return _build((n1 * n2).scale(a.den.cden * b.den.cden), m1 + m2, factors)
+    if f1 is a.factors and f2 is b.factors:
+        return RationalFunction._make(n1 * n2, a.den * b.den, factors)
+    return _build((n1 * n2).scale(a.den.cden * b.den.cden), factors)
 
 
 def _general_derivative(v: RationalFunction, i: int) -> RationalFunction:
-    """d(N/P)/dx_i for P = x^E prod f^e.  With X = x_i if E_i > 0, else 1,
-    and G the product of the f that involve x_i,
+    """d(N/P)/dx_i for P = prod f^e.  With G the product of the f that
+    involve x_i,
 
-        d(N/P)/dx_i = (N' X G - N (E_i G X/x_i + X sum e f' G/f)) / (P X G).
+        d(N/P)/dx_i = (N' G - N sum e f' G/f) / (P G).
 
-    A linear f that involves x_i does not divide that numerator: mod f it
-    is -N X e f' G/f, and N, X, f' and the other factors are prime to f.
-    So only x^E and the other factors are cancelled."""
+    A linear f that involves x_i, x_i itself among them, does not divide
+    that numerator: mod f it is -N e f' G/f, and N, f' and the other
+    factors are prime to f.  So only the other factors are cancelled."""
     num = _lifted(v)
     vars = num.vars
     n = len(vars)
@@ -1372,34 +1280,26 @@ def _general_derivative(v: RationalFunction, i: int) -> RationalFunction:
         s = term if s is None else s * f + g * term
         g = f if g is None else g * f
     top = num.derivative(i)
+    den = v.den
     if g is not None:
         top = top * g - num * s
-    mono, xg = v.mono, g
-    e_i = (mono >> _exponent_shift(n, i)) & _FIELD_MASK
-    if e_i:
-        x = _monomial(vars, _var_key(n, i))
-        top = top * x - num * (Polynomial.const(vars, e_i) if g is None else g.scale(e_i))
-        xg = x if g is None else g * x
-        mono += _var_key(n, i)
-    den = v.den
-    if xg is not None:
-        den = den * Polynomial._make(vars, 1, xg.prim[max(xg.prim)], xg.prim)
-    return _settle(top, mono, tuple(raised + others), den, len(raised))
+        den = den * Polynomial._make(vars, 1, g.prim[max(g.prim)], g.prim)
+    return _settle(top, tuple(raised + others), den, len(raised))
 
 
-# -- sums of general-denominator terms, normalized once ------------------------
+# -- sums of factored-denominator terms, normalized once ------------------------
 # A sum that a caller builds term by term, such as a frame component of a
 # section, need not be in lowest terms until it is read.  Once a term has a
-# general denominator, its terms are kept in a list and fraction_sum brings
+# factored denominator, its terms are kept in a list and fraction_sum brings
 # the whole list to one common denominator and one reduction, in place of a
 # Henrici reduction per term (Knuth, TAOCP vol. 2, 4.5.1).
 
 
 def term_product(a: RationalFunction, b: RationalFunction, sign: int = 1):
     """sign * a * b as a term for fraction_sum: the product itself when
-    neither factor has a general denominator or one is a constant, else the
-    triple (num, mono, factors) of the numerator over the product of the
-    two factored denominators, as _lifted carries it, with no cancellation.
+    neither factor has a factored denominator or one is a constant, else the
+    pair (num, factors) of the numerator over the product of the two
+    factored denominators, as _lifted carries it, with no cancellation.
     The numerator may pass MAX_DEGREE or MAX_TERMS where the reduced product
     does not; then it is the product itself."""
     if (a.factors or b.factors) and not (a.is_constant() or b.is_constant()):
@@ -1410,24 +1310,23 @@ def term_product(a: RationalFunction, b: RationalFunction, sign: int = 1):
         else:
             num = num.scale(a.den.cden * b.den.cden)
             factors = _product_factors(a.factors, b.factors, len(num.vars))
-            return (num if sign > 0 else -num), a.mono + b.mono, factors
+            return (num if sign > 0 else -num), factors
     p = a * b
     return p if sign > 0 else -p
 
 
 def _common_sum(terms) -> RationalFunction:
-    """The sum of ``terms``, values or term_product triples: the numerators
+    """The sum of ``terms``, values or term_product pairs: the numerators
     over equal denominators summed, then each brought to the lcm of the
     denominators, exponent maxima over a coprime base, and the total reduced
     once.  Raises DegreeOverflow or TermOverflow past the bounds."""
-    # factored denominator -> [numerator sum, expanded denominator or None]
+    # factors -> [numerator sum, expanded denominator or None]
     groups: dict[tuple, list] = {}
     for t in terms:
         if t.__class__ is RationalFunction:
-            num, den, expanded = _lifted(t), (t.mono, t.factors), t.den
+            num, den, expanded = _lifted(t), t.factors, t.den
         else:
-            num, mono, factors = t
-            den, expanded = (mono, factors), None
+            (num, den), expanded = t, None
         s = groups.get(den)
         if s is None:
             groups[den] = [num, expanded]
@@ -1438,29 +1337,23 @@ def _common_sum(terms) -> RationalFunction:
     if not parts:
         return RationalFunction.zero(next(iter(groups.values()))[0].vars)
     if len(parts) == 1:
-        (((mono, factors), num, den),) = parts
+        ((factors, num, den),) = parts
     else:
-        num, mono, factors, den = _over_lcm(parts)
-    return _settle(num, mono, factors, den)
+        num, factors, den = _over_lcm(parts)
+    return _settle(num, factors, den)
 
 
 def _over_lcm(parts: list) -> tuple:
-    """(num, mono, factors, den): the sum of the parts (factored
-    denominator, numerator, its expansion or None) over the lcm of their
-    denominators, x^mono * prod f^e with exponent maxima over a coprime
-    base; den is the lcm's expansion when a part has it."""
-    vars = parts[0][1].vars
-    n = len(vars)
-    base = _coprime_base([factors for (_, factors), _, _ in parts], n)
+    """(num, factors, den): the sum of the parts (factors, numerator, its
+    expanded denominator or None) over the lcm of their denominators, prod
+    f^e with exponent maxima over a coprime base; den is the lcm's
+    expansion when a part has it."""
+    base = _coprime_base([factors for factors, _, _ in parts], len(parts[0][1].vars))
     tops = [max(v) for _, v in base]
-    mono = parts[0][0][0]
-    for (m, _), _, _ in parts:
-        if m != mono:
-            mono = _monomial_lcm(mono, m, n)
     powers: dict[tuple[int, int], Polynomial] = {}
     num = den = None
-    for g, ((m, _), t, expanded) in enumerate(parts):
-        cofactor = _monomial(vars, mono - m) if m != mono else None
+    for g, (_, t, expanded) in enumerate(parts):
+        cofactor = None
         for j, (f, v) in enumerate(base):
             k = tops[j] - v[g]
             if k:
@@ -1472,12 +1365,12 @@ def _over_lcm(parts: list) -> tuple:
         else:
             t = t * cofactor
         num = t if num is None else num + t
-    return num, mono, tuple((f, e) for (f, _), e in zip(base, tops)), den
+    return num, tuple((f, e) for (f, _), e in zip(base, tops)), den
 
 
 def fraction_sum(terms: list) -> RationalFunction:
     """The sum of ``terms``, each a RationalFunction or a term_product
-    triple, in lowest terms, by _common_sum.  Should the common numerator or
+    pair, in lowest terms, by _common_sum.  Should the common numerator or
     denominator pass MAX_DEGREE or MAX_TERMS, the terms are summed one by
     one in lowest terms instead, as the values they stand for."""
     try:

@@ -153,10 +153,11 @@ class TestRecords:
         assert hashlib.sha256(records).hexdigest() == table[f"{key}@0"]
 
 
-# poles Q of frames e_i = g d/dx_i, g = 1/Q, whose denominators are not all
-# powers of one linear form: irreducible, linear in two coordinates, and a
-# product that the parser expands
-NONLINEAR_POLES = ("1 + x1^2", "2 + x1 + x2", "(1 + x1)*(2 + x2)")
+# poles Q of frames e_i = g d/dx_i, g = 1/Q, beside the benchmark's powers of
+# one c + a*x1 with c != 0: irreducible, linear in two coordinates, a product
+# that the parser expands, a coordinate, and a coordinate times a linear form,
+# which the denominator's factors must hold apart
+POLES = ("1 + x1^2", "2 + x1 + x2", "(1 + x1)*(2 + x2)", "x1", "x1*(1 + x2)")
 
 
 def pole_frame_text(q: str, rank: int, broken: bool) -> str:
@@ -186,7 +187,7 @@ def pole_frame_text(q: str, rank: int, broken: bool) -> str:
 
 
 @pytest.mark.parametrize("rank", (2, 3))
-@pytest.mark.parametrize("q", NONLINEAR_POLES)
+@pytest.mark.parametrize("q", POLES)
 def test_nonlinear_pole_verdicts(capsys, tmp_path, q, rank):
     failing = {}
     for broken in (False, True):

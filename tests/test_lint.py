@@ -17,7 +17,10 @@ Likewise, the seeded generator and polynomial draw are read in
 comes from ``calculus.random_sections``, and the Dorfman kernel
 (``courant._compute_dorfman`` and ``_side_into``) reads nothing from ``pn``
 and neither ``differential`` nor ``d_function``, so it composes no other
-calculus operation."""
+calculus operation.  A value's factored denominator stays inside
+``rational``: elsewhere only ``calculus._accumulate`` reads ``.factors``,
+to tell a polynomial value from the rest, and no module reads the
+``.mono`` of the old monomial part."""
 
 import ast
 import importlib
@@ -231,6 +234,48 @@ def test_every_gcd_enters_through_poly_gcd():
         else:
             problems += [f"{path.name} reads {name}" for name in sorted(GCD_CALLERS.keys() & reads([tree]))]
     assert not problems, "a gcd bypasses rational.poly_gcd: " + "; ".join(problems)
+
+
+# attribute of a value's factored denominator -> where it may be read: a
+# module (all of it) or module.function
+FACTORED_READERS = {
+    "factors": {"rational", "calculus._accumulate"},
+    "mono": set(),
+}
+
+
+def factored_reads(tree: ast.Module, module: str) -> list[str]:
+    """Reads of a FACTORED_READERS attribute in ``module`` where the table
+    does not allow them."""
+    return [
+        f"line {node.lineno}: {owner or 'module level'} reads .{node.attr}"
+        for node, owner in owned_nodes(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr in FACTORED_READERS
+        and isinstance(node.ctx, ast.Load)
+        and not {module, f"{module}.{owner}"} & FACTORED_READERS[node.attr]
+    ]
+
+
+def test_factored_form_stays_in_rational():
+    problems = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        problems += [f"{path.name} {p}" for p in factored_reads(tree, path.stem)]
+    assert not problems, "a factored denominator is read outside rational: " + "; ".join(problems)
+
+
+def test_factored_lint_flags_a_planted_read():
+    # a courant helper that asks for a pole, and rational reading the monomial part again
+    planted = "\n\ndef _has_pole(c):\n    return bool(c.factors)\n"
+    courant = (SRC / "courant.py").read_text(encoding="utf-8") + planted
+    assert [p.split(": ", 1)[1] for p in factored_reads(ast.parse(courant), "courant")] == [
+        "_has_pole reads .factors"
+    ]
+    rational = (SRC / "rational.py").read_text(encoding="utf-8") + planted.replace("factors", "mono")
+    assert [p.split(": ", 1)[1] for p in factored_reads(ast.parse(rational), "rational")] == [
+        "_has_pole reads .mono"
+    ]
 
 
 # the sampler's generator and polynomial draw; besides calculus, which defines

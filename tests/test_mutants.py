@@ -234,7 +234,7 @@ def dorfman_oracle_property(mod) -> list[str]:
 
 def residue_property(mod) -> list[str]:
     """``_residue``'s component sums equal section arithmetic on
-    ``chart_case`` sections, unweighted and weighted by a general-denominator
+    ``chart_case`` sections, unweighted and weighted by a factored-denominator
     function, and a sum that cancels is the double's zero pair."""
     E, e1, e2 = chart_case(2, mod.CourantDouble)
     w = 1 / (RationalFunction.coord(COORDS, "x2") * 3 + 2)
@@ -512,45 +512,40 @@ MUTANTS.update(
             "_deformed(E, op, e1, e2, images[l2], images[l2])",
             paired_property,
         ),
-        "laurent-lcm-takes-the-minimum": (
-            "rational", "_pack([max(e, f) for e, f in", "_pack([min(e, f) for e, f in", shape_property,
-        ),
-        "laurent-product-no-cross-cancellation": (
+        "factored-product-no-cross-cancellation": (
             "rational",
-            "g1 = _monomial_gcd_key(n1.prim, b, n)\n    g2 = _monomial_gcd_key(n2.prim, a, n)",
-            "g1 = g2 = 0",
+            "n1, f2 = _cancel(a.num, b.factors, coprime=a.factors)\n"
+            "    n2, f1 = _cancel(b.num, a.factors, coprime=b.factors)",
+            "n1, f2, n2, f1 = a.num, b.factors, b.num, a.factors",
             shape_property,
         ),
-        "laurent-derivative-drops-E-n": (
-            "rational",
-            "num.derivative(index) * x - num * Polynomial.const(vars, e)",
-            "num.derivative(index) * x",
-            shape_property,
+        "factored-derivative-drops-N-s": (
+            "rational", "top = top * g - num * s", "top = top * g", shape_property,
         ),
         "constant-denominator-not-the-unit": (
             "rational",
-            "Polynomial._make(vars, 1, 1, {key: 1}) if key else _unit(vars)",
-            "Polynomial._make(vars, 1, 1, {key: 1}) if key else Polynomial.const(vars, 1)",
+            "return RationalFunction._make(num, _unit(vars))",
+            "return RationalFunction._make(num, Polynomial.const(vars, 1))",
             shape_property,
         ),
         "term-sum-not-normalized": (
             "rational",
-            "    return _settle(num, mono, factors, den)\n",
-            "    return _build(num, mono, factors, den)\n",
+            "    return _settle(num, factors, den)\n",
+            "    return _build(num, factors, den)\n",
             deferred_sum_property,
         ),
         "term-product-drops-sign": (
             "rational",
-            "return (num if sign > 0 else -num), a.mono + b.mono, factors",
-            "return num, a.mono + b.mono, factors",
+            "return (num if sign > 0 else -num), factors",
+            "return num, factors",
             deferred_sum_property,
         ),
         "term-sum-groups-by-leading-monomial": (
             "rational",
             "        s = groups.get(den)\n",
-            # the leading monomial of x^mono * prod f^e is mono + sum e * lead(f)
-            "        den = next((d for d in groups if d[0] + sum(e * max(f.prim) for f, e in d[1])"
-            " == den[0] + sum(e * max(f.prim) for f, e in den[1])), den)\n"
+            # the leading monomial of prod f^e is sum e * lead(f)
+            "        den = next((d for d in groups if sum(e * max(f.prim) for f, e in d)"
+            " == sum(e * max(f.prim) for f, e in den)), den)\n"
             "        s = groups.get(den)\n",
             deferred_sum_property,
         ),

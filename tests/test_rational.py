@@ -320,6 +320,12 @@ class TestDegreeBound:
         with pytest.raises(DegreeOverflow):
             Polynomial(VARS, {(MAX_DEGREE, 1, 0): Fraction(1)})
 
+    def test_overflowing_power_names_its_own_degree(self):
+        # not that of x1^32768, the first square on the way to x1^39999
+        with pytest.raises(DegreeOverflow) as err:
+            Polynomial.coord(VARS, "x1") ** 39999
+        assert err.value.degree == 39999
+
     def test_parser_caps(self):
         assert ExpressionParser.MAX_EXPONENT == MAX_DEGREE
         assert rf(f"x1^{MAX_DEGREE}") == rf("x1") ** MAX_DEGREE
@@ -355,11 +361,11 @@ def test_arith_matches_sympy():
 
 
 # -- the denominator shapes ----------------------------------------------------
-# A denominator is the unit, a single term (a Laurent value) or anything
-# else, held factored, and each pair of shapes takes its own path through
-# the field operations.  The draws and their sympy expectations depend on
-# the seed alone, so tests/test_mutants.py runs the same property on its
-# mutants.
+# A denominator is the unit or anything else, held factored with each
+# coordinate that divides it as a factor of its own: two unit operands take
+# the polynomial path through the field operations, any other pair the
+# factored one.  The draws and their sympy expectations depend on the seed
+# alone, so tests/test_mutants.py runs the same property on its mutants.
 
 SHAPE_SEED, SHAPE_DRAWS = 20, 150
 SHAPE_OPS = (
@@ -379,8 +385,9 @@ def factor_pool(vars_):
     """Denominator factors on the coordinates ``vars_`` as expression text,
     the same number for 1-3 coordinates: linear in one, two and all of
     them; 1 + x1^2; (1 + x1)(2 + xn), expanded when parsed; x1^2 - 1, which
-    shares x1 - 1 with the second; and Q = (1 + x1)^2 (2 + xn) with
-    2 (1 + x1)(2 + xn), its partial by x1."""
+    shares x1 - 1 with the second; Q = (1 + x1)^2 (2 + xn) with
+    2 (1 + x1)(2 + xn), its partial by x1; and x1 (1 + xn), expanded when
+    parsed, so that the coordinate must be split from the rest."""
     x, last = vars_[0], vars_[-1]
     return (
         f"1 + 2*{x}",
@@ -392,6 +399,7 @@ def factor_pool(vars_):
         f"{x}^2 - 1",
         f"(1 + {x})^2*(2 + {last})",
         f"2*(1 + {x})*(2 + {last})",
+        f"{x}*(1 + {last})",
     )
 
 
@@ -536,22 +544,23 @@ def stored_parts(p):
 
 def factored_problem(v) -> str | None:
     """What breaks the invariants of v's factored denominator, or None: den
-    is x^mono * prod f^e over v.factors, made monic; every e is positive;
-    every f is primitive with a positive leading coefficient, neither
-    constant nor divisible by a coordinate; and the f are pairwise coprime
-    (by sympy's gcd)."""
+    is prod f^e over v.factors, made monic; every e is positive; every f is
+    primitive with a positive leading coefficient and not constant; each f
+    is either a coordinate or divisible by no coordinate; and the f are
+    pairwise coprime (by sympy's gcd)."""
     den, n = v.den, len(v.vars)
-    product = den._make(v.vars, 1, 1, {v.mono: 1})
+    product = den._make(v.vars, 1, 1, {0: 1})
     for f, e in v.factors:
         if e < 1 or (f.cnum, f.cden) != (1, 1) or f.is_constant():
             return f"factor ({f})^{e}"
         if math.gcd(*f.prim.values()) != 1 or f.prim[max(f.prim)] < 0:
             return f"factor {f} is not primitive with a positive leading coefficient"
-        if any(all(m[j] for m in f.terms) for j in range(n)):
-            return f"factor {f} is divisible by a coordinate"
+        coordinate = len(f.terms) == 1 and sum(next(iter(f.terms))) == 1
+        if not coordinate and any(all(m[j] for m in f.terms) for j in range(n)):
+            return f"factor {f} is neither a coordinate nor divisible by none"
         product = product * f**e
     if product.prim != den.prim or (den.cnum, den.cden) != (1, product.prim[max(product.prim)]):
-        return f"den {den} is not the monic product of x^mono and {v.factors}"
+        return f"den {den} is not the monic product of {v.factors}"
     for (f, _), (g, _) in combinations(v.factors, 2):
         key = (n, *sorted((tuple(sorted(f.prim.items())), tuple(sorted(g.prim.items())))))
         if key not in _SHARED:
@@ -680,7 +689,7 @@ def test_term_lists_sum_as_sympy_and_pairwise():
 
 
 class TestShapeBounds:
-    # the unit and Laurent paths keep the bounds of the products they skip
+    # both paths keep the bounds of the products they form, on 1/x^E too
 
     def test_degree_overflow_on_the_polynomial_path(self):
         with pytest.raises(DegreeOverflow):
