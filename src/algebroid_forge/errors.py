@@ -32,6 +32,10 @@ class TermOverflow(ForgeError):
         self.terms = terms
 
 
+class GcdGiveUp(ForgeError):
+    """A polynomial gcd that GCDHEU did not find at rational.GCD_POINTS evaluation points."""
+
+
 class UnknownCoordinate(ForgeError):
     """A coordinate name outside the chart's coordinate list."""
 

@@ -41,9 +41,12 @@ once:
   refined to a coprime set.
 
 poly_gcd tries in order: the trivial shapes (zero, equal or single-term
-arguments), the variable support, trial division, GCDHEU, and the
-subresultant PRS when GCDHEU gives up.  It is the one entry for a gcd of
-two multi-term polynomials.
+arguments), the variable support, trial division, and GCDHEU, each step
+proving its answer.  GCDHEU is the only gcd algorithm.  It tries at most
+GCD_POINTS evaluation points per variable, so a gcd does bounded work;
+when they all fail, poly_gcd raises GcdGiveUp, a ForgeError, as a product
+past MAX_TERMS raises TermOverflow.  It is the one entry for a gcd of two
+multi-term polynomials.
 
 A sum built term by term need not be reduced term by term: term_product
 keeps a product with a factored-denominator factor as its unreduced
@@ -57,7 +60,7 @@ from __future__ import annotations
 import math
 from types import MappingProxyType
 
-from .errors import DegreeOverflow, DivisionByZero, ParseError, TermOverflow, UnknownCoordinate, clip
+from .errors import DegreeOverflow, DivisionByZero, GcdGiveUp, ParseError, TermOverflow, UnknownCoordinate, clip
 
 Monomial = tuple[int, ...]
 
@@ -72,6 +75,9 @@ _FIELD_MASK = (1 << FIELD_BITS) - 1
 # parsed power by its bound C(n + t - 1, t - 1): one product then takes at
 # most MAX_TERMS coefficient multiplications.
 MAX_TERMS = 10**5
+
+# The evaluation points GCDHEU tries before poly_gcd gives up with GcdGiveUp.
+GCD_POINTS = 6
 
 
 def _pack(mono: Monomial) -> int:
@@ -505,7 +511,7 @@ def _heu_gcd(f: dict[int, int], g: dict[int, int], active: range, n: int):
     recurse on the rest (down to an integer gcd), interpolate the gcd and
     the cofactors back with symmetric residues, and keep a candidate only
     if trial division proves it.  Returns (h, f / h, g / h) with h the gcd
-    in Z[x], or None when six evaluation points all fail.
+    in Z[x], or None when GCD_POINTS evaluation points all fail.
     """
     for at, index in enumerate(active):
         shift = _exponent_shift(n, index)
@@ -530,7 +536,7 @@ def _heu_gcd(f: dict[int, int], g: dict[int, int], active: range, n: int):
         min(bound, 99 * math.isqrt(bound)),
         2 * min(f_norm // abs(f[max(f)]), g_norm // abs(g[max(g)])) + 4,
     )
-    for _ in range(6):
+    for _ in range(GCD_POINTS):
         ff = _evaluate(f, shift, step, x)
         gg = _evaluate(g, shift, step, x)
         if ff and gg:
@@ -617,6 +623,12 @@ def _coprime_by_support(f: dict[int, int], g: dict[int, int], n: int) -> bool:
     return False
 
 
+def _primitive(p: Polynomial) -> Polynomial:
+    """P in p = content * P: an integer polynomial of content 1 and a
+    positive grlex leading coefficient (the sign goes to the content)."""
+    return Polynomial._make(p.vars, 1 if p.prim else 0, 1, p.prim)
+
+
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     """Gcd in Q[x], normalized primitive over Z with positive leading coeff.
 
@@ -624,8 +636,11 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     the trivial shapes (a zero or equal argument; a single-term argument
     gives exponent minima), the variable support (_coprime_by_support
     proves the gcd is 1), trial division (the part with the smaller grlex
-    leading monomial is the gcd when it divides the other), GCDHEU, and
-    the subresultant PRS (_prs_gcd) when the heuristic gives up.
+    leading monomial is the gcd when it divides the other), and GCDHEU,
+    whose candidate is the gcd when trial division shows it divides both.
+    GCDHEU tries at most GCD_POINTS evaluation points per variable; when
+    none yields a candidate, poly_gcd raises GcdGiveUp, a ForgeError.
+    There is no fallback.
     """
     p._check(q)
     if not p.prim:
@@ -644,162 +659,8 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
         return Polynomial._make(p.vars, 1, 1, a)
     found = _heu_gcd(p.prim, q.prim, range(n), n)
     if found is None:
-        return _prs_gcd(p, q)
+        raise GcdGiveUp(f"no polynomial gcd within {GCD_POINTS} evaluation points")
     return Polynomial._make(p.vars, 1, 1, _primitive_ints(found[0]))
-
-
-def exact_div(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Exact polynomial division; q must divide p (else ValueError).
-
-    By Gauss's lemma the quotient of the primitive parts is a primitive
-    integer polynomial, so the division runs over Z and the contents divide.
-    """
-    if not q.prim:
-        raise DivisionByZero("polynomial division by zero")
-    if not p.prim:
-        return p
-    p._check(q)
-    content = _qdiv(p.cnum, p.cden, q.cnum, q.cden)
-    if q.is_constant():
-        return Polynomial._make(p.vars, *content, p.prim)
-    quotient = _divide(p.prim, q.prim, len(p.vars))
-    if quotient is None:
-        raise ValueError("inexact polynomial division")
-    return Polynomial._make(p.vars, *content, quotient)
-
-
-def _is_unit(p: Polynomial) -> bool:
-    return p.is_constant() and p.cden == 1 and abs(p.cnum) == 1
-
-
-# ---------------------------------------------------------------------------
-# subresultant PRS over Z, recursing on the variable set (GCDHEU's fallback)
-# ---------------------------------------------------------------------------
-
-
-def _primitive(p: Polynomial) -> Polynomial:
-    """P in p = content * P: an integer polynomial of content 1 and a
-    positive grlex leading coefficient (the sign goes to the content)."""
-    return Polynomial._make(p.vars, 1 if p.prim else 0, 1, p.prim)
-
-
-def _coeffs_in(p: Polynomial, index: int) -> dict[int, Polynomial]:
-    """View p as univariate in vars[index] with Polynomial coefficients."""
-    n = len(p.vars)
-    shift = _exponent_shift(n, index)
-    step = _var_key(n, index)
-    out: dict[int, dict[int, int]] = {}
-    for k, c in p.prim.items():
-        e = (k >> shift) & _FIELD_MASK
-        out.setdefault(e, {})[k - e * step] = c
-    return {e: Polynomial._from_ints(p.vars, p.cnum, p.cden, t) for e, t in out.items()}
-
-
-def _deg_in(p: Polynomial, index: int) -> int:
-    shift = _exponent_shift(len(p.vars), index)
-    return max(((k >> shift) & _FIELD_MASK for k in p.prim), default=-1)
-
-
-def _var_power(p: Polynomial, index: int, k: int) -> Polynomial:
-    """The monomial vars[index]^k in p's ring."""
-    return Polynomial._make(p.vars, 1, 1, {k * _var_key(len(p.vars), index): 1})
-
-
-def _pseudo_rem(a: Polynomial, b: Polynomial, index: int) -> Polynomial:
-    """Strict pseudo-remainder lc(b)^(deg a - deg b + 1) * a rem b."""
-    db = _deg_in(b, index)
-    da = _deg_in(a, index)
-    lb = _coeffs_in(b, index)[db]
-    r = a
-    steps = 0
-    dr = da
-    while not r.is_zero() and dr >= db:
-        lr = _coeffs_in(r, index)[dr]
-        r = r * lb - b * lr * _var_power(r, index, dr - db)
-        steps += 1
-        dr = _deg_in(r, index)
-    # pad to the full lc(b)^(da-db+1) factor so subresultant divisions stay exact
-    missing = (da - db + 1) - steps
-    if missing > 0 and not r.is_zero():
-        r = r * lb**missing
-    return r
-
-
-def _content_in(p: Polynomial, index: int) -> Polynomial:
-    """Gcd of the coefficients of p viewed as univariate in vars[index].
-
-    Integer contents are ignored (callers strip them separately), so a
-    constant running gcd short-circuits to 1.
-    """
-    coeffs = list(_coeffs_in(p, index).values())
-    g = _primitive(coeffs[0])
-    for c in coeffs[1:]:
-        if g.total_degree() == 0:
-            return Polynomial.const(p.vars, 1)
-        g = _prs_gcd(g, c)
-    if g.total_degree() == 0:
-        return Polynomial.const(p.vars, 1)
-    return g
-
-
-def _prs_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """poly_gcd by the primitive subresultant PRS, recursing on the set of
-    active variables; a single-term argument short-circuits to exponent
-    minima.  Slower than GCDHEU but never gives up."""
-    if p.is_zero():
-        return _primitive(q)
-    if q.is_zero():
-        return _primitive(p)
-    p = _primitive(p)
-    q = _primitive(q)
-    if p == q:
-        return p
-    if len(p.prim) == 1 or len(q.prim) == 1:
-        return _monomial_gcd(p, q)
-    used = [i for i in range(len(p.vars)) if _deg_in(p, i) > 0 or _deg_in(q, i) > 0]
-    one = Polynomial.const(p.vars, 1)
-    if not used:
-        return one
-    index = used[-1]
-    if _deg_in(p, index) == 0 or _deg_in(q, index) == 0:
-        # one argument is free of the main variable: gcd divides its content
-        if _deg_in(p, index) > 0:
-            p, q = q, p
-        return _prs_gcd(p, _content_in(q, index))
-    cp = _content_in(p, index)
-    cq = _content_in(q, index)
-    d = _prs_gcd(cp, cq)
-    a = exact_div(p, cp) if not _is_unit(cp) else p
-    b = exact_div(q, cq) if not _is_unit(cq) else q
-    if _deg_in(a, index) < _deg_in(b, index):
-        a, b = b, a
-    g_prev, h_prev = one, one
-    while True:
-        delta = _deg_in(a, index) - _deg_in(b, index)
-        r = _pseudo_rem(a, b, index)
-        if r.is_zero():
-            g = b
-            break
-        divisor = g_prev * h_prev**delta
-        a, b = b, (exact_div(r, divisor) if not _is_unit(divisor) else r)
-        g_prev = _coeffs_in(a, index)[_deg_in(a, index)]
-        if delta > 0:
-            h_new = g_prev**delta
-            if delta > 1:
-                h_new = exact_div(h_new, h_prev ** (delta - 1))
-            h_prev = h_new
-        if _deg_in(b, index) == 0:
-            g = b
-            break
-    cg = _content_in(g, index)
-    g = exact_div(g, cg) if not _is_unit(cg) else g
-    if _deg_in(g, index) == 0:
-        # the PRS bottomed out in the coefficient ring: cofactors are coprime
-        g = one
-    g = _primitive(g)
-    return _primitive(d * g)
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -1070,6 +931,16 @@ def _unit(vars: tuple[str, ...]) -> Polynomial:
 
 def _is_linear(f: Polynomial, n: int) -> bool:
     return max(f.prim) >> (FIELD_BITS * n) == 1
+
+
+def _deg_in(p: Polynomial, index: int) -> int:
+    shift = _exponent_shift(len(p.vars), index)
+    return max(((k >> shift) & _FIELD_MASK for k in p.prim), default=-1)
+
+
+def _var_power(p: Polynomial, index: int, k: int) -> Polynomial:
+    """The monomial vars[index]^k in p's ring."""
+    return Polynomial._make(p.vars, 1, 1, {k * _var_key(len(p.vars), index): 1})
 
 
 def _lifted(v: RationalFunction) -> Polynomial:
@@ -1625,13 +1496,17 @@ def _terms_error(tok: Token, terms: int) -> ParseError:
 
 
 def _at(tok: Token, op, *args) -> RationalFunction:
-    """op(*args) for a parsed operator; an overflow is a ParseError at tok."""
+    """op(*args) for a parsed operator; an overflow or a gcd give-up is a
+    ParseError at tok."""
     try:
         return op(*args)
     except DegreeOverflow as err:
         raise _degree_error(tok, err.degree) from None
     except TermOverflow as err:
         raise _terms_error(tok, err.terms) from None
+    except GcdGiveUp:
+        expected = f"a polynomial gcd within {GCD_POINTS} evaluation points"
+        raise ParseError(tok.line, tok.column, expected) from None
 
 
 def parse_scalar(text: str, vars: tuple[str, ...]) -> RationalFunction:

@@ -419,6 +419,30 @@ class TestBadInput:
         expected = f"1:62: expected a polynomial degree of at most {MAX_DEGREE}, found 'degree 40000'"
         assert expected in capsys.readouterr().err
 
+    def test_gcd_give_up_at_parse_time_is_a_parse_error(self, tmp_path, capsys, monkeypatch):
+        # the '*' cancels (x1^2 + 1) against the nonlinear factor, by a gcd
+        monkeypatch.setattr(rational, "_heu_gcd", lambda *args: None)
+        path = tmp_path / "gcd.alg"
+        path.write_text(
+            "algebroid A { base = [x1, x2]; rank = 1; "
+            "anchor[1,x1] = (x1^2 + x1*x2)/(x1^2 + 1) * (x1^2 + 1)/(x1 + x2); }\n"
+        )
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: 1:71: expected a polynomial gcd within {rational.GCD_POINTS} evaluation points" in err
+        assert "Traceback" not in err
+
+    def test_gcd_give_up_in_a_task_is_an_error(self, tmp_path, capsys, monkeypatch):
+        # the frame parses with no gcd; its checks take gcds by 1 + x1^2
+        monkeypatch.setattr(rational, "_heu_gcd", lambda *args: None)
+        path = tmp_path / "pole.alg"
+        path.write_text(pole_frame_text("1 + x1^2", 2, False))
+        assert main(["check", str(path), "--format", "records"]) == 1
+        captured = capsys.readouterr()
+        residue = f"residue=nopolynomialgcdwithin{rational.GCD_POINTS}evaluationpoints verdict=error"
+        assert captured.out.count(residue) == 2
+        assert "Traceback" not in captured.err
+
     def test_max_degree_over_cap(self, capsys):
         with pytest.raises(SystemExit) as exit_:
             main(["check", str(CORPUS / "so3.alg"), "--max-degree", str(MAX_DEGREE + 1)])

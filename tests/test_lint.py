@@ -11,7 +11,7 @@ benchmark's tracer (``perfbench/tracer.py``) patches exists, so a refactor
 that would break traced benchmark runs fails here first.  For the same
 reason every gcd of two multi-term polynomials enters through
 ``rational.poly_gcd``, the span the tracer times and counts: no other
-function reaches GCDHEU or the PRS.
+function reaches GCDHEU.
 Likewise, the seeded generator and polynomial draw are read in
 ``calculus`` and ``courant.SectionFamily`` only, so every random section
 comes from ``calculus.random_sections``, and the Dorfman kernel
@@ -188,12 +188,9 @@ def test_tracer_targets_exist():
 
 
 # gcd internal -> the only functions of rational.py that may read it: the
-# entry point poly_gcd, the internal's own recursion, and _content_in, the
-# PRS's coefficient gcd, which only the PRS reads
+# entry point poly_gcd and the internal's own recursion
 GCD_CALLERS = {
     "_heu_gcd": {"poly_gcd", "_heu_gcd"},
-    "_prs_gcd": {"poly_gcd", "_prs_gcd", "_content_in"},
-    "_content_in": {"_prs_gcd"},
 }
 
 

@@ -362,6 +362,34 @@ def gcd_property(rat) -> list[str]:
     return failures
 
 
+def heu_property(rat) -> list[str]:
+    """GCDHEU returns (h, f / h, g / h) with h the gcd in Z[x], its integer
+    content kept and its leading coefficient positive: on f = 6 H A and
+    g = 4 H B (gcd 2 H; H, A and B pairwise coprime, of mixed signs), and on
+    f = g = P, where h comes back as f over an interpolated cofactor that
+    leads negatively.  Stops at the first failure; an exception is one."""
+    vars_ = ("x1", "x2", "x3")
+
+    def ints(text):
+        p = rat.parse_scalar(text, vars_).num
+        return rat._times(p.prim, p.cnum)
+
+    H, A, B = "(x1 - 2*x2 + 3)", "(x1*x2 - 5*x3 + 1)", "(x2^2 - 7*x1 - 4)"
+    P = ints("576*x1^3 + 128*x1^2*x2 - 6000*x1*x2^2 - 3600*x2^3 + 108*x1^2 - 300*x1*x2 - 225*x2^2")
+    cases = (
+        (ints(f"6*{H}*{A}"), ints(f"4*{H}*{B}"), (ints(f"2*{H}"), ints(f"3*{A}"), ints(f"2*{B}"))),
+        (P, P, (P, {0: 1}, {0: 1})),
+    )
+    for f, g, expected in cases:
+        try:
+            got = rat._heu_gcd(f, g, range(3), 3)
+        except Exception as err:
+            return [f"{type(err).__name__}: {err}"]
+        if got != expected:
+            return [f"GCDHEU of {f} and {g} is {got}"]
+    return []
+
+
 # -- the mutants -------------------------------------------------------------------
 
 # the five terms of the Dorfman kernel's side helper (numbered as in the
@@ -435,6 +463,21 @@ MUTANTS.update(
         ),
         "poly_gcd-support-too-eager": (
             "rational", "            pure.difference_update(k & y for k in a if k & rest)\n", "", gcd_property,
+        ),
+        "gcdheu-skips-leading-positive": (
+            "rational",
+            "    return (h, cff, cfg) if h[max(h)] > 0 else tuple(_times(f, -1) for f in (h, cff, cfg))",
+            "    return (h, cff, cfg)",
+            heu_property,
+        ),
+        "gcdheu-asymmetric-digits": (
+            "rational", "            if digit > half:\n                digit -= x\n", "", heu_property,
+        ),
+        "gcdheu-drops-integer-content": (
+            "rational", "return _times(h, ground), cff_, cfg_", "return h, cff_, cfg_", heu_property,
+        ),
+        "gcdheu-integer-gcd-is-one": (
+            "rational", "h = math.gcd(a, b)", "h = 1", heu_property,
         ),
         "schouten-closed-form-sign": (
             "calculus",
@@ -579,6 +622,7 @@ PROPERTIES = {
     d_star_property: pn,
     courant_axioms_property: courant,
     gcd_property: rational,
+    heu_property: rational,
     paired_property: paired,
     sampler_property: calculus,
     product_property: courant,

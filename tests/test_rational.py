@@ -16,8 +16,6 @@ from algebroid_forge.rational import (
     Polynomial,
     RationalFunction,
     _heu_gcd,
-    _prs_gcd,
-    exact_div,
     parse_scalar,
     poly_gcd,
 )
@@ -169,6 +167,11 @@ def sympy_gcd_form(p, q):
     return primitive_form(sympy_terms(sympy.gcd(sympy_poly(p.terms, 3), sympy_poly(q.terms, 3))))
 
 
+def from_ints(coeffs):
+    """The polynomial on VARS of packed integer coefficients."""
+    return Polynomial._from_ints(VARS, 1, 1, coeffs)
+
+
 @settings(max_examples=60, deadline=None)
 @given(factor_triples(), st.dictionaries(st.tuples(*[st.integers(0, 1)] * 3), rationals, min_size=1, max_size=3))
 def test_planted_gcd_matches_sympy(triple, divisor_terms):
@@ -177,32 +180,28 @@ def test_planted_gcd_matches_sympy(triple, divisor_terms):
     p, q = g * a, g * b
     ours = poly_gcd(p, q)
     assert dict(ours.terms) == sympy_gcd_form(p, q)
-    assert exact_div(p, g) == a and exact_div(q, g) == b
-    assert exact_div(p, ours) * ours == p and exact_div(q, ours) * ours == q
-    divisor = Polynomial(VARS, divisor_terms)
+    assert rational._divide(p.prim, ours.prim, 3) is not None
+    assert rational._divide(q.prim, ours.prim, 3) is not None
+    # by Gauss's lemma a divisor divides in Q[x] iff its primitive part does in Z[x]
     quotient, remainder = sympy.div(sympy_poly(p.terms, 3), sympy_poly(divisor_terms, 3))
+    divided = rational._divide(p.prim, Polynomial(VARS, divisor_terms).prim, 3)
     if remainder.is_zero:
-        assert dict(exact_div(p, divisor).terms) == sympy_terms(quotient)
+        assert dict(from_ints(divided).terms) == primitive_form(sympy_terms(quotient))
     else:
-        with pytest.raises(ValueError):
-            exact_div(p, divisor)
+        assert divided is None
 
 
 @settings(max_examples=40, deadline=None)
 @given(factor_triples())
-def test_prs_fallback_agrees_with_gcdheu(triple):
-    # no shipped input reaches the PRS: run it and GCDHEU on their own
+def test_gcdheu_matches_sympy_with_cofactors(triple):
+    # GCDHEU on its own, past the steps of poly_gcd that answer before it
     g, a, b = triple
     p, q = g * a, g * b
-    expected = sympy_gcd_form(p, q)
-    assert dict(_prs_gcd(p, q).terms) == expected
     found = _heu_gcd(p.prim, q.prim, range(3), 3)
     assert found is not None
-    h, cff, cfg = found
-    assert dict(Polynomial._from_ints(VARS, 1, 1, h).terms) == expected
-    assert Polynomial._from_ints(VARS, 1, 1, h) * Polynomial._from_ints(VARS, 1, 1, cff) == (
-        Polynomial._from_ints(VARS, 1, 1, p.prim)
-    )
+    h, cff, cfg = map(from_ints, found)
+    assert dict(h.terms) == sympy_gcd_form(p, q)
+    assert h * cff == from_ints(p.prim) and h * cfg == from_ints(q.prim)
 
 
 def x1_polys(min_size=1):
@@ -289,12 +288,47 @@ class TestGcdFastPaths:
             poly_gcd(p, q)
 
 
+@st.composite
+def wide_polys(draw, nvars):
+    """Up to 4 terms of degree at most 8 in the first nvars coordinates,
+    integer coefficients up to 10^20 in size."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        left, mono = draw(st.integers(0, 8)), []
+        for _ in range(nvars):
+            mono.append(draw(st.integers(0, left)))
+            left -= mono[-1]
+        terms[(*mono, *[0] * (3 - nvars))] = draw(st.integers(-(10**20), 10**20).filter(bool))
+    return Polynomial(VARS, terms)
+
+
+@st.composite
+def wide_planted_pairs(draw):
+    """(h*a, h*b) on 1-3 coordinates; for half of them a = b + c, so that
+    a and b have a large resultant."""
+    polys = wide_polys(draw(st.integers(1, 3)))
+    h, a, b = draw(polys), draw(polys), draw(polys)
+    if draw(st.booleans()):
+        a = b + draw(polys)
+    return h * a, h * b
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_planted_pairs())
+def test_poly_gcd_never_gives_up_on_wide_planted_gcds(pair):
+    # poly_gcd has no fallback past GCDHEU: a planted gcd of high degree and
+    # large coefficients is still found, with no GcdGiveUp
+    p, q = pair
+    if not (p.is_zero() or q.is_zero()):
+        assert dict(poly_gcd(p, q).terms) == sympy_gcd_form(p, q)
+
+
 def test_heu_gcd_through_a_cofactor_leads_positively():
     # with p == q the gcd comes back as p / (interpolated cofactor), which
     # here once carried the cofactor's negative sign; hypothesis found it
     p = rf("-1/5*x2^2 + 5*x2 + 1/3*x3 + 1").num * rf("1/3*x1*x3^2 + 5*x1*x3 + 1/5*x3^2").num
     h, cff, cfg = _heu_gcd(p.prim, p.prim, range(3), 3)
-    assert Polynomial._from_ints(VARS, 1, 1, h) == _prs_gcd(p, p) == poly_gcd(p, p)
+    assert from_ints(h) == poly_gcd(p, p) == rational._primitive(p)
     assert cff == cfg == {0: 1}
 
 
