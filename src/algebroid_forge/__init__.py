@@ -19,7 +19,6 @@ from .courant import (
     CourantDouble,
     CourantSection,
     GeneralizedDirac,
-    SplitSubbundle,
     Submanifold,
     build_morphism_graph,
     check_generalized_dirac,

@@ -21,7 +21,6 @@ import sys
 from . import algfile
 from .calculus import FORM, MULTIVECTOR, check_axioms, check_d_squared, null_presentation
 from .courant import (
-    SplitSubbundle,
     Submanifold,
     build_morphism_graph,
     check_generalized_dirac,
@@ -133,7 +132,7 @@ TASKS = {
     ),
     "check-generalized-dirac qlb Q tp_conormal [x3]": lambda c, Q, x: _conormal(qlb_double(Q), x),
     "check-split-dirac Q span [e3] at [x3]": lambda c, Q, span, x: check_split_dirac(
-        Q, SplitSubbundle(span), Submanifold.coordinate_subspace(Q.base.coords, x)
+        Q, span, Submanifold.coordinate_subspace(Q.base.coords, x)
     ),
     "build-morphism-graph Phi Qsrc Qtgt": lambda c, *s: check_generalized_dirac(
         build_morphism_graph(*s)
@@ -200,14 +199,14 @@ def _list_value(task, word, entries, chart):
             if name not in chart.coords:
                 raise _error(task, f"unknown coordinate {clip(str(name))!r} in submanifold argument")
         return tuple(entries)
-    vectors = []
+    indices = []
     for entry in entries:
         k = algfile._frame_index(str(entry))
         if k is None or not 1 <= k <= chart.rank:
             shown = repr(clip(entry)) if isinstance(entry, str) else clip(str(entry))
             raise _error(task, f"span entries must be frame symbols, got {shown}")
-        vectors.append([1 if j == k - 1 else 0 for j in range(chart.rank)])
-    return vectors
+        indices.append(k - 1)
+    return tuple(indices)
 
 
 def _on_chart(file, word, name, chart) -> bool:

@@ -4,10 +4,10 @@ Every double handled here is stored in one normal form: a vector-side
 presentation, anchored-bracket data for the covector side, a 3-multivector
 term and a 3-form twist.  The standard double, the twisted double and the
 double of a quasi-Lie bialgebroid are instances.  Conjugation (changing the
-sign of the bilinear form) keeps the data and marks the pairing flipped;
-products first rewrite conjugated factors through the transport b* -> -b*
-(negated covector structure and twist), so morphism graphs in
-E1 x conj(E2) use one uniform bracket.
+sign of the bilinear form) is stored as the transport b* -> -b*: the
+conjugate has the negated covector structure and twist, and the section
+X + a of a double is X - a of its conjugate, so morphism graphs in
+E1 x conj(E2) use one uniform bracket and pairing.
 
 The Dorfman bracket in this normal form is flip-symmetric:
 
@@ -47,7 +47,6 @@ residue.
 
 from __future__ import annotations
 
-import math
 from itertools import combinations
 from itertools import product as cartesian_product
 
@@ -79,27 +78,19 @@ from .reporting import EVIDENCE_SAMPLED, PROOF_TENSORIAL, Report
 
 
 class CourantDouble:
-    """Normal form of a split double.
+    """Normal form of a split double.  Equality reads the data, not the
+    memo cache."""
 
-    A conjugated double (pairing negated) is stored through the transport
-    automorphism b* -> -b*: the dual data and twist are negated, so the
-    Dorfman formula below stays valid verbatim, and ``conjugated`` records
-    that the user-facing pairing carries the opposite sign.  Equality reads
-    the data, not the memo cache.
-    """
+    __slots__ = ("base", "dual", "x3", "psi", "_cache")
 
-    __slots__ = ("base", "dual", "x3", "psi", "conjugated", "_cache")
-
-    def __init__(self, base: AlgebroidPresentation, dual: AlgebroidPresentation, x3, psi, conjugated=False):
-        self.base, self.dual, self.x3, self.psi, self.conjugated = base, dual, x3, psi, conjugated
+    def __init__(self, base: AlgebroidPresentation, dual: AlgebroidPresentation, x3, psi):
+        self.base, self.dual, self.x3, self.psi = base, dual, x3, psi
         self._cache = {}
 
     def __eq__(self, other):
         if not isinstance(other, CourantDouble):
             return NotImplemented
-        return (self.base, self.dual, self.x3, self.psi, self.conjugated) == (
-            other.base, other.dual, other.x3, other.psi, other.conjugated
-        )
+        return (self.base, self.dual, self.x3, self.psi) == (other.base, other.dual, other.x3, other.psi)
 
     memo = AlgebroidPresentation.memo  # Dorfman bracket, frame tables, pairing, anchor and its action, zero pair
 
@@ -197,23 +188,13 @@ def negate_presentation(P: AlgebroidPresentation) -> AlgebroidPresentation:
 
 
 def conjugate(E: CourantDouble) -> CourantDouble:
-    """The double with the sign of the bilinear form changed.
+    """The double with the sign of the bilinear form changed, in plus form.
 
-    Bracket and anchor are untouched; every pairing-derived quantity (the
-    pairing itself and the adjoint derivative D) consults the flag.
+    It is carried through the transport b* -> -b*, which negates the
+    covector half of every section: the section X + a of E is X - a here,
+    so the dual bracket and anchor and the twist are negated, and x3 is not.
     """
-    return CourantDouble(E.base, E.dual, E.x3, E.psi, not E.conjugated)
-
-
-def transport_plus(E: CourantDouble) -> CourantDouble:
-    """Rewrite a conjugated double in plus-pairing form via b* -> -b*.
-
-    The isomorphism negates covector components of sections; on the
-    structure data it negates the dual bracket/anchor and the twist.
-    """
-    if not E.conjugated:
-        return E
-    return CourantDouble(E.base, negate_presentation(E.dual), E.x3, -E.psi, False)
+    return CourantDouble(E.base, negate_presentation(E.dual), E.x3, -E.psi)
 
 
 def _rename_ring(coords: tuple[str, ...], taken: set[str]) -> dict[str, str]:
@@ -240,13 +221,7 @@ def product(E1: CourantDouble, E2: CourantDouble) -> CourantDouble:
 def product_with_renaming(
     E1: CourantDouble, E2: CourantDouble
 ) -> tuple[CourantDouble, dict[str, str]]:
-    """Componentwise product; second-factor coordinates renamed on collision.
-
-    Conjugated factors are first rewritten in plus-pairing form, so sections
-    of a conjugated factor enter the product with negated covector parts.
-    """
-    E1 = transport_plus(E1)
-    E2 = transport_plus(E2)
+    """Componentwise product; second-factor coordinates renamed on collision."""
     taken = set(E1.base.coords)
     renames2 = _rename_ring(E2.base.coords, taken)
     coords = E1.base.coords + tuple(renames2[c] for c in E2.base.coords)
@@ -306,12 +281,11 @@ def _on_double(E: CourantDouble, halves: tuple[GradedSection, ...]) -> None:
 def pairing_sections(E: CourantDouble, e1: CourantSection, e2: CourantSection) -> RationalFunction:
     if not (e1.vec.parent is e1.cov.parent is e2.vec.parent is e2.cov.parent is E.base):
         _on_double(E, (e1.vec, e1.cov, e2.vec, e2.cov))
-    return E.memo(("pairing_sections", e1.key, e2.key), _compute_pairing, E, e1, e2)
+    return E.memo(("pairing_sections", e1.key, e2.key), _compute_pairing, e1, e2)
 
 
-def _compute_pairing(E: CourantDouble, e1: CourantSection, e2: CourantSection) -> RationalFunction:
-    out = pairing(e1.cov, e2.vec) + pairing(e2.cov, e1.vec)
-    return -out if E.conjugated else out
+def _compute_pairing(e1: CourantSection, e2: CourantSection) -> RationalFunction:
+    return pairing(e1.cov, e2.vec) + pairing(e2.cov, e1.vec)
 
 
 def anchor_field(E: CourantDouble, e: CourantSection) -> tuple[RationalFunction, ...]:
@@ -453,8 +427,7 @@ def skew_bracket(E: CourantDouble, e1: CourantSection, e2: CourantSection) -> Co
 
 def d_operator(E: CourantDouble, f: RationalFunction) -> CourantSection:
     """The pairing-adjoint derivative D f = rho^* d f."""
-    out = CourantSection(d_star(E, f), d_function(E.base, f))
-    return -out if E.conjugated else out
+    return CourantSection(d_star(E, f), d_function(E.base, f))
 
 
 def rho_apply_section(E: CourantDouble, e: CourantSection, f: RationalFunction) -> RationalFunction:
@@ -672,51 +645,6 @@ def in_span(rows: list[list[RationalFunction]], v: list[RationalFunction]) -> bo
     return all(x.is_zero() for x in reduced)
 
 
-def rational_nullspace(rows: list[list], width: int) -> list[list[int]]:
-    """Exact nullspace basis over Q for constant subbundle data.
-
-    Entries are rational scalars (ints, Fractions, ...).  One basis vector per
-    non-pivot column: the reduced-row-echelon one, which is 1 there, cleared
-    of denominators to coprime ints.  Elimination runs fraction-free over Z.
-    """
-    matrix = []
-    for row in rows:
-        den = math.lcm(*(x.denominator for x in row))
-        matrix.append([x.numerator * (den // x.denominator) for x in row])
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(width):
-        pivot = next((i for i in range(r, len(matrix)) if matrix[i][c]), None)
-        if pivot is None:
-            continue
-        matrix[r], matrix[pivot] = matrix[pivot], matrix[r]
-        lead = matrix[r][c]
-        for i in range(len(matrix)):
-            if i != r and matrix[i][c]:
-                f = matrix[i][c]
-                row = [lead * x - f * y for x, y in zip(matrix[i], matrix[r])]
-                g = math.gcd(*row)
-                matrix[i] = [x // g for x in row] if g > 1 else row
-        pivots.append((r, c))
-        r += 1
-        if r == len(matrix):
-            break
-    pivot_cols = {c for _, c in pivots}
-    basis = []
-    for free in range(width):
-        if free in pivot_cols:
-            continue
-        # v[free] = 1 and v[cc] = -matrix[rr][free] / lead, times lcm of the leads
-        scale = math.lcm(*(matrix[rr][cc] for rr, cc in pivots))
-        v = [0] * width
-        v[free] = scale
-        for rr, cc in pivots:
-            v[cc] = -matrix[rr][free] * scale // matrix[rr][cc]
-        g = math.gcd(*v)
-        basis.append([x // g for x in v])
-    return basis
-
-
 # ---------------------------------------------------------------------------
 # generalized Dirac structures
 # ---------------------------------------------------------------------------
@@ -787,47 +715,28 @@ def check_generalized_dirac(F: GeneralizedDirac) -> Report:
 # ---------------------------------------------------------------------------
 
 
-class SplitSubbundle:
-    """Constant-coefficient subbundle L of the vector side, with its exact
-    annihilator complement in the covector side computed over Q.  Vector
-    entries are rational scalars (ints, Fractions, ...)."""
-
-    __slots__ = ("vectors",)
-
-    def __init__(self, vectors: list[list]):
-        self.vectors = vectors
-
-    def annihilator(self, rank: int) -> list[list[int]]:
-        return rational_nullspace(self.vectors, rank)
-
-
-def _const_section(E: CourantDouble, vec=(), cov=()) -> CourantSection:
-    def coeffs(values):
-        return {(i,): E.base.scalar(q) for i, q in enumerate(values) if q}
-
-    return CourantSection(E.base.section(MULTIVECTOR, 1, coeffs(vec)), E.base.section(FORM, 1, coeffs(cov)))
-
-
-def split_dirac(E: CourantDouble, L: SplitSubbundle, P: Submanifold) -> GeneralizedDirac:
-    gens = []
-    for k, v in enumerate(L.vectors):
-        gens.append((f"L{k+1}", _const_section(E, vec=v)))
-    for k, w in enumerate(L.annihilator(E.rank)):
-        gens.append((f"Lp{k+1}", _const_section(E, cov=w)))
+def split_dirac(E: CourantDouble, span: tuple[int, ...], P: Submanifold) -> GeneralizedDirac:
+    """F = L + L^perp for L spanned by the frame sections e_i, i in ``span``
+    (0-based): L_k is e_{span[k]}, and the Lp_k are the other coframe
+    sections eps^i, in increasing i."""
+    gens = [(f"L{k+1}", E.frame_section(i)) for k, i in enumerate(span)]
+    rest = [i for i in range(E.rank) if i not in span]
+    gens += [(f"Lp{k+1}", E.coframe_section(i)) for k, i in enumerate(rest)]
     return GeneralizedDirac(E, P, gens)
 
 
 def check_split_dirac(
     Q: QuasiLieBialgebroid,
-    L: SplitSubbundle,
+    span: tuple[int, ...],
     P: Submanifold,
 ) -> Report:
     """The four subalgebroid conditions, the direct D1-D3 verdict on
-    F = L + L^perp, and the asserted biconditional between them."""
+    F = L + L^perp, and the asserted biconditional between them, for L
+    spanned by the frame sections e_i, i in ``span`` (0-based)."""
     E = qlb_double(Q)
     report = Report("check-split-dirac")
-    F = split_dirac(E, L, P)
-    l_secs, p_secs = F.generators[: len(L.vectors)], F.generators[len(L.vectors) :]
+    F = split_dirac(E, span, P)
+    l_secs, p_secs = F.generators[: len(span)], F.generators[len(span) :]
     l_rows = _row_space([s.components(E.rank) for _, s in l_secs])
     p_rows = _row_space([s.components(E.rank) for _, s in p_secs])
 
@@ -917,7 +826,7 @@ def build_morphism_graph(
         left = CourantSection(
             E.base.zero_section(MULTIVECTOR, 1), _embed(pulled, E.base, 0, renames1)
         )
-        # -eps_B^j: the conjugated factor is stored through b* -> -b*
+        # -eps_B^j: eps_B^j of E2 is -eps_B^j of its conjugate
         right_cov = {(QA.base.rank + j,): -RationalFunction.one(coords)}
         right = CourantSection(
             E.base.zero_section(MULTIVECTOR, 1), E.base.section(FORM, 1, right_cov)

@@ -58,7 +58,7 @@ from algebroid_forge.calculus import (
     vector_field,
     wedge,
 )
-from algebroid_forge.courant import CourantDouble, CourantSection, transport_plus
+from algebroid_forge.courant import CourantDouble, CourantSection
 from algebroid_forge.pn import d_star, dual_bracket, nstar_matrix
 from algebroid_forge.rational import RationalFunction
 
@@ -316,9 +316,8 @@ def compose(outer, inner):
 
 
 def flip(E):
-    """The plain double E with the roles of B and B* swapped; its sections
-    swap with ``flip_section``."""
-    assert not E.conjugated
+    """The double E with the roles of B and B* swapped; its sections swap
+    with ``flip_section``."""
     return CourantDouble(E.dual, E.base, retag(E.psi, E.dual, MULTIVECTOR), retag(E.x3, E.dual, FORM))
 
 
@@ -404,7 +403,7 @@ def reframe_double(E, M):
             retag(mat_apply(vec_map, e.vec), base, MULTIVECTOR), retag(mat_apply(cov_map, e.cov), base, FORM)
         )
 
-    return CourantDouble(base, dual, tensor(E.x3, coframes), tensor(E.psi, frames), E.conjugated), to_new
+    return CourantDouble(base, dual, tensor(E.x3, coframes), tensor(E.psi, frames)), to_new
 
 
 def dense_product(E1, E2):
@@ -415,7 +414,6 @@ def dense_product(E1, E2):
     appending ``_b`` until they are free.  The reference for
     ``courant.product_with_renaming``, which transports the nonzero entries
     of each factor only."""
-    E1, E2 = transport_plus(E1), transport_plus(E2)
     taken = set(E1.base.coords)
     renames2 = {}
     for name in E2.base.coords:

@@ -25,6 +25,8 @@ from algebroid_forge.reporting import PROOF_TENSORIAL, Report
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
 FINGERPRINTS = ROOT / "perfbench" / "fingerprints.json"
+# sha256 of --format text stdout, and the exit code, of each FINGERPRINT_RUNS run at seed 0
+TEXT_SHA256 = ROOT / "tests" / "text_sha256.json"
 # (fingerprint key, forge arguments): every corpus file, and courant_tr2 at kappa 1
 FINGERPRINT_RUNS = [(path.stem, (str(path),)) for path in sorted(CORPUS.glob("*.alg"))] + [
     ("courant_tr2-kappa1", (str(CORPUS / "courant_tr2.alg"), "--kappa", "1"))
@@ -138,6 +140,15 @@ class TestRecords:
         main(["check", *args, "--format", "records", "--seed", str(seed)])
         records = capsys.readouterr().out.encode("utf-8")
         assert hashlib.sha256(records).hexdigest() == table[f"{key}@{seed}"]
+
+    @pytest.mark.parametrize("key, args", FINGERPRINT_RUNS, ids=[key for key, _ in FINGERPRINT_RUNS])
+    def test_text_matches_recorded_sha256(self, capsys, key, args):
+        # the text format stays byte-identical too, with its exit code
+        table = json.loads(TEXT_SHA256.read_text(encoding="utf-8"))
+        assert set(table) == {k for k, _ in FINGERPRINT_RUNS}
+        code = main(["check", *args, "--format", "text", "--seed", "0"])
+        text = capsys.readouterr().out.encode("utf-8")
+        assert {"exit": code, "stdout_sha256": hashlib.sha256(text).hexdigest()} == table[key]
 
     @pytest.mark.parametrize("key", [label for label, *_ in ratchart.SPECS])
     def test_rational_chart_takes_no_gcd(self, monkeypatch, capsys, tmp_path, key):
@@ -622,6 +633,53 @@ def check_text(tmp_path, text, *flags):
     path = tmp_path / "tasks.alg"
     path.write_text(text, encoding="utf-8")
     return main(["check", str(path), *flags])
+
+
+# spans of several frames, in any order, on the twisted Poisson qLB: L_k is
+# the k-th listed frame and the Lp_k the other coframes in increasing order
+SPAN_TASKS = (
+    "task check-split-dirac Q span [e4, e2] at [x4];",
+    "task check-split-dirac Q span [e1, e3] at [];",
+    "task check-split-dirac Q span [e2] at [x1, x3];",
+    "task check-split-dirac Q span [e3, e4, e1] at [x2];",
+)
+SPAN_RECORDS = [
+    "task=check-twisted-poisson#1 clause=closed-3form class=PROOF_TENSORIAL residue=0 verdict=pass",
+    "task=check-twisted-poisson#1 clause=twisted-poisson-identity class=PROOF_TENSORIAL residue=0 verdict=pass",
+    "task=build-qlb#2 clause=construction class=PROOF_TENSORIAL residue=0 verdict=pass",
+    "task=check-split-dirac#3 clause=1-L-subalgebroid class=PROOF_TENSORIAL residue=0 verdict=pass",
+    "task=check-split-dirac#3 clause=2-Lperp-closed class=PROOF_TENSORIAL residue=0 verdict=pass",
+    "task=check-split-dirac#3 clause=3-Lperp-anchor-tangency class=PROOF_TENSORIAL residue=0 verdict=pass",
+    "task=check-split-dirac#3 clause=4-X-vanishes-on-Lperp class=PROOF_TENSORIAL residue=0 verdict=pass",
+    "task=check-split-dirac#3 clause=direct-D1-D3 class=PROOF_TENSORIAL residue=0 verdict=pass",
+    "task=check-split-dirac#3 clause=biconditional class=PROOF_TENSORIAL residue=0 verdict=pass",
+    "task=check-split-dirac#4 clause=1-L-subalgebroid class=PROOF_TENSORIAL residue=0 verdict=pass",
+    "task=check-split-dirac#4 clause=2-Lperp-closed class=PROOF_TENSORIAL residue=0 verdict=pass",
+    "task=check-split-dirac#4 clause=3-Lperp-anchor-tangency class=PROOF_TENSORIAL residue=0 verdict=pass",
+    "task=check-split-dirac#4 clause=4-X-vanishes-on-Lperp class=PROOF_TENSORIAL residue=0 verdict=pass",
+    "task=check-split-dirac#4 clause=direct-D1-D3 class=PROOF_TENSORIAL residue=0 verdict=pass",
+    "task=check-split-dirac#4 clause=biconditional class=PROOF_TENSORIAL residue=0 verdict=pass",
+    "task=check-split-dirac#5 clause=- class=- residue=divisionbyzerorationalfunction verdict=error",
+    "task=check-split-dirac#6 clause=1-L-subalgebroid class=PROOF_TENSORIAL residue=1 verdict=fail",
+    "task=check-split-dirac#6 clause=2-Lperp-closed class=PROOF_TENSORIAL residue=0 verdict=pass",
+    "task=check-split-dirac#6 clause=3-Lperp-anchor-tangency class=PROOF_TENSORIAL residue=1 verdict=fail",
+    "task=check-split-dirac#6 clause=4-X-vanishes-on-Lperp class=PROOF_TENSORIAL residue=0 verdict=pass",
+    "task=check-split-dirac#6 clause=direct-D1-D3 class=PROOF_TENSORIAL residue=1 verdict=fail",
+    "task=check-split-dirac#6 clause=biconditional class=PROOF_TENSORIAL residue=0 verdict=pass",
+]
+# sha256 of the same run's --format text stdout
+SPAN_TEXT_SHA256 = "53b74bd721962f553c148c59007e94b74f00fc81567afb6a5179d30886985d51"
+
+
+def test_split_dirac_spans_by_frame_indices(tmp_path, capsys):
+    text = corpus_with("twisted_poisson_r4.alg", *SPAN_TASKS)
+    text = text.replace("task check-qlb Q;\ntask verify-courant qlb Q;\n", "")
+    assert check_text(tmp_path, text, "--format", "records") == 1
+    assert capsys.readouterr().out.splitlines() == SPAN_RECORDS
+    assert check_text(tmp_path, text) == 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SPAN_TEXT_SHA256
+    assert "       residue[rho*(Lp1).x2] = 1\n" in out
 
 
 class TestTaskBinding:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algebroid_forge import courant
+from algebroid_forge import cli, courant
 from algebroid_forge.algfile import parse
 from algebroid_forge.calculus import (
     FORM,
@@ -28,7 +28,6 @@ from algebroid_forge.courant import (
     CourantSection,
     GeneralizedDirac,
     SectionFamily,
-    SplitSubbundle,
     Submanifold,
     _frame_tables,
     build_morphism_graph,
@@ -65,6 +64,23 @@ from test_pn import an_presentation, diag, e6_conformal, std_pi, tr4_twisted
 TR2 = tangent_algebroid(2)
 TR3 = tangent_algebroid(3)
 TR4 = tangent_algebroid(4)
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+# every qLB the corpus builds, (file, name) -> the D1-D3 instances of its identity graph
+CORPUS_QLBS = {
+    ("e3_pqn", "Qtgt"): 76,
+    ("e3_pqn", "Qsrc"): 76,
+    ("heisenberg_pn", "Q"): 58,
+    ("split_dirac_tr3", "Q"): 76,
+    ("tr2_conformal", "Q"): 35,
+    ("twisted_poisson_r4", "Q"): 133,
+}
+QLB_FILES = sorted({name for name, _ in CORPUS_QLBS})
+
+
+def corpus_qlbs(name):
+    """The qLBs that corpus/<name>.alg builds, by the name each binds."""
+    bound = cli.bind(parse((CORPUS / f"{name}.alg").read_text(encoding="utf-8")))
+    return {t.binds: t.call(cli.RunConfig(), *t.values) for t in bound if t.binds}
 
 
 def top_form(A):
@@ -281,11 +297,12 @@ class TestCourantAxioms:
 
 class TestConjugateProduct:
     def test_conjugate_negates_pairing(self):
+        # eps_j of E is -eps_j of its conjugate
         E = standard_double(TR2)
         Ec = conjugate(E)
         for i in range(2):
             for j in range(2):
-                lhs = pairing_sections(Ec, Ec.frame_section(i), Ec.coframe_section(j))
+                lhs = pairing_sections(Ec, Ec.frame_section(i), -Ec.coframe_section(j))
                 rhs = pairing_sections(E, E.frame_section(i), E.coframe_section(j))
                 assert lhs == -rhs
 
@@ -293,8 +310,15 @@ class TestConjugateProduct:
         E = twisted_double(TR3, top_form(TR3))
         assert conjugate(conjugate(E)) == E
 
+    def test_conjugate_of_standard_is_standard(self):
+        assert conjugate(standard_double(TR3)) == standard_double(TR3)
+
+    def test_conjugate_of_twisted_negates_the_twist(self):
+        phi = top_form(TR3)
+        assert conjugate(twisted_double(TR3, phi)) == twisted_double(TR3, -phi)
+
     def test_equality_ignores_the_memo_cache(self):
-        E, F = standard_double(TR2), standard_double(TR2)
+        E, F = twisted_double(TR3, top_form(TR3)), twisted_double(TR3, top_form(TR3))
         dorfman(E, E.frame_section(0), E.coframe_section(1))
         assert E._cache and not F._cache
         assert E == F and E != conjugate(F)
@@ -307,7 +331,6 @@ class TestConjugateProduct:
         want = standard_double(combined)
         assert got.dual == want.dual
         assert got.x3 == want.x3 and got.psi == want.psi
-        assert not got.conjugated
 
     def test_product_renames_colliding_coordinates(self):
         E1 = standard_double(TR2)
@@ -315,7 +338,6 @@ class TestConjugateProduct:
         got, renames = product_with_renaming(E1, conjugate(E2))
         assert got.base.coords == ("x1", "x2", "x1_b", "x2_b")
         assert renames == {"x1": "x1_b", "x2": "x2_b"}
-        assert not got.conjugated
 
     def test_product_with_conjugate_is_courant(self):
         # the mixed product must itself satisfy the axioms: this pins the
@@ -383,21 +405,21 @@ class TestSplitDirac:
         # (a) L = span{dx3} over P = {x3=0}: Lperp = span{d1, d2}, which is
         # tangent to P and misses the phi slot: everything passes
         Q1 = qlb_from_closed3form(TR3, top_form(TR3))
-        L1 = SplitSubbundle([[Fraction(0), Fraction(0), Fraction(1)]])
+        L1 = (2,)
         P1 = Submanifold.coordinate_subspace(TR3.coords, ("x3",))
         out.append(("conormal-x3", Q1, L1, P1, True))
         # (b) X = 0 Lie bialgebroid case (conformal triangular structure)
         Q2 = build_qlb_from_pqn(e6_conformal())
-        L2 = SplitSubbundle([[Fraction(1), Fraction(0)]])
+        L2 = (0,)
         P2 = Submanifold.coordinate_subspace(TR2.coords, ())
         out.append(("bialgebroid-P=M", Q2, L2, P2, True))
         # (c) L = span{dx1} over {x3=0}: Lperp contains d3, transverse to P
-        L3 = SplitSubbundle([[Fraction(1), Fraction(0), Fraction(0)]])
+        L3 = (0,)
         out.append(("anchor-violated", Q1, L3, P1, False))
         # (d) P = M on TR4 with phi hitting all three Lperp directions
         phi4 = TR4.section(FORM, 3, {(1, 2, 3): TR4.one_rf()})
         Q4 = qlb_from_closed3form(TR4, phi4)
-        L4 = SplitSubbundle([[Fraction(1), Fraction(0), Fraction(0), Fraction(0)]])
+        L4 = (0,)
         P4 = Submanifold.coordinate_subspace(TR4.coords, ())
         out.append(("X-on-Lperp", Q4, L4, P4, False))
         # (e) same split with phi moved off the Lperp directions: passes
@@ -433,6 +455,18 @@ class TestMorphismGraph:
         F = build_morphism_graph(identity_morphism(Q.base), Q, Q)
         report = check_generalized_dirac(F)
         assert report.passed
+
+    @pytest.mark.parametrize("name", QLB_FILES)
+    def test_identity_graph_of_every_corpus_qlb(self, name):
+        # each of these qLBs has a nonzero dual side, which the conjugate
+        # factor of Q x conj(Q) must carry negated for the graph to be Dirac
+        instances = {}
+        for q, Q in corpus_qlbs(name).items():
+            assert Q.dual.anchored or Q.dual.structure
+            report = check_generalized_dirac(build_morphism_graph(identity_morphism(Q.base), Q, Q))
+            assert report.passed, report.to_text()
+            instances[(name, q)] = sum(c.checked for c in report.clauses)
+        assert instances == {key: n for key, n in CORPUS_QLBS.items() if key[0] == name}
 
     def _e3_morphism(self, corrupt=False):
         AN = an_presentation()
@@ -636,7 +670,7 @@ class TestMemoKeys:
 
 # -- residues are summed in components, not as sections -----------------------
 
-TR2_FILE = pathlib.Path(__file__).resolve().parent.parent / "corpus" / "courant_tr2.alg"
+TR2_FILE = CORPUS / "courant_tr2.alg"
 TR2_REPORTS = {
     "1/2": """[PASS] verify-courant  (kappa=1/2 max_degree=2 samples=10 seed=0)
   ok   C1-leibniz-jacobi (EVIDENCE_SAMPLED, 74 instances)

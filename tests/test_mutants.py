@@ -33,12 +33,14 @@ from oracles import (
     dense_product,
     dorfman_by_calculus,
     dorfman_oracle,
+    identity_morphism,
     lie_algebra_presentation,
     matches_oracle,
     random_sections_reference,
     raw_double,
     schouten_oracle,
 )
+from test_courant import QLB_FILES, corpus_qlbs
 from test_rational import deferred_sum_property, shape_property
 
 SRC = pathlib.Path(calculus.__file__).resolve().parent
@@ -294,6 +296,17 @@ def product_property(mod) -> list[str]:
     return [] if (E.base, E.dual, renames) == dense_product(E1, E2) else ["product presentations"]
 
 
+def identity_graph_property(mod) -> list[str]:
+    """The graph of the identity of Q, in Q x conj(Q), is Dirac for every
+    qLB the corpus builds, each with a nonzero dual side."""
+    failures = []
+    for name in QLB_FILES:
+        for q, Q in corpus_qlbs(name).items():
+            report = mod.check_generalized_dirac(mod.build_morphism_graph(identity_morphism(Q.base), Q, Q))
+            failures += [f"{name} {q}: {c.name}" for c in report.failing_clauses()]
+    return failures
+
+
 def paired_property(mod) -> list[str]:
     """A generic seeded operator on TR2 acts as its contraction reference
     (``oracles.apply_by_contraction``) and its theorem's sharp-intertwines
@@ -546,6 +559,12 @@ MUTANTS.update(
             "        second = {(i,): random_poly(A, fresh, max_degree) for i in range(A.rank)}\n",
             sampler_property,
         ),
+        "conjugate-keeps-the-dual": (
+            "courant",
+            "CourantDouble(E.base, negate_presentation(E.dual), E.x3, -E.psi)",
+            "CourantDouble(E.base, E.dual, E.x3, -E.psi)",
+            identity_graph_property,
+        ),
         "product-drops-block-offset": (
             "courant", "(offset + k, _transport(", "(k, _transport(", product_property,
         ),
@@ -626,6 +645,7 @@ PROPERTIES = {
     paired_property: paired,
     sampler_property: calculus,
     product_property: courant,
+    identity_graph_property: courant,
     shape_property: rational,
     deferred_sum_property: rational,
 }
