@@ -318,14 +318,9 @@ def retag(section: GradedSection, parent: AlgebroidPresentation, variance: str) 
 
     Used to move between multivectors on A and forms on a dual presentation.
     """
-    _require_retaggable(section, parent)
-    return GradedSection._make(parent, variance, section.degree, section.coeffs)
-
-
-def _require_retaggable(section: GradedSection, parent: AlgebroidPresentation) -> None:
-    """The check of ``retag``: ``parent`` has the section's chart and rank."""
     if parent.rank != section.parent.rank or parent.coords != section.parent.coords:
         raise ParentMismatch("retag requires equal rank and chart")
+    return GradedSection._make(parent, variance, section.degree, section.coeffs)
 
 
 # ---------------------------------------------------------------------------

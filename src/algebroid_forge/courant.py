@@ -41,8 +41,8 @@ three-tensors add
 
 with i_{e_j} eps^I = (-1)^t eps^{I minus j}, t the position of j in I.  The
 C1, C2 and C5 residues of ``verify_courant_axioms`` are evaluated in the
-same components (``_residue``); a section is built only for a nonzero
-residue.
+same components (``_residue``): each residue is built once, from its
+summed components, with no section arithmetic.
 """
 
 from __future__ import annotations
@@ -66,13 +66,11 @@ from .calculus import (
     pullback,
     random_poly,
     random_sections,
-    schouten,
     vector_field,
     vf_bracket,
-    wedge,
 )
-from .errors import DegreeMismatch, MalformedMorphism, ParentMismatch, VarianceMismatch
-from .pn import QuasiLieBialgebroid, d_star, dual_anchor, dual_bracket
+from .errors import DegreeMismatch, DivisionByZero, MalformedMorphism, ParentMismatch, VarianceMismatch, clip
+from .pn import QuasiLieBialgebroid, d_star, dual_anchor
 from .rational import RationalFunction, term_product
 from .reporting import EVIDENCE_SAMPLED, PROOF_TENSORIAL, Report
 
@@ -92,15 +90,11 @@ class CourantDouble:
             return NotImplemented
         return (self.base, self.dual, self.x3, self.psi) == (other.base, other.dual, other.x3, other.psi)
 
-    memo = AlgebroidPresentation.memo  # Dorfman bracket, frame tables, pairing, anchor and its action, zero pair
+    memo = AlgebroidPresentation.memo  # Dorfman bracket, frame tables, pairing, anchor and its action
 
     @property
     def rank(self) -> int:
         return self.base.rank
-
-    def zero_section(self) -> "CourantSection":
-        """The zero pair, built once per double: sections are values."""
-        return self.memo(("zero_section",), _zero_pair, self.base)
 
     def frame_section(self, i: int) -> "CourantSection":
         return CourantSection(self.base.frame(i), self.base.zero_section(FORM, 1))
@@ -155,10 +149,6 @@ class CourantSection:
         return [self.vec.coefficient((i,)) for i in range(rank)] + [
             self.cov.coefficient((i,)) for i in range(rank)
         ]
-
-
-def _zero_pair(A: AlgebroidPresentation) -> CourantSection:
-    return CourantSection(A.zero_section(MULTIVECTOR, 1), A.zero_section(FORM, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -547,14 +537,13 @@ def verify_courant_axioms(
             terms = ((1, None, lhs), (-1, f, rhs1), (-1, rho_apply_section(E, e1, f), e2))
             c5.record(f"{l1},{l2};{fname}", _residue(E, terms))
         if not E.base.coords:
-            c5.record(f"{l1},{l2}", E.zero_section())
+            c5.record(f"{l1},{l2}", E.base.zero_rf())
     return report
 
 
 def _residue(E: CourantDouble, terms) -> CourantSection:
     """sum sign * w * s over the terms (sign, w, s), w a function or None
-    for 1, summed in frame components into one accumulator per half; the
-    zero pair for a zero sum, whose test reads the finished halves."""
+    for 1, summed in frame components into one accumulator per half."""
     vec: dict[int, RationalFunction] = {}
     cov: dict[int, RationalFunction] = {}
     for sign, w, s in terms:
@@ -563,8 +552,7 @@ def _residue(E: CourantDouble, terms) -> CourantSection:
         for acc, half in ((vec, s.vec), (cov, s.cov)):
             for (i,), c in half.coeffs.items():
                 _accumulate(acc, i, (c if sign > 0 else -c) if w is None else term_product(c, w, sign))
-    out = CourantSection(_degree_one(E.base, MULTIVECTOR, vec), _degree_one(E.base, FORM, cov))
-    return E.zero_section() if out.is_zero() else out
+    return CourantSection(_degree_one(E.base, MULTIVECTOR, vec), _degree_one(E.base, FORM, cov))
 
 
 # ---------------------------------------------------------------------------
@@ -592,8 +580,11 @@ class Submanifold:
         return tuple(c for c in self.coords if c not in determined)
 
     def restrict(self, f: RationalFunction) -> RationalFunction:
-        values = {name: expr for name, expr in self.assignments}
-        return f.subs(values, target=self.coords)
+        try:
+            return f.subs(dict(self.assignments), target=self.coords)
+        except DivisionByZero:
+            where = ", ".join(f"{name} -> {clip(str(expr))}" for name, expr in self.assignments)
+            raise DivisionByZero(f"division by zero restricting {clip(str(f))} to {where}") from None
 
     def tangency_residues(self, A, field_components) -> list[tuple[str, RationalFunction]]:
         """Residues whose vanishing says the vector field is tangent to P;
@@ -715,14 +706,11 @@ def check_generalized_dirac(F: GeneralizedDirac) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def split_dirac(E: CourantDouble, span: tuple[int, ...], P: Submanifold) -> GeneralizedDirac:
-    """F = L + L^perp for L spanned by the frame sections e_i, i in ``span``
-    (0-based): L_k is e_{span[k]}, and the Lp_k are the other coframe
-    sections eps^i, in increasing i."""
-    gens = [(f"L{k+1}", E.frame_section(i)) for k, i in enumerate(span)]
-    rest = [i for i in range(E.rank) if i not in span]
-    gens += [(f"Lp{k+1}", E.coframe_section(i)) for k, i in enumerate(rest)]
-    return GeneralizedDirac(E, P, gens)
+def _stays_in(P: Submanifold, section: GradedSection, indices) -> bool:
+    """Whether the degree-1 section restricted to P has no component off
+    ``indices``; every component is restricted, so any pole on P raises."""
+    restricted = [(i, P.restrict(c)) for (i,), c in section.coeffs.items()]
+    return all(i in indices or c.is_zero() for i, c in restricted)
 
 
 def check_split_dirac(
@@ -732,46 +720,42 @@ def check_split_dirac(
 ) -> Report:
     """The four subalgebroid conditions, the direct D1-D3 verdict on
     F = L + L^perp, and the asserted biconditional between them, for L
-    spanned by the frame sections e_i, i in ``span`` (0-based)."""
+    spanned by the frame sections e_i, i in ``span`` (0-based): L_k is
+    e_{span[k]}, and the Lp_k spanning L^perp are the other coframe sections
+    eps^i, in increasing i.  The conditions read the frame data of both
+    sides and the components of X."""
     E = qlb_double(Q)
     report = Report("check-split-dirac")
-    F = split_dirac(E, span, P)
-    l_secs, p_secs = F.generators[: len(span)], F.generators[len(span) :]
-    l_rows = _row_space([s.components(E.rank) for _, s in l_secs])
-    p_rows = _row_space([s.components(E.rank) for _, s in p_secs])
+    rest = [i for i in range(E.rank) if i not in span]
+    l_frames = [(f"L{k+1}", i) for k, i in enumerate(span)]
+    p_frames = [(f"Lp{k+1}", i) for k, i in enumerate(rest)]
 
     cond1 = report.clause("1-L-subalgebroid", PROOF_TENSORIAL)
-    for label, s in l_secs:
-        for name, residue in P.tangency_residues(E.base, vector_field(s.vec)):
+    for label, i in l_frames:
+        for name, residue in P.tangency_residues(E.base, E.base.anchor[i]):
             cond1.record(f"rho({label}).{name}", residue)
-    for l1, s1 in l_secs:
-        for l2, s2 in l_secs:
-            br = schouten(s1.vec, s2.vec)
-            v = [P.restrict(br.coefficient((i,))) for i in range(E.rank)]
-            v = v + [E.base.zero_rf()] * E.rank
-            cond1.record_flag(f"[{l1},{l2}]", in_span(l_rows, v), "left-L")
+    for l1, i in l_frames:
+        for l2, j in l_frames:
+            cond1.record_flag(f"[{l1},{l2}]", _stays_in(P, E.base.bracket_frame(i, j), span), "left-L")
 
     cond2 = report.clause("2-Lperp-closed", PROOF_TENSORIAL)
-    for l1, s1 in p_secs:
-        for l2, s2 in p_secs:
-            br = dual_bracket(E, s1.cov, s2.cov)
-            v = [E.base.zero_rf()] * E.rank + [
-                P.restrict(br.coefficient((i,))) for i in range(E.rank)
-            ]
-            cond2.record_flag(f"[{l1},{l2}]*", in_span(p_rows, v), "left-Lperp")
+    for l1, i in p_frames:
+        for l2, j in p_frames:
+            cond2.record_flag(f"[{l1},{l2}]*", _stays_in(P, E.dual.bracket_frame(i, j), rest), "left-Lperp")
 
     cond3 = report.clause("3-Lperp-anchor-tangency", PROOF_TENSORIAL)
-    for label, s in p_secs:
-        for name, residue in P.tangency_residues(E.base, dual_anchor(E, s.cov)):
+    for label, i in p_frames:
+        for name, residue in P.tangency_residues(E.base, E.dual.anchor[i]):
             cond3.record(f"rho*({label}).{name}", residue)
 
     cond4 = report.clause("4-X-vanishes-on-Lperp", PROOF_TENSORIAL)
     cond4.record_flag("X-degree", True)
-    for (l1, s1), (l2, s2), (l3, s3) in combinations(p_secs, 3):
-        value = pairing(wedge(wedge(s1.cov, s2.cov), s3.cov), Q.x3)
-        cond4.record(f"X({l1},{l2},{l3})", P.restrict(value))
+    for (l1, i), (l2, j), (l3, k) in combinations(p_frames, 3):
+        cond4.record(f"X({l1},{l2},{l3})", P.restrict(Q.x3.coefficient((i, j, k))))
 
-    direct = check_generalized_dirac(F)
+    gens = [(label, E.frame_section(i)) for label, i in l_frames]
+    gens += [(label, E.coframe_section(i)) for label, i in p_frames]
+    direct = check_generalized_dirac(GeneralizedDirac(E, P, gens))
     report.clause("direct-D1-D3", PROOF_TENSORIAL).absorb(direct, prefixed=True)
 
     four = all(c.passed for c in (cond1, cond2, cond3, cond4))

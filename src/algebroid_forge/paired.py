@@ -104,7 +104,7 @@ def check_paired(
 def _check_double(E: CourantDouble, op: PairedOperator) -> None:
     if E.base != op.A:
         raise ParentMismatch("the operator lives on a different double")
-    if not E.x3.is_zero():
+    if not E.x3.is_zero() or E.dual.anchored or E.dual.structure:
         raise ParentMismatch("deformations act on standard or twisted doubles")
 
 

@@ -21,7 +21,6 @@ from .calculus import (
     AlgebroidPresentation,
     BundleMorphism,
     GradedSection,
-    _require_retaggable,
     apply_field,
     check_axioms,
     d_function,
@@ -381,20 +380,12 @@ class QuasiLieBialgebroid:
 
 def d_star(D, s) -> GradedSection:
     """d_* on a function or a multivector of D.base: the Cartan differential
-    of D.dual read back on D.base (memoized on D.dual)."""
+    of D.dual read back on D.base.  Not cached: ``differential`` and
+    ``d_function`` cache on D.dual."""
     if isinstance(s, RationalFunction):
-        return D.dual.memo(("d_star_function", D.base, s), _compute_d_star_function, D, s)
+        return retag(d_function(D.dual, s), D.base, MULTIVECTOR)
     if s.variance != MULTIVECTOR:
         raise VarianceMismatch("d_star acts on multivectors of the base algebroid")
-    _require_retaggable(s, D.dual)
-    return D.dual.memo(("d_star", D.base, s.key), _compute_d_star, D, s)
-
-
-def _compute_d_star_function(D, f: RationalFunction) -> GradedSection:
-    return retag(d_function(D.dual, f), D.base, MULTIVECTOR)
-
-
-def _compute_d_star(D, s: GradedSection) -> GradedSection:
     return retag(differential(retag(s, D.dual, FORM)), D.base, MULTIVECTOR)
 
 

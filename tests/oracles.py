@@ -20,8 +20,10 @@ bracket composed from the calculus operations, term by term of the formula
 in the ``courant`` module docstring, a presentation and a double rebuilt in
 a constant change of frame, the product of two doubles built
 densely from every anchor and structure entry, the seeded random sections
-replayed from ``random.Random``, and a paired operator applied by
-contraction with pi and sigma rather than through its block matrices.
+replayed from ``random.Random``, a paired operator applied by
+contraction with pi and sigma rather than through its block matrices, and
+the four split-Dirac conditions computed on sections and tested by row
+reduction.
 
 Last come references for Schouten, d and Dorfman that make no engine call
 at all: sympy expressions read from a presentation's raw anchor and
@@ -58,9 +60,10 @@ from algebroid_forge.calculus import (
     vector_field,
     wedge,
 )
-from algebroid_forge.courant import CourantDouble, CourantSection
-from algebroid_forge.pn import d_star, dual_bracket, nstar_matrix
+from algebroid_forge.courant import CourantDouble, CourantSection, _row_space, in_span, qlb_double
+from algebroid_forge.pn import d_star, dual_anchor, dual_bracket, nstar_matrix
 from algebroid_forge.rational import RationalFunction
+from algebroid_forge.reporting import PROOF_TENSORIAL, Report
 
 
 def perm_sign(perm):
@@ -491,6 +494,53 @@ def apply_by_contraction(op, e):
         mat_apply(op.n_matrix, X) + insert(op.pi, alpha),
         insert(op.sigma, X) - mat_apply(nstar_matrix(op.A, op.n_matrix), alpha),
     )
+
+
+def split_dirac_conditions_reference(Q, span, P):
+    """The four conditions of ``courant.check_split_dirac`` as clauses of a
+    report, in their section-calculus form: the brackets of the spanning
+    sections by ``schouten`` and ``dual_bracket``, each tested for
+    membership in L (or L^perp) by row reduction against the unit vectors of
+    its spanning sections, the anchors by ``vector_field`` and
+    ``dual_anchor``, and X paired with the wedge of three L^perp sections.
+    The reference for the engine's reads of the frame data."""
+    E = qlb_double(Q)
+    report = Report("check-split-dirac")
+    l_secs = [(f"L{k+1}", E.frame_section(i)) for k, i in enumerate(span)]
+    rest = [i for i in range(E.rank) if i not in span]
+    p_secs = [(f"Lp{k+1}", E.coframe_section(i)) for k, i in enumerate(rest)]
+    l_rows = _row_space([s.components(E.rank) for _, s in l_secs])
+    p_rows = _row_space([s.components(E.rank) for _, s in p_secs])
+    zeros = [E.base.zero_rf()] * E.rank
+
+    cond1 = report.clause("1-L-subalgebroid", PROOF_TENSORIAL)
+    for label, s in l_secs:
+        for name, residue in P.tangency_residues(E.base, vector_field(s.vec)):
+            cond1.record(f"rho({label}).{name}", residue)
+    for l1, s1 in l_secs:
+        for l2, s2 in l_secs:
+            br = schouten(s1.vec, s2.vec)
+            v = [P.restrict(br.coefficient((i,))) for i in range(E.rank)] + zeros
+            cond1.record_flag(f"[{l1},{l2}]", in_span(l_rows, v), "left-L")
+
+    cond2 = report.clause("2-Lperp-closed", PROOF_TENSORIAL)
+    for l1, s1 in p_secs:
+        for l2, s2 in p_secs:
+            br = dual_bracket(E, s1.cov, s2.cov)
+            v = zeros + [P.restrict(br.coefficient((i,))) for i in range(E.rank)]
+            cond2.record_flag(f"[{l1},{l2}]*", in_span(p_rows, v), "left-Lperp")
+
+    cond3 = report.clause("3-Lperp-anchor-tangency", PROOF_TENSORIAL)
+    for label, s in p_secs:
+        for name, residue in P.tangency_residues(E.base, dual_anchor(E, s.cov)):
+            cond3.record(f"rho*({label}).{name}", residue)
+
+    cond4 = report.clause("4-X-vanishes-on-Lperp", PROOF_TENSORIAL)
+    cond4.record_flag("X-degree", True)
+    for (l1, s1), (l2, s2), (l3, s3) in combinations(p_secs, 3):
+        value = pairing(wedge(wedge(s1.cov, s2.cov), s3.cov), Q.x3)
+        cond4.record(f"X({l1},{l2},{l3})", P.restrict(value))
+    return report
 
 
 # -- Schouten and d from raw anchor and structure data ----------------------

@@ -25,19 +25,25 @@ from algebroid_forge.reporting import PROOF_TENSORIAL, Report
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
 FINGERPRINTS = ROOT / "perfbench" / "fingerprints.json"
-# sha256 of --format text stdout, and the exit code, of each FINGERPRINT_RUNS run at seed 0
+# sha256 of --format text stdout, and the exit code, of each TEXT_RUNS run
 TEXT_SHA256 = ROOT / "tests" / "text_sha256.json"
 # (fingerprint key, forge arguments): every corpus file, and courant_tr2 at kappa 1
 FINGERPRINT_RUNS = [(path.stem, (str(path),)) for path in sorted(CORPUS.glob("*.alg"))] + [
     ("courant_tr2-kappa1", (str(CORPUS / "courant_tr2.alg"), "--kappa", "1"))
 ]
-# the sampled Courant checks, where a wrong memo key would show, also at seeds 3 and 7
+# every run with a sampled task (verify-courant, check-qlb or
+# build-deformed-double), where a wrong memo key would show, also at seeds 3 and 7
 SAMPLED_RUNS = (
     "twisted_poisson_r4",
     "twisted_dirac_r4",
     "twisted_nonclosed_r4",
     "courant_tr2",
     "courant_tr2-kappa1",
+    "e3_pqn",
+    "heisenberg_pn",
+    "tr2_conformal",
+    "e5_gc",
+    "gc_twisted_r4",
 )
 # the benchmark's generator of rational-chart inputs, loaded from its file
 _spec = importlib.util.spec_from_file_location("ratchart", ROOT / "perfbench" / "ratchart.py")
@@ -55,6 +61,8 @@ SEEDED_RUNS = (
     ]
     + [(f"{label}@{seed}", label, None, seed) for seed in (0, 3, 7) for label, *_ in ratchart.SPECS]
 )
+# (test id, forge arguments, seed) of the text table: the SEEDED_RUNS of corpus files
+TEXT_RUNS = [(run_id, args, seed) for run_id, _, args, seed in SEEDED_RUNS if args is not None]
 
 
 def forge(*args):
@@ -141,12 +149,12 @@ class TestRecords:
         records = capsys.readouterr().out.encode("utf-8")
         assert hashlib.sha256(records).hexdigest() == table[f"{key}@{seed}"]
 
-    @pytest.mark.parametrize("key, args", FINGERPRINT_RUNS, ids=[key for key, _ in FINGERPRINT_RUNS])
-    def test_text_matches_recorded_sha256(self, capsys, key, args):
+    @pytest.mark.parametrize("key, args, seed", TEXT_RUNS, ids=[key for key, *_ in TEXT_RUNS])
+    def test_text_matches_recorded_sha256(self, capsys, key, args, seed):
         # the text format stays byte-identical too, with its exit code
         table = json.loads(TEXT_SHA256.read_text(encoding="utf-8"))
-        assert set(table) == {k for k, _ in FINGERPRINT_RUNS}
-        code = main(["check", *args, "--format", "text", "--seed", "0"])
+        assert set(table) == {k for k, *_ in TEXT_RUNS}
+        code = main(["check", *args, "--format", "text", "--seed", str(seed)])
         text = capsys.readouterr().out.encode("utf-8")
         assert {"exit": code, "stdout_sha256": hashlib.sha256(text).hexdigest()} == table[key]
 
@@ -659,7 +667,7 @@ SPAN_RECORDS = [
     "task=check-split-dirac#4 clause=4-X-vanishes-on-Lperp class=PROOF_TENSORIAL residue=0 verdict=pass",
     "task=check-split-dirac#4 clause=direct-D1-D3 class=PROOF_TENSORIAL residue=0 verdict=pass",
     "task=check-split-dirac#4 clause=biconditional class=PROOF_TENSORIAL residue=0 verdict=pass",
-    "task=check-split-dirac#5 clause=- class=- residue=divisionbyzerorationalfunction verdict=error",
+    "task=check-split-dirac#5 clause=- class=- residue=divisionbyzerorestricting-1/x1tox1->0,x3->0 verdict=error",
     "task=check-split-dirac#6 clause=1-L-subalgebroid class=PROOF_TENSORIAL residue=1 verdict=fail",
     "task=check-split-dirac#6 clause=2-Lperp-closed class=PROOF_TENSORIAL residue=0 verdict=pass",
     "task=check-split-dirac#6 clause=3-Lperp-anchor-tangency class=PROOF_TENSORIAL residue=1 verdict=fail",
@@ -668,7 +676,7 @@ SPAN_RECORDS = [
     "task=check-split-dirac#6 clause=biconditional class=PROOF_TENSORIAL residue=0 verdict=pass",
 ]
 # sha256 of the same run's --format text stdout
-SPAN_TEXT_SHA256 = "53b74bd721962f553c148c59007e94b74f00fc81567afb6a5179d30886985d51"
+SPAN_TEXT_SHA256 = "43ca9447c1e54d1948fd385c5163a533bd62092aa73680b88c06dfec87aad7b2"
 
 
 def test_split_dirac_spans_by_frame_indices(tmp_path, capsys):
@@ -680,6 +688,8 @@ def test_split_dirac_spans_by_frame_indices(tmp_path, capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SPAN_TEXT_SHA256
     assert "       residue[rho*(Lp1).x2] = 1\n" in out
+    # the pole names the coefficient and the vanishing coordinates
+    assert "  note: division by zero restricting -1/x1 to x1 -> 0, x3 -> 0\n" in out
 
 
 class TestTaskBinding:

@@ -2,6 +2,7 @@ import pathlib
 import random
 from fractions import Fraction
 from functools import partial
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -47,7 +48,7 @@ from algebroid_forge.courant import (
     twisted_double,
     verify_courant_axioms,
 )
-from algebroid_forge.errors import DegreeMismatch, ParentMismatch, VarianceMismatch
+from algebroid_forge.errors import DegreeMismatch, ForgeError, ParentMismatch, VarianceMismatch
 from algebroid_forge.pn import (
     QuasiLieBialgebroid,
     build_qlb_from_pqn,
@@ -58,7 +59,7 @@ from algebroid_forge.pn import (
     qlb_from_closed3form,
     qlb_from_twisted_poisson,
 )
-from oracles import flip, flip_section, identity_morphism
+from oracles import flip, flip_section, identity_morphism, split_dirac_conditions_reference
 from test_pn import an_presentation, diag, e6_conformal, std_pi, tr4_twisted
 
 TR2 = tangent_algebroid(2)
@@ -449,6 +450,59 @@ class TestSplitDirac:
             assert four == expected, f"{name}: expected {expected}, got {four}"
 
 
+def split_dirac_cases():
+    """(label, Q, span, P): every sorted span of every qLB the corpus builds,
+    on the whole chart and on each coordinate hyperplane, each file parsed
+    anew; on twisted_poisson_r4, whose X = phi is nonzero, the spans of at
+    most one frame, which leave at least three frames to L^perp."""
+    for name in QLB_FILES:
+        for q, Q in corpus_qlbs(name).items():
+            coords, rank = Q.base.coords, Q.base.rank
+            for size in range(2 if name == "twisted_poisson_r4" else rank + 1):
+                for span in combinations(range(rank), size):
+                    for vanishing in [()] + [(c,) for c in coords]:
+                        P = Submanifold.coordinate_subspace(coords, vanishing)
+                        yield f"{name} {q} span {span} at {vanishing}", Q, span, P
+
+
+def split_dirac_outcome(check, Q, span, P):
+    """(name, checked, failures) of the four condition clauses of
+    ``check(Q, span, P)``, or the error it raised, by type and message."""
+    try:
+        report = check(Q, span, P)
+    except ForgeError as err:
+        return type(err).__name__, str(err)
+    return [(c.name, c.checked, c.failures) for c in report.clauses[:4]]
+
+
+def split_dirac_mismatches(mod) -> list[str]:
+    """The cases of ``split_dirac_cases`` where ``mod.check_split_dirac``
+    and the row-reduction reference disagree."""
+    return [
+        label
+        for label, Q, span, P in split_dirac_cases()
+        if split_dirac_outcome(mod.check_split_dirac, Q, span, P)
+        != split_dirac_outcome(split_dirac_conditions_reference, Q, span, P)
+    ]
+
+
+def test_split_dirac_conditions_match_the_row_reduction():
+    # the conditions read frame data; the reference builds the brackets as
+    # sections and reduces them against the spans of L and L^perp
+    assert split_dirac_mismatches(courant) == []
+
+
+def test_split_dirac_cases_reach_every_outcome():
+    # a nonzero X on L^perp, a pole on P, and a failure of each condition
+    outcomes = [split_dirac_outcome(split_dirac_conditions_reference, *case[1:]) for case in split_dirac_cases()]
+    errors = [o for o in outcomes if isinstance(o, tuple)]
+    reports = [o for o in outcomes if isinstance(o, list)]
+    assert errors and all(o[0] == "DivisionByZero" for o in errors)
+    for k, name in enumerate(("1-L-subalgebroid", "2-Lperp-closed", "3-Lperp-anchor-tangency")):
+        assert any(r[k][2] for r in reports), name
+    assert any(label.startswith("X(") for r in reports for label, _ in r[3][2])
+
+
 class TestMorphismGraph:
     def test_identity_graph(self):
         Q = qlb_from_closed3form(TR3, top_form(TR3))
@@ -548,8 +602,10 @@ def seeded_inputs(A, seed, halves):
 
 def memoized_calls(E, inputs):
     """Calls of every memoized operation on sections of E built from
-    ``inputs``.  Halves are shared and swapped between calls, so a key that
-    left out any part of an input would serve one call another's result."""
+    ``inputs``, and of ``d_star``, which reads the memoized ``differential``
+    and ``d_function`` of E.dual.  Halves are shared and swapped between
+    calls, so a key that left out any part of an input would serve one call
+    another's result."""
     A = E.base
     X, a, Y, b, f = (
         A.section(MULTIVECTOR, 1, inputs[0]),
@@ -596,10 +652,12 @@ def test_memo_is_transparent(case, seed, halves):
         cold = memo_double(parse(MEMO_SOURCE), case)
         assert not (cold._cache or cold.base._cache or cold.dual._cache)
         expected.append(exact(memoized_calls(cold, inputs)[k]()))
-    first = [call() for call in memoized_calls(WARM[case], inputs)]
+    calls = memoized_calls(WARM[case], inputs)
+    first = [call() for call in calls]
     assert [exact(r) for r in first] == expected
     again = [call() for call in memoized_calls(WARM[case], inputs)]
-    assert all(x is y for x, y in zip(again, first))  # every repeat is a cache hit
+    # every repeat is a cache hit, but d_star's: it retags a cached result anew
+    assert all(x is y for x, y, call in zip(again, first, calls) if call.func is not d_star)
 
 
 class TestMemoKeys:
@@ -708,8 +766,8 @@ def test_residues_take_no_section_arithmetic(monkeypatch):
 
 def test_cancelling_general_denominator_residue_is_the_zero_pair():
     # the residue's terms stay unreduced until the halves are built, and
-    # the zero test reads the finished halves: a sum that cancels only over
-    # a common denominator is still the double's one zero pair
+    # the halves are normalized then: a sum that cancels only over a common
+    # denominator is the pair of zero halves
     E = standard_double(tangent_algebroid(2))
     A = E.base
     L = A.scalar("2 + 3*x1")
@@ -725,5 +783,5 @@ def test_cancelling_general_denominator_residue_is_the_zero_pair():
         ((1, w, s), (1, v, s), (-1, w + v, s)),
         ((1, None, twice), (-1, 1 / L, s), (-1, 1 / L, s)),
     ):
-        assert courant._residue(E, terms) is E.zero_section()
+        assert courant._residue(E, terms).is_zero()
     assert courant._residue(E, ((1, w, s), (-1, v, s))).key == s.scale(w - v).key

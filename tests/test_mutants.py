@@ -40,7 +40,7 @@ from oracles import (
     raw_double,
     schouten_oracle,
 )
-from test_courant import QLB_FILES, corpus_qlbs
+from test_courant import QLB_FILES, corpus_qlbs, split_dirac_mismatches
 from test_rational import deferred_sum_property, shape_property
 
 SRC = pathlib.Path(calculus.__file__).resolve().parent
@@ -237,17 +237,14 @@ def dorfman_oracle_property(mod) -> list[str]:
 def residue_property(mod) -> list[str]:
     """``_residue``'s component sums equal section arithmetic on
     ``chart_case`` sections, unweighted and weighted by a factored-denominator
-    function, and a sum that cancels is the double's zero pair."""
+    function."""
     E, e1, e2 = chart_case(2, mod.CourantDouble)
     w = 1 / (RationalFunction.coord(COORDS, "x2") * 3 + 2)
     cases = (
         (((1, None, e1), (-1, None, e2)), e1 - e2),
         (((1, w, e1), (-1, None, e2), (-1, w, e2)), e1.scale(w) - e2 - e2.scale(w)),
     )
-    failures = [f"residue {k}" for k, (terms, want) in enumerate(cases) if mod._residue(E, terms).key != want.key]
-    if mod._residue(E, ((1, w, e1), (-1, w, e1))) is not E.zero_section():
-        failures.append("a cancelling residue is not the zero pair")
-    return failures
+    return [f"residue {k}" for k, (terms, want) in enumerate(cases) if mod._residue(E, terms).key != want.key]
 
 
 def d_star_property(pn_mod) -> list[str]:
@@ -305,6 +302,14 @@ def identity_graph_property(mod) -> list[str]:
             report = mod.check_generalized_dirac(mod.build_morphism_graph(identity_morphism(Q.base), Q, Q))
             failures += [f"{name} {q}: {c.name}" for c in report.failing_clauses()]
     return failures
+
+
+def split_dirac_property(mod) -> list[str]:
+    """check_split_dirac's four conditions, read from frame data, equal the
+    row-reduction reference (``oracles.split_dirac_conditions_reference``)
+    in checked counts, failures and errors, on every corpus qLB, sorted
+    span and coordinate hyperplane of ``test_courant.split_dirac_cases``."""
+    return split_dirac_mismatches(mod)
 
 
 def paired_property(mod) -> list[str]:
@@ -468,9 +473,6 @@ MUTANTS.update(
         "residue-unweighted-ignores-sign": (
             "courant", "(c if sign > 0 else -c) if w is None else", "c if w is None else", residue_property,
         ),
-        "residue-zero-is-not-the-zero-pair": (
-            "courant", "return E.zero_section() if out.is_zero() else out", "return out", residue_property,
-        ),
         "C5-scaled-keyed-by-f": (
             "courant", "key = (l2, fname)", "key = fname", courant_axioms_property,
         ),
@@ -623,6 +625,15 @@ MUTANTS.update(
             "                    if True:\n",
             shape_property,
         ),
+        # X is read at its frame indices and restricted to P: the corpus
+        # and the biconditional instances reach X on L^perp on the whole
+        # chart only, so only the split-Dirac reference sees this
+        "split-dirac-x-unrestricted": (
+            "courant",
+            "P.restrict(Q.x3.coefficient((i, j, k)))",
+            "Q.x3.coefficient((i, j, k))",
+            split_dirac_property,
+        ),
         "paired-theorem-intertwines-n": (
             "paired",
             "residue = _block_product(A, n, p, p, m)",
@@ -646,6 +657,7 @@ PROPERTIES = {
     sampler_property: calculus,
     product_property: courant,
     identity_graph_property: courant,
+    split_dirac_property: courant,
     shape_property: rational,
     deferred_sum_property: rational,
 }

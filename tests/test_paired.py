@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algebroid_forge.calculus import FORM, MULTIVECTOR, tangent_algebroid, wedge
-from algebroid_forge.courant import CourantSection, standard_double, twisted_double
-from algebroid_forge.errors import HypothesisNotSatisfied
+from algebroid_forge.courant import CourantSection, qlb_double, standard_double, twisted_double
+from algebroid_forge.errors import HypothesisNotSatisfied, ParentMismatch
 from algebroid_forge.paired import (
     PairedOperator,
     _block_product,
@@ -21,6 +21,7 @@ from algebroid_forge.paired import (
 )
 from algebroid_forge.pn import check_qlb, intertwining, poisson_bracket
 from oracles import apply_by_contraction
+from test_courant import corpus_qlbs
 from test_pn import diag, eye, std_pi, zeros
 
 TR1 = tangent_algebroid(1)
@@ -352,6 +353,27 @@ class TestDeformedDouble:
         E = standard_double(TR2)
         with pytest.raises(HypothesisNotSatisfied):
             build_deformed_double(E, op)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda E, op: deformed_courant_bracket(E, op, E.frame_section(0), E.coframe_section(1)),
+        lambda E, op: courant_nijenhuis_torsion(E, op, E.frame_section(0), E.coframe_section(1)),
+        check_torsion_blocks,
+        build_deformed_double,
+    ],
+    ids=["deformed_courant_bracket", "courant_nijenhuis_torsion", "check_torsion_blocks", "build_deformed_double"],
+)
+def test_deformations_reject_a_qlb_double_with_a_dual_side(call):
+    # tr2_conformal's qLB has X = 0 but a dual side anchored on both frames:
+    # its double is neither standard nor twisted
+    Q = corpus_qlbs("tr2_conformal")["Q"]
+    E = qlb_double(Q)
+    assert E.x3.is_zero() and E.dual.anchored == (0, 1)
+    op = PairedOperator(E.base, zeros(E.base), E.base.zero_section(MULTIVECTOR, 2), E.base.zero_section(FORM, 2))
+    with pytest.raises(ParentMismatch, match="deformations act on standard or twisted doubles"):
+        call(E, op)
 
 
 def block_complex_tr4():
