@@ -30,7 +30,7 @@ from .courant import (
     skew_bracket,
     standard_double,
 )
-from .errors import HypothesisNotSatisfied, ParentMismatch
+from .errors import DegreeMismatch, HypothesisNotSatisfied, ParentMismatch, VarianceMismatch
 from .pn import (
     Matrix,
     QuasiLieBialgebroid,
@@ -53,11 +53,23 @@ class PairedOperator:
     because pi and sigma enter as honest (anti-symmetric) graded sections.
     ``blocks`` is its one representation, the four block matrices
     (n, p, s, m), built here once: column i of ``contraction_matrix(t)`` is
-    i_{e_i or eps^i} t.  Equality ignores ``name``."""
+    i_{e_i or eps^i} t.  pi must be a bivector and sigma a 2-form on A, and N
+    a rank x rank matrix on A's chart; an error names the part that is not.
+    Equality ignores ``name``."""
 
     __slots__ = ("A", "n_matrix", "pi", "sigma", "name", "blocks")
 
     def __init__(self, A: AlgebroidPresentation, n_matrix: Matrix, pi: GradedSection, sigma, name=""):
+        for part, t, variance in (("pi", pi, MULTIVECTOR), ("sigma", sigma, FORM)):
+            if t.parent != A:
+                raise ParentMismatch(f"{part} lives on a different algebroid")
+            if t.variance != variance:
+                raise VarianceMismatch(f"{part} must be a {variance}, got a {t.variance}")
+            if t.degree != 2:
+                raise DegreeMismatch(f"{part} must have degree 2, got {t.degree}")
+        rows = (len(row) == A.rank and all(c.vars == A.coords for c in row) for row in n_matrix)
+        if len(n_matrix) != A.rank or not all(rows):
+            raise ParentMismatch(f"N must be a {A.rank} x {A.rank} matrix on the chart {', '.join(A.coords)}")
         self.A, self.n_matrix, self.pi, self.sigma, self.name = A, n_matrix, pi, sigma, name
         neg_nstar = tuple(tuple(-c for c in row) for row in nstar_matrix(A, n_matrix))
         self.blocks = (n_matrix, contraction_matrix(pi), contraction_matrix(sigma), neg_nstar)
@@ -145,35 +157,26 @@ def _phi_two_slot(phi: GradedSection, X: GradedSection, Y: GradedSection) -> Gra
     return insert(phi, wedge(X, Y))
 
 
-def _frame_torsions(E: CourantDouble, op: PairedOperator):
-    """For each frame pair i < j, the labelled torsions T_N(eps^i, eps^j)
-    and T_N(e_i, e_j)."""
+def _record_torsions(E: CourantDouble, op: PairedOperator, cov, vec) -> None:
+    """For each frame pair i < j, record T_N(eps^i, eps^j) on the clause
+    ``cov``, then T_N(e_i, e_j) on ``vec``; one clause may be both."""
     for i, j in combinations(range(op.A.rank), 2):
-        cov = courant_nijenhuis_torsion(E, op, E.coframe_section(i), E.coframe_section(j))
-        vec = courant_nijenhuis_torsion(E, op, E.frame_section(i), E.frame_section(j))
-        yield (f"T(eps{i+1},eps{j+1})", cov), (f"T(e{i+1},e{j+1})", vec)
-
-
-def _torsion_clauses(report: Report, E: CourantDouble, op: PairedOperator):
-    """Add the clauses torsion-on-covectors and torsion-on-vectors to
-    ``report``, and return them."""
-    cov = report.clause("torsion-on-covectors", PROOF_TENSORIAL)
-    vec = report.clause("torsion-on-vectors", PROOF_TENSORIAL)
-    for on_covectors, on_vectors in _frame_torsions(E, op):
-        cov.record(*on_covectors)
-        vec.record(*on_vectors)
-    return cov, vec
+        for clause, section, name in ((cov, E.coframe_section, "eps"), (vec, E.frame_section, "e")):
+            clause.record(f"T({name}{i+1},{name}{j+1})", courant_nijenhuis_torsion(E, op, section(i), section(j)))
 
 
 def check_torsion_blocks(E: CourantDouble, op: PairedOperator) -> Report:
     """Torsion residues on both frame blocks plus the displayed block systems
-    they are equivalent to; the equivalence itself is asserted per instance."""
+    they are equivalent to; the equivalence itself is asserted per instance,
+    on covectors where N pi is a bivector and on vectors where sigma(N., .)
+    is a 2-form.  The twist phi = E.psi enters every system (a zero twist
+    adds zero)."""
     _check_double(E, op)
-    A = op.A
-    phi = E.psi
-    twisted = not phi.is_zero()
+    A, phi = op.A, E.psi
     report = Report("check-torsion-blocks")
-    cov_torsion, vec_torsion = _torsion_clauses(report, E, op)
+    cov_torsion = report.clause("torsion-on-covectors", PROOF_TENSORIAL)
+    vec_torsion = report.clause("torsion-on-vectors", PROOF_TENSORIAL)
+    _record_torsions(E, op, cov_torsion, vec_torsion)
 
     poisson = report.clause("pi-poisson", PROOF_TENSORIAL)
     poisson.record("[pi,pi]", schouten(op.pi, op.pi))
@@ -186,45 +189,40 @@ def check_torsion_blocks(E: CourantDouble, op: PairedOperator) -> Report:
         for i in range(A.rank):
             for j in range(i + 1, A.rank):
                 a, b = A.coframe(i), A.coframe(j)
-                lhs = C(a, b)
-                if twisted:
-                    lhs = lhs - _phi_two_slot(phi, pi_sharp(op.pi, a), pi_sharp(op.pi, b))
+                lhs = C(a, b) - _phi_two_slot(phi, pi_sharp(op.pi, a), pi_sharp(op.pi, b))
                 dual_system.record(f"eps{i+1},eps{j+1}", lhs)
 
     # sigma(N., .) is a 2-form iff sigma(NX, Y) = sigma(X, NY), that is iff
     # sigma_flat N - N* sigma_flat vanishes, its diagonal included
-    n, _, s, m = op.blocks
+    n, p, s, m = op.blocks
     symmetric = all(c.is_zero() for row in _block_product(A, s, n, m, s) for c in row)
     dsigma = differential(op.sigma)
     i_n_dsigma = insert_endomorphism(A, op.n_matrix, dsigma)
 
     system1 = report.clause("vector-block-torsion", PROOF_TENSORIAL)
-    corr = dsigma + insert_endomorphism(A, op.n_matrix, phi) if twisted else dsigma
+    corr = dsigma + insert_endomorphism(A, op.n_matrix, phi)
     for i in range(A.rank):
         for j in range(i + 1, A.rank):
             X, Y = A.frame(i), A.frame(j)
             residue = nijenhuis_torsion(op.n_matrix, X, Y)
             residue = residue - pi_sharp(op.pi, _phi_two_slot(corr, X, Y))
-            if twisted:
-                residue = residue + mat_apply(
-                    op.n_matrix, pi_sharp(op.pi, _phi_two_slot(phi, X, Y))
-                )
+            residue = residue + mat_apply(op.n_matrix, pi_sharp(op.pi, _phi_two_slot(phi, X, Y)))
             system1.record(f"e{i+1},e{j+1}", residue)
 
     system2 = report.clause("vector-block-two-form", PROOF_TENSORIAL)
     system2.record_flag("Nsigma-two-form", symmetric, "sigma(N.,.)-not-antisymmetric")
     if symmetric:  # then i_N sigma = sigma(N., .) + sigma(., N.) is twice it
         dnsigma = differential(insert_endomorphism(A, op.n_matrix, op.sigma)).scale(A.one_rf() / 2)
+        square = _block_product(A, s, p, m, m)  # sigma_flat pi# + N*^2, the lower right of N^2
         for i in range(A.rank):
             for j in range(i + 1, A.rank):
                 X, Y = A.frame(i), A.frame(j)
                 nx, ny = mat_apply(op.n_matrix, X), mat_apply(op.n_matrix, Y)
                 residue = _phi_two_slot(dnsigma, X, Y) - _phi_two_slot(i_n_dsigma, X, Y)
-                if twisted:
-                    residue = residue + _phi_two_slot(phi, X, Y)
-                    residue = residue - _phi_two_slot(phi, nx, ny)
-                    residue = residue + mat_apply(m, _phi_two_slot(phi, nx, Y))
-                    residue = residue + mat_apply(m, _phi_two_slot(phi, X, ny))
+                residue = residue - mat_apply(square, _phi_two_slot(phi, X, Y))
+                residue = residue - _phi_two_slot(phi, nx, ny)
+                residue = residue + mat_apply(m, _phi_two_slot(phi, nx, Y))
+                residue = residue + mat_apply(m, _phi_two_slot(phi, X, ny))
                 system2.record(f"e{i+1},e{j+1}", residue)
 
     consistency = report.clause(
@@ -234,10 +232,9 @@ def check_torsion_blocks(E: CourantDouble, op: PairedOperator) -> Report:
     )
     consistency.record_flag(
         f"covector block: torsion={cov_torsion.passed} system={poisson.passed and dual_system.passed}",
-        cov_torsion.passed == (poisson.passed and dual_system.passed),
+        C is None or cov_torsion.passed == (poisson.passed and dual_system.passed),
         "COVECTOR-EQUIVALENCE-VIOLATED",
     )
-    # the vector-block system is defined only when sigma(N., .) is a 2-form
     consistency.record_flag(
         f"vector block: torsion={vec_torsion.passed} system={system1.passed and system2.passed}",
         not symmetric or vec_torsion.passed == (system1.passed and system2.passed),
@@ -268,9 +265,7 @@ def check_theorem_pqn_from_paired(A: AlgebroidPresentation, op: PairedOperator) 
             symmetry.record(f"sigma(Ne{i+1},e{j+1})-sigma(e{i+1},Ne{j+1})", flat[j][i])
 
     torsion = report.clause("torsion-blocks-vanish", PROOF_TENSORIAL)
-    for on_covectors, on_vectors in _frame_torsions(standard_double(A), op):
-        torsion.record(*on_covectors)
-        torsion.record(*on_vectors)
+    _record_torsions(standard_double(A), op, torsion, torsion)
 
     hypotheses = all(c.passed for c in report.clauses)
     if not hypotheses:
@@ -336,25 +331,22 @@ def build_deformed_double(
     max_degree: int = 1,
 ) -> tuple[QuasiLieBialgebroid, Report]:
     """Construct (A + A*)_N and, independently, the double of the quasi-Lie
-    bialgebroid (A*_pi, d_N or d', d sigma (+ i_N phi)); compare bracket,
+    bialgebroid (A*_pi, d_N or d', d sigma + i_N phi); compare bracket,
     anchor and pairing extensionally on the documented family."""
     _check_double(E, op)
-    A = op.A
-    phi = E.psi
-    twisted = not phi.is_zero()
+    A, phi = op.A, E.psi
 
     # every generalized-complex clause, and the torsion on both frame blocks
     hypotheses = check_generalized_complex(op)
-    _torsion_clauses(hypotheses, E, op)
+    on_covectors = hypotheses.clause("torsion-on-covectors", PROOF_TENSORIAL)
+    _record_torsions(E, op, on_covectors, hypotheses.clause("torsion-on-vectors", PROOF_TENSORIAL))
     blocking = [c.name for c in hypotheses.failing_clauses()]
     if blocking:
         raise HypothesisNotSatisfied(f"deformed double hypotheses fail: {', '.join(sorted(blocking))}")
 
     base = dual_presentation(A, op.pi)
     dual = deformed_presentation(A, op.n_matrix, op.pi, phi)
-    x = differential(op.sigma)
-    if twisted:
-        x = x + insert_endomorphism(A, op.n_matrix, phi)
+    x = differential(op.sigma) + insert_endomorphism(A, op.n_matrix, phi)
     Q = QuasiLieBialgebroid(base, dual, retag(x, base, MULTIVECTOR))
     Eq = qlb_double(Q)
 

@@ -157,12 +157,10 @@ def deformed_presentation(
     """(A, [.,.]_N - pi#(phi(.,.,-)), rho o N) as presentation data (axioms not
     implied): A_N when phi is None or zero, and with N = Id the prime
     structure (A, [.,.]', rho) whose differential is d'."""
-    twisted = phi is not None and not phi.is_zero()
-
     def bracket(i: int, j: int) -> GradedSection:
         X, Y = A.frame(i), A.frame(j)
         br = deformed_bracket(n_matrix, X, Y)
-        if twisted:
+        if phi is not None:
             br = br - pi_sharp(pi, insert(phi, wedge(X, Y)))
         return br
 
@@ -218,7 +216,7 @@ def twisted_bracket(
     sa, sb = pi_sharp(pi, alpha), pi_sharp(pi, beta)
     out = lie_derivative(sa, beta) - lie_derivative(sb, alpha)
     out = out - d_function(A, pairing(wedge(alpha, beta), pi))
-    if phi is not None and not phi.is_zero():
+    if phi is not None:
         out = out + insert(phi, wedge(sa, sb))
     return out
 
@@ -233,7 +231,7 @@ def twisted_differential(pi: GradedSection, phi: GradedSection, X: GradedSection
     if X.degree > 1:
         raise DegreeMismatch("the displayed formula covers degrees 0 and 1")
     out = schouten(pi, X)
-    if X.degree == 1 and phi is not None and not phi.is_zero():
+    if X.degree == 1 and phi is not None:
         out = out - pi_sharp(pi, insert(phi, X))
     return out
 

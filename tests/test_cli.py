@@ -692,6 +692,65 @@ def test_split_dirac_spans_by_frame_indices(tmp_path, capsys):
     assert "  note: division by zero restricting -1/x1 to x1 -> 0, x3 -> 0\n" in out
 
 
+TORSION_TR2 = """algebroid TR2 { base = [x1, x2]; rank = 2; anchor[1,x1] = 1; anchor[2,x2] = 1; }
+endo N on TR2 { [1,1] = 1; [2,2] = 2; }
+tensor pi on TR2 multivector degree 2 { (1,2) = 1; }
+tensor sigma on TR2 form degree 2 { }
+paired P on TR2 { N = N; pi = pi; sigma = sigma; }
+task check-torsion-blocks P;
+"""
+TORSION_TR3 = """algebroid TR3 { base = [x1, x2, x3]; rank = 3; anchor[1,x1] = 1; anchor[2,x2] = 1; anchor[3,x3] = 1; }
+endo N on TR3 { }
+tensor pi on TR3 multivector degree 2 { (1,2) = 1; }
+tensor sigma on TR3 form degree 2 { }
+tensor phi on TR3 form degree 3 { (1,2,3) = 1; }
+paired P on TR3 { N = N; pi = pi; sigma = sigma; }
+task check-torsion-blocks P twist phi;
+"""
+TORSION_PREFIX = "task=check-torsion-blocks#1 clause="
+
+
+@pytest.mark.parametrize(
+    "text, records",
+    [
+        # N = diag(1, 2), pi = e1^e2: constant data, so both torsion blocks
+        # vanish, but N pi is no bivector and the covector system is
+        # undefined; its equivalence with the torsion is not asserted
+        (
+            TORSION_TR2,
+            [
+                "torsion-on-covectors class=PROOF_TENSORIAL residue=0 verdict=pass",
+                "torsion-on-vectors class=PROOF_TENSORIAL residue=0 verdict=pass",
+                "pi-poisson class=PROOF_TENSORIAL residue=0 verdict=pass",
+                "dual-block-system class=PROOF_TENSORIAL residue=Npi-not-antisymmetric verdict=fail",
+                "vector-block-torsion class=PROOF_TENSORIAL residue=0 verdict=pass",
+                "vector-block-two-form class=PROOF_TENSORIAL residue=0 verdict=pass",
+                "equivalence-consistency class=PROOF_TENSORIAL residue=0 verdict=pass",
+            ],
+        ),
+        # N = 0, pi = e1^e2, sigma = 0 twisted by e^123: the operator squares
+        # to 0, not -Id, so T(X, Y) = N^2 phi(X, Y, -) = 0 on vectors, while
+        # the covector block genuinely fails
+        (
+            TORSION_TR3,
+            [
+                "torsion-on-covectors class=PROOF_TENSORIAL residue=0|(1)*eps3 verdict=fail",
+                "torsion-on-vectors class=PROOF_TENSORIAL residue=0 verdict=pass",
+                "pi-poisson class=PROOF_TENSORIAL residue=0 verdict=pass",
+                "dual-block-system class=PROOF_TENSORIAL residue=(-1)*eps3 verdict=fail",
+                "vector-block-torsion class=PROOF_TENSORIAL residue=0 verdict=pass",
+                "vector-block-two-form class=PROOF_TENSORIAL residue=0 verdict=pass",
+                "equivalence-consistency class=PROOF_TENSORIAL residue=0 verdict=pass",
+            ],
+        ),
+    ],
+    ids=["npi-not-a-bivector", "twist-squares-to-zero"],
+)
+def test_torsion_block_equivalence_records(tmp_path, capsys, text, records):
+    assert check_text(tmp_path, text, "--format", "records") == 1
+    assert capsys.readouterr().out.splitlines() == [TORSION_PREFIX + r for r in records]
+
+
 class TestTaskBinding:
     @pytest.mark.parametrize(
         "name, task, message",

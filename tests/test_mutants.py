@@ -41,6 +41,7 @@ from oracles import (
     schouten_oracle,
 )
 from test_courant import QLB_FILES, corpus_qlbs, split_dirac_mismatches
+from test_paired import equivalence_failures, paired_parts
 from test_rational import deferred_sum_property, shape_property
 
 SRC = pathlib.Path(calculus.__file__).resolve().parent
@@ -364,6 +365,17 @@ def paired_property(mod) -> list[str]:
     return failures
 
 
+def torsion_equivalence_property(mod) -> list[str]:
+    """check-torsion-blocks's equivalence-consistency passes on 100 seeded
+    draws of ``test_paired.paired_parts``: constant or linear operators on
+    TR2 and TR3, on standard doubles and doubles twisted by d beta."""
+    failures = []
+    for seed in range(100):
+        case = paired_parts(random.Random(seed).choice)
+        failures += [f"seed {seed}: {f}" for f in equivalence_failures(mod, case)]
+    return failures
+
+
 def gcd_property(rat) -> list[str]:
     """gcd(f h, g h) = h for coprime f, g."""
     vars_ = ("x", "y")
@@ -640,6 +652,19 @@ MUTANTS.update(
             "residue = _block_product(A, n, p, p, n)",
             paired_property,
         ),
+        # the twist term of vector-block-two-form read for N^2 = -Id only
+        "paired-two-form-twist-assumes-square-minus-id": (
+            "paired",
+            "residue = residue - mat_apply(square, _phi_two_slot(phi, X, Y))",
+            "residue = residue + _phi_two_slot(phi, X, Y)",
+            torsion_equivalence_property,
+        ),
+        "paired-covector-equivalence-without-concomitant": (
+            "paired",
+            "C is None or cov_torsion.passed",
+            "cov_torsion.passed",
+            torsion_equivalence_property,
+        ),
     }
 )
 
@@ -654,6 +679,7 @@ PROPERTIES = {
     gcd_property: rational,
     heu_property: rational,
     paired_property: paired,
+    torsion_equivalence_property: paired,
     sampler_property: calculus,
     product_property: courant,
     identity_graph_property: courant,

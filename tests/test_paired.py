@@ -1,12 +1,19 @@
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from algebroid_forge.calculus import FORM, MULTIVECTOR, tangent_algebroid, wedge
+from algebroid_forge.calculus import FORM, MULTIVECTOR, differential, tangent_algebroid, wedge
 from algebroid_forge.courant import CourantSection, qlb_double, standard_double, twisted_double
-from algebroid_forge.errors import HypothesisNotSatisfied, ParentMismatch
+from algebroid_forge.errors import (
+    DegreeMismatch,
+    HypothesisNotSatisfied,
+    ParentMismatch,
+    VarianceMismatch,
+)
 from algebroid_forge.paired import (
     PairedOperator,
     _block_product,
@@ -27,6 +34,7 @@ from test_pn import diag, eye, std_pi, zeros
 TR1 = tangent_algebroid(1)
 TR2 = tangent_algebroid(2)
 TR3 = tangent_algebroid(3)
+TR4 = tangent_algebroid(4)
 
 
 def e5_operator():
@@ -118,6 +126,58 @@ def test_block_action_matches_contraction_reference(case):
     assert got.cov == want.cov
     n, p, _, m = op.blocks
     assert _block_product(op.A, n, p, p, m) == intertwining(op.A, op.pi, op.n_matrix)
+
+
+class TestParts:
+    """The constructor checks each part against A and names the one that fails."""
+
+    @pytest.mark.parametrize(
+        "parts, error, message",
+        [
+            # pi and sigma swapped
+            (
+                lambda: (zeros(TR2), TR2.zero_section(FORM, 2), TR2.zero_section(MULTIVECTOR, 2)),
+                VarianceMismatch,
+                "pi must be a multivector, got a form",
+            ),
+            (
+                lambda: (zeros(TR2), std_pi(TR2), std_pi(TR2)),
+                VarianceMismatch,
+                "sigma must be a form, got a multivector",
+            ),
+            (lambda: (zeros(TR2), std_pi(TR3), TR2.zero_section(FORM, 2)), ParentMismatch, "pi lives on"),
+            (lambda: (zeros(TR2), std_pi(TR2), TR3.zero_section(FORM, 2)), ParentMismatch, "sigma lives on"),
+            (
+                lambda: (zeros(TR2), TR2.frame(0), TR2.zero_section(FORM, 2)),
+                DegreeMismatch,
+                "pi must have degree 2, got 1",
+            ),
+            (
+                lambda: (zeros(TR2), std_pi(TR2), TR2.zero_section(FORM, 3)),
+                DegreeMismatch,
+                "sigma must have degree 2, got 3",
+            ),
+            (lambda: (zeros(TR3), std_pi(TR2), TR2.zero_section(FORM, 2)), ParentMismatch, "N must be a 2 x 2"),
+            (
+                lambda: (zeros(TR2)[:1], std_pi(TR2), TR2.zero_section(FORM, 2)),
+                ParentMismatch,
+                "N must be a 2 x 2 matrix on the chart x1, x2",
+            ),
+            # the right shape on another chart
+            (
+                lambda: (((TR3.one_rf(),) * 2,) * 2, std_pi(TR2), TR2.zero_section(FORM, 2)),
+                ParentMismatch,
+                "N must be a 2 x 2",
+            ),
+        ],
+        ids=[
+            "pi-a-form", "sigma-a-multivector", "pi-off-A", "sigma-off-A", "pi-degree-1",
+            "sigma-degree-3", "N-rank-3", "N-one-row", "N-other-chart",
+        ],
+    )
+    def test_rejected(self, parts, error, message):
+        with pytest.raises(error, match=message):
+            PairedOperator(TR2, *parts())
 
 
 class TestPairedness:
@@ -271,6 +331,104 @@ class TestTorsion:
         assert clauses["equivalence-consistency"].passed
         theorem = check_theorem_pqn_from_paired(TR2, op)
         assert "sigma-N-symmetric" in [c.name for c in theorem.failing_clauses()]
+
+
+def paired_parts(pick):
+    """(A, N, pi, sigma, phi) from ``pick``, which returns one item of a
+    sequence: A is TR2 or TR3; the entries of N, of pi and of sigma are each
+    all zero, all constant or all linear in the coordinates, with integer
+    coefficients in [-2, 2]; phi is zero (a standard double) or d beta for
+    such a 2-form beta."""
+    A = pick((TR2, TR3))
+
+    def coefficient(kind):
+        if kind == "zero":
+            return A.zero_rf()
+        out = A.scalar(pick(range(-2, 3)))
+        if kind == "linear":
+            for name in A.coords:
+                out = out + A.coord_rf(name) * pick(range(-2, 3))
+        return out
+
+    def section(variance, degree):
+        kind = pick(("zero", "constant", "linear"))
+        return A.section(variance, degree, {idx: coefficient(kind) for idx in combinations(range(A.rank), degree)})
+
+    kind = pick(("zero", "constant", "linear"))
+    n = tuple(tuple(coefficient(kind) for _ in range(A.rank)) for _ in range(A.rank))
+    pi, sigma = section(MULTIVECTOR, 2), section(FORM, 2)
+    phi = differential(section(FORM, 2)) if pick((False, True)) else A.zero_section(FORM, 3)
+    return A, n, pi, sigma, phi
+
+
+def equivalence_failures(paired, case) -> list:
+    """The failures of check-torsion-blocks's equivalence-consistency clause
+    for ``case`` from ``paired_parts``, run by the module ``paired``."""
+    A, n, pi, sigma, phi = case
+    report = paired.check_torsion_blocks(twisted_double(A, phi), paired.PairedOperator(A, n, pi, sigma))
+    return [f for c in report.clauses if c.name == "equivalence-consistency" for f in c.failures]
+
+
+@st.composite
+def drawn_parts(draw):
+    return paired_parts(lambda items: draw(st.sampled_from(items)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn_parts())
+def test_torsion_blocks_equivalence_is_consistent(case):
+    # each block's torsion vanishes iff its displayed system holds, wherever
+    # that system is defined: covectors where N pi is a bivector, vectors
+    # where sigma(N., .) is a 2-form, twisted or not
+    import algebroid_forge.paired as paired
+
+    assert equivalence_failures(paired, case) == []
+
+
+@st.composite
+def scaled_poisson(draw):
+    """pi = f e1^e2 on TR2, TR3 or TR4, f a nonzero polynomial of degree <= 2."""
+    A = draw(st.sampled_from((TR2, TR3, TR4)))
+    f = A.scalar(draw(st.integers(-2, 2)))
+    for name in A.coords:
+        f = f + A.coord_rf(name) ** draw(st.integers(1, 2)) * draw(st.integers(-2, 2))
+    assume(not f.is_zero())
+    return A, std_pi(A).scale(f)
+
+
+@settings(max_examples=30, deadline=None)
+@given(scaled_poisson())
+def test_scaled_poisson_with_zero_n_and_sigma_is_a_true_instance(case):
+    # any f e1^e2 is Poisson, and with N = 0 and sigma = 0 the operator
+    # squares to 0, so both torsion blocks vanish and the theorem applies
+    A, pi = case
+    op = PairedOperator(A, zeros(A), pi, A.zero_section(FORM, 2))
+    assert check_torsion_blocks(standard_double(A), op).passed
+    assert check_theorem_pqn_from_paired(A, op).passed
+
+
+@st.composite
+def conjugated_rotations(draw):
+    """M N0 M^-1 on TR4, N0 the block rotation of corpus/gc_twisted_r4.alg
+    and M a constant invertible integer matrix."""
+    M = sympy.Matrix(4, 4, [draw(st.integers(-2, 2)) for _ in range(16)])
+    assume(M.det() != 0)
+    N0 = sympy.Matrix([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
+    N = M * N0 * M.inv()
+    return tuple(tuple(TR4.scalar(Fraction(int(c.p), int(c.q))) for c in N.row(k)) for k in range(4))
+
+
+@settings(max_examples=30, deadline=None)
+@given(conjugated_rotations())
+def test_conjugated_rotation_is_a_true_instance(n):
+    # a constant N with N^2 = -Id, paired with pi = sigma = 0, is generalized
+    # complex with vanishing torsion, and its deformed double is identified
+    op = PairedOperator(TR4, n, TR4.zero_section(MULTIVECTOR, 2), TR4.zero_section(FORM, 2))
+    E = standard_double(TR4)
+    assert check_generalized_complex(op).passed
+    assert check_torsion_blocks(E, op).passed
+    _, report = build_deformed_double(E, op, samples=2)
+    assert report.passed
 
 
 class TestTheorem:
